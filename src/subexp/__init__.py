@@ -95,8 +95,10 @@ from .axioms import (
 from .experiments import (
     ExperimentResult,
     Row,
+    run_axioms,
+    run_choquet_series,
     run_cluster_set,
-    run_divergence,
+    run_inequality_grid,
     run_marcinkiewicz,
     run_slln,
     run_three_series,

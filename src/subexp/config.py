@@ -2,13 +2,15 @@
 
 The schema is a flat JSON object; unknown fields anywhere are rejected with
 the offending path, and parsing materializes every default so the resolved
-config written next to the results is complete on its own.
+config written next to the results is complete on its own. EXPERIMENT_TABLE
+maps each experiment name to its driver and parameter schema; parsing,
+EXPERIMENTS and the runner all read it.
 
 Schema:
     {
       "model": {"label": str, "members": [member, ...]},
       "experiment": one of EXPERIMENTS,
-      "parameters": {...},          # per-experiment, see _REGISTRY
+      "parameters": {...},          # per-experiment, see EXPERIMENT_TABLE
       "seeds": [int, ...],          # default [1, 2, 3]
       "output_dir": str,            # default "."
       "lattice_quantum": float      # optional consistency check
@@ -21,18 +23,31 @@ member (pareto):  {"kind": "pareto", "alpha": a, "scale": s, "right_mass": r}
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
-
-import numpy as np
+from typing import Any, Callable
 
 from .distributions import AmbiguitySet, FiniteDiscrete, TwoSidedPareto
 from .errors import NonLattice, SchemaError
+from .experiments import (
+    ExperimentResult,
+    run_axioms,
+    run_choquet_series,
+    run_cluster_set,
+    run_inequality_grid,
+    run_marcinkiewicz,
+    run_slln,
+    run_three_series,
+    run_weak_lln,
+)
+from .lattice_dp import lattice_offsets
 
 __all__ = [
     "EXPERIMENTS",
+    "EXPERIMENT_TABLE",
+    "Experiment",
     "RunConfig",
     "member_to_spec",
     "model_from_spec",
@@ -40,24 +55,9 @@ __all__ = [
     "parse_config",
 ]
 
-EXPERIMENTS = (
-    "slln",
-    "marcinkiewicz",
-    "weak_lln",
-    "three_series",
-    "cluster_set",
-    "inequality_grid",
-    "choquet_series",
-    "axioms",
-)
-
-
-def _is_num(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
 
 def _num(x: Any, path: str) -> float:
-    if not _is_num(x):
+    if not (isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)):
         raise SchemaError(f"{path}: expected a finite number, got {x!r}")
     return float(x)
 
@@ -68,25 +68,24 @@ def _int(x: Any, path: str) -> int:
     return x
 
 
-def _num_list(x: Any, path: str) -> list:
-    if not isinstance(x, list) or not x:
-        raise SchemaError(f"{path}: expected a nonempty list of numbers")
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(x)]
+def _str(x: Any, path: str) -> str:
+    if not isinstance(x, str):
+        raise SchemaError(f"{path}: expected a string")
+    return x
 
 
-def _int_list(x: Any, path: str) -> list:
-    if not isinstance(x, list) or not x:
-        raise SchemaError(f"{path}: expected a nonempty list of integers")
-    return [_int(v, f"{path}[{i}]") for i, v in enumerate(x)]
+def _list_of(item: Callable, noun: str) -> Callable:
+    def validate(x: Any, path: str) -> list:
+        if not isinstance(x, list) or not x:
+            raise SchemaError(f"{path}: expected a nonempty list of {noun}")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(x)]
+
+    return validate
 
 
-def _str_list(x: Any, path: str) -> list:
-    if not isinstance(x, list) or not x:
-        raise SchemaError(f"{path}: expected a nonempty list of strings")
-    for i, v in enumerate(x):
-        if not isinstance(v, str):
-            raise SchemaError(f"{path}[{i}]: expected a string")
-    return list(x)
+_num_list = _list_of(_num, "numbers")
+_int_list = _list_of(_int, "integers")
+_str_list = _list_of(_str, "strings")
 
 
 def _optional_num(x: Any, path: str):
@@ -99,20 +98,43 @@ def _mode(x: Any, path: str) -> str:
     return x
 
 
-# name -> (default, validator)
-_REGISTRY: dict[str, dict] = {
-    "slln": {
+@dataclass(frozen=True)
+class Experiment:
+    """A driver and its parameter schema, name -> (default, validator).
+
+    Parameters reach the driver as keywords of the same name, plus the run's
+    seeds and worker count where the driver's signature takes them. When
+    replicas names a count parameter, seeds 1..count replace the config's.
+    """
+
+    driver: Callable
+    schema: dict
+    replicas: str | None = None
+
+    def execute(self, config: RunConfig, jobs: int) -> ExperimentResult:
+        kwargs = dict(config.parameters)
+        seeds = config.seeds
+        if self.replicas is not None:
+            seeds = tuple(range(1, kwargs.pop(self.replicas) + 1))
+        takes = inspect.signature(self.driver).parameters
+        run_args = {"seeds": seeds, "jobs": jobs}
+        kwargs.update({k: v for k, v in run_args.items() if k in takes})
+        return self.driver(config.model, **kwargs)
+
+
+EXPERIMENT_TABLE: dict[str, Experiment] = {
+    "slln": Experiment(run_slln, {
         "N": (1_000_000, _int),
         "tol": (0.01, _num),
         "m_targets": (5, _int),
         "tol_outer": (0.05, _num),
-    },
-    "marcinkiewicz": {
+    }),
+    "marcinkiewicz": Experiment(run_marcinkiewicz, {
         "p": (1.5, _num),
         "N": (1_000_000, _int),
         "envelope": (0.5, _num),
-    },
-    "weak_lln": {
+    }),
+    "weak_lln": Experiment(run_weak_lln, {
         "ns": ([32, 64, 128, 256], _int_list),
         "epsilon": (0.1, _num),
         "mode": ("exact", _mode),
@@ -120,43 +142,43 @@ _REGISTRY: dict[str, dict] = {
         "interior_b": (None, _optional_num),
         "interior_threshold": (0.9, _num),
         "mc_replicas": (200, _int),
-    },
-    "three_series": {
+    }, replicas="mc_replicas"),
+    "three_series": Experiment(run_three_series, {
         "scale_exponent": (2.0, _num),
         "c": (1.0, _num),
         "N": (10_000, _int),
         "N0": (1_000, _int),
         "fluct_tol": (0.01, _num),
-    },
-    "cluster_set": {
+    }),
+    "cluster_set": Experiment(run_cluster_set, {
         "m_targets": (5, _int),
         "N": (1_000_000, _int),
         "tol_outer": (0.05, _num),
         "tol_hausdorff": (0.15, _num),
         "delta": (0.05, _num),
-    },
-    "inequality_grid": {
+    }),
+    "inequality_grid": Experiment(run_inequality_grid, {
         "whichs": (["kolmogorov_upper", "kolmogorov_lower", "exponential"], _str_list),
         "ns": ([4, 8, 16], _int_list),
         "xs": ([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0], _num_list),
         "levy_alphas": ([0.3, 0.5], _num_list),
-    },
-    "choquet_series": {
+    }),
+    "choquet_series": Experiment(run_choquet_series, {
         "p": (1.0, _num),
         "M": (1.0, _num),
         "K": (100_000, _int),
-    },
-    "axioms": {
+    }),
+    "axioms": Experiment(run_axioms, {
         "trials": (1_000, _int),
         "axiom_seed": (20240, _int),
-    },
+    }),
 }
+EXPERIMENTS = tuple(EXPERIMENT_TABLE)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     model: AmbiguitySet
-    model_spec: dict
     experiment: str
     parameters: dict
     seeds: tuple
@@ -166,7 +188,7 @@ class RunConfig:
     def resolved(self) -> dict:
         """Fully materialized config, suitable for resolved_config.json."""
         return {
-            "model": self.model_spec,
+            "model": model_to_spec(self.model),
             "experiment": self.experiment,
             "parameters": self.parameters,
             "seeds": list(self.seeds),
@@ -183,10 +205,7 @@ def member_to_spec(member) -> dict:
             "scale": member.scale,
             "right_mass": member.right_mass,
         }
-    values = member.values
-    atoms = []
-    for v, w in zip(values.tolist(), member.weights.tolist()):
-        atoms.append([v, w])
+    atoms = [[v, w] for v, w in zip(member.values.tolist(), member.weights.tolist())]
     return {"kind": "finite", "atoms": atoms}
 
 
@@ -273,13 +292,13 @@ def parse_config(text: str) -> RunConfig:
 
     model = model_from_spec(raw["model"], "model")
 
-    registry = _REGISTRY[experiment]
+    schema = EXPERIMENT_TABLE[experiment].schema
     given = raw.get("parameters", {})
     if not isinstance(given, dict):
         raise SchemaError("config.parameters: expected an object")
-    _reject_unknown(given, set(registry), "parameters")
+    _reject_unknown(given, set(schema), "parameters")
     parameters = {}
-    for name, (default, validator) in registry.items():
+    for name, (default, validator) in schema.items():
         if name in given:
             parameters[name] = validator(given[name], f"parameters.{name}")
         else:
@@ -289,7 +308,7 @@ def parse_config(text: str) -> RunConfig:
     seeds = tuple(_int_list(seeds_raw, "seeds"))
     for i, s in enumerate(seeds):
         if not (0 <= s < 2 ** 64):
-            raise ValueError(f"seeds[{i}]: seed {s} outside [0, 2^64)")
+            raise SchemaError(f"seeds[{i}]: seed {s} outside [0, 2^64)")
 
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
@@ -299,12 +318,11 @@ def parse_config(text: str) -> RunConfig:
     if quantum is not None:
         quantum = _num(quantum, "config.lattice_quantum")
         if quantum <= 0:
-            raise ValueError(f"lattice_quantum must be positive, got {quantum}")
+            raise SchemaError(f"config.lattice_quantum: must be positive, got {quantum}")
         _check_quantum(model, quantum)
 
     return RunConfig(
         model=model,
-        model_spec=model_to_spec(model),
         experiment=experiment,
         parameters=parameters,
         seeds=seeds,
@@ -316,10 +334,8 @@ def parse_config(text: str) -> RunConfig:
 def _check_quantum(model: AmbiguitySet, q: float) -> None:
     """Every finite atom must sit on the declared lattice within 1e-9."""
     for i, member in enumerate(model.members):
-        if not isinstance(member, FiniteDiscrete):
-            continue
-        for v in np.asarray(member.values, dtype=float).ravel():
-            if abs(v / q - round(v / q)) * q > 1e-9:
-                raise NonLattice(
-                    f"model.members[{i}]: atom {v} is not a multiple of lattice_quantum {q}"
-                )
+        if isinstance(member, FiniteDiscrete):
+            try:
+                lattice_offsets(member.values, q)
+            except NonLattice as exc:
+                raise NonLattice(f"model.members[{i}]: {exc}") from None

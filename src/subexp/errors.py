@@ -49,5 +49,5 @@ class TooLargeForBruteForce(SubexpError):
     """Instance exceeds the brute-force oracle's enumeration limits."""
 
 
-class SchemaError(SubexpError):
+class SchemaError(SubexpError, ValueError):
     """Configuration document violates the schema; message carries the field path."""

@@ -16,17 +16,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event, FiniteDiscrete
+from .axioms import run_axiom_suite
+from .distributions import AmbiguitySet, Event
 from .errors import NotConvergent
-from .expectation import PowerAbs, choquet_integral, mean_interval
-from .inequalities import choquet_series_test
+from .expectation import mean_interval
+from .inequalities import choquet_series_test, inequality_grid, levy_bound_check
 from .lattice_dp import TerminalEvent, TerminalSum, dp_value
 from .meanset import MeanSet, build_mean_set, distance_to_mean_set
 from .parallel import parallel_map
 from .sampler import (
     BlockSchedule,
     Stationary,
+    extreme_members,
     oscillation_schedule,
+    pure_weights,
     sample_path,
     stationary_for_target,
     target_chasing_schedule,
@@ -35,8 +38,10 @@ from .sampler import (
 __all__ = [
     "ExperimentResult",
     "Row",
+    "run_axioms",
+    "run_choquet_series",
     "run_cluster_set",
-    "run_divergence",
+    "run_inequality_grid",
     "run_marcinkiewicz",
     "run_slln",
     "run_three_series",
@@ -70,8 +75,8 @@ class Row:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    experiment: str
-    model_label: str
+    """Rows of one run; the experiment name and model label live in its config."""
+
     strategy_labels: tuple
     n_grid: tuple
     seeds: tuple
@@ -87,12 +92,17 @@ def _tail_slice(n: int) -> int:
 
 
 def _pure_extremes(amb: AmbiguitySet) -> tuple[Stationary, Stationary]:
-    means = amb.member_means()
-    hi, lo = int(np.argmax(means)), int(np.argmin(means))
+    hi, lo = extreme_members(amb)
     k = len(amb.members)
-    w_hi = tuple(1.0 if i == hi else 0.0 for i in range(k))
-    w_lo = tuple(1.0 if i == lo else 0.0 for i in range(k))
-    return Stationary(w_hi, label="pure_max"), Stationary(w_lo, label="pure_min")
+    return (
+        Stationary(pure_weights(k, hi), label="pure_max"),
+        Stationary(pure_weights(k, lo), label="pure_min"),
+    )
+
+
+def _pure_members(amb: AmbiguitySet) -> list[Stationary]:
+    k = len(amb.members)
+    return [Stationary(pure_weights(k, j), label=f"pure_{j}") for j in range(k)]
 
 
 def _containment_rows(
@@ -209,65 +219,8 @@ def run_slln(
         rows.extend(_containment_rows(amb, paths, mean_set, tol_outer))
 
     return ExperimentResult(
-        experiment="slln",
-        model_label=amb.label,
         strategy_labels=tuple(s.label for s in strategies),
         n_grid=(N,),
-        seeds=tuple(seeds),
-        rows=tuple(rows),
-    )
-
-
-def run_divergence(
-    amb: AmbiguitySet,
-    Ns: Sequence[int] = (1_000, 10_000, 100_000),
-    seeds: Sequence[int] = (1, 2, 3),
-    jobs: int = 1,
-) -> ExperimentResult:
-    """Qualitative evidence that |S_n|/n blows up when C_V(|X|) = infinity.
-
-    Reports max_{n<=N} |S_n|/n across a horizon grid; with one sampled path
-    per seed the statistic is nondecreasing in N by construction. Growth is
-    reported, not asserted: finite-mean models serve as flat controls.
-    """
-    if amb.dim != 1:
-        raise ValueError("the divergence experiment is one-dimensional")
-    choquet_mean = choquet_integral(amb, PowerAbs(1.0))
-    certified = math.isinf(choquet_mean)
-
-    alphas = [getattr(m, "alpha", math.inf) for m in amb.members]
-    heavy = int(np.argmin(alphas))
-    k = len(amb.members)
-    strategy = Stationary(tuple(1.0 if i == heavy else 0.0 for i in range(k)), label="heavy")
-
-    n_max = max(Ns)
-    paths = parallel_map(lambda seed: sample_path(amb, strategy, n_max, seed), seeds, jobs)
-
-    rows = [
-        Row(
-            "choquet_mean_infinite",
-            1.0 if certified else 0.0,
-            0.0,
-            None,
-            strategy.label,
-            0,
-            n_max,
-        )
-    ]
-    for seed, path in zip(seeds, paths):
-        ratios = np.abs(path.partial_sums) / np.arange(1, n_max + 1)
-        prev = -math.inf
-        for N in sorted(Ns):
-            stat = float(ratios[:N].max())
-            rows.append(
-                Row("running_max_abs_mean", stat, prev, stat >= prev, strategy.label, seed, N)
-            )
-            prev = stat
-    return ExperimentResult(
-        experiment="divergence",
-        model_label=amb.label,
-        strategy_labels=(strategy.label,),
-        n_grid=tuple(sorted(Ns)),
         seeds=tuple(seeds),
         rows=tuple(rows),
     )
@@ -296,15 +249,12 @@ def run_marcinkiewicz(
     series = choquet_series_test(amb, p, M=1.0, K=2_000)
     moment_ok = series.verdict == "convergent"
 
-    if moment_ok:
+    # Centering target; a control whose p-th Choquet moment diverges may
+    # still keep a finite first moment, and centers at 0 when it does not.
+    try:
         upper = mean_interval(amb).upper_mean
-    else:
-        # Centering target for the control: the symmetric heavy model keeps a
-        # finite first moment even when the p-th Choquet moment diverges.
-        try:
-            upper = mean_interval(amb).upper_mean
-        except NotConvergent:
-            upper = 0.0
+    except NotConvergent:
+        upper = 0.0
 
     s_max, _ = _pure_extremes(amb)
     burn = _tail_slice(N)
@@ -361,13 +311,9 @@ def run_marcinkiewicz(
             if e >= N:
                 break
             k += 1
-        means = amb.member_means()
-        hi, lo = int(np.argmax(means)), int(np.argmin(means))
+        hi, lo = extreme_members(amb)
         nm = len(amb.members)
-        weights = tuple(
-            tuple(1.0 if i == (hi if j % 2 == 0 else lo) else 0.0 for i in range(nm))
-            for j in range(len(ends))
-        )
+        weights = tuple(pure_weights(nm, hi if j % 2 == 0 else lo) for j in range(len(ends)))
         sched = BlockSchedule(tuple(ends), weights, label="p_oscillation")
         path = sample_path(amb, sched, N, seeds[0])
         scaled_signed = (path.partial_sums - ns * upper) / ns ** (1.0 / p)
@@ -384,8 +330,6 @@ def run_marcinkiewicz(
         )
 
     return ExperimentResult(
-        experiment="marcinkiewicz",
-        model_label=amb.label,
         strategy_labels=("pure_max",),
         n_grid=(N,),
         seeds=tuple(seeds),
@@ -499,10 +443,7 @@ def run_weak_lln(
     elif mode == "mc":
         mean_set = build_mean_set(amb, delta=0.05)
         k = len(amb.members)
-        strategies = [
-            Stationary(tuple(1.0 if i == j else 0.0 for i in range(k)), label=f"pure_{j}")
-            for j in range(k)
-        ]
+        strategies = _pure_members(amb)
         strategies.append(
             Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix")
         )
@@ -533,8 +474,6 @@ def run_weak_lln(
         raise ValueError(f"unknown mode {mode!r}")
 
     return ExperimentResult(
-        experiment="weak_lln",
-        model_label=amb.label,
         strategy_labels=("exact_dp",) if mode == "exact" else tuple(s.label for s in strategies),
         n_grid=ns,
         seeds=(0,) if mode == "exact" else tuple(seeds),
@@ -614,17 +553,14 @@ def run_three_series(
         for name, v in verdicts.items()
     ]
 
-    means = amb.member_means()
-    hi, lo = int(np.argmax(means)), int(np.argmin(means))
+    hi, lo = extreme_members(amb)
     k = len(amb.members)
-    pure = lambda j: tuple(1.0 if i == j else 0.0 for i in range(k))
     strategies = [
-        Stationary(pure(hi), label="pure_max"),
-        Stationary(pure(lo), label="pure_min"),
+        *_pure_extremes(amb),
         Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix"),
         BlockSchedule(
             tuple(range(100, N + 100, 100)),
-            tuple(pure(hi) if j % 2 == 0 else pure(lo) for j in range((N + 99) // 100)),
+            tuple(pure_weights(k, hi if j % 2 == 0 else lo) for j in range((N + 99) // 100)),
             label="alternating_100",
         ),
     ]
@@ -655,8 +591,6 @@ def run_three_series(
                 )
 
     return ExperimentResult(
-        experiment="three_series",
-        model_label=amb.label,
         strategy_labels=tuple(s.label for s in strategies),
         n_grid=(N,),
         seeds=tuple(seeds),
@@ -687,13 +621,7 @@ def run_cluster_set(
     if targets.ndim == 1:
         targets = targets[:, None]
 
-    strategies = list(_pure_extremes(amb)) if amb.dim == 1 else []
-    if amb.dim > 1:
-        k = len(amb.members)
-        strategies = [
-            Stationary(tuple(1.0 if i == j else 0.0 for i in range(k)), label=f"pure_{j}")
-            for j in range(k)
-        ]
+    strategies = list(_pure_extremes(amb)) if amb.dim == 1 else _pure_members(amb)
     strategies.append(chasing)
 
     tasks = [(s, seed) for s in strategies for seed in seeds]
@@ -717,10 +645,83 @@ def run_cluster_set(
         )
 
     return ExperimentResult(
-        experiment="cluster_set",
-        model_label=amb.label,
         strategy_labels=tuple(s.label for s in strategies),
         n_grid=(N,),
         seeds=tuple(seeds),
+        rows=tuple(rows),
+    )
+
+
+def run_inequality_grid(
+    amb: AmbiguitySet,
+    whichs: Sequence[str] = ("kolmogorov_upper", "kolmogorov_lower", "exponential"),
+    ns: Sequence[int] = (4, 8, 16),
+    xs: Sequence[float] = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0),
+    levy_alphas: Sequence[float] = (0.3, 0.5),
+    jobs: int = 1,
+) -> ExperimentResult:
+    """Exact DP capacities against their closed-form bounds, then Lévy's.
+
+    One row per (which, n, x) in sorted order, with the bound capped at 1,
+    followed by one row per (n, x, alpha) of the Lévy maximal check.
+    """
+    rows = [
+        Row(rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, "exact_dp", 0, rep.n)
+        for rep in inequality_grid(amb, whichs, ns, xs, jobs)
+    ]
+    levy = sorted((n, x, a) for n in ns for x in xs for a in levy_alphas)
+    rows.extend(
+        Row(rep.context, rep.lhs, rep.rhs, rep.satisfied, "exact_dp", 0, rep.n)
+        for rep in parallel_map(lambda c: levy_bound_check(amb, *c), levy, jobs)
+    )
+    return ExperimentResult(
+        strategy_labels=("exact_dp",),
+        n_grid=tuple(ns),
+        seeds=(0,),
+        rows=tuple(rows),
+    )
+
+
+def run_choquet_series(
+    amb: AmbiguitySet, p: float = 1.0, M: float = 1.0, K: int = 100_000
+) -> ExperimentResult:
+    """Capacity-series verdict for sum_i V(|X| >= M i^{1/p}) and its moment twin.
+
+    The convergence verdict and the Choquet moment are informational; the
+    tail-window ratio must match when the series converges, and the verdict
+    must agree with finiteness of the p-th Choquet moment.
+    """
+    rep = choquet_series_test(amb, p, M, K)
+    convergent = rep.verdict == "convergent"
+    rows = [
+        Row("series_convergent", 1.0 if convergent else 0.0, 0.0, None, "series", 0, K),
+        Row("series_partial_sum", rep.partial_sum, 0.0, None, "series", 0, K),
+        Row("choquet_value", rep.choquet_value, 0.0, None, "series", 0, K),
+        Row("series_ratio_matched", 1.0 if rep.ratio_matched else 0.0, 0.1,
+            rep.ratio_matched if convergent else None, "series", 0, K),
+        Row("equivalence_consistent", 1.0 if rep.consistent else 0.0, 0.0, rep.consistent,
+            "series", 0, K),
+    ]
+    return ExperimentResult(
+        strategy_labels=("series",),
+        n_grid=(K,),
+        seeds=(0,),
+        rows=tuple(rows),
+    )
+
+
+def run_axioms(
+    amb: AmbiguitySet, trials: int = 1_000, axiom_seed: int = 20240
+) -> ExperimentResult:
+    """Randomized axiom suite; the model only labels the result."""
+    report = run_axiom_suite(trials=trials, seed=axiom_seed)
+    rows = [
+        Row(c.name, c.worst_gap, 1e-12, c.ok, "random_instances", axiom_seed, c.trials)
+        for c in report.checks
+    ]
+    return ExperimentResult(
+        strategy_labels=("random_instances",),
+        n_grid=(trials,),
+        seeds=(axiom_seed,),
         rows=tuple(rows),
     )

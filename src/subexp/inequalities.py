@@ -47,13 +47,15 @@ class BoundReport:
     """Exact (or estimated) capacity vs closed-form bound.
 
     rhs stores the raw bound even when it exceeds 1; displayed_rhs caps it at
-    1 since capacities live in [0, 1]. ci_half_width is 0 for exact values.
+    1 since capacities live in [0, 1]. ci_half_width is 0 for exact values;
+    n is the number of steps the capacity is taken over.
     """
 
     lhs: float
     rhs: float
     context: str
     ci_half_width: float = 0.0
+    n: int = 0
     satisfied: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -176,7 +178,7 @@ def check_inequality(
             y_eff = x if y is None else y
             rhs = exponential_bound(B2, x, y_eff) + _max_increment_term(centered, y_eff, n)
             ctx = f"exponential model={amb.label} n={n} x={x:g} y={y_eff:g}"
-        return BoundReport(lhs=lhs, rhs=rhs, context=ctx)
+        return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
 
     if which == "kolmogorov_lower":
         means = amb.member_means()
@@ -189,7 +191,7 @@ def check_inequality(
         )
         lhs = dp_value(shifted, RunningMax(x, mode="abs"), n, side="lower")
         ctx = f"kolmogorov_lower model={amb.label} n={n} x={x:g} mu={mu_eff:g}"
-        return BoundReport(lhs=lhs, rhs=rhs, context=ctx)
+        return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
 
     raise ValueError(f"unknown inequality {which!r}")
 
@@ -229,7 +231,7 @@ def levy_bound_check(amb: AmbiguitySet, n: int, x: float, alpha: float) -> Bound
     lhs = (1.0 - alpha) * dp_value(amb, running, n, side="upper")
     rhs = dp_value(amb, TerminalEvent(Event("abs_gt", x)), n, side="upper")
     ctx = f"levy model={amb.label} n={n} x={x:g} alpha={alpha:g}"
-    return BoundReport(lhs=lhs, rhs=rhs, context=ctx)
+    return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
 
 
 def inequality_grid(
@@ -239,10 +241,9 @@ def inequality_grid(
     xs: Sequence[float],
     jobs: int = 1,
 ) -> list[BoundReport]:
-    """Evaluate every (which, n, x) combination; order by sorted context key."""
+    """Evaluate every (which, n, x) combination, in sorted (which, n, x) order."""
     combos = sorted((w, n, x) for w in whichs for n in ns for x in xs)
-    reports = parallel_map(lambda c: check_inequality(amb, c[0], c[1], c[2]), combos, jobs)
-    return sorted(reports, key=lambda r: r.context)
+    return parallel_map(lambda c: check_inequality(amb, *c), combos, jobs)
 
 
 def _survival_curve(amb: AmbiguitySet, ts: np.ndarray) -> np.ndarray:
@@ -323,7 +324,7 @@ def choquet_series_test(
     # finite iff alpha > p; finite-support members contribute nothing beyond
     # a finite index.
     alpha = amb.heaviest_alpha()
-    if alpha is None:
+    if math.isinf(alpha):
         tail_finite = True
         tail = window
     elif alpha <= p:

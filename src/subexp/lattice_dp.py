@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event, FiniteDiscrete
+from .distributions import AmbiguitySet, Event
 from .errors import NonLattice, StateSpaceTooLarge, TooLargeForBruteForce
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "brute_force_value",
     "dp_value",
     "lattice_model",
+    "lattice_offsets",
     "policy_enumeration_value",
 ]
 
@@ -90,17 +91,26 @@ def lattice_model(amb: AmbiguitySet) -> LatticeModel:
     amin = 0
     amax = 0
     for member in amb.members:
-        offs = []
-        for v in np.asarray(member.values, dtype=float).ravel():
-            a = int(round(v / h)) if v != 0.0 else 0
-            if abs(a * h - v) > _LATTICE_TOL:
-                raise NonLattice(f"atom {v!r} is off the pitch {h!r} lattice")
-            offs.append(a)
-        offsets.append(tuple(offs))
+        offs = lattice_offsets(member.values, h)
+        offsets.append(offs)
         weights.append(tuple(float(w) for w in member.weights))
         amin = min(amin, min(offs))
         amax = max(amax, max(offs))
     return LatticeModel(h, tuple(offsets), tuple(weights), amin, amax)
+
+
+def lattice_offsets(values, pitch: float) -> tuple:
+    """Integer multiples of pitch matching each atom within 1e-9.
+
+    Raises NonLattice for the first atom that is off the lattice.
+    """
+    offsets = []
+    for v in np.asarray(values, dtype=float).ravel():
+        a = int(round(v / pitch))
+        if abs(a * pitch - v) > _LATTICE_TOL:
+            raise NonLattice(f"atom {v!r} is off the pitch {pitch!r} lattice")
+        offsets.append(a)
+    return tuple(offsets)
 
 
 @dataclass(frozen=True)
@@ -221,9 +231,6 @@ def _backward_pass(
 ) -> float:
     opt = _check_side(side)
     span = model.span
-    if n * span + 1 > _MAX_WIDTH:
-        raise StateSpaceTooLarge(f"{n * span + 1} lattice states at the horizon")
-
     v = terminal
     for k in range(n - 1, -1, -1):
         width = k * span + 1
@@ -283,6 +290,14 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
     raise TypeError(f"unsupported functional {type(functional).__name__}")
 
 
+def _atoms(amb: AmbiguitySet) -> list[tuple]:
+    """Per member: (atom values, weights) as plain float tuples."""
+    return [
+        (tuple(float(v) for v in np.asarray(m.values).ravel()), tuple(m.weights))
+        for m in amb.members
+    ]
+
+
 _BF_MAX_STEPS = 4
 _BF_MAX_MEMBERS = 3
 _BF_MAX_ATOMS = 3
@@ -298,8 +313,7 @@ def brute_force_value(
     loses nothing. Sizes are capped hard because the tree has
     (atoms)^n leaves.
     """
-    if side not in ("upper", "lower"):
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+    _check_side(side)
     if amb.dim != 1 or not amb.is_finite_support:
         raise ValueError("brute force needs scalar finite-support members")
     if n > _BF_MAX_STEPS:
@@ -310,10 +324,7 @@ def brute_force_value(
         raise TooLargeForBruteForce("too many atoms per member")
 
     pick = max if side == "upper" else min
-    atoms = [
-        (tuple(float(v) for v in np.asarray(m.values).ravel()), tuple(m.weights))
-        for m in amb.members
-    ]
+    atoms = _atoms(amb)
 
     def rec(history: tuple) -> float:
         if len(history) == n:
@@ -338,8 +349,7 @@ def policy_enumeration_value(
     literal reading of 'optimize over strategies' and is only feasible for
     n <= 2, where it cross-checks brute_force_value's max-commutes recursion.
     """
-    if side not in ("upper", "lower"):
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+    _check_side(side)
     if n > 2:
         raise TooLargeForBruteForce("policy tables explode beyond 2 steps")
     if amb.dim != 1 or not amb.is_finite_support:
@@ -347,10 +357,7 @@ def policy_enumeration_value(
 
     from itertools import product
 
-    atoms = [
-        (tuple(float(v) for v in np.asarray(m.values).ravel()), tuple(m.weights))
-        for m in amb.members
-    ]
+    atoms = _atoms(amb)
     k = len(atoms)
 
     # Histories reachable before each step, in a fixed order.

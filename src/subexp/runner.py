@@ -11,44 +11,29 @@ produce byte-identical CSV files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
-from .axioms import run_axiom_suite
-from .config import RunConfig, parse_config
+from .config import EXPERIMENT_TABLE, RunConfig, parse_config
 from .errors import SubexpError
-from .experiments import (
-    ExperimentResult,
-    Row,
-    run_cluster_set,
-    run_marcinkiewicz,
-    run_slln,
-    run_three_series,
-    run_weak_lln,
-)
-from .inequalities import check_inequality, choquet_series_test, levy_bound_check
-from .parallel import parallel_map
+from .experiments import ExperimentResult
 
 __all__ = ["run", "run_config_file", "write_outputs"]
 
-_CSV_COLUMNS = (
-    "run_id",
-    "experiment",
-    "strategy",
-    "seed",
-    "n",
-    "statistic",
-    "value",
-    "tolerance",
-    "verdict",
-)
+_CSV_HEADER = "run_id,experiment,strategy,seed,n,statistic,value,tolerance,verdict"
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _json_float(x: float) -> float | str:
+    """Finite floats as numbers; inf, -inf and nan as the CSV spells them."""
+    return x if math.isfinite(x) else _fmt(x)
 
 
 def _run_id(resolved: dict) -> str:
@@ -58,213 +43,48 @@ def _run_id(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def write_outputs(result: ExperimentResult, resolved: dict, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    run_id = _run_id(resolved)
-
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+def _dump_json(obj: dict, path: str, **kw) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, allow_nan=False, **kw)
         fh.write("\n")
 
+
+def _write_resolved(resolved: dict, out_dir: str) -> str:
+    """Write resolved_config.json and return the run id."""
+    os.makedirs(out_dir, exist_ok=True)
+    _dump_json(resolved, os.path.join(out_dir, "resolved_config.json"), sort_keys=True)
+    return _run_id(resolved)
+
+
+def write_outputs(result: ExperimentResult, resolved: dict, out_dir: str) -> str:
+    run_id = _write_resolved(resolved, out_dir)
+    experiment = resolved["experiment"]
     payload = {
         "run_id": run_id,
-        "experiment": result.experiment,
-        "model_label": result.model_label,
+        "experiment": experiment,
+        "model_label": resolved["model"]["label"],
         "strategy_labels": list(result.strategy_labels),
         "n_grid": list(result.n_grid),
         "seeds": list(result.seeds),
         "passed": result.passed,
+        # Row fields in declaration order; replacing two keys keeps their place.
         "rows": [
-            {
-                "statistic": r.statistic,
-                "value": r.value,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "strategy": r.strategy,
-                "seed": r.seed,
-                "n": r.n,
-            }
+            {**dataclasses.asdict(r), "value": _json_float(r.value),
+             "tolerance": _json_float(r.tolerance)}
             for r in result.rows
         ],
     }
-    with open(os.path.join(out_dir, "results.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _dump_json(payload, os.path.join(out_dir, "results.json"))
 
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [_CSV_HEADER]
     for r in result.rows:
         verdict = "info" if r.passed is None else ("pass" if r.passed else "fail")
-        lines.append(
-            ",".join(
-                [
-                    run_id,
-                    result.experiment,
-                    r.strategy,
-                    str(r.seed),
-                    str(r.n),
-                    r.statistic,
-                    _fmt(r.value),
-                    _fmt(r.tolerance),
-                    verdict,
-                ]
-            )
-        )
+        fields = (run_id, experiment, r.strategy, str(r.seed), str(r.n), r.statistic,
+                  _fmt(r.value), _fmt(r.tolerance), verdict)
+        lines.append(",".join(fields))
     with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return run_id
-
-
-def _write_failure(resolved: dict, out_dir: str, exc: Exception) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    record = {
-        "run_id": _run_id(resolved),
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    with open(os.path.join(out_dir, "results.json"), "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-
-
-def _inequality_grid_result(config: RunConfig, jobs: int) -> ExperimentResult:
-    p = config.parameters
-    amb = config.model
-    combos = sorted((w, n, x) for w in p["whichs"] for n in p["ns"] for x in p["xs"])
-    reports = parallel_map(
-        lambda c: check_inequality(amb, c[0], c[1], c[2]), combos, jobs
-    )
-    rows = [
-        Row(rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, "exact_dp", 0, n)
-        for (w, n, x), rep in zip(combos, reports)
-    ]
-    levy_combos = sorted((n, x, a) for n in p["ns"] for x in p["xs"] for a in p["levy_alphas"])
-    levy_reports = parallel_map(
-        lambda c: levy_bound_check(amb, c[0], c[1], c[2]), levy_combos, jobs
-    )
-    rows.extend(
-        Row(rep.context, rep.lhs, rep.rhs, rep.satisfied, "exact_dp", 0, n)
-        for (n, x, a), rep in zip(levy_combos, levy_reports)
-    )
-    return ExperimentResult(
-        experiment="inequality_grid",
-        model_label=amb.label,
-        strategy_labels=("exact_dp",),
-        n_grid=tuple(p["ns"]),
-        seeds=(0,),
-        rows=tuple(rows),
-    )
-
-
-def _choquet_series_result(config: RunConfig) -> ExperimentResult:
-    p = config.parameters
-    rep = choquet_series_test(config.model, p["p"], p["M"], p["K"])
-    convergent = rep.verdict == "convergent"
-    rows = [
-        Row("series_convergent", 1.0 if convergent else 0.0, 0.0, None, "series", 0, p["K"]),
-        Row("series_partial_sum", rep.partial_sum, 0.0, None, "series", 0, p["K"]),
-        Row("choquet_value", rep.choquet_value, 0.0, None, "series", 0, p["K"]),
-        Row(
-            "series_ratio_matched",
-            1.0 if rep.ratio_matched else 0.0,
-            0.1,
-            rep.ratio_matched if convergent else None,
-            "series",
-            0,
-            p["K"],
-        ),
-        Row(
-            "equivalence_consistent",
-            1.0 if rep.consistent else 0.0,
-            0.0,
-            rep.consistent,
-            "series",
-            0,
-            p["K"],
-        ),
-    ]
-    return ExperimentResult(
-        experiment="choquet_series",
-        model_label=config.model.label,
-        strategy_labels=("series",),
-        n_grid=(p["K"],),
-        seeds=(0,),
-        rows=tuple(rows),
-    )
-
-
-def _axioms_result(config: RunConfig) -> ExperimentResult:
-    p = config.parameters
-    report = run_axiom_suite(trials=p["trials"], seed=p["axiom_seed"])
-    rows = [
-        Row(c.name, c.worst_gap, 1e-12, c.ok, "random_instances", p["axiom_seed"], c.trials)
-        for c in report.checks
-    ]
-    return ExperimentResult(
-        experiment="axioms",
-        model_label=config.model.label,
-        strategy_labels=("random_instances",),
-        n_grid=(p["trials"],),
-        seeds=(p["axiom_seed"],),
-        rows=tuple(rows),
-    )
-
-
-def _dispatch(config: RunConfig, jobs: int) -> ExperimentResult:
-    amb = config.model
-    p = config.parameters
-    seeds = config.seeds
-    if config.experiment == "slln":
-        return run_slln(
-            amb, N=p["N"], seeds=seeds, tol=p["tol"], m_targets=p["m_targets"],
-            tol_outer=p["tol_outer"], jobs=jobs,
-        )
-    if config.experiment == "marcinkiewicz":
-        return run_marcinkiewicz(
-            amb, p=p["p"], N=p["N"], seeds=seeds, envelope=p["envelope"], jobs=jobs
-        )
-    if config.experiment == "weak_lln":
-        return run_weak_lln(
-            amb,
-            ns=p["ns"],
-            epsilon=p["epsilon"],
-            mode=p["mode"],
-            threshold=p["threshold"],
-            interior_b=p["interior_b"],
-            interior_threshold=p["interior_threshold"],
-            seeds=tuple(range(1, p["mc_replicas"] + 1)),
-            jobs=jobs,
-        )
-    if config.experiment == "three_series":
-        return run_three_series(
-            amb,
-            scale_exponent=p["scale_exponent"],
-            c=p["c"],
-            N=p["N"],
-            N0=p["N0"],
-            fluct_tol=p["fluct_tol"],
-            seeds=seeds,
-            jobs=jobs,
-        )
-    if config.experiment == "cluster_set":
-        return run_cluster_set(
-            amb,
-            m_targets=p["m_targets"],
-            N=p["N"],
-            seeds=seeds,
-            tol_outer=p["tol_outer"],
-            tol_hausdorff=p["tol_hausdorff"],
-            delta=p["delta"],
-            jobs=jobs,
-        )
-    if config.experiment == "inequality_grid":
-        return _inequality_grid_result(config, jobs)
-    if config.experiment == "choquet_series":
-        return _choquet_series_result(config)
-    if config.experiment == "axioms":
-        return _axioms_result(config)
-    raise ValueError(f"unknown experiment {config.experiment!r}")
 
 
 def run(
@@ -275,28 +95,24 @@ def run(
 ) -> int:
     """Execute the configured experiment; exit 0 iff every verdict passed."""
     if seed_override is not None:
-        config = RunConfig(
-            model=config.model,
-            model_spec=config.model_spec,
-            experiment=config.experiment,
-            parameters=config.parameters,
-            seeds=(seed_override,),
-            output_dir=config.output_dir,
-            lattice_quantum=config.lattice_quantum,
-        )
+        config = dataclasses.replace(config, seeds=(seed_override,))
     out_dir = out if out is not None else config.output_dir
     resolved = config.resolved()
     resolved["output_dir"] = out_dir
     try:
-        result = _dispatch(config, jobs)
+        result = EXPERIMENT_TABLE[config.experiment].execute(config, jobs)
     except (SubexpError, ValueError) as exc:
-        _write_failure(resolved, out_dir, exc)
+        record = {
+            "run_id": _write_resolved(resolved, out_dir),
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        }
+        _dump_json(record, os.path.join(out_dir, "results.json"))
         print(f"error: {exc}", file=sys.stderr)
         return 2
     run_id = write_outputs(result, resolved, out_dir)
     verdict = "PASS" if result.passed else "FAIL"
     print(
-        f"{config.experiment} {result.model_label} run_id={run_id} "
+        f"{config.experiment} {config.model.label} run_id={run_id} "
         f"rows={len(result.rows)} {verdict} -> {out_dir}"
     )
     return 0 if result.passed else 1

@@ -24,8 +24,10 @@ __all__ = [
     "Path",
     "Stationary",
     "TargetChasing",
+    "extreme_members",
     "mixture_for_target",
     "oscillation_schedule",
+    "pure_weights",
     "sample_path",
     "stationary_for_target",
     "target_chasing_schedule",
@@ -148,13 +150,14 @@ class Path:
         return sums / (counts[:, None] if sums.ndim == 2 else counts)
 
 
-def _extreme_member_indices(amb: AmbiguitySet) -> tuple[int, int]:
+def extreme_members(amb: AmbiguitySet) -> tuple[int, int]:
     """(argmax, argmin) of member means; 1-d models, first index on ties."""
     means = amb.member_means()
     return int(np.argmax(means)), int(np.argmin(means))
 
 
-def _pure(k: int, idx: int) -> tuple:
+def pure_weights(k: int, idx: int) -> tuple:
+    """Mixture of k members that puts all weight on member idx."""
     w = [0.0] * k
     w[idx] = 1.0
     return tuple(w)
@@ -169,14 +172,14 @@ def stationary_for_target(amb: AmbiguitySet, b: float) -> Stationary:
     """
     if amb.dim != 1:
         raise ValueError("stationary_for_target is defined for dimension 1")
-    hi, lo = _extreme_member_indices(amb)
+    hi, lo = extreme_members(amb)
     means = amb.member_means()
     upper, lower = float(means[hi]), float(means[lo])
     if not (lower - _WEIGHT_TOL <= b <= upper + _WEIGHT_TOL):
         raise TargetOutOfRange(f"target {b} outside mean interval [{lower}, {upper}]")
     k = len(amb.members)
     if upper == lower:
-        return Stationary(_pure(k, hi), label=f"target={b:g}")
+        return Stationary(pure_weights(k, hi), label=f"target={b:g}")
     alpha = min(1.0, max(0.0, (b - lower) / (upper - lower)))
     w = [0.0] * k
     w[hi] += alpha
@@ -232,13 +235,13 @@ def oscillation_schedule(
         raise ValueError("need at least 2 blocks")
     if factor <= 1.0:
         raise ValueError("factor must exceed 1")
-    hi, lo = _extreme_member_indices(amb)
+    hi, lo = extreme_members(amb)
     k = len(amb.members)
     ends = []
     for j in range(K):
         end = int(round(start * factor ** j))
         ends.append(max(end, (ends[-1] + 1) if ends else 1))
-    weights = tuple(_pure(k, hi) if j % 2 == 0 else _pure(k, lo) for j in range(K))
+    weights = tuple(pure_weights(k, hi if j % 2 == 0 else lo) for j in range(K))
     return BlockSchedule(tuple(ends), weights, label="oscillation")
 
 

@@ -89,6 +89,17 @@ def test_seed_range_enforced():
         parse_config(json.dumps(doc))
 
 
+def test_seed_and_quantum_range_errors_are_schema_errors():
+    doc = base_doc()
+    doc["seeds"] = [1, 2 ** 64]
+    with pytest.raises(SchemaError, match=r"seeds\[1\]"):
+        parse_config(json.dumps(doc))
+    doc = base_doc()
+    doc["lattice_quantum"] = 0.0
+    with pytest.raises(SchemaError, match="lattice_quantum"):
+        parse_config(json.dumps(doc))
+
+
 def test_parameter_type_errors_are_schema_errors():
     doc = base_doc()
     doc["parameters"] = {"N": "many"}

@@ -15,7 +15,6 @@ from subexp import (
     Row,
     TwoSidedPareto,
     run_cluster_set,
-    run_divergence,
     run_marcinkiewicz,
     run_slln,
     run_three_series,
@@ -94,17 +93,6 @@ def test_slln_structure_and_endpoints(e1):
 def test_slln_rejects_vectors():
     with pytest.raises(ValueError):
         run_slln(make_v2mix(), N=1000)
-
-
-def test_divergence_logs_growing_running_max():
-    heavy = AmbiguitySet((TwoSidedPareto(0.9, 1.0, 0.5),), label="p09")
-    res = run_divergence(heavy, Ns=(1_000, 10_000), seeds=(1, 2))
-    assert res.passed
-    cert = [r for r in res.rows if r.statistic == "choquet_mean_infinite"]
-    assert cert[0].value == 1.0
-    for seed in (1, 2):
-        vals = [r.value for r in res.rows if r.statistic == "running_max_abs_mean" and r.seed == seed]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_marcinkiewicz_envelope_and_control(e1):

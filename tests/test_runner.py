@@ -150,3 +150,20 @@ def test_resolved_config_written_even_on_failure(tmp_path):
     resolved = json.loads((tmp_path / "resolved_config.json").read_text())
     assert resolved["experiment"] == "weak_lln"
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_results_json_is_strict_for_infinite_values(tmp_path):
+    # alpha=0.5 <= p=1: the Choquet moment is infinite
+    pareto = {"kind": "pareto", "alpha": 0.5, "scale": 1.0, "right_mass": 0.5}
+    doc = config_doc("choquet_series", {"K": 1000}, model={"label": "p05", "members": [pareto]})
+    run_doc(doc, tmp_path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads((tmp_path / "results.json").read_text(), parse_constant=reject)
+    row = next(r for r in payload["rows"] if r["statistic"] == "choquet_value")
+    assert row["value"] == "inf"
+    csv_row = next(line for line in (tmp_path / "results.csv").read_text().splitlines()
+                   if ",choquet_value," in line)
+    assert csv_row.split(",")[6] == "inf"
