@@ -2,10 +2,13 @@
 
 Each driver samples adversarial paths (or runs the exact DP), reduces them to
 named scalar statistics with tolerances, and returns an ExperimentResult
-whose rows are reproducible from (model, strategy, seed) alone. Numeric
-policy: running extrema over n >= N/100 stand in for limsup/liminf (burn-in
-discard, bias toward the finite-N side), and every convergence verdict uses
-a tail-ratio test against power-decay majorants rather than raw thresholds.
+whose rows are reproducible from (model, strategy, seed) alone. Every
+parallel task samples one path and reduces it before it returns, so at most
+jobs paths are alive at once and peak memory does not grow with the number
+of paths. Numeric policy: running extrema over n >= N/100 stand in for
+limsup/liminf (burn-in discard, bias toward the finite-N side), and every
+convergence verdict uses a tail-ratio test against power-decay majorants
+rather than raw thresholds.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ __all__ = [
 ]
 
 _BURN_IN_FRACTION = 100  # tail = n >= N / this
+# Rows per containment block: 4096 x 126 directions of float64 is 4 MB,
+# which stays in cache where a whole path's gap matrix would not.
+_CONTAINMENT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -105,47 +111,42 @@ def _pure_members(amb: AmbiguitySet) -> list[Stationary]:
     return [Stationary(pure_weights(k, j), label=f"pure_{j}") for j in range(k)]
 
 
-def _containment_rows(
-    amb: AmbiguitySet,
-    paths: Sequence,
-    mean_set: MeanSet,
-    tol_outer: float,
-) -> list[Row]:
-    """Worst tail excess of dist(S_n/n, M) over the CLT slack 4 sqrt(E|X|^2 / n).
+def _containment(amb: AmbiguitySet, mean_set: MeanSet, tol_outer: float):
+    """Per-path reducer: worst tail excess of dist(S_n/n, M) over the CLT
+    slack 4 sqrt(E|X|^2 / n), as one containment row.
 
-    The net-based distance underestimates the true distance, so a pass here
-    is conservative in the right direction for a containment claim.
+    The directions, support values and s2 are built once per run; each path
+    is then scanned in cache-sized row blocks, and the max over blocks is
+    exact, so the value does not depend on the block size. The net-based
+    distance underestimates the true distance, so a pass here is
+    conservative in the right direction for a containment claim.
     """
     s2 = max(m.second_moment() for m in amb.members)
-    rows = []
-    for path in paths:
-        start = _tail_slice(path.n)
-        means = path.running_means()[start - 1 :]
-        ns = np.arange(start, path.n + 1, dtype=float)
-        slack = 4.0 * np.sqrt(s2 / ns)
+    directions = np.asarray(mean_set.net.directions).T
+    support = np.asarray(mean_set.support_values)
+
+    def row(path) -> Row:
+        sums = path.partial_sums
         worst = -math.inf
-        chunk = 200_000
-        for i in range(0, len(ns), chunk):
-            block = means[i : i + chunk]
+        for i in range(_tail_slice(path.n) - 1, path.n, _CONTAINMENT_CHUNK):
+            ns = np.arange(i + 1, min(i + _CONTAINMENT_CHUNK, path.n) + 1, dtype=float)
+            block = sums[i : i + len(ns)]
             if block.ndim == 1:
                 block = block[:, None]
-            gaps = block @ np.asarray(mean_set.net.directions).T - np.asarray(
-                mean_set.support_values
-            )
-            dist = np.maximum(gaps.max(axis=1), 0.0)
-            worst = max(worst, float((dist - slack[i : i + chunk]).max()))
-        rows.append(
-            Row(
-                statistic="containment_worst_excess",
-                value=worst,
-                tolerance=tol_outer,
-                passed=worst <= tol_outer,
-                strategy=path.strategy_label,
-                seed=path.seed,
-                n=path.n,
-            )
+            block = block / ns[:, None]
+            dist = np.maximum((block @ directions - support).max(axis=1), 0.0)
+            worst = max(worst, float((dist - 4.0 * np.sqrt(s2 / ns)).max()))
+        return Row(
+            statistic="containment_worst_excess",
+            value=worst,
+            tolerance=tol_outer,
+            passed=worst <= tol_outer,
+            strategy=path.strategy_label,
+            seed=path.seed,
+            n=path.n,
         )
-    return rows
+
+    return row
 
 
 def run_slln(
@@ -173,34 +174,50 @@ def run_slln(
     targets = np.linspace(lower, upper, m_targets)
     strategies = [s_max, s_min, osc] + [stationary_for_target(amb, float(b)) for b in targets]
 
+    burn = _tail_slice(N)
+    containment = (
+        _containment(amb, build_mean_set(amb, delta=0.05), tol_outer)
+        if amb.is_finite_support
+        else None
+    )
+
+    def reduce(task):
+        """Last partial sum, oscillation tail extremes, containment row."""
+        strategy, seed = task
+        path = sample_path(amb, strategy, N, seed)
+        extremes = row = None
+        if strategy is osc:
+            means = path.running_means()[burn - 1 :]
+            extremes = (float(means.max()), float(means.min()))
+        if containment is not None:
+            row = containment(path)
+        return path.partial_sums[-1], extremes, row
+
     tasks = [(s, seed) for s in strategies for seed in seeds]
-    paths = parallel_map(lambda t: sample_path(amb, t[0], N, t[1]), tasks, jobs)
+    reduced = parallel_map(reduce, tasks, jobs)
 
     rows = []
     by_label: dict[str, list] = {}
-    for (strategy, seed), path in zip(tasks, paths):
-        by_label.setdefault(strategy.label, []).append(path)
+    for (strategy, _), out in zip(tasks, reduced):
+        by_label.setdefault(strategy.label, []).append(out)
 
-    for seed, path in zip(seeds, by_label["pure_max"]):
-        v = abs(path.partial_sums[-1] / N - upper)
+    for seed, (last, _, _) in zip(seeds, by_label["pure_max"]):
+        v = abs(last / N - upper)
         rows.append(Row("endpoint_upper_gap", float(v), tol, v <= tol, "pure_max", seed, N))
-    for seed, path in zip(seeds, by_label["pure_min"]):
-        v = abs(path.partial_sums[-1] / N - lower)
+    for seed, (last, _, _) in zip(seeds, by_label["pure_min"]):
+        v = abs(last / N - lower)
         rows.append(Row("endpoint_lower_gap", float(v), tol, v <= tol, "pure_min", seed, N))
 
     # Dichotomy witness: distinct stationary extremes separate the limits.
     if upper > lower:
         for seed, pmax, pmin in zip(seeds, by_label["pure_max"], by_label["pure_min"]):
-            gap = float(pmax.partial_sums[-1] / N - pmin.partial_sums[-1] / N)
+            gap = float(pmax[0] / N - pmin[0] / N)
             need = 0.5 * (upper - lower)
             rows.append(Row("endpoint_separation", gap, need, gap >= need, "pure", seed, N))
 
-    burn = _tail_slice(N)
     max_tol = upper - 0.05 if upper > lower else upper  # attainment bands
     min_tol = lower + 0.05 if upper > lower else lower
-    for seed, path in zip(seeds, by_label["oscillation"]):
-        means = path.running_means()[burn - 1 :]
-        run_max, run_min = float(means.max()), float(means.min())
+    for seed, (_, (run_max, run_min), _) in zip(seeds, by_label["oscillation"]):
         rows.append(
             Row("osc_running_max", run_max, max_tol, run_max >= max_tol, "oscillation", seed, N)
         )
@@ -210,13 +227,12 @@ def run_slln(
 
     for b in targets:
         label = f"target={float(b):g}"
-        for seed, path in zip(seeds, by_label[label]):
-            v = abs(path.partial_sums[-1] / N - float(b))
+        for seed, (last, _, _) in zip(seeds, by_label[label]):
+            v = abs(last / N - float(b))
             rows.append(Row(f"target_gap_b={float(b):g}", float(v), tol, v <= tol, label, seed, N))
 
-    if amb.dim == 1 and amb.is_finite_support:
-        mean_set = build_mean_set(amb, delta=0.05)
-        rows.extend(_containment_rows(amb, paths, mean_set, tol_outer))
+    if containment is not None:
+        rows.extend(row for _, _, row in reduced)
 
     return ExperimentResult(
         strategy_labels=tuple(s.label for s in strategies),
@@ -258,13 +274,15 @@ def run_marcinkiewicz(
 
     s_max, _ = _pure_extremes(amb)
     burn = _tail_slice(N)
-    paths = parallel_map(lambda seed: sample_path(amb, s_max, N, seed), seeds, jobs)
+    ns = np.arange(1, N + 1, dtype=float)
+
+    def envelope_sup(seed):
+        path = sample_path(amb, s_max, N, seed)
+        scaled = np.abs(path.partial_sums - ns * upper) / ns ** (1.0 / p)
+        return float(scaled[burn - 1 :].max())
 
     rows = []
-    ns = np.arange(1, N + 1, dtype=float)
-    for seed, path in zip(seeds, paths):
-        scaled = np.abs(path.partial_sums - ns * upper) / ns ** (1.0 / p)
-        worst = float(scaled[burn - 1 :].max())
+    for seed, worst in zip(seeds, parallel_map(envelope_sup, seeds, jobs)):
         if moment_ok:
             rows.append(Row("envelope_sup", worst, envelope, worst <= envelope, "pure_max", seed, N))
         else:
@@ -450,16 +468,14 @@ def run_weak_lln(
         strategies.append(
             Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix")
         )
+
+        def hit(strategy, seed) -> float:
+            path = sample_path(amb, strategy, n_top, seed)
+            escaped = distance_to_mean_set(mean_set, path.partial_sums[-1] / n_top) >= epsilon
+            return 1.0 if escaped else 0.0
+
         for strategy in strategies:
-            paths = parallel_map(
-                lambda seed: sample_path(amb, strategy, n_top, seed), seeds, jobs
-            )
-            hits = [
-                1.0
-                if distance_to_mean_set(mean_set, p.partial_sums[-1] / n_top) >= epsilon
-                else 0.0
-                for p in paths
-            ]
+            hits = parallel_map(lambda seed: hit(strategy, seed), seeds, jobs)
             freq = float(np.mean(hits))
             ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / len(hits))
             rows.append(
@@ -568,13 +584,17 @@ def run_three_series(
         ),
     ]
 
-    tasks = [(s, seed) for s in strategies for seed in seeds]
-    paths = parallel_map(lambda t: sample_path(amb, t[0], N, t[1]), tasks, jobs)
+    count_big = verdicts["S1"] != "convergent"  # implies not all_ok
 
-    for (strategy, seed), path in zip(tasks, paths):
-        weighted = np.cumsum(a_n * path.increments)
-        tail = weighted[N0 - 1 :]
-        fluct = float(tail.max() - tail.min())
+    def fluctuation(task):
+        """Tail fluctuation of the weighted sums and, when S1 failed, the large increments."""
+        path = sample_path(amb, task[0], N, task[1])
+        tail = np.cumsum(a_n * path.increments)[N0 - 1 :]
+        big = int(np.sum(np.abs(a_n * path.increments)[N0 - 1 :] > c)) if count_big else None
+        return float(tail.max() - tail.min()), big
+
+    tasks = [(s, seed) for s in strategies for seed in seeds]
+    for (strategy, seed), (fluct, big) in zip(tasks, parallel_map(fluctuation, tasks, jobs)):
         if all_ok:
             rows.append(
                 Row("cauchy_fluctuation", fluct, fluct_tol, fluct <= fluct_tol,
@@ -586,8 +606,7 @@ def run_three_series(
             rows.append(
                 Row("tail_fluctuation", fluct, fluct_tol, None, strategy.label, seed, N)
             )
-            if verdicts["S1"] != "convergent":
-                big = int(np.sum(np.abs(a_n * path.increments)[N0 - 1 :] > c))
+            if count_big:
                 rows.append(
                     Row("large_increments_after_N0", float(big), 0.0, None,
                         strategy.label, seed, N)
@@ -627,16 +646,22 @@ def run_cluster_set(
     strategies = list(_pure_extremes(amb)) if amb.dim == 1 else _pure_members(amb)
     strategies.append(chasing)
 
-    tasks = [(s, seed) for s in strategies for seed in seeds]
-    paths = parallel_map(lambda t: sample_path(amb, t[0], N, t[1]), tasks, jobs)
-
-    rows = _containment_rows(amb, paths, mean_set, tol_outer)
-
+    containment = _containment(amb, mean_set, tol_outer)
     ends = np.asarray([e for e in chasing.visit_ends if e <= N], dtype=int)
-    for (strategy, seed), path in zip(tasks, paths):
+
+    def reduce(task):
+        """Containment row and, for the chasing strategy, the sums at the visit ends."""
+        strategy, seed = task
+        path = sample_path(amb, strategy, N, seed)
+        return containment(path), path.partial_sums[ends - 1] if strategy is chasing else None
+
+    tasks = [(s, seed) for s in strategies for seed in seeds]
+    reduced = parallel_map(reduce, tasks, jobs)
+    rows = [row for row, _ in reduced]
+
+    for (strategy, seed), (_, sums) in zip(tasks, reduced):
         if strategy is not chasing:
             continue
-        sums = path.partial_sums[ends - 1]
         if sums.ndim == 1:
             sums = sums[:, None]
         visits = sums / ends[:, None]

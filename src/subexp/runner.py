@@ -7,6 +7,11 @@ seed, n, statistic, value, tolerance, verdict), and resolved_config.json
 are serialized with 17 significant digits and rows are emitted in generation
 order, which does not depend on the parallelism level, so repeated runs
 produce byte-identical CSV files.
+
+Each file is written to a temporary file in the output directory and moved
+into place, so a crash never leaves a half-written file. A run that fails
+writes resolved_config.json and an error record as results.json, and
+removes any results.csv an earlier run left there.
 """
 
 from __future__ import annotations
@@ -43,10 +48,20 @@ def _run_id(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write text beside path under a temporary name, then move it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _dump_json(obj: dict, path: str, **kw) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, allow_nan=False, **kw)
-        fh.write("\n")
+    _replace_file(path, json.dumps(obj, indent=2, allow_nan=False, **kw) + "\n")
 
 
 def _write_resolved(resolved: dict, out_dir: str) -> str:
@@ -82,9 +97,19 @@ def write_outputs(result: ExperimentResult, resolved: dict, out_dir: str) -> str
         fields = (run_id, experiment, r.strategy, str(r.seed), str(r.n), r.statistic,
                   _fmt(r.value), _fmt(r.tolerance), verdict)
         lines.append(",".join(fields))
-    with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _replace_file(os.path.join(out_dir, "results.csv"), "\n".join(lines) + "\n")
     return run_id
+
+
+def _write_failure(exc: Exception, resolved: dict, out_dir: str) -> None:
+    """Error record in place of the results; no results.csv survives it."""
+    run_id = _write_resolved(resolved, out_dir)
+    try:
+        os.remove(os.path.join(out_dir, "results.csv"))
+    except FileNotFoundError:
+        pass
+    record = {"run_id": run_id, "error": {"type": type(exc).__name__, "message": str(exc)}}
+    _dump_json(record, os.path.join(out_dir, "results.json"))
 
 
 def run(
@@ -102,13 +127,13 @@ def run(
     try:
         result = EXPERIMENT_TABLE[config.experiment].execute(config, jobs)
     except (SubexpError, ValueError) as exc:
-        record = {
-            "run_id": _write_resolved(resolved, out_dir),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _dump_json(record, os.path.join(out_dir, "results.json"))
+        _write_failure(exc, resolved, out_dir)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A defect, not a bad config: record it, then let the traceback through.
+        _write_failure(exc, resolved, out_dir)
+        raise
     run_id = write_outputs(result, resolved, out_dir)
     verdict = "PASS" if result.passed else "FAIL"
     print(

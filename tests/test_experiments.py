@@ -6,6 +6,8 @@ Sampled drivers run at reduced horizons where the assertion layout (not
 the tight acceptance tolerance) is the thing under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,10 @@ from subexp import (
     run_three_series,
     run_weak_lln,
 )
-from conftest import make_v2mix
+from subexp.experiments import _CONTAINMENT_CHUNK, _containment
+from subexp.meanset import build_mean_set
+from subexp.sampler import BlockSchedule, oscillation_schedule, sample_path
+from conftest import make_e1, make_v2mix
 
 ESCAPE_CAPACITIES = {
     32: 0.379720466796234,
@@ -132,3 +137,65 @@ def test_cluster_set_loose_horizon():
     assert h and h[0].value <= 0.4
     contain = [r for r in res.rows if r.statistic == "containment_worst_excess"]
     assert contain and all(r.passed for r in contain)
+
+
+# ------------------------------------------------------------ streaming
+
+
+def _unchunked_excess(amb, mean_set, path) -> float:
+    """Worst containment excess from one gap matrix over the whole tail."""
+    s2 = max(m.second_moment() for m in amb.members)
+    start = max(1, path.n // 100)
+    means = path.running_means()[start - 1 :]
+    if means.ndim == 1:
+        means = means[:, None]
+    ns = np.arange(start, path.n + 1, dtype=float)
+    gaps = means @ np.asarray(mean_set.net.directions).T - np.asarray(mean_set.support_values)
+    dist = np.maximum(gaps.max(axis=1), 0.0)
+    return float((dist - 4.0 * np.sqrt(s2 / ns)).max())
+
+
+def _chunking_case(model: str, n: int):
+    """(model, mean set, strategy) whose worst excess falls late or first in the tail."""
+    if model == "E1":
+        e1 = make_e1()
+        return e1, build_mean_set(e1, delta=0.05), oscillation_schedule(e1, 4, factor=4.0)
+    # V2mix against the mean set {(0, 1)} of its second member: the path sits
+    # at (1, 0) until the tail starts and then heads for (0, 1), so the first
+    # tail step carries the worst excess.
+    v2 = make_v2mix()
+    plan = BlockSchedule((n // 100, n), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+    return v2, build_mean_set(AmbiguitySet(v2.members[1:2]), delta=0.05), plan
+
+
+@pytest.mark.parametrize("n", [1000, 5 * _CONTAINMENT_CHUNK + 123])
+@pytest.mark.parametrize("model", ["E1", "V2mix"])
+def test_containment_excess_does_not_depend_on_chunking(model, n):
+    assert n < _CONTAINMENT_CHUNK or n % _CONTAINMENT_CHUNK
+    amb, mean_set, strategy = _chunking_case(model, n)
+    path = sample_path(amb, strategy, n, seed=3)
+    row = _containment(amb, mean_set, 0.05)(path)
+    assert row.value == _unchunked_excess(amb, mean_set, path)
+    assert (row.strategy, row.seed, row.n) == (strategy.label, 3, n)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "driver, amb", [(run_slln, make_e1()), (run_cluster_set, make_v2mix())],
+    ids=["slln", "cluster_set"],
+)
+def test_peak_memory_does_not_grow_with_seeds(driver, amb):
+    # Each task reduces its own path, so six seeds hold no more than one.
+    driver(amb, N=200_000, seeds=(1,), jobs=1)  # warm-up: imports and caches
+    one = _traced_peak(lambda: driver(amb, N=200_000, seeds=(1,), jobs=1))
+    six = _traced_peak(lambda: driver(amb, N=200_000, seeds=tuple(range(1, 7)), jobs=1))
+    assert six <= 1.25 * one
+    assert six < 64 * 2**20

@@ -2,10 +2,11 @@
 
 Each config runs through `run` end to end and the digests of its
 results.csv, resolved_config.json and results.json are compared with frozen
-values computed before the experiment table was consolidated. The CSV
-carries the run id, a hash of the resolved config, so a default that changes
-its JSON type (1000000 vs 1000000.0) moves every digest. Runs write into a
-relative directory because resolved_config.json records it.
+values computed before the experiment table was consolidated; every run is
+checked at one and at two worker threads. The CSV carries the run id, a hash
+of the resolved config, so a default that changes its JSON type (1000000 vs
+1000000.0) moves every digest. Runs write into a relative directory because
+resolved_config.json records it.
 """
 
 import hashlib
@@ -108,9 +109,14 @@ def test_golden_covers_every_experiment():
     assert {entry[0]["experiment"] for entry in GOLDEN.values()} == set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_bytes(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "name, jobs",
+    # The jobs=1 cases are named by their config alone.
+    [pytest.param(n, j, id=n if j == 1 else f"{n}-jobs{j}")
+     for j in (1, 2) for n in sorted(GOLDEN)],
+)
+def test_golden_bytes(name, jobs, tmp_path, monkeypatch):
     doc, *digests = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
-    run(parse_config(json.dumps(doc)), out=name)
+    run(parse_config(json.dumps(doc)), out=name, jobs=jobs)
     assert [_sha(tmp_path / name / f) for f in _FILES] == digests

@@ -167,3 +167,34 @@ def test_results_json_is_strict_for_infinite_values(tmp_path):
     csv_row = next(line for line in (tmp_path / "results.csv").read_text().splitlines()
                    if ",choquet_value," in line)
     assert csv_row.split(",")[6] == "inf"
+
+
+def test_failed_run_removes_stale_results_csv(tmp_path):
+    # E1 slln at a short horizon misses a tolerance (exit 1) and leaves all three files
+    assert run_doc(config_doc("slln", {"N": 2000}, seeds=[1]), tmp_path) == 1
+    # alpha <= 1: no finite mean, so the second run cannot be carried out
+    pareto = {"kind": "pareto", "alpha": 0.8, "scale": 1.0, "right_mass": 0.5}
+    doc = config_doc("slln", {"N": 2000}, model={"label": "p08", "members": [pareto]})
+    assert run_doc(doc, tmp_path) == 2
+    assert sorted(os.listdir(tmp_path)) == ["resolved_config.json", "results.json"]
+    record = json.loads((tmp_path / "results.json").read_text())
+    assert record["error"]["type"] == "NotConvergent"
+    resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert resolved["model"]["label"] == "p08"
+
+
+def test_unexpected_error_is_recorded_then_raised(tmp_path, monkeypatch):
+    import subexp.experiments
+
+    doc = config_doc(parameters={"trials": 50})
+    assert run_doc(doc, tmp_path) == 0
+
+    def broken(**kw):
+        raise RuntimeError("broken axiom suite")
+
+    monkeypatch.setattr(subexp.experiments, "run_axiom_suite", broken)
+    with pytest.raises(RuntimeError, match="broken axiom suite"):
+        run_doc(doc, tmp_path)
+    assert sorted(os.listdir(tmp_path)) == ["resolved_config.json", "results.json"]
+    record = json.loads((tmp_path / "results.json").read_text())
+    assert record["error"] == {"type": "RuntimeError", "message": "broken axiom suite"}
