@@ -3,9 +3,13 @@
 Each driver samples adversarial paths (or runs the exact DP), reduces them to
 named scalar statistics with tolerances, and returns an ExperimentResult
 whose rows are reproducible from (model, strategy, seed) alone. Every
-parallel task samples one path and reduces it before it returns, so at most
-jobs paths are alive at once and peak memory does not grow with the number
-of paths. Numeric policy: running extrema over n >= N/100 stand in for
+parallel task reduces one path before it returns, and the long drivers
+(slln, cluster_set, marcinkiewicz, the weak-law mc mode) walk that path in
+windows of _WINDOW steps: the windows chain the running sum exactly, each
+reducer folds one window at a time, and only one window per task is alive.
+So peak memory is bounded by jobs windows, whatever the horizon and the
+number of paths. three_series keeps whole paths of its short horizon.
+Numeric policy: running extrema over n >= N/100 stand in for
 limsup/liminf (burn-in discard, bias toward the finite-N side), and every
 convergence verdict uses a tail-ratio test against power-decay majorants
 rather than raw thresholds.
@@ -55,6 +59,8 @@ _BURN_IN_FRACTION = 100  # tail = n >= N / this
 # Rows per containment block: 4096 x 126 directions of float64 is 4 MB,
 # which stays in cache where a whole path's gap matrix would not.
 _CONTAINMENT_CHUNK = 4096
+# Steps per sampled window: 64k steps of one path are 0.5-1 MB per array.
+_WINDOW = 16 * _CONTAINMENT_CHUNK
 
 
 @dataclass(frozen=True)
@@ -111,42 +117,74 @@ def _pure_members(amb: AmbiguitySet) -> list[Stationary]:
     return [Stationary(pure_weights(k, j), label=f"pure_{j}") for j in range(k)]
 
 
-def _containment(amb: AmbiguitySet, mean_set: MeanSet, tol_outer: float):
+def _windows(amb: AmbiguitySet, strategy, N: int, seed: int):
+    """Walk one sampled path of N steps in windows of _WINDOW steps.
+
+    Yields (ns, sums, tail) per window: ns holds the step counts start+1..end
+    as floats, sums[i] = S_{ns[i]}, and rows from tail on lie past the burn-in.
+    The carry is added into the window's first increment before the cumsum,
+    which is the same addition S_start + x_{start+1} that a whole-path cumsum
+    makes, so the sums equal it bit for bit.
+    """
+    burn = _tail_slice(N)
+    carry = None
+    for start in range(0, N, _WINDOW):
+        end = min(start + _WINDOW, N)
+        sums = sample_path(amb, strategy, end, seed, start=start).increments
+        if carry is not None:
+            sums[0] += carry
+        np.cumsum(sums, axis=0, out=sums)
+        carry = sums[-1].copy()  # a view would keep this window alive
+        yield np.arange(start + 1, end + 1, dtype=float), sums, max(burn - 1 - start, 0)
+
+
+class _Containment:
     """Per-path reducer: worst tail excess of dist(S_n/n, M) over the CLT
     slack 4 sqrt(E|X|^2 / n), as one containment row.
 
-    The directions, support values and s2 are built once per run; each path
-    is then scanned in cache-sized row blocks, and the max over blocks is
-    exact, so the value does not depend on the block size. The net-based
-    distance underestimates the true distance, so a pass here is
-    conservative in the right direction for a containment claim.
+    The directions, support values and s2 are built once per run. `fold`
+    takes one window at a time and the max over windows and row blocks is
+    exact, so the value depends neither on the window nor on the block size.
+    The net-based distance underestimates the true distance, so a pass here
+    is conservative in the right direction for a containment claim.
     """
-    s2 = max(m.second_moment() for m in amb.members)
-    directions = np.asarray(mean_set.net.directions).T
-    support = np.asarray(mean_set.support_values)
 
-    def row(path) -> Row:
-        sums = path.partial_sums
-        worst = -math.inf
-        for i in range(_tail_slice(path.n) - 1, path.n, _CONTAINMENT_CHUNK):
-            ns = np.arange(i + 1, min(i + _CONTAINMENT_CHUNK, path.n) + 1, dtype=float)
-            block = sums[i : i + len(ns)]
-            if block.ndim == 1:
-                block = block[:, None]
-            block = block / ns[:, None]
-            dist = np.maximum((block @ directions - support).max(axis=1), 0.0)
-            worst = max(worst, float((dist - 4.0 * np.sqrt(s2 / ns)).max()))
+    def __init__(self, amb: AmbiguitySet, mean_set: MeanSet, tol_outer: float):
+        self.s2 = max(m.second_moment() for m in amb.members)
+        self.directions = np.asarray(mean_set.net.directions).T
+        self.support = np.asarray(mean_set.support_values)
+        self.tol_outer = tol_outer
+
+    def fold(self, worst: float, ns: np.ndarray, sums: np.ndarray, tail: int) -> float:
+        """worst, raised to the excess over this window's tail rows."""
+        if sums.ndim == 1:
+            # The 1-d net is exactly {+1, -1}: the products by +-1.0 are exact,
+            # so this closed form gives the bits of the matrix product.
+            y = sums[tail:] / ns[tail:]
+            dist = np.maximum(np.maximum(y - self.support[0], -y - self.support[1]), 0.0)
+            excess = dist - 4.0 * np.sqrt(self.s2 / ns[tail:])
+            return max(worst, float(excess.max(initial=-math.inf)))
+        # One gap buffer per window, refilled in place for every row block.
+        gaps = np.empty((min(_CONTAINMENT_CHUNK, len(ns)), len(self.support)))
+        for i in range(tail, len(ns), _CONTAINMENT_CHUNK):
+            rows = slice(i, i + _CONTAINMENT_CHUNK)
+            block = gaps[: len(ns[rows])]
+            np.matmul(sums[rows] / ns[rows, None], self.directions, out=block)
+            block -= self.support
+            dist = np.maximum(block.max(axis=1), 0.0)
+            worst = max(worst, float((dist - 4.0 * np.sqrt(self.s2 / ns[rows])).max()))
+        return worst
+
+    def row(self, worst: float, strategy: str, seed: int, n: int) -> Row:
         return Row(
             statistic="containment_worst_excess",
             value=worst,
-            tolerance=tol_outer,
-            passed=worst <= tol_outer,
-            strategy=path.strategy_label,
-            seed=path.seed,
-            n=path.n,
+            tolerance=self.tol_outer,
+            passed=worst <= self.tol_outer,
+            strategy=strategy,
+            seed=seed,
+            n=n,
         )
-
-    return row
 
 
 def run_slln(
@@ -174,9 +212,8 @@ def run_slln(
     targets = np.linspace(lower, upper, m_targets)
     strategies = [s_max, s_min, osc] + [stationary_for_target(amb, float(b)) for b in targets]
 
-    burn = _tail_slice(N)
     containment = (
-        _containment(amb, build_mean_set(amb, delta=0.05), tol_outer)
+        _Containment(amb, build_mean_set(amb, delta=0.05), tol_outer)
         if amb.is_finite_support
         else None
     )
@@ -184,14 +221,17 @@ def run_slln(
     def reduce(task):
         """Last partial sum, oscillation tail extremes, containment row."""
         strategy, seed = task
-        path = sample_path(amb, strategy, N, seed)
-        extremes = row = None
-        if strategy is osc:
-            means = path.running_means()[burn - 1 :]
-            extremes = (float(means.max()), float(means.min()))
-        if containment is not None:
-            row = containment(path)
-        return path.partial_sums[-1], extremes, row
+        run_max, run_min, worst = -math.inf, math.inf, -math.inf
+        for ns, sums, tail in _windows(amb, strategy, N, seed):
+            if strategy is osc:
+                means = sums[tail:] / ns[tail:]
+                run_max = max(run_max, float(means.max(initial=-math.inf)))
+                run_min = min(run_min, float(means.min(initial=math.inf)))
+            if containment is not None:
+                worst = containment.fold(worst, ns, sums, tail)
+        extremes = (run_max, run_min) if strategy is osc else None
+        row = None if containment is None else containment.row(worst, strategy.label, seed, N)
+        return sums[-1], extremes, row
 
     tasks = [(s, seed) for s in strategies for seed in seeds]
     reduced = parallel_map(reduce, tasks, jobs)
@@ -274,15 +314,17 @@ def run_marcinkiewicz(
 
     s_max, _ = _pure_extremes(amb)
     burn = _tail_slice(N)
-    ns = np.arange(1, N + 1, dtype=float)
 
-    def envelope_sup(seed):
-        path = sample_path(amb, s_max, N, seed)
-        scaled = np.abs(path.partial_sums - ns * upper) / ns ** (1.0 / p)
-        return float(scaled[burn - 1 :].max())
+    def scaled_sup(strategy, seed, fold=np.abs) -> float:
+        """Tail sup of fold(S_n - n Ê̆[X]) / n^{1/p} along one path."""
+        worst = -math.inf
+        for ns, sums, tail in _windows(amb, strategy, N, seed):
+            scaled = fold(sums - ns * upper) / ns ** (1.0 / p)
+            worst = max(worst, float(scaled[tail:].max(initial=-math.inf)))
+        return worst
 
     rows = []
-    for seed, worst in zip(seeds, parallel_map(envelope_sup, seeds, jobs)):
+    for seed, worst in zip(seeds, parallel_map(lambda seed: scaled_sup(s_max, seed), seeds, jobs)):
         if moment_ok:
             rows.append(Row("envelope_sup", worst, envelope, worst <= envelope, "pure_max", seed, N))
         else:
@@ -333,12 +375,10 @@ def run_marcinkiewicz(
         nm = len(amb.members)
         weights = tuple(pure_weights(nm, hi if j % 2 == 0 else lo) for j in range(len(ends)))
         sched = BlockSchedule(tuple(ends), weights, label="p_oscillation")
-        path = sample_path(amb, sched, N, seeds[0])
-        scaled_signed = (path.partial_sums - ns * upper) / ns ** (1.0 / p)
         rows.append(
             Row(
                 "osc_scaled_sup",
-                float(scaled_signed[burn - 1 :].max()),
+                scaled_sup(sched, seeds[0], fold=np.positive),
                 0.0,
                 None,
                 "p_oscillation",
@@ -470,8 +510,9 @@ def run_weak_lln(
         )
 
         def hit(strategy, seed) -> float:
-            path = sample_path(amb, strategy, n_top, seed)
-            escaped = distance_to_mean_set(mean_set, path.partial_sums[-1] / n_top) >= epsilon
+            for _, sums, _ in _windows(amb, strategy, n_top, seed):
+                pass  # only the last sum S_n is read
+            escaped = distance_to_mean_set(mean_set, sums[-1] / n_top) >= epsilon
             return 1.0 if escaped else 0.0
 
         for strategy in strategies:
@@ -646,14 +687,19 @@ def run_cluster_set(
     strategies = list(_pure_extremes(amb)) if amb.dim == 1 else _pure_members(amb)
     strategies.append(chasing)
 
-    containment = _containment(amb, mean_set, tol_outer)
+    containment = _Containment(amb, mean_set, tol_outer)
     ends = np.asarray([e for e in chasing.visit_ends if e <= N], dtype=int)
 
     def reduce(task):
         """Containment row and, for the chasing strategy, the sums at the visit ends."""
         strategy, seed = task
-        path = sample_path(amb, strategy, N, seed)
-        return containment(path), path.partial_sums[ends - 1] if strategy is chasing else None
+        worst, visits = -math.inf, []
+        for ns, sums, tail in _windows(amb, strategy, N, seed):
+            worst = containment.fold(worst, ns, sums, tail)
+            if strategy is chasing:
+                visits.append(sums[ends[(ends >= ns[0]) & (ends <= ns[-1])] - int(ns[0])])
+        row = containment.row(worst, strategy.label, seed, N)
+        return row, np.concatenate(visits) if strategy is chasing else None
 
     tasks = [(s, seed) for s in strategies for seed in seeds]
     reduced = parallel_map(reduce, tasks, jobs)

@@ -3,8 +3,10 @@ per block, then increments are drawn by inverse CDF.
 
 Randomness is counter-based: the two uniforms consumed by step t are pure
 64-bit hashes of (seed, 2t) and (seed, 2t+1), so any slice of a path can be
-regenerated independently of iteration order and across processes. No global
-or sequential RNG state exists anywhere in this module.
+regenerated independently of iteration order and across processes.
+`sample_path(..., start=s)` draws only the steps s+1..n, which lets a driver
+walk a long path in windows without ever holding all of it. No global or
+sequential RNG state exists anywhere in this module.
 """
 
 from __future__ import annotations
@@ -127,7 +129,11 @@ Strategy = Stationary | BlockSchedule | TargetChasing
 
 @dataclass
 class Path:
-    """Sampled increment sequence with exact running sums."""
+    """Sampled increment sequence with exact running sums.
+
+    A path drawn from step `start` holds n = (its horizon - start) steps, and
+    its partial sums are sums of those steps alone.
+    """
 
     n: int
     increments: np.ndarray  # (n,) or (n, d)
@@ -363,41 +369,50 @@ def target_chasing_schedule(
     )
 
 
-def sample_path(amb: AmbiguitySet, strategy: Strategy, n: int, seed: int) -> Path:
-    """Draw n increments under the strategy's per-block mixtures.
+def sample_path(
+    amb: AmbiguitySet, strategy: Strategy, n: int, seed: int, start: int = 0
+) -> Path:
+    """Draw steps start+1..n under the strategy's per-block mixtures.
 
     Step t consumes exactly the uniforms hashed from counters (2t, 2t+1):
     one to select the member, one for the member's inverse CDF. The result is
-    a pure function of (set, strategy, n, seed).
+    a pure function of (set, strategy, n, seed, start), and a path drawn from
+    `start` equals the slice [start:n] of the whole path. Its n is the number
+    of steps drawn, n - start, and its partial sums begin at 0, so a caller
+    that walks a path in windows carries the running sum itself.
     """
-    if n < 1:
-        raise ValueError("need at least one step")
+    if not 0 <= start < n:
+        raise ValueError(f"need 0 <= start < n, got start={start}, n={n}")
     members = amb.members
     k = len(members)
     if amb.dim == 1:
-        increments = np.empty(n, dtype=float)
+        increments = np.empty(n - start, dtype=float)
     else:
-        increments = np.empty((n, amb.dim), dtype=float)
-    member_idx = np.empty(n, dtype=np.int16)
+        increments = np.empty((n - start, amb.dim), dtype=float)
+    member_idx = np.empty(n - start, dtype=np.int16)
 
     prev_end = 0
     for end, weights in strategy.blocks_for(n):
         weights = _check_weights(weights, k)
-        steps = np.arange(prev_end, end, dtype=np.uint64)
+        lo = max(prev_end, start)
+        prev_end = end
+        if end <= lo:
+            continue
+        steps = np.arange(lo, end, dtype=np.uint64)
         u_member = _uniforms(seed, 2 * steps)
         u_value = _uniforms(seed, 2 * steps + np.uint64(1))
         cumw = np.cumsum(weights)
         cumw[-1] = 1.0
         idx = np.minimum(np.searchsorted(cumw, u_member, side="right"), k - 1)
-        member_idx[prev_end:end] = idx
+        out = slice(lo - start, end - start)
+        member_idx[out] = idx
         for j, member in enumerate(members):
             mask = idx == j
             if mask.any():
-                increments[prev_end:end][mask] = member.icdf(u_value[mask])
-        prev_end = end
+                increments[out][mask] = member.icdf(u_value[mask])
 
     return Path(
-        n=n,
+        n=n - start,
         increments=increments,
         seed=seed,
         strategy_label=strategy.label,

@@ -40,6 +40,18 @@ def make_v2mix() -> AmbiguitySet:
     )
 
 
+def make_asym3() -> AmbiguitySet:
+    """1-d model with a 3-atom member and an interval [0.12, 0.125] that is
+    not symmetric about 0; its partial sums are inexact in float64."""
+    return AmbiguitySet(
+        (
+            FiniteDiscrete.from_arrays([-0.7, 0.15, 1.3], [0.3, 0.5, 0.2]),
+            FiniteDiscrete.from_arrays([-0.4, 0.9], [0.6, 0.4]),
+        ),
+        label="asym3",
+    )
+
+
 @pytest.fixture(scope="session")
 def e1() -> AmbiguitySet:
     return make_e1()

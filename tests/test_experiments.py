@@ -6,6 +6,7 @@ Sampled drivers run at reduced horizons where the assertion layout (not
 the tight acceptance tolerance) is the thing under test.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,10 +23,17 @@ from subexp import (
     run_three_series,
     run_weak_lln,
 )
-from subexp.experiments import _CONTAINMENT_CHUNK, _containment
+from subexp import experiments
+from subexp.experiments import _CONTAINMENT_CHUNK, _Containment, _windows
 from subexp.meanset import build_mean_set
-from subexp.sampler import BlockSchedule, oscillation_schedule, sample_path
-from conftest import make_e1, make_v2mix
+from subexp.sampler import (
+    BlockSchedule,
+    Stationary,
+    oscillation_schedule,
+    sample_path,
+    target_chasing_schedule,
+)
+from conftest import make_asym3, make_e1, make_v2mix
 
 ESCAPE_CAPACITIES = {
     32: 0.379720466796234,
@@ -174,9 +182,65 @@ def test_containment_excess_does_not_depend_on_chunking(model, n):
     assert n < _CONTAINMENT_CHUNK or n % _CONTAINMENT_CHUNK
     amb, mean_set, strategy = _chunking_case(model, n)
     path = sample_path(amb, strategy, n, seed=3)
-    row = _containment(amb, mean_set, 0.05)(path)
+    containment = _Containment(amb, mean_set, 0.05)
+    worst = -math.inf
+    for ns, sums, tail in _windows(amb, strategy, n, 3):
+        worst = containment.fold(worst, ns, sums, tail)
+    row = containment.row(worst, strategy.label, 3, n)
     assert row.value == _unchunked_excess(amb, mean_set, path)
     assert (row.strategy, row.seed, row.n) == (strategy.label, 3, n)
+
+
+@pytest.mark.parametrize("model", ["E1", "asym3"])
+def test_containment_closed_form_matches_net_product(monkeypatch, model):
+    # E1's fair member against the mean set {0.5} of its other member keeps
+    # the distance positive; asym3's interval is not symmetric about 0.
+    if model == "E1":
+        amb = make_e1()
+        mean_set = build_mean_set(AmbiguitySet(amb.members[1:]), delta=0.05)
+        strategy = Stationary((1.0, 0.0))
+    else:
+        amb = make_asym3()
+        mean_set = build_mean_set(amb, delta=0.05)
+        strategy = oscillation_schedule(amb, 4, factor=4.0)
+    monkeypatch.setattr(experiments, "_WINDOW", 5000)
+    n = 3 * 5000 + 77
+    containment = _Containment(amb, mean_set, 0.05)
+    worst = -math.inf
+    for ns, sums, tail in _windows(amb, strategy, n, 5):
+        worst = containment.fold(worst, ns, sums, tail)
+    path = sample_path(amb, strategy, n, seed=5)
+    assert worst == _unchunked_excess(amb, mean_set, path)
+
+
+@pytest.mark.parametrize("window", [256, 4096, 5000])
+def test_rows_do_not_depend_on_window(monkeypatch, window):
+    # 256 leaves whole windows before the burn-in ends; 5000 is no multiple
+    # of the containment chunk. The reference walks each path in one window.
+    n = 50_000
+    runs = [
+        lambda: run_slln(make_e1(), N=n, seeds=(1, 2), jobs=1),
+        lambda: run_cluster_set(make_v2mix(), N=n, seeds=(1,), jobs=1),
+        lambda: run_marcinkiewicz(make_e1(), N=n, seeds=(1, 2), jobs=1),
+    ]
+    monkeypatch.setattr(experiments, "_WINDOW", n)
+    whole = [run().rows for run in runs]
+    monkeypatch.setattr(experiments, "_WINDOW", window)
+    assert [run().rows for run in runs] == whole
+
+
+def test_cluster_visits_are_partial_sums_at_visit_ends(monkeypatch):
+    # Oracle: the whole path's partial sums at the visit ends. On this case
+    # the Hausdorff value moves if any visit is read one step early or late.
+    e1, n = make_e1(), 20_000
+    monkeypatch.setattr(experiments, "_WINDOW", 4096)
+    got = [r.value for r in run_cluster_set(e1, m_targets=3, N=n, seeds=(1,)).rows
+           if r.statistic == "visit_hausdorff"]
+    chasing = target_chasing_schedule(e1, 3, n, mean_set=build_mean_set(e1, delta=0.05))
+    ends = np.asarray(chasing.visit_ends)
+    visits = sample_path(e1, chasing, n, seed=1).partial_sums[ends - 1] / ends
+    d = np.abs(np.asarray(chasing.targets)[:, None] - visits[None, :])
+    assert got == [max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))]
 
 
 def _traced_peak(fn) -> int:
@@ -199,3 +263,16 @@ def test_peak_memory_does_not_grow_with_seeds(driver, amb):
     six = _traced_peak(lambda: driver(amb, N=200_000, seeds=tuple(range(1, 7)), jobs=1))
     assert six <= 1.25 * one
     assert six < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "driver, amb", [(run_slln, make_e1()), (run_cluster_set, make_v2mix())],
+    ids=["slln", "cluster_set"],
+)
+def test_peak_memory_does_not_grow_with_horizon(driver, amb):
+    # Each task walks its path in windows, so a 4x longer path costs no more.
+    driver(amb, N=200_000, seeds=(1,), jobs=1)  # warm-up: imports and caches
+    short = _traced_peak(lambda: driver(amb, N=200_000, seeds=(1,), jobs=1))
+    long = _traced_peak(lambda: driver(amb, N=800_000, seeds=(1,), jobs=1))
+    assert long <= 1.10 * short
+    assert long < 16 * 2**20

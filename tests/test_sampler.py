@@ -23,8 +23,9 @@ from subexp import (
     stationary_for_target,
     target_chasing_schedule,
 )
+from subexp import experiments
 from subexp.errors import TargetOutOfRange, TargetOutsideM
-from conftest import make_e1, make_v2mix
+from conftest import make_asym3, make_e1, make_v2mix
 
 
 def test_same_args_same_path(e1):
@@ -182,3 +183,54 @@ def test_sampled_values_are_legal_atoms(seed, n):
     p = sample_path(amb, Stationary((0.5, 0.5)), n, seed=seed)
     assert set(np.unique(p.increments).tolist()) <= {-1.0, 1.0}
     assert p.n == n and len(p.increments) == n
+
+
+# ------------------------------------------------------------------ windows
+
+# Sums of these atoms are inexact in float64, so a running sum chained in
+# the wrong order shows up in the last bits.
+_WINDOW_MODELS = {
+    "1d": make_asym3(),
+    "2d": AmbiguitySet(
+        (
+            FiniteDiscrete.from_arrays([[0.1, -0.3], [0.7, 0.2]], [0.5, 0.5]),
+            FiniteDiscrete.from_arrays([[-0.45, 0.35]], [1.0]),
+        ),
+        label="planar",
+    ),
+}
+_W = 64  # window used below; block end 100 falls inside a window, 128 on its edge
+_PLAN = BlockSchedule((100, 128, 300), ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)))
+
+
+@pytest.mark.parametrize("model", sorted(_WINDOW_MODELS))
+def test_window_equals_slice_of_whole_path(model):
+    amb = _WINDOW_MODELS[model]
+    whole = sample_path(amb, _PLAN, 300, seed=7)
+    bounds = [(s, min(s + _W, 300)) for s in range(0, 300, _W)]
+    bounds += [(s, 300) for s in (1, 99, 100, 127, 128, 299)]
+    for start, end in bounds:
+        part = sample_path(amb, _PLAN, end, seed=7, start=start)
+        assert part.n == end - start
+        assert np.array_equal(part.increments, whole.increments[start:end])
+        assert np.array_equal(part.member_indices, whole.member_indices[start:end])
+
+
+@pytest.mark.parametrize("model", sorted(_WINDOW_MODELS))
+def test_chained_window_sums_equal_whole_cumsum(monkeypatch, model):
+    amb = _WINDOW_MODELS[model]
+    monkeypatch.setattr(experiments, "_WINDOW", _W)
+    windows = list(experiments._windows(amb, _PLAN, 300, seed=7))
+    assert [len(ns) for ns, _, _ in windows] == [64, 64, 64, 64, 44]
+    assert [tail for _, _, tail in windows] == [2, 0, 0, 0, 0]  # burn-in is 3 steps
+    whole = sample_path(amb, _PLAN, 300, seed=7)
+    assert np.array_equal(np.concatenate([ns for ns, _, _ in windows]), np.arange(1.0, 301.0))
+    sums = np.concatenate([sums for _, sums, _ in windows])
+    assert np.array_equal(sums, np.cumsum(whole.increments, axis=0))
+
+
+def test_window_start_validation(e1):
+    s = Stationary((0.5, 0.5))
+    for start in (-1, 10, 11):
+        with pytest.raises(ValueError):
+            sample_path(e1, s, 10, seed=0, start=start)
