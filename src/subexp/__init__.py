@@ -16,6 +16,7 @@ from .distributions import (
 from .errors import (
     DimensionTooLarge,
     MuNotAttainable,
+    NonFiniteVerdict,
     NonIntegrable,
     NonLattice,
     NotConvergent,

@@ -49,5 +49,9 @@ class TooLargeForBruteForce(SubexpError):
     """Instance exceeds the brute-force oracle's enumeration limits."""
 
 
+class NonFiniteVerdict(SubexpError):
+    """A row would pass or fail a tolerance on an infinite or NaN value."""
+
+
 class SchemaError(SubexpError, ValueError):
     """Configuration document violates the schema; message carries the field path."""

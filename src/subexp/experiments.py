@@ -3,12 +3,13 @@
 Each driver samples adversarial paths (or runs the exact DP), reduces them to
 named scalar statistics with tolerances, and returns an ExperimentResult
 whose rows are reproducible from (model, strategy, seed) alone. Every
-parallel task reduces one path before it returns, and the long drivers
-(slln, cluster_set, marcinkiewicz, the weak-law mc mode) walk that path in
-windows of _WINDOW steps: the windows chain the running sum exactly, each
-reducer folds one window at a time, and only one window per task is alive.
-So peak memory is bounded by jobs windows, whatever the horizon and the
-number of paths. three_series keeps whole paths of its short horizon.
+sampled driver walks its paths through one window engine, `_windows`: a
+task takes one seed and all the driver's strategies, hashes each window of
+_WINDOW steps once, draws every strategy from those uniforms, and folds
+each strategy's window into its statistics before the next one is drawn.
+The windows chain the running sums exactly (`_chain`), so no statistic
+depends on the window size, and peak memory is bounded by jobs windows,
+whatever the horizon and the number of paths.
 Numeric policy: running extrema over n >= N/100 stand in for
 limsup/liminf (burn-in discard, bias toward the finite-N side), and every
 convergence verdict uses a tail-ratio test against power-decay majorants
@@ -25,7 +26,7 @@ import numpy as np
 
 from .axioms import run_axiom_suite
 from .distributions import AmbiguitySet, Event
-from .errors import NotConvergent
+from .errors import NonFiniteVerdict, NotConvergent
 from .expectation import mean_interval
 from .inequalities import choquet_series_test, inequality_grid, levy_bound_check
 from .lattice_dp import TerminalEvent, TerminalSum, dp_value
@@ -35,6 +36,7 @@ from .sampler import (
     BlockSchedule,
     Stationary,
     extreme_members,
+    hash_window,
     oscillation_schedule,
     pure_weights,
     sample_path,
@@ -59,13 +61,19 @@ _BURN_IN_FRACTION = 100  # tail = n >= N / this
 # Rows per containment block: 4096 x 126 directions of float64 is 4 MB,
 # which stays in cache where a whole path's gap matrix would not.
 _CONTAINMENT_CHUNK = 4096
-# Steps per sampled window: 64k steps of one path are 0.5-1 MB per array.
-_WINDOW = 16 * _CONTAINMENT_CHUNK
+# Steps per sampled window. A task's live window arrays (two uniforms, their
+# uint64 scratch, the step counts and one strategy's increments) take 128 KB
+# each at d=1, so together they stay in a 2 MB L2.
+_WINDOW = 4 * _CONTAINMENT_CHUNK
 
 
 @dataclass(frozen=True)
 class Row:
-    """One scalar statistic; passed=None marks informational rows."""
+    """One scalar statistic; passed=None marks informational rows.
+
+    Only an informational row may hold an infinite or NaN value: a verdict
+    on one raises NonFiniteVerdict, which names the row.
+    """
 
     statistic: str
     value: float
@@ -83,6 +91,11 @@ class Row:
             object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "n", int(self.n))
+        if self.passed is not None and not math.isfinite(self.value):
+            raise NonFiniteVerdict(
+                f"row {self.statistic!r} (strategy {self.strategy!r}, seed {self.seed}, "
+                f"n {self.n}) has a verdict on the non-finite value {self.value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -117,25 +130,59 @@ def _pure_members(amb: AmbiguitySet) -> list[Stationary]:
     return [Stationary(pure_weights(k, j), label=f"pure_{j}") for j in range(k)]
 
 
-def _windows(amb: AmbiguitySet, strategy, N: int, seed: int):
-    """Walk one sampled path of N steps in windows of _WINDOW steps.
+def _windows(amb: AmbiguitySet, strategies: Sequence, N: int, seed: int):
+    """Walk the N-step paths that the strategies draw under one seed, in windows.
 
-    Yields (ns, sums, tail) per window: ns holds the step counts start+1..end
-    as floats, sums[i] = S_{ns[i]}, and rows from tail on lie past the burn-in.
-    The carry is added into the window's first increment before the cumsum,
-    which is the same addition S_start + x_{start+1} that a whole-path cumsum
-    makes, so the sums equal it bit for bit.
+    Each window of _WINDOW steps is hashed once into buffers the walk reuses,
+    and every strategy draws its window from those uniforms. Yields
+    (j, ns, x, tail) for each window and each strategy j in turn: x is a
+    fresh array of strategies[j]'s increments on the steps ns (start+1..end,
+    as floats, shared by the strategies of the window), and rows from tail on
+    lie past the burn-in. `_chain` turns x into running sums.
     """
     burn = _tail_slice(N)
-    carry = None
+    size = min(_WINDOW, N)
+    u_member, u_value = np.empty(size), np.empty(size)
+    scratch = np.empty(size, dtype=np.uint64)
     for start in range(0, N, _WINDOW):
         end = min(start + _WINDOW, N)
-        sums = sample_path(amb, strategy, end, seed, start=start).increments
-        if carry is not None:
-            sums[0] += carry
-        np.cumsum(sums, axis=0, out=sums)
-        carry = sums[-1].copy()  # a view would keep this window alive
-        yield np.arange(start + 1, end + 1, dtype=float), sums, max(burn - 1 - start, 0)
+        w = slice(0, end - start)
+        uniforms = u_member[w], u_value[w]
+        hash_window(seed, start, *uniforms, scratch[w])
+        ns = np.arange(start + 1, end + 1, dtype=float)
+        tail = max(burn - 1 - start, 0)
+        for j, strategy in enumerate(strategies):
+            path = sample_path(amb, strategy, end, seed, start=start, uniforms=uniforms)
+            yield j, ns, path.increments, tail
+
+
+def _chain(x: np.ndarray, carry):
+    """Turn one window's increments x into running sums in place; return the next carry.
+
+    carry is the sum before the window (None for the first). It is added
+    into the first increment before the cumsum, which is the same addition
+    S_start + x_{start+1} that a whole-path cumsum makes, so the sums equal
+    it bit for bit.
+    """
+    if carry is not None:
+        x[0] += carry
+    np.cumsum(x, axis=0, out=x)
+    return x[-1].copy()  # a view would keep this window alive
+
+
+def _per_seed(fold, seeds: Sequence[int], jobs: int) -> list[tuple]:
+    """Run fold(seed) as one task per seed, whatever jobs is.
+
+    fold walks the seed's windows once for every strategy of the driver and
+    returns one output per strategy. Returns out[i][s], the output of
+    strategy i under seeds[s]. On a 2-core host, slln at jobs=2 and 3 seeds
+    ran faster this way than with two tasks per seed (1.08 against 1.17 s
+    wall, 1.6 against 1.9 s CPU): the third task runs alone, where split
+    tasks hash every window twice and contend for the interpreter.
+    """
+    if not seeds:
+        raise ValueError("a sampled experiment needs at least one seed")
+    return list(zip(*parallel_map(fold, seeds, jobs)))
 
 
 class _Containment:
@@ -218,28 +265,32 @@ def run_slln(
         else None
     )
 
-    def reduce(task):
-        """Last partial sum, oscillation tail extremes, containment row."""
-        strategy, seed = task
-        run_max, run_min, worst = -math.inf, math.inf, -math.inf
-        for ns, sums, tail in _windows(amb, strategy, N, seed):
-            if strategy is osc:
+    def fold(seed):
+        """Per strategy: last partial sum, oscillation tail extremes, containment row."""
+        carry = [None] * len(strategies)
+        worst = [-math.inf] * len(strategies)
+        run_max, run_min = -math.inf, math.inf
+        for j, ns, sums, tail in _windows(amb, strategies, N, seed):
+            carry[j] = _chain(sums, carry[j])
+            if strategies[j] is osc:
                 means = sums[tail:] / ns[tail:]
                 run_max = max(run_max, float(means.max(initial=-math.inf)))
                 run_min = min(run_min, float(means.min(initial=math.inf)))
             if containment is not None:
-                worst = containment.fold(worst, ns, sums, tail)
-        extremes = (run_max, run_min) if strategy is osc else None
-        row = None if containment is None else containment.row(worst, strategy.label, seed, N)
-        return sums[-1], extremes, row
+                worst[j] = containment.fold(worst[j], ns, sums, tail)
+        return [
+            (
+                carry[j],
+                (run_max, run_min) if strategy is osc else None,
+                None if containment is None else containment.row(worst[j], strategy.label, seed, N),
+            )
+            for j, strategy in enumerate(strategies)
+        ]
 
-    tasks = [(s, seed) for s in strategies for seed in seeds]
-    reduced = parallel_map(reduce, tasks, jobs)
+    reduced = _per_seed(fold, seeds, jobs)
+    by_label = {s.label: outs for s, outs in zip(strategies, reduced)}
 
     rows = []
-    by_label: dict[str, list] = {}
-    for (strategy, _), out in zip(tasks, reduced):
-        by_label.setdefault(strategy.label, []).append(out)
 
     for seed, (last, _, _) in zip(seeds, by_label["pure_max"]):
         v = abs(last / N - upper)
@@ -272,7 +323,7 @@ def run_slln(
             rows.append(Row(f"target_gap_b={float(b):g}", float(v), tol, v <= tol, label, seed, N))
 
     if containment is not None:
-        rows.extend(row for _, _, row in reduced)
+        rows.extend(row for outs in reduced for _, _, row in outs)
 
     return ExperimentResult(
         strategy_labels=tuple(s.label for s in strategies),
@@ -317,8 +368,9 @@ def run_marcinkiewicz(
 
     def scaled_sup(strategy, seed, fold=np.abs) -> float:
         """Tail sup of fold(S_n - n Ê̆[X]) / n^{1/p} along one path."""
-        worst = -math.inf
-        for ns, sums, tail in _windows(amb, strategy, N, seed):
+        worst, carry = -math.inf, None
+        for _, ns, sums, tail in _windows(amb, [strategy], N, seed):
+            carry = _chain(sums, carry)
             scaled = fold(sums - ns * upper) / ns ** (1.0 / p)
             worst = max(worst, float(scaled[tail:].max(initial=-math.inf)))
         return worst
@@ -509,14 +561,17 @@ def run_weak_lln(
             Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix")
         )
 
-        def hit(strategy, seed) -> float:
-            for _, sums, _ in _windows(amb, strategy, n_top, seed):
-                pass  # only the last sum S_n is read
-            escaped = distance_to_mean_set(mean_set, sums[-1] / n_top) >= epsilon
-            return 1.0 if escaped else 0.0
+        def hit(seed) -> list[float]:
+            """Per strategy: 1.0 when S_n/n escapes, else 0.0."""
+            carry = [None] * len(strategies)
+            for j, _, x, _ in _windows(amb, strategies, n_top, seed):
+                carry[j] = _chain(x, carry[j])  # only the last sum S_n is read
+            return [
+                1.0 if distance_to_mean_set(mean_set, last / n_top) >= epsilon else 0.0
+                for last in carry
+            ]
 
-        for strategy in strategies:
-            hits = parallel_map(lambda seed: hit(strategy, seed), seeds, jobs)
+        for strategy, hits in zip(strategies, _per_seed(hit, seeds, jobs)):
             freq = float(np.mean(hits))
             ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / len(hits))
             rows.append(
@@ -581,6 +636,8 @@ def run_three_series(
     """
     if amb.dim != 1:
         raise ValueError("three-series models are one-dimensional")
+    if not 1 <= N0 <= N:
+        raise ValueError(f"need 1 <= N0 <= N, got N0={N0}, N={N}")
     q = float(scale_exponent)
     idx = np.arange(1, N + 1, dtype=float)
     a_n = idx ** (-q)
@@ -627,31 +684,43 @@ def run_three_series(
 
     count_big = verdicts["S1"] != "convergent"  # implies not all_ok
 
-    def fluctuation(task):
-        """Tail fluctuation of the weighted sums and, when S1 failed, the large increments."""
-        path = sample_path(amb, task[0], N, task[1])
-        tail = np.cumsum(a_n * path.increments)[N0 - 1 :]
-        big = int(np.sum(np.abs(a_n * path.increments)[N0 - 1 :] > c)) if count_big else None
-        return float(tail.max() - tail.min()), big
-
-    tasks = [(s, seed) for s in strategies for seed in seeds]
-    for (strategy, seed), (fluct, big) in zip(tasks, parallel_map(fluctuation, tasks, jobs)):
-        if all_ok:
-            rows.append(
-                Row("cauchy_fluctuation", fluct, fluct_tol, fluct <= fluct_tol,
-                    strategy.label, seed, N)
-            )
-        else:
-            # No Cauchy claim without the three conditions; report how far the
-            # tail still wanders, plus the S1 witness when that series failed.
-            rows.append(
-                Row("tail_fluctuation", fluct, fluct_tol, None, strategy.label, seed, N)
-            )
+    def fluctuation(seed):
+        """Per strategy: tail fluctuation of the weighted sums a_n X_n and, when
+        S1 failed, the count of large weighted increments."""
+        carry = [None] * len(strategies)
+        hi, lo = [-math.inf] * len(strategies), [math.inf] * len(strategies)
+        big = [0] * len(strategies)
+        for j, ns, x, _ in _windows(amb, strategies, N, seed):
+            start = int(ns[0]) - 1
+            x *= a_n[start : start + len(x)]
+            tail = max(N0 - 1 - start, 0)
             if count_big:
+                big[j] += int(np.sum(np.abs(x[tail:]) > c))
+            carry[j] = _chain(x, carry[j])
+            # np.maximum keeps a NaN, as a max over the whole tail would
+            hi[j] = np.maximum(hi[j], x[tail:].max(initial=-math.inf))
+            lo[j] = np.minimum(lo[j], x[tail:].min(initial=math.inf))
+        return [(hi[j] - lo[j], big[j] if count_big else None) for j in range(len(strategies))]
+
+    reduced = _per_seed(fluctuation, seeds, jobs)
+    for strategy, outs in zip(strategies, reduced):
+        for seed, (fluct, big) in zip(seeds, outs):
+            if all_ok:
                 rows.append(
-                    Row("large_increments_after_N0", float(big), 0.0, None,
+                    Row("cauchy_fluctuation", fluct, fluct_tol, fluct <= fluct_tol,
                         strategy.label, seed, N)
                 )
+            else:
+                # No Cauchy claim without the three conditions; report how far the
+                # tail still wanders, plus the S1 witness when that series failed.
+                rows.append(
+                    Row("tail_fluctuation", fluct, fluct_tol, None, strategy.label, seed, N)
+                )
+                if count_big:
+                    rows.append(
+                        Row("large_increments_after_N0", float(big), 0.0, None,
+                            strategy.label, seed, N)
+                    )
 
     return ExperimentResult(
         strategy_labels=tuple(s.label for s in strategies),
@@ -690,24 +759,25 @@ def run_cluster_set(
     containment = _Containment(amb, mean_set, tol_outer)
     ends = np.asarray([e for e in chasing.visit_ends if e <= N], dtype=int)
 
-    def reduce(task):
-        """Containment row and, for the chasing strategy, the sums at the visit ends."""
-        strategy, seed = task
-        worst, visits = -math.inf, []
-        for ns, sums, tail in _windows(amb, strategy, N, seed):
-            worst = containment.fold(worst, ns, sums, tail)
-            if strategy is chasing:
+    def fold(seed):
+        """Per strategy: containment row and, for the chasing strategy, the sums at the visit ends."""
+        carry = [None] * len(strategies)
+        worst, visits = [-math.inf] * len(strategies), []
+        for j, ns, sums, tail in _windows(amb, strategies, N, seed):
+            carry[j] = _chain(sums, carry[j])
+            worst[j] = containment.fold(worst[j], ns, sums, tail)
+            if strategies[j] is chasing:
                 visits.append(sums[ends[(ends >= ns[0]) & (ends <= ns[-1])] - int(ns[0])])
-        row = containment.row(worst, strategy.label, seed, N)
-        return row, np.concatenate(visits) if strategy is chasing else None
+        return [
+            (containment.row(worst[j], strategy.label, seed, N),
+             np.concatenate(visits) if strategy is chasing else None)
+            for j, strategy in enumerate(strategies)
+        ]
 
-    tasks = [(s, seed) for s in strategies for seed in seeds]
-    reduced = parallel_map(reduce, tasks, jobs)
-    rows = [row for row, _ in reduced]
+    reduced = _per_seed(fold, seeds, jobs)
+    rows = [row for outs in reduced for row, _ in outs]
 
-    for (strategy, seed), (_, sums) in zip(tasks, reduced):
-        if strategy is not chasing:
-            continue
+    for seed, (_, sums) in zip(seeds, reduced[strategies.index(chasing)]):
         if sums.ndim == 1:
             sums = sums[:, None]
         visits = sums / ends[:, None]

@@ -3,10 +3,12 @@ per block, then increments are drawn by inverse CDF.
 
 Randomness is counter-based: the two uniforms consumed by step t are pure
 64-bit hashes of (seed, 2t) and (seed, 2t+1), so any slice of a path can be
-regenerated independently of iteration order and across processes.
-`sample_path(..., start=s)` draws only the steps s+1..n, which lets a driver
-walk a long path in windows without ever holding all of it. No global or
-sequential RNG state exists anywhere in this module.
+regenerated independently of iteration order and across processes, and every
+strategy run under one seed reads the same uniforms. `hash_window` fills one
+window's uniforms in place; `sample_path(..., start=s, uniforms=...)` draws
+the steps s+1..n from them, which lets a driver hash a window once, draw
+every strategy of a seed from it, and walk a long path without ever holding
+all of it. No global or sequential RNG state exists anywhere in this module.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "Stationary",
     "TargetChasing",
     "extreme_members",
+    "hash_window",
     "mixture_for_target",
     "oscillation_schedule",
     "pure_weights",
@@ -46,12 +49,54 @@ _MASK64 = (1 << 64) - 1
 
 
 def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Hash (seed, counter) pairs to uniforms in [0, 1); 53-bit resolution."""
+    """Hash (seed, counter) pairs to uniforms in [0, 1); 53-bit resolution.
+
+    The reference form of the stream; `hash_window` computes the same bits.
+    """
     z = (np.uint64(seed & _MASK64) + (counters.astype(np.uint64) + np.uint64(1)) * _GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     z = z ^ (z >> np.uint64(31))
     return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def hash_window(
+    seed: int,
+    start: int,
+    u_member: np.ndarray,
+    u_value: np.ndarray,
+    scratch: np.ndarray | None = None,
+) -> None:
+    """Fill the uniforms of steps start..start+len-1 (0-based) in place.
+
+    u_member[i] and u_value[i] become the uniforms of counters 2(start+i) and
+    2(start+i)+1, bit for bit those of `_uniforms`: uint64 arithmetic wraps
+    mod 2^64, so the order of the additions does not matter. Each float array
+    holds its own splitmix64 state while it is mixed, and the uint64 `scratch`
+    of the same length takes the shifted copies, so a caller that passes one
+    allocates nothing per window.
+    """
+    n = len(u_member)
+    if len(u_value) != n or (scratch is not None and len(scratch) != n):
+        raise ValueError("uniform and scratch arrays need one length")
+    tmp = np.empty(n, dtype=np.uint64) if scratch is None else scratch
+    # Counter 2(start+i)+j hashes seed + (2(start+i)+j+1) * golden, that is
+    # base_j + i * 2 golden; the ramp i is built in place by a cumsum.
+    tmp.fill(1)
+    tmp[:1] = 0
+    np.cumsum(tmp, out=tmp)
+    np.multiply(tmp, np.uint64((2 * int(_GOLDEN)) & _MASK64), out=tmp)
+    states = (u_member.view(np.uint64), u_value.view(np.uint64))
+    for j, z in enumerate(states):
+        np.add(tmp, np.uint64((seed + (2 * start + j + 1) * int(_GOLDEN)) & _MASK64), out=z)
+    for z, out in zip(states, (u_member, u_value)):
+        for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(z, shift, out=tmp)
+            np.bitwise_xor(z, tmp, out=z)
+            if mix is not None:
+                np.multiply(z, mix, out=z)
+        np.right_shift(z, 11, out=tmp)
+        np.multiply(tmp, 2.0 ** -53, out=out)
 
 
 def _check_weights(weights, k: int) -> tuple:
@@ -370,7 +415,12 @@ def target_chasing_schedule(
 
 
 def sample_path(
-    amb: AmbiguitySet, strategy: Strategy, n: int, seed: int, start: int = 0
+    amb: AmbiguitySet,
+    strategy: Strategy,
+    n: int,
+    seed: int,
+    start: int = 0,
+    uniforms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Path:
     """Draw steps start+1..n under the strategy's per-block mixtures.
 
@@ -380,9 +430,20 @@ def sample_path(
     `start` equals the slice [start:n] of the whole path. Its n is the number
     of steps drawn, n - start, and its partial sums begin at 0, so a caller
     that walks a path in windows carries the running sum itself.
+
+    `uniforms` are the (u_member, u_value) arrays that `hash_window` filled
+    for (seed, start), n - start each; a caller that draws several strategies
+    of one seed hashes them once. Without them this function hashes them
+    itself. A block whose mixture is one-hot skips the member uniform.
     """
     if not 0 <= start < n:
         raise ValueError(f"need 0 <= start < n, got start={start}, n={n}")
+    if uniforms is None:
+        uniforms = (np.empty(n - start), np.empty(n - start))
+        hash_window(seed, start, *uniforms)
+    u_member, u_value = uniforms
+    if len(u_member) != n - start or len(u_value) != n - start:
+        raise ValueError(f"uniforms must cover the {n - start} steps drawn")
     members = amb.members
     k = len(members)
     if amb.dim == 1:
@@ -398,18 +459,22 @@ def sample_path(
         prev_end = end
         if end <= lo:
             continue
-        steps = np.arange(lo, end, dtype=np.uint64)
-        u_member = _uniforms(seed, 2 * steps)
-        u_value = _uniforms(seed, 2 * steps + np.uint64(1))
+        out = slice(lo - start, end - start)
+        if weights.count(1.0) == 1 and weights.count(0.0) == k - 1:
+            # Every uniform selects this member, as the search below would.
+            j = weights.index(1.0)
+            member_idx[out] = j
+            increments[out] = members[j].icdf(u_value[out])
+            continue
         cumw = np.cumsum(weights)
         cumw[-1] = 1.0
-        idx = np.minimum(np.searchsorted(cumw, u_member, side="right"), k - 1)
-        out = slice(lo - start, end - start)
+        idx = np.minimum(np.searchsorted(cumw, u_member[out], side="right"), k - 1)
         member_idx[out] = idx
+        values = u_value[out]
         for j, member in enumerate(members):
             mask = idx == j
             if mask.any():
-                increments[out][mask] = member.icdf(u_value[mask])
+                increments[out][mask] = member.icdf(values[mask])
 
     return Path(
         n=n - start,

@@ -24,7 +24,8 @@ from subexp import (
     run_weak_lln,
 )
 from subexp import experiments
-from subexp.experiments import _CONTAINMENT_CHUNK, _Containment, _windows
+from subexp.errors import NonFiniteVerdict
+from subexp.experiments import _CONTAINMENT_CHUNK, _Containment, _chain, _windows
 from subexp.meanset import build_mean_set
 from subexp.sampler import (
     BlockSchedule,
@@ -41,6 +42,13 @@ ESCAPE_CAPACITIES = {
     128: 0.13784757848478585,
     256: 0.06136738970375019,
 }
+
+
+def test_row_rejects_a_verdict_on_a_non_finite_value():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonFiniteVerdict, match="'escape'.*'pure_max'.*seed 3.*n 7"):
+            Row("escape", value, 0.1, False, "pure_max", 3, 7)
+        assert not math.isfinite(Row("escape", value, 0.1, None, "pure_max", 3, 7).value)
 
 
 def test_row_coerces_numpy_scalars():
@@ -183,8 +191,9 @@ def test_containment_excess_does_not_depend_on_chunking(model, n):
     amb, mean_set, strategy = _chunking_case(model, n)
     path = sample_path(amb, strategy, n, seed=3)
     containment = _Containment(amb, mean_set, 0.05)
-    worst = -math.inf
-    for ns, sums, tail in _windows(amb, strategy, n, 3):
+    worst, carry = -math.inf, None
+    for _, ns, sums, tail in _windows(amb, [strategy], n, 3):
+        carry = _chain(sums, carry)
         worst = containment.fold(worst, ns, sums, tail)
     row = containment.row(worst, strategy.label, 3, n)
     assert row.value == _unchunked_excess(amb, mean_set, path)
@@ -206,8 +215,9 @@ def test_containment_closed_form_matches_net_product(monkeypatch, model):
     monkeypatch.setattr(experiments, "_WINDOW", 5000)
     n = 3 * 5000 + 77
     containment = _Containment(amb, mean_set, 0.05)
-    worst = -math.inf
-    for ns, sums, tail in _windows(amb, strategy, n, 5):
+    worst, carry = -math.inf, None
+    for _, ns, sums, tail in _windows(amb, [strategy], n, 5):
+        carry = _chain(sums, carry)
         worst = containment.fold(worst, ns, sums, tail)
     path = sample_path(amb, strategy, n, seed=5)
     assert worst == _unchunked_excess(amb, mean_set, path)
@@ -222,9 +232,26 @@ def test_rows_do_not_depend_on_window(monkeypatch, window):
         lambda: run_slln(make_e1(), N=n, seeds=(1, 2), jobs=1),
         lambda: run_cluster_set(make_v2mix(), N=n, seeds=(1,), jobs=1),
         lambda: run_marcinkiewicz(make_e1(), N=n, seeds=(1, 2), jobs=1),
+        lambda: run_weak_lln(make_v2mix(), ns=(n,), mode="mc", seeds=(1, 2, 3), jobs=1),
     ]
     monkeypatch.setattr(experiments, "_WINDOW", n)
     whole = [run().rows for run in runs]
+    monkeypatch.setattr(experiments, "_WINDOW", window)
+    assert [run().rows for run in runs] == whole
+
+
+@pytest.mark.parametrize("window", [256, 1000])
+def test_three_series_rows_do_not_depend_on_window(monkeypatch, window):
+    # E1 at q=2 takes the Cauchy branch; Pareto 1.5 at q=0.5 fails S1 and
+    # counts large increments. N0 falls inside the second 256-step window.
+    pareto = AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),), label="p15")
+    runs = [
+        lambda: run_three_series(make_e1(), N=3000, N0=500, seeds=(1, 2)),
+        lambda: run_three_series(pareto, scale_exponent=0.5, N=3000, N0=500, seeds=(1,)),
+    ]
+    monkeypatch.setattr(experiments, "_WINDOW", 3000)
+    whole = [run().rows for run in runs]
+    assert any(r.statistic == "large_increments_after_N0" and r.value > 0 for r in whole[1])
     monkeypatch.setattr(experiments, "_WINDOW", window)
     assert [run().rows for run in runs] == whole
 
@@ -276,3 +303,29 @@ def test_peak_memory_does_not_grow_with_horizon(driver, amb):
     long = _traced_peak(lambda: driver(amb, N=800_000, seeds=(1,), jobs=1))
     assert long <= 1.10 * short
     assert long < 16 * 2**20
+
+
+def test_slln_peak_memory_is_a_few_windows():
+    # A task reuses one window's uniform buffers for every strategy and
+    # holds one strategy's window at a time: 1.4 MiB measured. The bound is
+    # half the 5.7 MiB of one task per path over 65 536-step windows.
+    run_slln(make_e1(), N=200_000, seeds=(1, 2, 3), jobs=1)  # warm-up: imports and caches
+    peak = _traced_peak(lambda: run_slln(make_e1(), N=200_000, seeds=(1, 2, 3), jobs=1))
+    assert peak <= 2.85 * 2**20
+
+
+def test_drivers_never_sample_a_whole_horizon():
+    # Every sample_path call in the drivers draws one window (start=...), so
+    # no driver can hold a whole path again without this test noticing.
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(experiments))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "sample_path" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls, "the drivers no longer call sample_path"
+    for call in calls:
+        assert "start" in {kw.arg for kw in call.keywords}, f"line {call.lineno}: no start="

@@ -198,3 +198,20 @@ def test_unexpected_error_is_recorded_then_raised(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["resolved_config.json", "results.json"]
     record = json.loads((tmp_path / "results.json").read_text())
     assert record["error"] == {"type": "RuntimeError", "message": "broken axiom suite"}
+
+
+def test_non_finite_verdict_exits_two_and_names_the_row(tmp_path, monkeypatch):
+    import types
+
+    import subexp.experiments
+
+    # A check whose gap came out NaN would otherwise be written as a plain "fail".
+    nan_check = types.SimpleNamespace(name="monotone", worst_gap=float("nan"), ok=False, trials=5)
+    report = types.SimpleNamespace(checks=[nan_check])
+    monkeypatch.setattr(subexp.experiments, "run_axiom_suite", lambda **kw: report)
+    assert run_doc(config_doc(parameters={"trials": 50}), tmp_path) == 2
+    assert sorted(os.listdir(tmp_path)) == ["resolved_config.json", "results.json"]
+    record = json.loads((tmp_path / "results.json").read_text())
+    assert record["error"]["type"] == "NonFiniteVerdict"
+    assert "'monotone'" in record["error"]["message"]
+    assert "seed 20240" in record["error"]["message"]

@@ -24,6 +24,7 @@ from subexp import (
     target_chasing_schedule,
 )
 from subexp import experiments
+from subexp.sampler import _check_weights, _uniforms, hash_window, pure_weights
 from subexp.errors import TargetOutOfRange, TargetOutsideM
 from conftest import make_asym3, make_e1, make_v2mix
 
@@ -219,14 +220,22 @@ def test_window_equals_slice_of_whole_path(model):
 @pytest.mark.parametrize("model", sorted(_WINDOW_MODELS))
 def test_chained_window_sums_equal_whole_cumsum(monkeypatch, model):
     amb = _WINDOW_MODELS[model]
+    k = len(amb.members)
+    plans = [_PLAN, Stationary(pure_weights(k, 1)), Stationary((0.5, 0.5))]
     monkeypatch.setattr(experiments, "_WINDOW", _W)
-    windows = list(experiments._windows(amb, _PLAN, 300, seed=7))
-    assert [len(ns) for ns, _, _ in windows] == [64, 64, 64, 64, 44]
-    assert [tail for _, _, tail in windows] == [2, 0, 0, 0, 0]  # burn-in is 3 steps
-    whole = sample_path(amb, _PLAN, 300, seed=7)
-    assert np.array_equal(np.concatenate([ns for ns, _, _ in windows]), np.arange(1.0, 301.0))
-    sums = np.concatenate([sums for _, sums, _ in windows])
-    assert np.array_equal(sums, np.cumsum(whole.increments, axis=0))
+    windows = list(experiments._windows(amb, plans, 300, seed=7))
+    assert [j for j, _, _, _ in windows] == [0, 1, 2] * 5  # each window, every plan
+    assert [len(ns) for _, ns, _, _ in windows[::3]] == [64, 64, 64, 64, 44]
+    assert [tail for _, _, _, tail in windows[::3]] == [2, 0, 0, 0, 0]  # burn-in is 3 steps
+    assert np.array_equal(np.concatenate([ns for _, ns, _, _ in windows[::3]]),
+                          np.arange(1.0, 301.0))
+    for j, plan in enumerate(plans):
+        carry, sums = None, []
+        for _, _, x, _ in windows[j::3]:
+            carry = experiments._chain(x, carry)
+            sums.append(x)
+        whole = sample_path(amb, plan, 300, seed=7)
+        assert np.array_equal(np.concatenate(sums), np.cumsum(whole.increments, axis=0))
 
 
 def test_window_start_validation(e1):
@@ -234,3 +243,95 @@ def test_window_start_validation(e1):
     for start in (-1, 10, 11):
         with pytest.raises(ValueError):
             sample_path(e1, s, 10, seed=0, start=start)
+
+
+# --------------------------------------------------------- shared window hash
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@given(_SEEDS, st.integers(0, 2**62), st.integers(0, 300), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_hash_window_equals_reference_stream(seed, start, n, own_scratch):
+    u_member, u_value = np.full(n, np.nan), np.full(n, np.nan)
+    scratch = np.empty(n, dtype=np.uint64) if own_scratch else None
+    hash_window(seed, start, u_member, u_value, scratch)
+    steps = np.arange(n, dtype=np.uint64) + np.uint64(start)
+    assert np.array_equal(u_member, _uniforms(seed, 2 * steps))
+    assert np.array_equal(u_value, _uniforms(seed, 2 * steps + np.uint64(1)))
+
+
+def test_hash_window_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        hash_window(1, 0, np.empty(4), np.empty(5))
+    with pytest.raises(ValueError):
+        hash_window(1, 0, np.empty(4), np.empty(4), np.empty(3, dtype=np.uint64))
+
+
+def _reference_path(amb, strategy, n, seed, start):
+    """Per-block draw with a member search on every block, one-hot or not."""
+    k = len(amb.members)
+    increments = np.empty((n - start,) + ((amb.dim,) if amb.dim > 1 else ()))
+    member_idx = np.empty(n - start, dtype=np.int16)
+    prev_end = 0
+    for end, weights in strategy.blocks_for(n):
+        lo, prev_end = max(prev_end, start), end
+        if end <= lo:
+            continue
+        steps = np.arange(lo, end, dtype=np.uint64)
+        u_member = _uniforms(seed, 2 * steps)
+        u_value = _uniforms(seed, 2 * steps + np.uint64(1))
+        cumw = np.cumsum(_check_weights(weights, k))
+        cumw[-1] = 1.0
+        idx = np.minimum(np.searchsorted(cumw, u_member, side="right"), k - 1)
+        out = slice(lo - start, end - start)
+        member_idx[out] = idx
+        for j, member in enumerate(amb.members):
+            increments[out][idx == j] = member.icdf(u_value[idx == j])
+    return increments, member_idx
+
+
+def _uniform_cases():
+    heavy = AmbiguitySet(
+        (TwoSidedPareto(0.05, 1.0, 0.5), FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5])),
+        label="pareto0.05",
+    )
+    v2 = make_v2mix()
+    chase = target_chasing_schedule(v2, m=3, horizon=400, start=50)
+    three = BlockSchedule((90, 170, 400), ((0.0, 1.0, 0.0), (0.2, 0.3, 0.5), (1.0, 0.0, 0.0)))
+    return {
+        "1d-stationary": (make_asym3(), Stationary((0.3, 0.7))),
+        "1d-blocks": (make_asym3(), _PLAN),
+        "1d-chasing": (make_e1(), target_chasing_schedule(make_e1(), m=3, horizon=400, start=50)),
+        "2d-stationary": (v2, Stationary((0.2, 0.3, 0.5))),
+        "2d-blocks": (v2, three),
+        "2d-chasing": (v2, chase),
+        "pareto-pure": (heavy, Stationary((1.0, 0.0))),
+        "pareto-mixed": (heavy, BlockSchedule((60, 400), ((0.5, 0.5), (1.0, 0.0)))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_uniform_cases()))
+def test_shared_uniforms_give_the_same_path(case):
+    amb, strategy = _uniform_cases()[case]
+    n, seed = 400, 2**64 - 1
+    # Whole path, windows on and across block ends, and windows whose first
+    # block starts inside them (every plan has an end at 60, 90 or 100).
+    for start, end in [(0, n), (0, 64), (40, 104), (55, 170), (64, 128), (399, 400)]:
+        u = np.empty(end - start), np.empty(end - start)
+        hash_window(seed, start, *u)
+        shared = sample_path(amb, strategy, end, seed, start=start, uniforms=u)
+        own = sample_path(amb, strategy, end, seed, start=start)
+        ref_x, ref_idx = _reference_path(amb, strategy, end, seed, start)
+        for path in (shared, own):
+            assert path.n == end - start and path.member_indices.dtype == np.int16
+            assert np.array_equal(path.increments, ref_x)
+            assert np.array_equal(path.member_indices, ref_idx)
+    if case.startswith("pareto"):  # the case reaches the far tail of alpha=0.05
+        assert np.abs(sample_path(amb, strategy, n, seed).increments).max() > 1e6
+
+
+def test_uniforms_must_cover_the_window(e1):
+    u = np.empty(10), np.empty(10)
+    with pytest.raises(ValueError):
+        sample_path(e1, Stationary((0.5, 0.5)), 20, seed=1, start=5, uniforms=u)
