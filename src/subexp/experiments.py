@@ -8,8 +8,8 @@ task takes one seed and all the driver's strategies, hashes each window of
 _WINDOW steps once, draws every strategy from those uniforms, and folds
 each strategy's window into its statistics before the next one is drawn.
 The windows chain the running sums exactly (`_chain`), so no statistic
-depends on the window size, and peak memory is bounded by jobs windows,
-whatever the horizon and the number of paths.
+depends on the window size, and peak memory is bounded by jobs windows
+and containment blocks, whatever the horizon and the number of paths.
 Numeric policy: running extrema over n >= N/100 stand in for
 limsup/liminf (burn-in discard, bias toward the finite-N side), and every
 convergence verdict uses a tail-ratio test against power-decay majorants
@@ -58,13 +58,16 @@ __all__ = [
 ]
 
 _BURN_IN_FRACTION = 100  # tail = n >= N / this
-# Rows per containment block: 4096 x 126 directions of float64 is 4 MB,
-# which stays in cache where a whole path's gap matrix would not.
-_CONTAINMENT_CHUNK = 4096
+# Bytes of one containment gap block, a quarter of a 2 MB L2. Each
+# _Containment takes as many rows as fit: 520 against the 126 directions of
+# the 2-d net, 10 against the 6400 of the 3-d net. So a block stays in cache
+# whatever the net, and each block is one GEMM small enough for OpenBLAS to
+# run on one thread.
+_CONTAINMENT_BYTES = 512 * 1024
 # Steps per sampled window. A task's live window arrays (two uniforms, their
 # uint64 scratch, the step counts and one strategy's increments) take 128 KB
 # each at d=1, so together they stay in a 2 MB L2.
-_WINDOW = 4 * _CONTAINMENT_CHUNK
+_WINDOW = 16_384
 
 
 @dataclass(frozen=True)
@@ -185,21 +188,33 @@ def _per_seed(fold, seeds: Sequence[int], jobs: int) -> list[tuple]:
     return list(zip(*parallel_map(fold, seeds, jobs)))
 
 
+def _raise_worst(worst: float, x) -> float:
+    """max(worst, x) as a float, except that a NaN x is kept: Python's max
+    would drop it whenever worst came first."""
+    x = float(x)
+    return x if math.isnan(x) else max(worst, x)
+
+
 class _Containment:
     """Per-path reducer: worst tail excess of dist(S_n/n, M) over the CLT
     slack 4 sqrt(E|X|^2 / n), as one containment row.
 
-    The directions, support values and s2 are built once per run. `fold`
-    takes one window at a time and the max over windows and row blocks is
-    exact, so the value depends neither on the window nor on the block size.
-    The net-based distance underestimates the true distance, so a pass here
-    is conservative in the right direction for a containment claim.
+    The directions, support values, s2 and the block height are built once
+    per run. A 2-d or higher window is scanned in blocks of `rows` tail rows:
+    each block's (rows x K) gap matrix against the K net directions takes at
+    most _CONTAINMENT_BYTES. `fold` takes one window at a time, and the max
+    over windows and row blocks is exact, so the value depends neither on
+    the window nor on the block height. A NaN anywhere in the tail makes the
+    value NaN, so the row raises NonFiniteVerdict. The net-based distance
+    underestimates the true distance, so a pass here is conservative in the
+    right direction for a containment claim.
     """
 
     def __init__(self, amb: AmbiguitySet, mean_set: MeanSet, tol_outer: float):
         self.s2 = max(m.second_moment() for m in amb.members)
         self.directions = np.asarray(mean_set.net.directions).T
         self.support = np.asarray(mean_set.support_values)
+        self.rows = max(1, _CONTAINMENT_BYTES // (8 * len(self.support)))  # float64 gaps
         self.tol_outer = tol_outer
 
     def fold(self, worst: float, ns: np.ndarray, sums: np.ndarray, tail: int) -> float:
@@ -210,16 +225,16 @@ class _Containment:
             y = sums[tail:] / ns[tail:]
             dist = np.maximum(np.maximum(y - self.support[0], -y - self.support[1]), 0.0)
             excess = dist - 4.0 * np.sqrt(self.s2 / ns[tail:])
-            return max(worst, float(excess.max(initial=-math.inf)))
+            return _raise_worst(worst, excess.max(initial=-math.inf))
         # One gap buffer per window, refilled in place for every row block.
-        gaps = np.empty((min(_CONTAINMENT_CHUNK, len(ns)), len(self.support)))
-        for i in range(tail, len(ns), _CONTAINMENT_CHUNK):
-            rows = slice(i, i + _CONTAINMENT_CHUNK)
+        gaps = np.empty((min(self.rows, len(ns)), len(self.support)))
+        for i in range(tail, len(ns), self.rows):
+            rows = slice(i, i + self.rows)
             block = gaps[: len(ns[rows])]
             np.matmul(sums[rows] / ns[rows, None], self.directions, out=block)
             block -= self.support
             dist = np.maximum(block.max(axis=1), 0.0)
-            worst = max(worst, float((dist - 4.0 * np.sqrt(self.s2 / ns[rows])).max()))
+            worst = _raise_worst(worst, (dist - 4.0 * np.sqrt(self.s2 / ns[rows])).max())
         return worst
 
     def row(self, worst: float, strategy: str, seed: int, n: int) -> Row:

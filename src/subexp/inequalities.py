@@ -8,7 +8,6 @@ exact comparison indicates an implementation bug, not a near-miss.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,7 +19,6 @@ from .expectation import (
     choquet_integral,
     upper_abs_excess,
     upper_abs_survival,
-    upper_second_truncated,
     PowerAbs,
 )
 from .lattice_dp import RunningMax, TerminalEvent, dp_value, lattice_model
@@ -272,12 +270,10 @@ class SeriesReport:
     verdict: str  # "convergent" or "divergent"
     partial_sum: float
     tail_increment: float
-    tail_integral: float
     ratio_matched: bool
     choquet_value: float
     consistent: bool
     excess_asymptotic: tuple  # (c, c^{p-1} * upper E[(|X|-c)^+]) pairs
-    second_asymptotic: tuple  # (c, c^{p-2} * upper E[X^2 ∧ c^2]) pairs
     context: str
 
 
@@ -291,8 +287,8 @@ def choquet_series_test(
     infinite tail means divergent. The observed increment S_K - S_{K/10} is
     compared with the same integral over [K/10, K]; a match within 10%
     validates the numerics. Also tabulates the scaled truncated-moment decay
-    c^{p-1} E[(|X|-c)^+] and c^{p-2} E[X^2 ∧ c^2] on a doubling c grid; both
-    vanish when the p-moment is finite.
+    c^{p-1} E[(|X|-c)^+] on a doubling c grid, which vanishes when the
+    p-moment is finite.
     """
     if not (1.0 <= p < 2.0):
         raise ValueError("p must lie in [1, 2)")
@@ -312,7 +308,7 @@ def choquet_series_test(
     s_head = float(math.fsum(terms[:k10]))
     increment = s_full - s_head
 
-    from scipy.integrate import IntegrationWarning, quad
+    from scipy.integrate import quad
 
     def survival_t(t: float) -> float:
         return upper_abs_survival(amb, M * t ** (1.0 / p))
@@ -323,21 +319,7 @@ def choquet_series_test(
     # heaviest Pareto member with exponent alpha, so the tail integral is
     # finite iff alpha > p; finite-support members contribute nothing beyond
     # a finite index.
-    alpha = amb.heaviest_alpha()
-    if math.isinf(alpha):
-        tail_finite = True
-        tail = window
-    elif alpha <= p:
-        tail_finite = False
-        tail = math.inf
-    else:
-        tail_finite = True
-        # slow power decay trips quad's extrapolation; the tail feeds a
-        # diagnostic only, the verdict comes from the exponent comparison
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            beyond, _ = quad(survival_t, K, np.inf, limit=200)
-        tail = window + beyond
+    tail_finite = amb.heaviest_alpha() > p  # inf > p for finite support
 
     if window > 1e-12:
         ratio_matched = abs(increment - window) <= 0.1 * window
@@ -350,18 +332,15 @@ def choquet_series_test(
 
     cs = [2.0 ** j for j in range(3, 11)]
     excess = tuple((c, c ** (p - 1.0) * upper_abs_excess(amb, c)) for c in cs)
-    second = tuple((c, c ** (p - 2.0) * upper_second_truncated(amb, c)) for c in cs)
 
     return SeriesReport(
         verdict=verdict,
         partial_sum=s_full,
         tail_increment=increment,
-        tail_integral=tail,
         ratio_matched=bool(ratio_matched),
         choquet_value=choquet_value,
         consistent=bool(consistent),
         excess_asymptotic=excess,
-        second_asymptotic=second,
         context=f"series model={amb.label} p={p:g} M={M:g} K={K}",
     )
 

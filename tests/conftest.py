@@ -52,6 +52,16 @@ def make_asym3() -> AmbiguitySet:
     )
 
 
+def make_v3mix() -> AmbiguitySet:
+    """Three coin flips between the unit vectors of R^3; at delta 0.05 its
+    direction net has 6400 directions."""
+    e = np.eye(3).tolist()
+    return AmbiguitySet(
+        tuple(FiniteDiscrete.from_arrays([e[i], e[(i + 1) % 3]], [0.5, 0.5]) for i in range(3)),
+        label="V3mix",
+    )
+
+
 @pytest.fixture(scope="session")
 def e1() -> AmbiguitySet:
     return make_e1()

@@ -25,7 +25,7 @@ from subexp import (
 )
 from subexp import experiments
 from subexp.errors import NonFiniteVerdict
-from subexp.experiments import _CONTAINMENT_CHUNK, _Containment, _chain, _windows
+from subexp.experiments import _CONTAINMENT_BYTES, _WINDOW, _Containment, _chain, _windows
 from subexp.meanset import build_mean_set
 from subexp.sampler import (
     BlockSchedule,
@@ -34,7 +34,7 @@ from subexp.sampler import (
     sample_path,
     target_chasing_schedule,
 )
-from conftest import make_asym3, make_e1, make_v2mix
+from conftest import make_asym3, make_e1, make_v2mix, make_v3mix
 
 ESCAPE_CAPACITIES = {
     32: 0.379720466796234,
@@ -158,17 +158,21 @@ def test_cluster_set_loose_horizon():
 # ------------------------------------------------------------ streaming
 
 
-def _unchunked_excess(amb, mean_set, path) -> float:
-    """Worst containment excess from one gap matrix over the whole tail."""
+def _whole_gap_excess(amb, mean_set, ns, means) -> float:
+    """Worst containment excess from one gap matrix over all the rows given."""
     s2 = max(m.second_moment() for m in amb.members)
-    start = max(1, path.n // 100)
-    means = path.running_means()[start - 1 :]
     if means.ndim == 1:
         means = means[:, None]
-    ns = np.arange(start, path.n + 1, dtype=float)
     gaps = means @ np.asarray(mean_set.net.directions).T - np.asarray(mean_set.support_values)
     dist = np.maximum(gaps.max(axis=1), 0.0)
     return float((dist - 4.0 * np.sqrt(s2 / ns)).max())
+
+
+def _unchunked_excess(amb, mean_set, path) -> float:
+    """Worst containment excess from one gap matrix over the whole tail."""
+    start = max(1, path.n // 100)
+    ns = np.arange(start, path.n + 1, dtype=float)
+    return _whole_gap_excess(amb, mean_set, ns, path.running_means()[start - 1 :])
 
 
 def _chunking_case(model: str, n: int):
@@ -176,21 +180,38 @@ def _chunking_case(model: str, n: int):
     if model == "E1":
         e1 = make_e1()
         return e1, build_mean_set(e1, delta=0.05), oscillation_schedule(e1, 4, factor=4.0)
-    # V2mix against the mean set {(0, 1)} of its second member: the path sits
-    # at (1, 0) until the tail starts and then heads for (0, 1), so the first
-    # tail step carries the worst excess.
-    v2 = make_v2mix()
+    # Against the mean set of the second member alone: the path draws from
+    # the first member until the tail starts and then from the second, so
+    # the worst excess falls early in the tail.
+    amb = make_v2mix() if model == "V2mix" else make_v3mix()
     plan = BlockSchedule((n // 100, n), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
-    return v2, build_mean_set(AmbiguitySet(v2.members[1:2]), delta=0.05), plan
+    return amb, build_mean_set(AmbiguitySet(amb.members[1:2]), delta=0.05), plan
 
 
-@pytest.mark.parametrize("n", [1000, 5 * _CONTAINMENT_CHUNK + 123])
-@pytest.mark.parametrize("model", ["E1", "V2mix"])
-def test_containment_excess_does_not_depend_on_chunking(model, n):
-    assert n < _CONTAINMENT_CHUNK or n % _CONTAINMENT_CHUNK
+# (model, n, window): each long n spans two windows, and the 3-d case
+# shrinks the window so that its reference gap matrix stays small.
+_CHUNKING_CASES = [
+    ("E1", 1000, _WINDOW),
+    ("V2mix", 1000, _WINDOW),
+    ("E1", 20_603, _WINDOW),
+    ("V2mix", 20_603, _WINDOW),
+    ("V3mix", 2 * 512 + 213, 512),
+]
+
+
+@pytest.mark.parametrize(
+    "model, n, window", _CHUNKING_CASES, ids=[f"{m}-{n}" for m, n, _ in _CHUNKING_CASES]
+)
+def test_containment_excess_does_not_depend_on_chunking(monkeypatch, model, n, window):
+    monkeypatch.setattr(experiments, "_WINDOW", window)
     amb, mean_set, strategy = _chunking_case(model, n)
     path = sample_path(amb, strategy, n, seed=3)
     containment = _Containment(amb, mean_set, 0.05)
+    if n > window:
+        # The tail starts off a multiple of the block height, and no window
+        # (the first from the tail on, a full one, the last) is whole blocks.
+        k, tail = containment.rows, n // 100 - 1
+        assert tail % k and (window - tail) % k and window % k and (n % window) % k
     worst, carry = -math.inf, None
     for _, ns, sums, tail in _windows(amb, [strategy], n, 3):
         carry = _chain(sums, carry)
@@ -198,6 +219,42 @@ def test_containment_excess_does_not_depend_on_chunking(model, n):
     row = containment.row(worst, strategy.label, 3, n)
     assert row.value == _unchunked_excess(amb, mean_set, path)
     assert (row.strategy, row.seed, row.n) == (strategy.label, 3, n)
+
+
+@pytest.mark.parametrize("model", ["V2mix", "V3mix"])
+@pytest.mark.parametrize("edge", ["first", "block_last", "block_next", "last"])
+def test_containment_fold_reads_every_row_of_every_block(model, edge):
+    # One far point among zero sums carries the worst excess; it sits on the
+    # first tail row, on the last row of the first block, on the first row
+    # of the second, or on the window's last row, in a partial block.
+    amb = make_v2mix() if model == "V2mix" else make_v3mix()
+    mean_set = build_mean_set(amb, delta=0.05)
+    containment = _Containment(amb, mean_set, 0.05)
+    k, tail = containment.rows, 7
+    ns = np.arange(1, tail + 3 * k + 5 + 1, dtype=float)
+    at = {"first": tail, "block_last": tail + k - 1, "block_next": tail + k, "last": len(ns) - 1}
+    sums = np.zeros((len(ns), amb.dim))
+    sums[at[edge], 0] = 10.0 * ns[at[edge]]
+    worst = containment.fold(-math.inf, ns, sums, tail)
+    assert worst == _whole_gap_excess(amb, mean_set, ns[tail:], sums[tail:] / ns[tail:, None])
+    assert worst > 5.0
+
+
+@pytest.mark.parametrize("model", ["E1", "V2mix"])
+def test_containment_keeps_a_nan_from_a_later_block(model):
+    # Python's max(worst, nan) keeps worst. The NaN at row 4500 follows
+    # finite rows (in 2-d, finite blocks) and a finite prior worst, yet the
+    # value is NaN and the row has no verdict to give.
+    amb = make_e1() if model == "E1" else make_v2mix()
+    containment = _Containment(amb, build_mean_set(amb, delta=0.05), 0.05)
+    ns = np.arange(1, 5001, dtype=float)
+    sums = np.zeros((5000, amb.dim)) if amb.dim > 1 else np.zeros(5000)
+    sums[4500] = math.nan
+    worst = containment.fold(-1.0, ns, sums, 50)
+    assert math.isnan(worst)
+    assert math.isnan(containment.fold(worst, ns, np.zeros_like(sums), 50))
+    with pytest.raises(NonFiniteVerdict, match="containment_worst_excess"):
+        containment.row(worst, "pure_0", 1, 5000)
 
 
 @pytest.mark.parametrize("model", ["E1", "asym3"])
@@ -225,8 +282,9 @@ def test_containment_closed_form_matches_net_product(monkeypatch, model):
 
 @pytest.mark.parametrize("window", [256, 4096, 5000])
 def test_rows_do_not_depend_on_window(monkeypatch, window):
-    # 256 leaves whole windows before the burn-in ends; 5000 is no multiple
-    # of the containment chunk. The reference walks each path in one window.
+    # 256 leaves whole windows before the burn-in ends; 4096 and 5000 are no
+    # multiples of V2mix's 520-row block. The reference walks each path in
+    # one window.
     n = 50_000
     runs = [
         lambda: run_slln(make_e1(), N=n, seeds=(1, 2), jobs=1),
@@ -312,6 +370,24 @@ def test_slln_peak_memory_is_a_few_windows():
     run_slln(make_e1(), N=200_000, seeds=(1, 2, 3), jobs=1)  # warm-up: imports and caches
     peak = _traced_peak(lambda: run_slln(make_e1(), N=200_000, seeds=(1, 2, 3), jobs=1))
     assert peak <= 2.85 * 2**20
+
+
+def test_cluster_set_peak_memory_is_a_few_blocks():
+    # 1.75 MiB measured with 520-row gap blocks; 4.92 MiB when a block held
+    # 4096 rows (4 MB), so the bound is about half of that.
+    v2 = make_v2mix()
+    run_cluster_set(v2, N=200_000, seeds=(1, 2, 3), jobs=1)  # warm-up: imports and caches
+    peak = _traced_peak(lambda: run_cluster_set(v2, N=200_000, seeds=(1, 2, 3), jobs=1))
+    assert peak <= 2.5 * 2**20
+
+
+def test_cluster_set_peak_memory_in_3d_is_a_budget():
+    # The 3-d net has 6400 directions: a 4096-row block took 200 MiB, and a
+    # block sized by _CONTAINMENT_BYTES keeps the whole run under 1 MiB.
+    v3 = make_v3mix()
+    run_cluster_set(v3, N=5000, seeds=(1,), jobs=1)  # warm-up: imports and caches
+    peak = _traced_peak(lambda: run_cluster_set(v3, N=5000, seeds=(1,), jobs=1))
+    assert peak <= 3 * _CONTAINMENT_BYTES
 
 
 def test_drivers_never_sample_a_whole_horizon():
