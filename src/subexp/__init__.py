@@ -4,116 +4,141 @@ Exact expectation calculus (max over a finite member family), convex mean
 sets via support functions, adversarial path sampling, exact optimal-value
 dynamic programming for path capacities, maximal-inequality checkers, and
 law-of-large-numbers experiment drivers.
+
+Importing the package loads no submodule. Each public name below is imported
+from its home module on first access (PEP 562), so parsing a config loads
+only the schema layer and the engines load when a run starts.
 """
 
-from .distributions import (
-    AmbiguitySet,
-    Event,
-    FiniteDiscrete,
-    TestFunction,
-    TwoSidedPareto,
-)
-from .errors import (
-    DimensionTooLarge,
-    MuNotAttainable,
-    NonFiniteVerdict,
-    NonIntegrable,
-    NonLattice,
-    NotConvergent,
-    QuadratureNotConverged,
-    SchemaError,
-    StateSpaceTooLarge,
-    SubexpError,
-    TargetOutOfRange,
-    TargetOutsideM,
-    TooLargeForBruteForce,
-)
-from .expectation import (
-    MomentReport,
-    PositivePart,
-    PowerAbs,
-    choquet_integral,
-    event_lower_capacity,
-    event_upper_capacity,
-    lower_expectation,
-    mean_interval,
-    truncated_expectation,
-    upper_abs_excess,
-    upper_abs_survival,
-    upper_expectation,
-    upper_second_truncated,
-)
-from .meanset import (
-    DirectionNet,
-    MeanSet,
-    build_direction_net,
-    build_mean_set,
-    contains,
-    distance_to_mean_set,
-    support_function,
-)
-from .sampler import (
-    BlockSchedule,
-    Path,
-    Stationary,
-    TargetChasing,
-    mixture_for_target,
-    oscillation_schedule,
-    sample_path,
-    stationary_for_target,
-    target_chasing_schedule,
-)
-from .lattice_dp import (
-    AllBlocksHit,
-    LatticeModel,
-    RunningMax,
-    TerminalEvent,
-    TerminalSum,
-    brute_force_value,
-    dp_value,
-    lattice_model,
-    policy_enumeration_value,
-)
-from .inequalities import (
-    BoundReport,
-    SeriesReport,
-    borel_cantelli_diagnostic,
-    check_inequality,
-    choquet_series_test,
-    exponential_bound,
-    inequality_grid,
-    kolmogorov_lower_capacity_bound,
-    kolmogorov_upper_bound,
-    levy_bound_check,
-)
-from .axioms import (
-    AxiomSuiteReport,
-    PropertyCheck,
-    random_ambiguity_set,
-    random_max_affine,
-    run_axiom_suite,
-)
-from .experiments import (
-    ExperimentResult,
-    Row,
-    run_axioms,
-    run_choquet_series,
-    run_cluster_set,
-    run_inequality_grid,
-    run_marcinkiewicz,
-    run_slln,
-    run_three_series,
-    run_weak_lln,
-)
-from .config import (
-    EXPERIMENTS,
-    RunConfig,
-    member_to_spec,
-    model_from_spec,
-    model_to_spec,
-    parse_config,
-)
-from .parallel import parallel_map
-from .runner import run, run_config_file, write_outputs
+import importlib as _importlib
 
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "distributions": (
+            "AmbiguitySet",
+            "Event",
+            "FiniteDiscrete",
+            "TestFunction",
+            "TwoSidedPareto",
+        ),
+        "errors": (
+            "DimensionTooLarge",
+            "MuNotAttainable",
+            "NonFiniteVerdict",
+            "NonIntegrable",
+            "NonLattice",
+            "NotConvergent",
+            "QuadratureNotConverged",
+            "SchemaError",
+            "StateSpaceTooLarge",
+            "SubexpError",
+            "TargetOutOfRange",
+            "TargetOutsideM",
+            "TooLargeForBruteForce",
+        ),
+        "expectation": (
+            "MomentReport",
+            "PositivePart",
+            "PowerAbs",
+            "choquet_integral",
+            "event_lower_capacity",
+            "event_upper_capacity",
+            "lower_expectation",
+            "mean_interval",
+            "truncated_expectation",
+            "upper_abs_excess",
+            "upper_abs_survival",
+            "upper_expectation",
+            "upper_second_truncated",
+        ),
+        "meanset": (
+            "DirectionNet",
+            "MeanSet",
+            "build_direction_net",
+            "build_mean_set",
+            "contains",
+            "distance_to_mean_set",
+            "support_function",
+        ),
+        "sampler": (
+            "BlockSchedule",
+            "Path",
+            "Stationary",
+            "TargetChasing",
+            "mixture_for_target",
+            "oscillation_schedule",
+            "sample_path",
+            "stationary_for_target",
+            "target_chasing_schedule",
+        ),
+        "lattice_dp": (
+            "AllBlocksHit",
+            "LatticeModel",
+            "RunningMax",
+            "TerminalEvent",
+            "TerminalSum",
+            "brute_force_value",
+            "dp_value",
+            "lattice_model",
+            "policy_enumeration_value",
+        ),
+        "inequalities": (
+            "BoundReport",
+            "SeriesReport",
+            "borel_cantelli_diagnostic",
+            "check_inequality",
+            "choquet_series_test",
+            "exponential_bound",
+            "inequality_grid",
+            "kolmogorov_lower_capacity_bound",
+            "kolmogorov_upper_bound",
+            "levy_bound_check",
+        ),
+        "axioms": (
+            "AxiomSuiteReport",
+            "PropertyCheck",
+            "random_ambiguity_set",
+            "random_max_affine",
+            "run_axiom_suite",
+        ),
+        "experiments": (
+            "ExperimentResult",
+            "Row",
+            "run_axioms",
+            "run_choquet_series",
+            "run_cluster_set",
+            "run_inequality_grid",
+            "run_marcinkiewicz",
+            "run_slln",
+            "run_three_series",
+            "run_weak_lln",
+        ),
+        "config": (
+            "EXPERIMENTS",
+            "RunConfig",
+            "member_to_spec",
+            "model_from_spec",
+            "model_to_spec",
+            "parse_config",
+        ),
+        "parallel": ("parallel_map",),
+        "runner": ("run", "run_config_file", "write_outputs"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

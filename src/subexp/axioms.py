@@ -101,6 +101,8 @@ def _combine(f: TestFunction, g: TestFunction, op) -> TestFunction:
 def run_axiom_suite(trials: int = 1000, seed: int = 20240) -> AxiomSuiteReport:
     """Check the defining axioms plus conjugacy, sandwich, invariance and
     Choquet domination on `trials` random instances."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     names = [
         "monotonicity",

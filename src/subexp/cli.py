@@ -56,7 +56,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "check-axioms":
-        report = run_axiom_suite(trials=args.trials, seed=args.seed)
+        try:
+            report = run_axiom_suite(trials=args.trials, seed=args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for check in report.checks:
             status = "PASS" if check.ok else "FAIL"
             print(

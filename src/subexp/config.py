@@ -3,8 +3,10 @@
 The schema is a flat JSON object; unknown fields anywhere are rejected with
 the offending path, and parsing materializes every default so the resolved
 config written next to the results is complete on its own. EXPERIMENT_TABLE
-maps each experiment name to its driver and parameter schema; parsing,
-EXPERIMENTS and the runner all read it.
+maps each experiment name to its driver's name and parameter schema; parsing,
+EXPERIMENTS and the runner all read it. The table holds names, not functions:
+each driver is resolved in subexp.experiments when a run starts, so parsing
+never loads the engines.
 
 Schema:
     {
@@ -27,22 +29,13 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .distributions import AmbiguitySet, FiniteDiscrete, TwoSidedPareto
 from .errors import NonLattice, SchemaError
-from .experiments import (
-    ExperimentResult,
-    run_axioms,
-    run_choquet_series,
-    run_cluster_set,
-    run_inequality_grid,
-    run_marcinkiewicz,
-    run_slln,
-    run_three_series,
-    run_weak_lln,
-)
-from .lattice_dp import lattice_offsets
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentResult
 
 __all__ = [
     "EXPERIMENTS",
@@ -100,16 +93,23 @@ def _mode(x: Any, path: str) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A driver and its parameter schema, name -> (default, validator).
+    """A driver's name and its parameter schema, name -> (default, validator).
 
     Parameters reach the driver as keywords of the same name, plus the run's
     seeds and worker count where the driver's signature takes them. When
     replicas names a count parameter, seeds 1..count replace the config's.
     """
 
-    driver: Callable
+    driver_name: str
     schema: dict
     replicas: str | None = None
+
+    @property
+    def driver(self) -> Callable:
+        """The function of that name in subexp.experiments, which loads on first use."""
+        from . import experiments
+
+        return getattr(experiments, self.driver_name)
 
     def execute(self, config: RunConfig, jobs: int) -> ExperimentResult:
         kwargs = dict(config.parameters)
@@ -123,18 +123,18 @@ class Experiment:
 
 
 EXPERIMENT_TABLE: dict[str, Experiment] = {
-    "slln": Experiment(run_slln, {
+    "slln": Experiment("run_slln", {
         "N": (1_000_000, _int),
         "tol": (0.01, _num),
         "m_targets": (5, _int),
         "tol_outer": (0.05, _num),
     }),
-    "marcinkiewicz": Experiment(run_marcinkiewicz, {
+    "marcinkiewicz": Experiment("run_marcinkiewicz", {
         "p": (1.5, _num),
         "N": (1_000_000, _int),
         "envelope": (0.5, _num),
     }),
-    "weak_lln": Experiment(run_weak_lln, {
+    "weak_lln": Experiment("run_weak_lln", {
         "ns": ([32, 64, 128, 256], _int_list),
         "epsilon": (0.1, _num),
         "mode": ("exact", _mode),
@@ -143,32 +143,32 @@ EXPERIMENT_TABLE: dict[str, Experiment] = {
         "interior_threshold": (0.9, _num),
         "mc_replicas": (200, _int),
     }, replicas="mc_replicas"),
-    "three_series": Experiment(run_three_series, {
+    "three_series": Experiment("run_three_series", {
         "scale_exponent": (2.0, _num),
         "c": (1.0, _num),
         "N": (10_000, _int),
         "N0": (1_000, _int),
         "fluct_tol": (0.01, _num),
     }),
-    "cluster_set": Experiment(run_cluster_set, {
+    "cluster_set": Experiment("run_cluster_set", {
         "m_targets": (5, _int),
         "N": (1_000_000, _int),
         "tol_outer": (0.05, _num),
         "tol_hausdorff": (0.15, _num),
         "delta": (0.05, _num),
     }),
-    "inequality_grid": Experiment(run_inequality_grid, {
+    "inequality_grid": Experiment("run_inequality_grid", {
         "whichs": (["kolmogorov_upper", "kolmogorov_lower", "exponential"], _str_list),
         "ns": ([4, 8, 16], _int_list),
         "xs": ([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0], _num_list),
         "levy_alphas": ([0.3, 0.5], _num_list),
     }),
-    "choquet_series": Experiment(run_choquet_series, {
+    "choquet_series": Experiment("run_choquet_series", {
         "p": (1.0, _num),
         "M": (1.0, _num),
         "K": (100_000, _int),
     }),
-    "axioms": Experiment(run_axioms, {
+    "axioms": Experiment("run_axioms", {
         "trials": (1_000, _int),
         "axiom_seed": (20240, _int),
     }),
@@ -333,6 +333,8 @@ def parse_config(text: str) -> RunConfig:
 
 def _check_quantum(model: AmbiguitySet, q: float) -> None:
     """Every finite atom must sit on the declared lattice within 1e-9."""
+    from .lattice_dp import lattice_offsets
+
     for i, member in enumerate(model.members):
         if isinstance(member, FiniteDiscrete):
             try:

@@ -503,6 +503,8 @@ def run_weak_lln(
     per strategy with a binomial confidence interval.
     """
     ns = tuple(sorted(ns))
+    if ns[0] < 1:
+        raise ValueError(f"ns: every n must be at least 1, got {ns[0]}")
     n_top = ns[-1]
     rows = []
 

@@ -84,6 +84,13 @@ def test_check_axioms_reports_each_property(capsys):
         assert "trials=60" in line and "worst_gap=" in line
 
 
+def test_check_axioms_without_trials_exits_two(capsys):
+    assert main(["check-axioms", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_inequality_grid_runs_config(tmp_path, capsys):
     doc = dict(E1_DOC, experiment="inequality_grid",
                parameters={"ns": [4], "xs": [1.0, 2.0], "whichs": ["exponential"]})

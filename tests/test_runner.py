@@ -91,6 +91,25 @@ def test_impossible_run_exits_two_with_record(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parameters, bad", [
+    ({"mode": "mc", "ns": [0], "mc_replicas": 2}, 0),
+    ({"mode": "exact", "ns": [8, -4]}, -4),
+])
+def test_weak_lln_n_below_one_exits_two(tmp_path, parameters, bad):
+    assert run_doc(config_doc("weak_lln", parameters), tmp_path) == 2
+    record = json.loads((tmp_path / "results.json").read_text())
+    assert record["error"]["type"] == "ValueError"
+    assert f"got {bad}" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_axioms_without_trials_exits_two(tmp_path, trials):
+    assert run_doc(config_doc(parameters={"trials": trials}), tmp_path) == 2
+    record = json.loads((tmp_path / "results.json").read_text())
+    assert record["error"]["type"] == "ValueError"
+    assert f"got {trials}" in record["error"]["message"]
+
+
 def test_run_id_ignores_output_location(tmp_path):
     doc = config_doc(parameters={"trials": 50})
     run_doc(doc, tmp_path / "a")
