@@ -6,8 +6,9 @@ dynamic programming for path capacities, maximal-inequality checkers, and
 law-of-large-numbers experiment drivers.
 
 Importing the package loads no submodule. Each public name below is imported
-from its home module on first access (PEP 562), so parsing a config loads
-only the schema layer and the engines load when a run starts.
+from its home module on first access (PEP 562), so parse_config loads only the
+schema layer; the engines load when a run starts. The command line (cli.py)
+imports the runner, and with it every engine, at start.
 """
 
 import importlib as _importlib

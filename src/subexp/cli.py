@@ -56,11 +56,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "check-axioms":
-        try:
-            report = run_axiom_suite(trials=args.trials, seed=args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        if args.trials < 1:
+            print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
             return 2
+        report = run_axiom_suite(trials=args.trials, seed=args.seed)
         for check in report.checks:
             status = "PASS" if check.ok else "FAIL"
             print(

@@ -93,33 +93,30 @@ def _mode(x: Any, path: str) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A driver's name and its parameter schema, name -> (default, validator).
+    """A driver, named by its function in subexp.experiments, and its
+    parameter schema, name -> (default, validator).
 
     Parameters reach the driver as keywords of the same name, plus the run's
     seeds and worker count where the driver's signature takes them. When
     replicas names a count parameter, seeds 1..count replace the config's.
     """
 
-    driver_name: str
+    driver: str
     schema: dict
     replicas: str | None = None
 
-    @property
-    def driver(self) -> Callable:
-        """The function of that name in subexp.experiments, which loads on first use."""
+    def execute(self, config: RunConfig, jobs: int) -> ExperimentResult:
         from . import experiments
 
-        return getattr(experiments, self.driver_name)
-
-    def execute(self, config: RunConfig, jobs: int) -> ExperimentResult:
+        fn = getattr(experiments, self.driver)
         kwargs = dict(config.parameters)
         seeds = config.seeds
         if self.replicas is not None:
             seeds = tuple(range(1, kwargs.pop(self.replicas) + 1))
-        takes = inspect.signature(self.driver).parameters
+        takes = inspect.signature(fn).parameters
         run_args = {"seeds": seeds, "jobs": jobs}
         kwargs.update({k: v for k, v in run_args.items() if k in takes})
-        return self.driver(config.model, **kwargs)
+        return fn(config.model, **kwargs)
 
 
 EXPERIMENT_TABLE: dict[str, Experiment] = {

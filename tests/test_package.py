@@ -104,9 +104,9 @@ def test_unknown_name_raises_attribute_error():
 def test_table_driver_is_the_named_function_and_takes_the_schema(name):
     entry = EXPERIMENT_TABLE[name]
     experiments = importlib.import_module("subexp.experiments")
-    assert inspect.isfunction(entry.driver)
-    assert entry.driver is getattr(experiments, entry.driver_name)
+    driver = getattr(experiments, entry.driver)
+    assert inspect.isfunction(driver) and driver.__name__ == entry.driver
     defaults = {key: default for key, (default, _) in entry.schema.items()}
     defaults.pop(entry.replicas, None)
     model = subexp.model_from_spec(E1)
-    inspect.signature(entry.driver).bind(model, **defaults)
+    inspect.signature(driver).bind(model, **defaults)
