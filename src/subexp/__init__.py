@@ -40,25 +40,20 @@ _EXPORTS = {
         ),
         "expectation": (
             "MomentReport",
-            "PositivePart",
             "PowerAbs",
             "choquet_integral",
-            "event_lower_capacity",
             "event_upper_capacity",
             "lower_expectation",
             "mean_interval",
             "truncated_expectation",
-            "upper_abs_excess",
             "upper_abs_survival",
             "upper_expectation",
-            "upper_second_truncated",
         ),
         "meanset": (
             "DirectionNet",
             "MeanSet",
             "build_direction_net",
             "build_mean_set",
-            "contains",
             "distance_to_mean_set",
             "support_function",
         ),
@@ -87,7 +82,6 @@ _EXPORTS = {
         "inequalities": (
             "BoundReport",
             "SeriesReport",
-            "borel_cantelli_diagnostic",
             "check_inequality",
             "choquet_series_test",
             "exponential_bound",
@@ -124,7 +118,7 @@ _EXPORTS = {
             "parse_config",
         ),
         "parallel": ("parallel_map",),
-        "runner": ("run", "run_config_file", "write_outputs"),
+        "runner": ("run", "write_outputs"),
     }.items()
     for name in names
 }

@@ -7,7 +7,6 @@ hold to accumulation error (1e-12), not to statistical tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

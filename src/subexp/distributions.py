@@ -99,17 +99,6 @@ class Event:
         # outside_closed
         return (x <= self.a) | (x >= self.b)
 
-    def describe(self) -> str:
-        k = self.kind
-        if k in ("between", "between_open"):
-            lo, hi = ("[", "]") if k == "between" else ("(", ")")
-            return f"X in {lo}{self.a}, {self.b}{hi}"
-        if k in ("outside", "outside_closed"):
-            return f"not ({Event(self._COMPLEMENTS[k], self.a, self.b).describe()})"
-        op = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}[k.removeprefix("abs_")]
-        var = "|X|" if k.startswith("abs_") else "X"
-        return f"{var} {op} {self.a}"
-
 
 class FiniteDiscrete:
     """Finitely supported law given by (value, weight) atoms.
@@ -148,10 +137,6 @@ class FiniteDiscrete:
         self._cumw[-1] = 1.0  # exact top end for searchsorted
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def point_mass(cls, value) -> "FiniteDiscrete":
-        return cls([(value, 1.0)])
 
     @classmethod
     def from_arrays(cls, values, weights) -> "FiniteDiscrete":
@@ -217,11 +202,6 @@ class FiniteDiscrete:
         self._require_dim1()
         return math.fsum((self._weights * np.minimum(self._values ** 2, c * c)).tolist())
 
-    def plus_excess(self, c: float) -> float:
-        """E[(|X| - c)^+]."""
-        self._require_dim1()
-        return math.fsum((self._weights * np.maximum(np.abs(self._values) - c, 0.0)).tolist())
-
     # -- probabilities --------------------------------------------------------
 
     def prob(self, event: Event) -> float:
@@ -243,22 +223,12 @@ class FiniteDiscrete:
 
     # -- derived laws ---------------------------------------------------------
 
-    def projected(self, p) -> "FiniteDiscrete":
-        """Law of <p, X>; collapses atoms that project to the same point."""
-        p = np.asarray(p, dtype=float)
-        proj = self._values @ p if self._values.ndim == 2 else self._values * float(p)
-        return FiniteDiscrete.from_arrays(proj, self._weights)
-
     def scaled(self, a: float) -> "FiniteDiscrete":
         return FiniteDiscrete.from_arrays(self._values * a, self._weights)
 
     def shifted(self, b: float) -> "FiniteDiscrete":
         self._require_dim1()
         return FiniteDiscrete.from_arrays(self._values + b, self._weights)
-
-    def truncated(self, c: float) -> "FiniteDiscrete":
-        self._require_dim1()
-        return FiniteDiscrete.from_arrays(np.clip(self._values, -c, c), self._weights)
 
     def _require_dim1(self) -> None:
         if self._values.ndim != 1:
@@ -359,15 +329,6 @@ class TwoSidedPareto:
         if a == 2.0:
             return s * s * (1.0 + 2.0 * math.log(c / s))
         return s * s + s ** a * (c ** (2.0 - a) - s ** (2.0 - a)) / (1.0 - a / 2.0)
-
-    def plus_excess(self, c: float) -> float:
-        """E[(|X| - c)^+] = integral of the absolute tail beyond c."""
-        s, a = self.scale, self.alpha
-        if a <= 1:
-            return math.inf
-        if c < s:
-            return (s - c) + s / (a - 1.0)
-        return s ** a * c ** (1.0 - a) / (a - 1.0)
 
     # -- numeric expectation of a general test function -----------------------
 

@@ -3,7 +3,7 @@
 The upper expectation is the maximum of member expectations; it is sublinear
 (monotone, constant preserving, sub-additive, positively homogeneous) and the
 lower expectation is its conjugate. Event capacities take the member-wise
-max/min of exact probabilities. Truncation limits give means for unbounded
+max of exact probabilities. Truncation limits give means for unbounded
 models, and the Choquet integral integrates the upper survival function.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,17 +20,13 @@ from .errors import NotConvergent, QuadratureNotConverged
 
 __all__ = [
     "MomentReport",
-    "PositivePart",
     "PowerAbs",
     "choquet_integral",
-    "event_lower_capacity",
     "event_upper_capacity",
     "lower_expectation",
     "mean_interval",
-    "upper_abs_excess",
     "upper_abs_survival",
     "upper_expectation",
-    "upper_second_truncated",
     "truncated_expectation",
 ]
 
@@ -63,11 +59,6 @@ def event_upper_capacity(amb: AmbiguitySet, event: Event) -> float:
     return max(m.prob(event) for m in amb.members)
 
 
-def event_lower_capacity(amb: AmbiguitySet, event: Event) -> float:
-    """1 - upper capacity of the complement = min member probability."""
-    return 1.0 - event_upper_capacity(amb, event.complement())
-
-
 def upper_abs_survival(amb: AmbiguitySet, x: float) -> float:
     """Upper capacity of {|X| >= x}."""
     return max(m.abs_survival(x) for m in amb.members)
@@ -81,16 +72,6 @@ def truncated_expectation(amb: AmbiguitySet, c: float, sign: int = +1) -> float:
         raise ValueError("sign must be +1 or -1")
     # (-c) \/ (-X) /\ c = -((-c) \/ X /\ c), so the clamp of -X is -clamp(X).
     return max(sign * m.truncated_mean(c) for m in amb.members)
-
-
-def upper_second_truncated(amb: AmbiguitySet, c: float) -> float:
-    """Upper expectation of X^2 /\\ c^2."""
-    return max(m.truncated_second(c) for m in amb.members)
-
-
-def upper_abs_excess(amb: AmbiguitySet, c: float) -> float:
-    """Upper expectation of (|X| - c)^+; +inf when a tail exponent is <= 1."""
-    return max(m.plus_excess(c) for m in amb.members)
 
 
 @dataclass(frozen=True)
@@ -181,22 +162,6 @@ class PowerAbs:
         return self.p >= member.alpha
 
 
-@dataclass(frozen=True)
-class PositivePart:
-    """Transform g(x) = max(x, 0)."""
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
-
-    def survival(self, member, t: float) -> float:
-        if t <= 0:
-            return 1.0
-        return member.prob(Event("ge", t))
-
-    def diverges_for(self, member: TwoSidedPareto) -> bool:
-        return member.right_mass > 0 and member.alpha <= 1.0
-
-
 def _upper_transform_survival(amb: AmbiguitySet, transform, t: float) -> float:
     return max(transform.survival(m, t) for m in amb.members)
 
@@ -204,8 +169,8 @@ def _upper_transform_survival(amb: AmbiguitySet, transform, t: float) -> float:
 def choquet_integral(amb: AmbiguitySet, transform, rtol: float = 1e-8) -> float:
     """Integral over t >= 0 of the upper capacity of {g(X) >= t}.
 
-    transform is PowerAbs, PositivePart, or (for finite-support sets only) a
-    plain nonnegative callable, in which case the integral is an exact finite
+    transform is PowerAbs or (for finite-support sets only) a plain
+    nonnegative callable, in which case the integral is an exact finite
     sum over the sorted distinct transform values. Pareto tails integrate by
     adaptive quadrature with a doubling upper limit; a tail exponent at or
     below the transform growth gives +inf.
@@ -213,8 +178,7 @@ def choquet_integral(amb: AmbiguitySet, transform, rtol: float = 1e-8) -> float:
     if amb.dim != 1:
         raise ValueError("choquet_integral is defined for dimension 1")
 
-    bare_callable = not isinstance(transform, (PowerAbs, PositivePart))
-    if bare_callable:
+    if not isinstance(transform, PowerAbs):
         if not amb.is_finite_support:
             raise ValueError(
                 "general callable transforms are supported for finite-support sets only"
@@ -270,8 +234,7 @@ def _quadrature_choquet(amb: AmbiguitySet, transform, rtol: float) -> float:
         if isinstance(m, FiniteDiscrete):
             points.update(float(g) for g in transform.apply(np.atleast_1d(m.values)))
         else:
-            edge = m.scale ** transform.p if isinstance(transform, PowerAbs) else m.scale
-            points.add(float(edge))
+            points.add(float(m.scale ** transform.p))
     points = sorted(p for p in points if p >= 0.0)
 
     total = 0.0

@@ -33,8 +33,8 @@ from .lattice_dp import TerminalEvent, TerminalSum, dp_value
 from .meanset import MeanSet, build_mean_set, distance_to_mean_set
 from .parallel import parallel_map
 from .sampler import (
-    BlockSchedule,
     Stationary,
+    alternating_schedule,
     extreme_members,
     hash_window,
     oscillation_schedule,
@@ -143,6 +143,8 @@ def _windows(amb: AmbiguitySet, strategies: Sequence, N: int, seed: int):
     as floats, shared by the strategies of the window), and rows from tail on
     lie past the burn-in. `_chain` turns x into running sums.
     """
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
     burn = _tail_slice(N)
     size = min(_WINDOW, N)
     u_member, u_value = np.empty(size), np.empty(size)
@@ -438,10 +440,7 @@ def run_marcinkiewicz(
             if e >= N:
                 break
             k += 1
-        hi, lo = extreme_members(amb)
-        nm = len(amb.members)
-        weights = tuple(pure_weights(nm, hi if j % 2 == 0 else lo) for j in range(len(ends)))
-        sched = BlockSchedule(tuple(ends), weights, label="p_oscillation")
+        sched = alternating_schedule(amb, ends, "p_oscillation")
         rows.append(
             Row(
                 "osc_scaled_sup",
@@ -687,16 +686,11 @@ def run_three_series(
         for name, v in verdicts.items()
     ]
 
-    hi, lo = extreme_members(amb)
     k = len(amb.members)
     strategies = [
         *_pure_extremes(amb),
         Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix"),
-        BlockSchedule(
-            tuple(range(100, N + 100, 100)),
-            tuple(pure_weights(k, hi if j % 2 == 0 else lo) for j in range((N + 99) // 100)),
-            label="alternating_100",
-        ),
+        alternating_schedule(amb, range(100, N + 100, 100), "alternating_100"),
     ]
 
     count_big = verdicts["S1"] != "convergent"  # implies not all_ok

@@ -15,19 +15,13 @@ import numpy as np
 
 from .distributions import AmbiguitySet, Event, TwoSidedPareto
 from .errors import MuNotAttainable
-from .expectation import (
-    choquet_integral,
-    upper_abs_excess,
-    upper_abs_survival,
-    PowerAbs,
-)
+from .expectation import choquet_integral, upper_abs_survival, PowerAbs
 from .lattice_dp import RunningMax, TerminalEvent, dp_value, lattice_model
 from .parallel import parallel_map
 
 __all__ = [
     "BoundReport",
     "SeriesReport",
-    "borel_cantelli_diagnostic",
     "check_inequality",
     "choquet_series_test",
     "exponential_bound",
@@ -42,22 +36,21 @@ _EXACT_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Exact (or estimated) capacity vs closed-form bound.
+    """Exact capacity vs closed-form bound.
 
     rhs stores the raw bound even when it exceeds 1; displayed_rhs caps it at
-    1 since capacities live in [0, 1]. ci_half_width is 0 for exact values;
-    n is the number of steps the capacity is taken over.
+    1 since capacities live in [0, 1]. n is the number of steps the capacity
+    is taken over.
     """
 
     lhs: float
     rhs: float
     context: str
-    ci_half_width: float = 0.0
     n: int = 0
     satisfied: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        ok = self.lhs <= self.rhs + self.ci_half_width + _EXACT_SLACK
+        ok = self.lhs <= self.rhs + _EXACT_SLACK
         object.__setattr__(self, "satisfied", bool(ok))
 
     @property
@@ -265,16 +258,13 @@ def _survival_curve(amb: AmbiguitySet, ts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """Partial-sum evidence for a capacity series plus moment asymptotics."""
+    """Partial-sum evidence for a capacity series and its Choquet moment."""
 
     verdict: str  # "convergent" or "divergent"
     partial_sum: float
-    tail_increment: float
     ratio_matched: bool
     choquet_value: float
     consistent: bool
-    excess_asymptotic: tuple  # (c, c^{p-1} * upper E[(|X|-c)^+]) pairs
-    context: str
 
 
 def choquet_series_test(
@@ -286,9 +276,7 @@ def choquet_series_test(
     the verdict comes from the tail integral int_{K/10}^inf V(|X| >= M t^{1/p}) dt:
     infinite tail means divergent. The observed increment S_K - S_{K/10} is
     compared with the same integral over [K/10, K]; a match within 10%
-    validates the numerics. Also tabulates the scaled truncated-moment decay
-    c^{p-1} E[(|X|-c)^+] on a doubling c grid, which vanishes when the
-    p-moment is finite.
+    validates the numerics.
     """
     if not (1.0 <= p < 2.0):
         raise ValueError("p must lie in [1, 2)")
@@ -330,50 +318,10 @@ def choquet_series_test(
     choquet_value = choquet_integral(amb, PowerAbs(p))
     consistent = (verdict == "convergent") == math.isfinite(choquet_value)
 
-    cs = [2.0 ** j for j in range(3, 11)]
-    excess = tuple((c, c ** (p - 1.0) * upper_abs_excess(amb, c)) for c in cs)
-
     return SeriesReport(
         verdict=verdict,
         partial_sum=s_full,
-        tail_increment=increment,
         ratio_matched=bool(ratio_matched),
         choquet_value=choquet_value,
         consistent=bool(consistent),
-        excess_asymptotic=excess,
-        context=f"series model={amb.label} p={p:g} M={M:g} K={K}",
-    )
-
-
-@dataclass(frozen=True)
-class BorelCantelliReport:
-    total: float
-    tail_sum: float
-    summable: bool
-    io_frequency: float
-    satisfied: bool | None  # None: series diverges, direct part says nothing
-
-
-def borel_cantelli_diagnostic(
-    capacity_series: Sequence[float], io_frequency: float
-) -> BorelCantelliReport:
-    """Direct Borel-Cantelli check: summable capacities force i.o. frequency 0.
-
-    Summability is judged numerically by the last-decade tail sum dropping
-    below 1e-6. A divergent series yields satisfied=None: the converse needs
-    independence structure this diagnostic does not assume.
-    """
-    caps = [float(c) for c in capacity_series]
-    if any(c < 0 or c > 1 for c in caps):
-        raise ValueError("capacities must lie in [0, 1]")
-    total = math.fsum(caps)
-    tail_sum = math.fsum(caps[(9 * len(caps)) // 10 :]) if caps else 0.0
-    summable = tail_sum < 1e-6
-    satisfied = (io_frequency == 0.0) if summable else None
-    return BorelCantelliReport(
-        total=total,
-        tail_sum=tail_sum,
-        summable=summable,
-        io_frequency=float(io_frequency),
-        satisfied=satisfied,
     )

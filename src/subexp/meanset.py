@@ -3,9 +3,8 @@
 For a finite ambiguity set the attainable long-run mean vectors form the
 convex hull of the member means, so the support function in direction p is
 simply the max of <p, member mean>. The set is represented purely by support
-values on a direction net; distance and membership queries follow from
-support-function duality, with a documented O(delta) net error for points
-outside the set.
+values on a direction net; distance queries follow from support-function
+duality, with a documented O(delta) net error for points outside the set.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "MeanSet",
     "build_direction_net",
     "build_mean_set",
-    "contains",
     "distance_to_mean_set",
     "support_function",
 ]
@@ -95,28 +93,6 @@ class MeanSet:
     dimension: int
     net: DirectionNet
     support_values: np.ndarray  # g(p) per net direction
-    label: str = ""
-
-    @property
-    def lower(self) -> float:
-        """Left endpoint in dimension 1."""
-        self._require_dim1()
-        return -self._value_at([-1.0])
-
-    @property
-    def upper(self) -> float:
-        """Right endpoint in dimension 1."""
-        self._require_dim1()
-        return self._value_at([1.0])
-
-    def _value_at(self, direction) -> float:
-        d = np.asarray(direction, dtype=float)
-        idx = int(np.argmax(self.net.directions @ d))
-        return float(self.support_values[idx])
-
-    def _require_dim1(self) -> None:
-        if self.dimension != 1:
-            raise ValueError("interval endpoints defined for dimension 1 only")
 
 
 def support_function(amb: AmbiguitySet, p) -> float:
@@ -146,7 +122,6 @@ def build_mean_set(amb: AmbiguitySet, delta: float = 0.05) -> MeanSet:
         dimension=amb.dim,
         net=net,
         support_values=values,
-        label=amb.label,
     )
 
 
@@ -163,10 +138,3 @@ def distance_to_mean_set(mean_set: MeanSet, y) -> float:
         raise ValueError("point must be finite")
     gaps = mean_set.net.directions @ y - mean_set.support_values
     return max(0.0, float(gaps.max()))
-
-
-def contains(mean_set: MeanSet, y, tol: float | None = None) -> bool:
-    """Membership test at tolerance tol (defaults to 10 * net delta)."""
-    if tol is None:
-        tol = 10.0 * mean_set.net.delta
-    return distance_to_mean_set(mean_set, y) <= tol

@@ -8,7 +8,7 @@ fine here: the heavy work is numpy, which releases the GIL.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 __all__ = ["parallel_map"]
 

@@ -23,11 +23,11 @@ import math
 import os
 import sys
 
-from .config import EXPERIMENT_TABLE, RunConfig, parse_config
+from .config import EXPERIMENT_TABLE, RunConfig
 from .errors import SubexpError
 from .experiments import ExperimentResult
 
-__all__ = ["run", "run_config_file", "write_outputs"]
+__all__ = ["run", "write_outputs"]
 
 _CSV_HEADER = "run_id,experiment,strategy,seed,n,statistic,value,tolerance,verdict"
 
@@ -141,11 +141,3 @@ def run(
         f"rows={len(result.rows)} {verdict} -> {out_dir}"
     )
     return 0 if result.passed else 1
-
-
-def run_config_file(
-    path: str, out: str | None = None, seed_override: int | None = None, jobs: int = 1
-) -> int:
-    with open(path) as fh:
-        text = fh.read()
-    return run(parse_config(text), out=out, seed_override=seed_override, jobs=jobs)

@@ -28,6 +28,7 @@ __all__ = [
     "Path",
     "Stationary",
     "TargetChasing",
+    "alternating_schedule",
     "extreme_members",
     "hash_window",
     "mixture_for_target",
@@ -182,8 +183,6 @@ class Path:
 
     n: int
     increments: np.ndarray  # (n,) or (n, d)
-    seed: int
-    strategy_label: str
     member_indices: np.ndarray  # (n,) int16
     _partial_sums: np.ndarray | None = field(default=None, repr=False)
 
@@ -268,6 +267,15 @@ def mixture_for_target(amb: AmbiguitySet, b) -> tuple:
     return tuple(float(x) for x in w)
 
 
+def alternating_schedule(amb: AmbiguitySet, ends: Sequence[int], label: str) -> BlockSchedule:
+    """Pure max-mean and min-mean blocks in turn over the given block ends,
+    the max-mean member first."""
+    hi, lo = extreme_members(amb)
+    k = len(amb.members)
+    weights = tuple(pure_weights(k, hi if j % 2 == 0 else lo) for j in range(len(ends)))
+    return BlockSchedule(tuple(ends), weights, label=label)
+
+
 def oscillation_schedule(
     amb: AmbiguitySet,
     K: int,
@@ -286,14 +294,11 @@ def oscillation_schedule(
         raise ValueError("need at least 2 blocks")
     if factor <= 1.0:
         raise ValueError("factor must exceed 1")
-    hi, lo = extreme_members(amb)
-    k = len(amb.members)
     ends = []
     for j in range(K):
         end = int(round(start * factor ** j))
         ends.append(max(end, (ends[-1] + 1) if ends else 1))
-    weights = tuple(pure_weights(k, hi if j % 2 == 0 else lo) for j in range(K))
-    return BlockSchedule(tuple(ends), weights, label="oscillation")
+    return alternating_schedule(amb, ends, "oscillation")
 
 
 def default_targets(amb: AmbiguitySet, m: int, mean_set: MeanSet | None = None) -> np.ndarray:
@@ -479,7 +484,5 @@ def sample_path(
     return Path(
         n=n - start,
         increments=increments,
-        seed=seed,
-        strategy_label=strategy.label,
         member_indices=member_idx,
     )

@@ -1,6 +1,6 @@
 """Atoms, events, and the two-sided Pareto family.
 
-The Pareto closed forms (truncated moments, excess, inverse CDF) are the
+The Pareto closed forms (truncated moments, inverse CDF) are the
 load-bearing part: everything downstream integrates against them, so they
 are checked here against direct quadrature oracles.
 """
@@ -90,8 +90,6 @@ def test_finite_truncations_and_excess():
     # truncation at c=1 clips atoms to [-1, 1]
     assert d.truncated_mean(1.0) == 0.25 * -1.0 + 0.25 * 0.0 + 0.5 * 1.0
     assert d.truncated_second(1.0) == 0.25 + 0.5
-    assert d.plus_excess(1.0) == 0.25 * 1.0 + 0.5 * 2.0
-    assert d.plus_excess(3.0) == 0.0
 
 
 def test_finite_icdf_staircase():
@@ -109,7 +107,7 @@ def test_finite_scaled_shifted():
 
 
 def test_point_mass_and_support_radius():
-    d = FiniteDiscrete.point_mass(2.5)
+    d = FiniteDiscrete.from_arrays([2.5], [1.0])
     assert d.mean() == 2.5
     assert d.support_radius == 2.5
 
@@ -175,12 +173,9 @@ def test_pareto_truncations_match_quadrature(alpha, q, c):
     ref_second = integrate.quad(lambda x: clip(x) ** 2 * signed_density(x), 1.0, np.inf)[0] + integrate.quad(
         lambda x: clip(x) ** 2 * signed_density(x), -np.inf, -1.0
     )[0]
-    # absolute excess integrates |X| over both tails, so the q split drops out
-    ref_excess = integrate.quad(lambda x: (x - c) * alpha * x ** (-alpha - 1.0), c, np.inf)[0]
 
     assert p.truncated_mean(c) == pytest.approx(ref_mean, rel=1e-8)
     assert p.truncated_second(c) == pytest.approx(ref_second, rel=1e-8)
-    assert p.plus_excess(c) == pytest.approx(ref_excess, rel=1e-8)
 
 
 def test_pareto_icdf_inverts_cdf():

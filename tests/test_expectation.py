@@ -17,19 +17,15 @@ from subexp import (
     Event,
     FiniteDiscrete,
     MomentReport,
-    PositivePart,
     PowerAbs,
     TwoSidedPareto,
     choquet_integral,
-    event_lower_capacity,
     event_upper_capacity,
     lower_expectation,
     mean_interval,
     truncated_expectation,
-    upper_abs_excess,
     upper_abs_survival,
     upper_expectation,
-    upper_second_truncated,
 )
 from subexp.axioms import random_ambiguity_set, random_max_affine
 from subexp.errors import NotConvergent
@@ -95,12 +91,6 @@ def test_moment_report_rejects_crossed_means():
 
 def test_event_capacities_coin(e1):
     assert event_upper_capacity(e1, Event("ge", 1.0)) == 0.75
-    assert event_lower_capacity(e1, Event("ge", 1.0)) == 0.5
-    # lower capacity of A = 1 - upper capacity of the complement
-    for ev in (Event("ge", 0.0), Event("abs_ge", 1.0), Event("between", -1.0, 0.0)):
-        assert event_lower_capacity(e1, ev) == pytest.approx(
-            1.0 - event_upper_capacity(e1, ev.complement()), abs=1e-15
-        )
 
 
 def test_sandwich_around_indicator(e1):
@@ -118,9 +108,6 @@ def test_sandwich_around_indicator(e1):
 def test_survival_and_excess_helpers(e1):
     assert upper_abs_survival(e1, 1.0) == 1.0
     assert upper_abs_survival(e1, 1.5) == 0.0
-    assert upper_abs_excess(e1, 0.5) == 0.5
-    assert upper_second_truncated(e1, 0.5) == 0.25
-    assert upper_second_truncated(e1, 2.0) == 1.0
 
 
 # ------------------------------------------------------- choquet integral
@@ -129,7 +116,6 @@ def test_survival_and_excess_helpers(e1):
 def test_choquet_integral_finite_support(e1):
     assert choquet_integral(e1, PowerAbs(1.0)) == pytest.approx(1.0, abs=1e-9)
     assert choquet_integral(e1, PowerAbs(2.0)) == pytest.approx(1.0, abs=1e-9)
-    assert choquet_integral(e1, PositivePart()) == pytest.approx(0.75, abs=1e-9)
 
 
 def test_choquet_integral_pareto_closed_value():

@@ -17,7 +17,6 @@ from subexp import (
     TwoSidedPareto,
     build_direction_net,
     build_mean_set,
-    contains,
     distance_to_mean_set,
     support_function,
 )
@@ -109,28 +108,19 @@ def test_support_function_pareto_tail_raises():
 
 def test_interval_mean_set_exact(e1):
     ms = build_mean_set(e1, delta=0.05)
-    assert ms.lower == 0.0
-    assert ms.upper == 0.5
     # dimension-1 nets carry both unit directions, so distances are exact
     assert distance_to_mean_set(ms, [0.25]) == 0.0
     assert distance_to_mean_set(ms, [0.75]) == pytest.approx(0.25, abs=1e-15)
     assert distance_to_mean_set(ms, [-1.0]) == pytest.approx(1.0, abs=1e-15)
-    assert contains(ms, [0.5])
-    assert not contains(ms, [2.0], tol=1e-9)
-
-
-def test_planar_endpoints_reject_interval_api(v2mix):
-    ms = build_mean_set(v2mix, delta=0.1)
-    with pytest.raises(ValueError):
-        _ = ms.lower
+    assert distance_to_mean_set(ms, [0.5]) == 0.0
+    assert distance_to_mean_set(ms, [2.0]) > 1e-9
 
 
 def test_planar_membership(v2mix):
     ms = build_mean_set(v2mix, delta=0.05)
     for y in ([1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.3, 0.7]):
-        assert contains(ms, y)
         assert distance_to_mean_set(ms, y) <= 1e-9
-    assert not contains(ms, [1.0, 1.0], tol=0.1)
+    assert distance_to_mean_set(ms, [1.0, 1.0]) > 0.1
 
 
 def test_planar_distance_probes_are_one_sided(v2mix):

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from subexp import parse_config, run, run_config_file
+from subexp import parse_config, run
 
 E1_MEMBERS = [
     {"kind": "finite", "atoms": [[-1.0, 0.5], [1.0, 0.5]]},
@@ -102,6 +102,15 @@ def test_weak_lln_n_below_one_exits_two(tmp_path, parameters, bad):
     assert f"got {bad}" in record["error"]["message"]
 
 
+@pytest.mark.parametrize("experiment, N", [("slln", 0), ("slln", -3), ("marcinkiewicz", 0)])
+def test_sampled_horizon_below_one_exits_two(tmp_path, capsys, experiment, N):
+    assert run_doc(config_doc(experiment, {"N": N}, seeds=[1]), tmp_path) == 2
+    message = f"N must be at least 1, got {N}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    record = json.loads((tmp_path / "results.json").read_text())
+    assert record["error"] == {"type": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_axioms_without_trials_exits_two(tmp_path, trials):
     assert run_doc(config_doc(parameters={"trials": trials}), tmp_path) == 2
@@ -147,14 +156,6 @@ def test_csv_byte_identical_across_parallelism(tmp_path):
     run_doc(doc, tmp_path / "j1", jobs=1)
     run_doc(doc, tmp_path / "j8", jobs=8)
     assert (tmp_path / "j1" / "results.csv").read_bytes() == (tmp_path / "j8" / "results.csv").read_bytes()
-
-
-def test_run_config_file_round_trip(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config_doc(parameters={"trials": 40})))
-    code = run_config_file(str(cfg_path), out=str(tmp_path / "out"))
-    assert code == 0
-    assert (tmp_path / "out" / "results.csv").exists()
 
 
 def test_resolved_config_written_even_on_failure(tmp_path):
