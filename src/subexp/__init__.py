@@ -20,7 +20,6 @@ _EXPORTS = {
             "AmbiguitySet",
             "Event",
             "FiniteDiscrete",
-            "TestFunction",
             "TwoSidedPareto",
         ),
         "errors": (

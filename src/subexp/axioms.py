@@ -8,10 +8,11 @@ hold to accumulation error (1e-12), not to statistical tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event, FiniteDiscrete, TestFunction
+from .distributions import AmbiguitySet, Event, FiniteDiscrete
 from .expectation import (
     PowerAbs,
     choquet_integral,
@@ -72,8 +73,8 @@ def random_ambiguity_set(
     return AmbiguitySet(tuple(members), label="random")
 
 
-def random_max_affine(rng: np.random.Generator, dim: int = 1) -> TestFunction:
-    """max of <=3 affine pieces; Lipschitz bound is the largest slope norm."""
+def random_max_affine(rng: np.random.Generator, dim: int = 1) -> Callable:
+    """max of <=3 affine pieces with random slopes and offsets."""
     pieces = int(rng.integers(1, 4))
     slopes = rng.normal(0.0, 1.5, size=(pieces, dim))
     offsets = rng.normal(0.0, 1.0, size=pieces)
@@ -89,12 +90,11 @@ def random_max_affine(rng: np.random.Generator, dim: int = 1) -> TestFunction:
         def evaluator(x, a=slopes, b=offsets):
             return float(np.max(a @ np.asarray(x, dtype=float) + b))
 
-    lip = float(np.max(np.linalg.norm(slopes, axis=1)))
-    return TestFunction(evaluator, lipschitz_bound=lip, name=f"max_affine_{pieces}")
+    return evaluator
 
 
-def _combine(f: TestFunction, g: TestFunction, op) -> TestFunction:
-    return TestFunction(lambda x: op(f(x), g(x)))
+def _combine(f: Callable, g: Callable, op) -> Callable:
+    return lambda x: op(f(x), g(x))
 
 
 def run_axiom_suite(trials: int = 1000, seed: int = 20240) -> AxiomSuiteReport:
@@ -135,7 +135,7 @@ def run_axiom_suite(trials: int = 1000, seed: int = 20240) -> AxiomSuiteReport:
 
         # (b) constant preserving
         c = float(rng.normal(0.0, 5.0))
-        record("constant_preserving", abs(upper_expectation(amb, TestFunction(lambda x: c)) - c))
+        record("constant_preserving", abs(upper_expectation(amb, lambda x: c) - c))
 
         # (c) sub-additivity
         e_sum = upper_expectation(amb, _combine(f, g, lambda u, v: u + v))
@@ -143,19 +143,19 @@ def run_axiom_suite(trials: int = 1000, seed: int = 20240) -> AxiomSuiteReport:
 
         # (d) positive homogeneity
         lam = float(rng.uniform(0.0, 3.0))
-        e_scaled = upper_expectation(amb, TestFunction(lambda x: lam * f(x)))
+        e_scaled = upper_expectation(amb, lambda x: lam * f(x))
         record("positive_homogeneity", abs(e_scaled - lam * ef) / max(1.0, lam * abs(ef)))
 
         # conjugate: lower = -upper(-f) and lower <= upper
         lf = lower_expectation(amb, f)
-        neg = upper_expectation(amb, TestFunction(lambda x: -f(x)))
+        neg = upper_expectation(amb, lambda x: -f(x))
         record("conjugacy", max(abs(lf + neg), lf - ef))
 
         # sandwich around a half-line event
         a = float(rng.normal(0.0, 2.0))
         w = float(rng.uniform(0.1, 1.0))
-        under = TestFunction(lambda x: min(1.0, max(0.0, (float(x) - a) / w)))
-        over = TestFunction(lambda x: min(1.0, max(0.0, (float(x) - a) / w + 1.0)))
+        under = lambda x: min(1.0, max(0.0, (float(x) - a) / w))
+        over = lambda x: min(1.0, max(0.0, (float(x) - a) / w + 1.0))
         cap = event_upper_capacity(amb, Event("ge", a))
         record(
             "sandwich",

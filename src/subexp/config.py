@@ -42,6 +42,7 @@ __all__ = [
     "EXPERIMENT_TABLE",
     "Experiment",
     "RunConfig",
+    "check_seed",
     "member_to_spec",
     "model_from_spec",
     "model_to_spec",
@@ -79,6 +80,12 @@ def _list_of(item: Callable, noun: str) -> Callable:
 _num_list = _list_of(_num, "numbers")
 _int_list = _list_of(_int, "integers")
 _str_list = _list_of(_str, "strings")
+
+
+def check_seed(x: int, path: str) -> None:
+    """Reject a seed outside [0, 2^64), the range of the sampler's counter hash."""
+    if not 0 <= x < 2 ** 64:
+        raise SchemaError(f"{path}: seed {x} outside [0, 2^64)")
 
 
 def _optional_num(x: Any, path: str):
@@ -304,8 +311,7 @@ def parse_config(text: str) -> RunConfig:
     seeds_raw = raw.get("seeds", [1, 2, 3])
     seeds = tuple(_int_list(seeds_raw, "seeds"))
     for i, s in enumerate(seeds):
-        if not (0 <= s < 2 ** 64):
-            raise SchemaError(f"seeds[{i}]: seed {s} outside [0, 2^64)")
+        check_seed(s, f"seeds[{i}]")
 
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):

@@ -21,7 +21,6 @@ __all__ = [
     "AmbiguitySet",
     "Event",
     "FiniteDiscrete",
-    "TestFunction",
     "TwoSidedPareto",
 ]
 
@@ -223,9 +222,6 @@ class FiniteDiscrete:
 
     # -- derived laws ---------------------------------------------------------
 
-    def scaled(self, a: float) -> "FiniteDiscrete":
-        return FiniteDiscrete.from_arrays(self._values * a, self._weights)
-
     def shifted(self, b: float) -> "FiniteDiscrete":
         self._require_dim1()
         return FiniteDiscrete.from_arrays(self._values + b, self._weights)
@@ -367,15 +363,6 @@ class TwoSidedPareto:
             f"test function not integrable against Pareto(alpha={a}, scale={s})"
         )
 
-    # -- derived laws ---------------------------------------------------------
-
-    def scaled(self, a: float) -> "TwoSidedPareto":
-        """Law of a*X; a < 0 mirrors the sign masses, a = 0 is rejected."""
-        if a == 0.0:
-            raise ValueError("zero scaling collapses the law to a point mass")
-        rm = self.right_mass if a > 0 else 1.0 - self.right_mass
-        return TwoSidedPareto(self.alpha, abs(a) * self.scale, rm)
-
     # -- sampling -------------------------------------------------------------
 
     def icdf(self, u: np.ndarray) -> np.ndarray:
@@ -443,16 +430,3 @@ class AmbiguitySet:
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"AmbiguitySet({len(self.members)} members, d={self.dim}{tag})"
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Callable with declared Lipschitz and sup bounds (inf when unbounded)."""
-
-    evaluator: Callable
-    lipschitz_bound: float = math.inf
-    sup_bound: float = math.inf
-    name: str = ""
-
-    def __call__(self, x):
-        return self.evaluator(x)

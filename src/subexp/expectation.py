@@ -3,8 +3,10 @@
 The upper expectation is the maximum of member expectations; it is sublinear
 (monotone, constant preserving, sub-additive, positively homogeneous) and the
 lower expectation is its conjugate. Event capacities take the member-wise
-max of exact probabilities. Truncation limits give means for unbounded
-models, and the Choquet integral integrates the upper survival function.
+max of exact probabilities. The upper and lower means come from each
+member's closed-form mean; truncated_expectation keeps the truncation
+definition they are the limit of. The Choquet integral integrates the upper
+survival function.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event, FiniteDiscrete, TestFunction, TwoSidedPareto
-from .errors import NotConvergent, QuadratureNotConverged
+from .distributions import AmbiguitySet, Event, FiniteDiscrete, TwoSidedPareto
+from .errors import QuadratureNotConverged
 
 __all__ = [
     "MomentReport",
@@ -34,24 +36,18 @@ _DIVERGENCE_CAP = 1e12
 _MAX_DOUBLINGS = 200
 
 
-def _call(f) -> Callable:
-    return f.evaluator if isinstance(f, TestFunction) else f
-
-
 def upper_expectation(amb: AmbiguitySet, f) -> float:
     """Max over members of the member's linear expectation of f.
 
     Exact weighted sums for finite members; doubling-cutoff quadrature for
     Pareto members (NonIntegrable when f grows at or above the tail exponent).
     """
-    fn = _call(f)
-    return max(m.expectation(fn) for m in amb.members)
+    return max(m.expectation(f) for m in amb.members)
 
 
 def lower_expectation(amb: AmbiguitySet, f) -> float:
     """Conjugate value -upper(-f), i.e. the minimum member expectation."""
-    fn = _call(f)
-    return -upper_expectation(amb, lambda x: -fn(x))
+    return -upper_expectation(amb, lambda x: -f(x))
 
 
 def event_upper_capacity(amb: AmbiguitySet, event: Event) -> float:
@@ -76,13 +72,11 @@ def truncated_expectation(amb: AmbiguitySet, c: float, sign: int = +1) -> float:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Truncation-limit means and the upper second moment of a 1-d model."""
+    """Upper and lower means and the upper second moment of a 1-d model."""
 
     upper_mean: float
     lower_mean: float
     upper_second: float
-    truncation_used: float
-    converged: bool
 
     def __post_init__(self) -> None:
         if self.lower_mean > self.upper_mean + 1e-9:
@@ -91,46 +85,22 @@ class MomentReport:
             )
 
 
-def mean_interval(amb: AmbiguitySet, tol: float = 1e-12) -> MomentReport:
-    """Compute the limiting upper and lower means by doubling the truncation level.
+def mean_interval(amb: AmbiguitySet) -> MomentReport:
+    """The largest and smallest member means and the largest second moment.
 
-    For finite-support members the first level at or above the support radius
-    is already exact. A Pareto member with alpha <= 1 has no mean and raises
-    NotConvergent rather than returning a junk number.
+    These are the truncation limits lim_c of truncated_expectation for the
+    two signs: each member's clamp at c tends to its mean, and a finite
+    family takes the max of the limits. A Pareto member with alpha <= 1 has
+    no mean and raises NotConvergent; one with alpha <= 2 gives an infinite
+    second moment.
     """
     if amb.dim != 1:
         raise ValueError("mean_interval is defined for dimension 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if amb.heaviest_alpha() <= 1.0:
-        raise NotConvergent(
-            f"member with tail exponent {amb.heaviest_alpha()} <= 1 has no mean"
-        )
-
-    c = max(1.0, amb.support_radius())
-    upper = truncated_expectation(amb, c, +1)
-    lower = -truncated_expectation(amb, c, -1)
-    converged = False
-    for _ in range(_MAX_DOUBLINGS):
-        c2 = 2.0 * c
-        upper2 = truncated_expectation(amb, c2, +1)
-        lower2 = -truncated_expectation(amb, c2, -1)
-        if abs(upper2 - upper) < tol and abs(lower2 - lower) < tol:
-            upper, lower, c = upper2, lower2, c2
-            converged = True
-            break
-        upper, lower, c = upper2, lower2, c2
-
-    if amb.heaviest_alpha() <= 2.0:
-        second = math.inf
-    else:
-        second = max(m.second_moment() for m in amb.members)
+    means = amb.member_means()
     return MomentReport(
-        upper_mean=upper,
-        lower_mean=lower,
-        upper_second=second,
-        truncation_used=c,
-        converged=converged,
+        upper_mean=float(means.max()),
+        lower_mean=float(means.min()),
+        upper_second=max(m.second_moment() for m in amb.members),
     )
 
 
@@ -183,8 +153,7 @@ def choquet_integral(amb: AmbiguitySet, transform, rtol: float = 1e-8) -> float:
             raise ValueError(
                 "general callable transforms are supported for finite-support sets only"
             )
-        fn = _call(transform)
-        return _finite_choquet(amb, lambda v: np.asarray([float(fn(x)) for x in v]))
+        return _finite_choquet(amb, lambda v: np.asarray([float(transform(x)) for x in v]))
 
     if amb.is_finite_support:
         return _finite_choquet(amb, transform.apply)

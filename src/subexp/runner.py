@@ -23,7 +23,7 @@ import math
 import os
 import sys
 
-from .config import EXPERIMENT_TABLE, RunConfig
+from .config import EXPERIMENT_TABLE, RunConfig, check_seed
 from .errors import SubexpError
 from .experiments import ExperimentResult
 
@@ -120,6 +120,7 @@ def run(
 ) -> int:
     """Execute the configured experiment; exit 0 iff every verdict passed."""
     if seed_override is not None:
+        check_seed(seed_override, "--seed-override")
         config = dataclasses.replace(config, seeds=(seed_override,))
     out_dir = out if out is not None else config.output_dir
     resolved = config.resolved()

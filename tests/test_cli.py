@@ -65,6 +65,24 @@ def test_run_seed_override_flag(tmp_path):
     assert resolved["seeds"] == [9]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_run_seed_override_outside_the_hash_range_exits_two(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    code = main(["run", write_cfg(tmp_path, E1_DOC), "--seed-override", seed, "--out", str(out)])
+    assert code == 2
+    assert f"error: --seed-override: seed {seed} outside [0, 2^64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_three_series_with_a_nonpositive_level_exits_two(tmp_path, capsys, c):
+    doc = dict(E1_DOC, experiment="three_series", parameters={"N": 2000, "N0": 200, "c": c})
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "error: c: the truncation level must be positive" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_run_jobs_flag_preserves_bytes(tmp_path):
     doc = dict(E1_DOC, experiment="inequality_grid",
                parameters={"ns": [4, 8], "xs": [1.0, 2.0], "whichs": ["kolmogorov_upper"]})

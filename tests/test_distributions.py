@@ -99,11 +99,9 @@ def test_finite_icdf_staircase():
     assert list(out) == [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0]
 
 
-def test_finite_scaled_shifted():
+def test_finite_shifted():
     d = FiniteDiscrete.from_arrays([-1.0, 2.0], [0.5, 0.5])
-    assert list(d.scaled(2.0).values) == [-2.0, 4.0]
     assert list(d.shifted(1.0).values) == [0.0, 3.0]
-    assert d.scaled(-1.0).mean() == -d.mean()
 
 
 def test_point_mass_and_support_radius():
@@ -191,16 +189,6 @@ def test_pareto_icdf_extreme_u_is_finite():
     p = TwoSidedPareto(1.2, 1.0, 0.5)
     x = p.icdf(np.array([0.0, 1.0]))
     assert np.all(np.isfinite(x))
-
-
-def test_pareto_scaled_mirrors_and_rejects_zero():
-    p = TwoSidedPareto(1.5, 1.0, 0.75)
-    m = p.scaled(-2.0)
-    assert m.scale == 2.0
-    assert m.mean() == pytest.approx(-2.0 * p.mean())
-    assert p.scaled(3.0).abs_mean() == pytest.approx(9.0)
-    with pytest.raises(ValueError):
-        p.scaled(0.0)
 
 
 def test_pareto_expectation_against_quadrature():

@@ -14,6 +14,7 @@ import pytest
 
 from subexp import (
     AmbiguitySet,
+    Event,
     FiniteDiscrete,
     Row,
     TwoSidedPareto,
@@ -143,6 +144,51 @@ def test_three_series_convergent_and_control(e1):
     wander = [r for r in ctrl.rows if r.statistic == "tail_fluctuation"]
     assert wander
     assert max(r.value for r in wander) > 0.01  # the sampled paths do not settle
+
+
+def _scaled_series_terms(amb, a_n, c):
+    """Oracle: S1-S3 terms from the laws of a X, built member by member."""
+    def scaled(m, a):
+        if isinstance(m, TwoSidedPareto):
+            return TwoSidedPareto(m.alpha, a * m.scale, m.right_mass)
+        return FiniteDiscrete.from_arrays(m.values * a, m.weights)
+
+    terms = []
+    for a in a_n.tolist():
+        laws = [scaled(m, a) for m in amb.members]
+        tu = max(m.truncated_mean(c) for m in laws)
+        terms.append((
+            max(m.prob(Event("abs_gt", c)) for m in laws),
+            tu,
+            min(m.truncated_mean(c) for m in laws),
+            max(m.truncated_second(c) - 2.0 * tu * m.truncated_mean(c) + tu * tu for m in laws),
+        ))
+    return tuple(np.array(column) for column in zip(*terms))
+
+
+@pytest.mark.parametrize("q", [0.8, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("model", ["E1", "mix"])
+def test_series_terms_match_the_explicitly_scaled_laws(model, q):
+    amb = make_e1() if model == "E1" else AmbiguitySet((
+        TwoSidedPareto(1.5, 1.0, 0.75),
+        FiniteDiscrete.from_arrays([-1.0, 0.5, 2.0], [0.3, 0.4, 0.3]),
+    ))
+    a_n = np.arange(1, 2001, dtype=float) ** -q
+    got = experiments._series_terms(amb, a_n, 1.0)
+    want = _scaled_series_terms(amb, a_n, 1.0)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+    def verdicts(s1, s2_upper, s2_lower, s3):
+        return [experiments._series_verdict(x) for x in (s1, abs(s2_upper), abs(s2_lower), s3)]
+
+    assert verdicts(*got) == verdicts(*want)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_three_series_rejects_a_nonpositive_level(e1, c):
+    with pytest.raises(ValueError, match="truncation level must be positive"):
+        run_three_series(e1, c=c, N=2000, N0=200)
 
 
 def test_cluster_set_loose_horizon():
