@@ -26,7 +26,8 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 
-# Smallest uniform fed to inverse CDFs; keeps heavy-tail draws finite.
+# Smallest uniform fed to inverse CDFs; bounds a Pareto draw by
+# scale * 2^(64/alpha), which is finite for alpha above about 1/16.
 _U_FLOOR = 2.0 ** -64
 
 
@@ -366,17 +367,25 @@ class TwoSidedPareto:
     # -- sampling -------------------------------------------------------------
 
     def icdf(self, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF for u in [0, 1): -s (left/u)^(1/alpha) below left = 1 - r,
+        s (r/(1-u))^(1/alpha) from there, with u and 1 - u floored at 2^-64.
+
+        A quantile beyond the largest float (small alpha at extreme u) is -inf
+        or +inf, without an overflow warning; a verdict on such a value raises
+        NonFiniteVerdict.
+        """
         u = np.maximum(np.asarray(u, dtype=float), _U_FLOOR)
         r, s, a = self.right_mass, self.scale, self.alpha
         left = 1.0 - r
         out = np.empty_like(u)
         neg = u < left
-        if neg.any():
-            out[neg] = -s * (left / u[neg]) ** (1.0 / a)
         pos = ~neg
-        if pos.any():
-            tail = np.maximum(1.0 - u[pos], _U_FLOOR)
-            out[pos] = s * (r / tail) ** (1.0 / a)
+        with np.errstate(over="ignore"):
+            if neg.any():
+                out[neg] = -s * (left / u[neg]) ** (1.0 / a)
+            if pos.any():
+                tail = np.maximum(1.0 - u[pos], _U_FLOOR)
+                out[pos] = s * (r / tail) ** (1.0 / a)
         return out
 
     def __repr__(self) -> str:

@@ -9,9 +9,12 @@ order, which does not depend on the parallelism level, so repeated runs
 produce byte-identical CSV files.
 
 Each file is written to a temporary file in the output directory and moved
-into place, so a crash never leaves a half-written file. A run that fails
-writes resolved_config.json and an error record as results.json, and
-removes any results.csv an earlier run left there.
+into place, so a crash never leaves a half-written file. results.csv is the
+commit marker: a run removes any earlier results.csv before it replaces the
+other two files and writes its own last, so a results.csv that exists
+belongs to the run that resolved_config.json describes. A run that fails
+writes resolved_config.json and an error record as results.json, and leaves
+no results.csv.
 """
 
 from __future__ import annotations
@@ -65,8 +68,13 @@ def _dump_json(obj: dict, path: str, **kw) -> None:
 
 
 def _write_resolved(resolved: dict, out_dir: str) -> str:
-    """Write resolved_config.json and return the run id."""
+    """Remove any earlier results.csv, write resolved_config.json and return
+    the run id."""
     os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.remove(os.path.join(out_dir, "results.csv"))
+    except FileNotFoundError:
+        pass
     _dump_json(resolved, os.path.join(out_dir, "resolved_config.json"), sort_keys=True)
     return _run_id(resolved)
 
@@ -104,10 +112,6 @@ def write_outputs(result: ExperimentResult, resolved: dict, out_dir: str) -> str
 def _write_failure(exc: Exception, resolved: dict, out_dir: str) -> None:
     """Error record in place of the results; no results.csv survives it."""
     run_id = _write_resolved(resolved, out_dir)
-    try:
-        os.remove(os.path.join(out_dir, "results.csv"))
-    except FileNotFoundError:
-        pass
     record = {"run_id": run_id, "error": {"type": type(exc).__name__, "message": str(exc)}}
     _dump_json(record, os.path.join(out_dir, "results.json"))
 

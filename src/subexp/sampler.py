@@ -159,7 +159,6 @@ class TargetChasing:
 
     targets: tuple
     plan: BlockSchedule
-    target_index_per_block: tuple
     label: str = "target_chasing"
 
     @property
@@ -237,24 +236,58 @@ def stationary_for_target(amb: AmbiguitySet, b: float) -> Stationary:
     return Stationary(tuple(w), label=f"target={b:g}")
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0 by Lawson and Hanson's active-set method.
+
+    The column with the largest gradient joins the passive set P and x_P is
+    solved by least squares. While that solution s has a negative entry, x
+    moves towards s only until its first entry reaches 0, that entry leaves
+    P, and P is solved again. At most 3n outer iterations (Lawson & Hanson
+    1995, ch. 23); the caller checks the residual, so a solve cut short
+    cannot pass unnoticed.
+    """
+    n = a.shape[1]
+    tol = 10.0 * max(a.shape) * np.finfo(float).eps
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        grad = a.T @ (b - a @ x)
+        grad[passive] = -np.inf
+        if grad.max() <= tol:
+            break
+        passive[np.argmax(grad)] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            neg = passive & (s < 0)
+            if not neg.any():
+                break
+            step = np.full(n, np.inf)
+            step[neg] = x[neg] / (x[neg] - s[neg])
+            j = int(np.argmin(step))
+            x += step[j] * (s - x)
+            x[j] = 0.0
+            passive &= x > tol
+        x = s
+    return x
+
+
 def mixture_for_target(amb: AmbiguitySet, b) -> tuple:
     """Member weights whose mean vector equals b.
 
-    Solved as a nonnegative least-squares problem over member means with an
-    appended sum-to-one row; a residual above 1e-9 means b is not in the
-    convex hull of member means and raises TargetOutsideM.
+    Solved as a nonnegative least-squares problem (`_nnls`) over member means
+    with an appended sum-to-one row; a residual above 1e-9 means b is not in
+    the convex hull of member means and raises TargetOutsideM.
     """
     b = np.atleast_1d(np.asarray(b, dtype=float))
     means = np.atleast_2d(amb.member_means().reshape(len(amb.members), -1))
     if b.shape != (means.shape[1],):
         raise ValueError(f"target has shape {b.shape}, expected ({means.shape[1]},)")
 
-    from scipy.optimize import nnls
-
     penalty = 100.0 * max(1.0, float(np.abs(means).max()))
     a_mat = np.vstack([means.T, penalty * np.ones((1, len(amb.members)))])
     rhs = np.concatenate([b, [penalty]])
-    w, _ = nnls(a_mat, rhs)
+    w = _nnls(a_mat, rhs)
     total = w.sum()
     if total <= 0:
         raise TargetOutsideM(f"target {b.tolist()} not attainable")
@@ -401,7 +434,6 @@ def target_chasing_schedule(
         ends[-1] = horizon
 
     weights = []
-    indices = []
     for j in range(blocks):
         idx = j % m
         b = targets[idx] if targets.ndim > 1 else float(targets[idx])
@@ -409,13 +441,11 @@ def target_chasing_schedule(
             weights.append(stationary_for_target(amb, b).weights)
         else:
             weights.append(mixture_for_target(amb, b))
-        indices.append(idx)
 
     plan = BlockSchedule(tuple(ends), tuple(weights), label="target_chasing")
     return TargetChasing(
         targets=tuple(map(tuple, targets)) if targets.ndim > 1 else tuple(targets.tolist()),
         plan=plan,
-        target_index_per_block=tuple(indices),
     )
 
 

@@ -6,6 +6,7 @@ are checked here against direct quadrature oracles.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,31 @@ def test_pareto_icdf_extreme_u_is_finite():
     p = TwoSidedPareto(1.2, 1.0, 0.5)
     x = p.icdf(np.array([0.0, 1.0]))
     assert np.all(np.isfinite(x))
+
+
+_EDGE_U = (0.0, 2.0 ** -53, 1.0 - 2.0 ** -53)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.floats(0.05, 4.0),
+    scale=st.floats(1.0, 100.0),
+    right_mass=st.floats(0.0, 1.0),
+    u=st.sampled_from(_EDGE_U) | st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_pareto_icdf_overflows_to_signed_inf_quietly(alpha, scale, right_mass, u):
+    p = TwoSidedPareto(alpha, scale, right_mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = float(p.icdf(np.array([u]))[0])
+    left = 1.0 - right_mass
+    negative = u < left
+    # s * (r/t)^(1/alpha) in log space, with t the floored u or 1 - u.
+    r, t = (left, max(u, 2.0 ** -64)) if negative else (right_mass, max(1.0 - u, 2.0 ** -64))
+    log_size = math.log(scale) + (math.log(r) - math.log(t)) / alpha
+    if abs(log_size - math.log(np.finfo(float).max)) > 1e-9:  # clear of rounding at the edge
+        assert math.isfinite(x) == (log_size < math.log(np.finfo(float).max))
+    assert (x < 0) if negative else (x > 0)
 
 
 def test_pareto_expectation_against_quadrature():

@@ -14,7 +14,7 @@ import pytest
 import subexp
 from subexp import cli
 from subexp.config import EXPERIMENT_TABLE, EXPERIMENTS
-from test_golden import GOLDEN
+from test_golden import GOLDEN, V2MIX
 
 # Every public name of the package, by home module.
 EXPORTS = {
@@ -74,6 +74,32 @@ def test_parsing_loads_only_the_schema_layer():
                           capture_output=True, text=True, timeout=120, check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded == ["subexp", "subexp.config", "subexp.distributions", "subexp.errors"]
+
+
+# Runs the configs read from stdin in a fresh interpreter, then prints the
+# scipy modules loaded.
+_RUN = (
+    "import io, json, sys, tempfile; sys.path.insert(0, sys.argv[1]); import subexp\n"
+    "sys.stdout = io.StringIO()\n"
+    "for doc in json.load(sys.stdin):\n"
+    "    subexp.run(subexp.parse_config(json.dumps(doc)), out=tempfile.mkdtemp(dir=sys.argv[2]))\n"
+    "sys.stdout = sys.__stdout__\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+)
+
+
+def test_planar_sampled_runs_never_load_scipy_optimize(tmp_path):
+    docs = [
+        {"model": V2MIX, "experiment": "cluster_set", "parameters": {"N": 20_000}, "seeds": [1]},
+        {"model": V2MIX, "experiment": "weak_lln",
+         "parameters": {"mode": "mc", "ns": [16], "mc_replicas": 6}},
+    ]
+    src = str(Path(subexp.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _RUN, src, str(tmp_path)],
+                          input=json.dumps(docs), capture_output=True, text=True, timeout=120,
+                          check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.optimize" not in loaded
 
 
 def test_all_lists_exactly_the_exported_names():

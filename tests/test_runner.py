@@ -235,3 +235,34 @@ def test_non_finite_verdict_exits_two_and_names_the_row(tmp_path, monkeypatch):
     assert record["error"]["type"] == "NonFiniteVerdict"
     assert "'monotone'" in record["error"]["message"]
     assert "seed 20240" in record["error"]["message"]
+
+
+@pytest.mark.parametrize("second", ["other_seed", "failing"])
+def test_crash_mid_write_leaves_no_foreign_results_csv(tmp_path, monkeypatch, second):
+    import subexp.runner as runner
+
+    assert run_doc(config_doc("slln", {"N": 2000}, seeds=[1]), tmp_path) == 1
+    first_run_id = json.loads((tmp_path / "results.json").read_text())["run_id"]
+    replace = runner._replace_file
+
+    def crash_on_results_json(path, text):
+        if os.path.basename(path) == "results.json":
+            raise OSError("disk full")
+        replace(path, text)
+
+    monkeypatch.setattr(runner, "_replace_file", crash_on_results_json)
+    if second == "other_seed":
+        doc = config_doc("slln", {"N": 2000}, seeds=[2])
+    else:
+        pareto = {"kind": "pareto", "alpha": 0.8, "scale": 1.0, "right_mass": 0.5}
+        doc = config_doc("slln", {"N": 2000}, model={"label": "p08", "members": [pareto]})
+    with pytest.raises(OSError, match="disk full"):
+        run_doc(doc, tmp_path)
+    # The crash left the second run's config beside the first run's results.json;
+    # a results.csv, the commit marker, may only belong to the config beside it.
+    resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert runner._run_id(resolved) != first_run_id
+    csv = tmp_path / "results.csv"
+    if csv.exists():
+        run_ids = {line.split(",")[0] for line in csv.read_text().splitlines()[1:]}
+        assert run_ids == {runner._run_id(resolved)}

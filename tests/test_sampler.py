@@ -113,6 +113,63 @@ def test_mixture_for_target_outside_hull(v2mix):
         mixture_for_target(v2mix, [0.8, 0.8])
 
 
+def _dirac_set(means) -> AmbiguitySet:
+    return AmbiguitySet([FiniteDiscrete.from_arrays([m], [1.0]) for m in means])
+
+
+def _random_means(rng, d: int) -> np.ndarray:
+    """Member means on a coarse grid, with a duplicate and a midpoint as in V2mix;
+    every third set lies on one line."""
+    if rng.integers(3) == 0:
+        steps = rng.uniform(0, 1, (rng.integers(2, 5), 1))
+        base = rng.uniform(-2, 2, (1, d)) + steps * rng.uniform(-1, 1, d)
+    else:
+        base = np.round(rng.uniform(-2, 2, (rng.integers(2, 6), d)) * 4) / 4
+    i, j = rng.choice(len(base), 2, replace=False)
+    return np.vstack([base, base[i], (base[i] + base[j]) / 2])[rng.permutation(len(base) + 2)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mixture_for_target_attains_hull_points(d):
+    rng = np.random.default_rng(d)
+    for _ in range(60):
+        means = _random_means(rng, d)
+        target = rng.dirichlet(np.full(len(means), 0.5)) @ means
+        w = np.asarray(mixture_for_target(_dirac_set(means), target))
+        assert w.min() >= 0.0
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.linalg.norm(w @ means - target) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mixture_for_target_rejects_points_outside_the_hull(d):
+    rng = np.random.default_rng(10 + d)
+    for _ in range(60):
+        means = _random_means(rng, d)
+        # A point 0.1 beyond the hull's supporting plane in a random direction.
+        p = rng.normal(size=d)
+        p /= np.linalg.norm(p)
+        target = means[np.argmax(means @ p)] + 0.1 * p
+        with pytest.raises(TargetOutsideM):
+            mixture_for_target(_dirac_set(means), target)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mixture_for_target_matches_scipy_nnls_on_simplices(d):
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(20 + d)
+    for _ in range(60):
+        # At most d + 1 affinely independent means: the weights are unique.
+        means = rng.uniform(-2, 2, (rng.integers(2, d + 2), d))
+        target = rng.dirichlet(np.ones(len(means))) @ means
+        penalty = 100.0 * max(1.0, float(np.abs(means).max()))
+        ref, _ = nnls(np.vstack([means.T, np.full((1, len(means)), penalty)]),
+                      np.append(target, penalty))
+        w = mixture_for_target(_dirac_set(means), target)
+        assert np.abs(np.asarray(w) - ref / ref.sum()).max() <= 1e-9
+
+
 # ----------------------------------------------------------------- schedules
 
 
@@ -152,8 +209,12 @@ def test_target_chasing_visits_every_target(v2mix):
     ms = build_mean_set(v2mix, delta=0.05)
     chase = target_chasing_schedule(v2mix, m=5, horizon=100_000, mean_set=ms)
     assert len(chase.targets) == 5
-    seen = set(chase.target_index_per_block)
-    assert seen == set(range(5))
+    # Block j chases target j mod 5, and its weights attain that target.
+    means = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    weights = chase.plan.weights_per_block
+    assert len(weights) == 5
+    for j, w in enumerate(weights):
+        assert np.abs(np.asarray(w) @ means - chase.targets[j % 5]).max() <= 1e-9
     assert chase.visit_ends[-1] <= 100_000
     # plan ends strictly increase
     assert all(b > a for a, b in zip(chase.plan.ends, chase.plan.ends[1:]))
