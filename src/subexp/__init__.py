@@ -39,7 +39,6 @@ _EXPORTS = {
         ),
         "expectation": (
             "MomentReport",
-            "PowerAbs",
             "choquet_integral",
             "event_upper_capacity",
             "lower_expectation",
@@ -60,7 +59,6 @@ _EXPORTS = {
             "BlockSchedule",
             "Path",
             "Stationary",
-            "TargetChasing",
             "mixture_for_target",
             "oscillation_schedule",
             "sample_path",

@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event, FiniteDiscrete, TwoSidedPareto
+from .distributions import AmbiguitySet, Event, FiniteDiscrete
 from .errors import QuadratureNotConverged
 
 __all__ = [
     "MomentReport",
-    "PowerAbs",
     "choquet_integral",
     "event_upper_capacity",
     "lower_expectation",
@@ -34,6 +32,7 @@ __all__ = [
 
 _DIVERGENCE_CAP = 1e12
 _MAX_DOUBLINGS = 200
+_QUAD_RTOL = 1e-8
 
 
 def upper_expectation(amb: AmbiguitySet, f) -> float:
@@ -109,76 +108,28 @@ def mean_interval(amb: AmbiguitySet) -> MomentReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerAbs:
-    """Transform g(x) = |x|^p."""
+def choquet_integral(amb: AmbiguitySet, p: float) -> float:
+    """Integral over t >= 0 of the upper capacity of {|X|^p >= t}.
 
-    p: float
-
-    def __post_init__(self) -> None:
-        if not self.p > 0:
-            raise ValueError(f"power must be positive, got {self.p}")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(x) ** self.p
-
-    def survival(self, member, t: float) -> float:
-        """P(|X|^p >= t)."""
-        if t <= 0:
-            return 1.0
-        return member.abs_survival(t ** (1.0 / self.p))
-
-    def diverges_for(self, member: TwoSidedPareto) -> bool:
-        return self.p >= member.alpha
-
-
-def _upper_transform_survival(amb: AmbiguitySet, transform, t: float) -> float:
-    return max(transform.survival(m, t) for m in amb.members)
-
-
-def choquet_integral(amb: AmbiguitySet, transform, rtol: float = 1e-8) -> float:
-    """Integral over t >= 0 of the upper capacity of {g(X) >= t}.
-
-    transform is PowerAbs or (for finite-support sets only) a plain
-    nonnegative callable, in which case the integral is an exact finite
-    sum over the sorted distinct transform values. Pareto tails integrate by
-    adaptive quadrature with a doubling upper limit; a tail exponent at or
-    below the transform growth gives +inf.
+    Finite-support sets give an exact finite sum over the sorted distinct
+    values of |x|^p. Pareto tails integrate by adaptive quadrature with a
+    doubling upper limit; a tail exponent at or below p gives +inf.
     """
     if amb.dim != 1:
         raise ValueError("choquet_integral is defined for dimension 1")
-
-    if not isinstance(transform, PowerAbs):
-        if not amb.is_finite_support:
-            raise ValueError(
-                "general callable transforms are supported for finite-support sets only"
-            )
-        return _finite_choquet(amb, lambda v: np.asarray([float(transform(x)) for x in v]))
-
+    if not p > 0:
+        raise ValueError(f"power must be positive, got {p}")
     if amb.is_finite_support:
-        return _finite_choquet(amb, transform.apply)
-
-    for m in amb.members:
-        if isinstance(m, TwoSidedPareto) and transform.diverges_for(m):
-            return math.inf
-    return _quadrature_choquet(amb, transform, rtol)
+        return _finite_choquet(amb, p)
+    if amb.heaviest_alpha() <= p:
+        return math.inf
+    return _quadrature_choquet(amb, p)
 
 
-def _finite_choquet(amb: AmbiguitySet, apply: Callable) -> float:
+def _finite_choquet(amb: AmbiguitySet, p: float) -> float:
     """Exact piecewise-constant integral for finite-support sets."""
-    levels = sorted({
-        float(g)
-        for m in amb.members
-        for g in apply(np.atleast_1d(m.values))
-        if g > 0
-    })
-    if not levels:
-        return 0.0
-
-    transformed = [
-        (np.asarray(apply(np.atleast_1d(m.values)), dtype=float), m.weights)
-        for m in amb.members
-    ]
+    transformed = [(np.abs(np.atleast_1d(m.values)) ** p, m.weights) for m in amb.members]
+    levels = sorted({float(g) for values, _ in transformed for g in values if g > 0})
     total = 0.0
     prev = 0.0
     for level in levels:
@@ -191,20 +142,20 @@ def _finite_choquet(amb: AmbiguitySet, apply: Callable) -> float:
     return total
 
 
-def _quadrature_choquet(amb: AmbiguitySet, transform, rtol: float) -> float:
+def _quadrature_choquet(amb: AmbiguitySet, p: float) -> float:
     from scipy.integrate import quad
 
     def surv(t: float) -> float:
-        return _upper_transform_survival(amb, transform, t)
+        return 1.0 if t <= 0 else upper_abs_survival(amb, t ** (1.0 / p))
 
     # Breakpoints where the upper survival can jump or change formula.
     points = {0.0}
     for m in amb.members:
         if isinstance(m, FiniteDiscrete):
-            points.update(float(g) for g in transform.apply(np.atleast_1d(m.values)))
+            points.update(float(g) for g in np.abs(np.atleast_1d(m.values)) ** p)
         else:
-            points.add(float(m.scale ** transform.p))
-    points = sorted(p for p in points if p >= 0.0)
+            points.add(float(m.scale ** p))
+    points = sorted(t for t in points if t >= 0.0)
 
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
@@ -219,9 +170,9 @@ def _quadrature_choquet(amb: AmbiguitySet, transform, rtol: float) -> float:
         total += piece
         if total > _DIVERGENCE_CAP:
             return math.inf
-        if piece <= rtol * max(total, 1e-300):
+        if piece <= _QUAD_RTOL * max(total, 1e-300):
             return total
         lo, hi = hi, 2.0 * hi
     raise QuadratureNotConverged(
-        f"Choquet tail integral did not stabilize at rtol={rtol} (last piece {piece!r})"
+        f"Choquet tail integral did not stabilize at rtol={_QUAD_RTOL} (last piece {piece!r})"
     )

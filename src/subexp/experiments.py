@@ -35,6 +35,7 @@ from .parallel import parallel_map
 from .sampler import (
     Stationary,
     alternating_schedule,
+    default_targets,
     extreme_members,
     hash_window,
     oscillation_schedule,
@@ -497,7 +498,8 @@ def run_weak_lln(
     capacity of landing within epsilon of an interior target must be large,
     and the upper expectation of each bank function of S_n/n must approach
     its supremum over M. MC mode (d >= 2) estimates the escape frequency
-    per strategy with a binomial confidence interval.
+    per strategy and per n with a binomial confidence interval, from one
+    walk to the largest n per seed; only the largest n carries a verdict.
     """
     ns = tuple(sorted(ns))
     if ns[0] < 1:
@@ -575,30 +577,28 @@ def run_weak_lln(
             Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix")
         )
 
-        def hit(seed) -> list[float]:
-            """Per strategy: 1.0 when S_n/n escapes, else 0.0."""
+        grid = np.asarray(ns)
+
+        def hit(seed) -> list[list[float]]:
+            """Per strategy and per n of the grid: 1.0 when S_n/n escapes, else 0.0."""
             carry = [None] * len(strategies)
-            for j, _, x, _ in _windows(amb, strategies, n_top, seed):
-                carry[j] = _chain(x, carry[j])  # only the last sum S_n is read
+            sums = [[] for _ in strategies]
+            for j, steps, x, _ in _windows(amb, strategies, n_top, seed):
+                carry[j] = _chain(x, carry[j])
+                sums[j].append(x[grid[(grid >= steps[0]) & (grid <= steps[-1])] - int(steps[0])])
             return [
-                1.0 if distance_to_mean_set(mean_set, last / n_top) >= epsilon else 0.0
-                for last in carry
+                [1.0 if distance_to_mean_set(mean_set, s / n) >= epsilon else 0.0
+                 for s, n in zip(np.concatenate(per), ns)]
+                for per in sums
             ]
 
         for strategy, hits in zip(strategies, _per_seed(hit, seeds, jobs)):
-            freq = float(np.mean(hits))
-            ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / len(hits))
-            rows.append(
-                Row(
-                    "escape_frequency",
-                    freq,
-                    threshold + ci,
-                    freq <= threshold + ci,
-                    strategy.label,
-                    0,
-                    n_top,
-                )
-            )
+            for i, n in enumerate(ns):
+                freq = float(np.mean([h[i] for h in hits]))
+                ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / len(hits))
+                verdict = (freq <= threshold + ci) if n == n_top else None
+                rows.append(Row("escape_frequency", freq, threshold + ci, verdict,
+                                strategy.label, 0, n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -760,14 +760,14 @@ def run_cluster_set(
 ) -> ExperimentResult:
     """Vector cluster-set experiment: visits fill the mean set and never leave it.
 
-    The target-chasing schedule visits m targets; visit points S_{n_k}/n_k
-    must be within tol_hausdorff of the target grid (two-sided Hausdorff,
-    filling) while every tail point of every sampled strategy stays within
-    tol_outer + CLT slack of the mean set (containment).
+    The target-chasing schedule visits m targets; the visit points S_{n_k}/n_k
+    at its block ends n_k must be within tol_hausdorff of the target grid
+    (two-sided Hausdorff, filling) while every tail point of every sampled
+    strategy stays within tol_outer + CLT slack of the mean set (containment).
     """
     mean_set = build_mean_set(amb, delta=delta)
-    chasing = target_chasing_schedule(amb, m_targets, N, mean_set=mean_set)
-    targets = np.asarray(chasing.targets, dtype=float)
+    targets = default_targets(amb, m_targets, mean_set)
+    chasing = target_chasing_schedule(amb, targets, N)
     if targets.ndim == 1:
         targets = targets[:, None]
 
@@ -775,7 +775,7 @@ def run_cluster_set(
     strategies.append(chasing)
 
     containment = _Containment(amb, mean_set, tol_outer)
-    ends = np.asarray([e for e in chasing.visit_ends if e <= N], dtype=int)
+    ends = np.asarray(chasing.ends)  # visit ends: the last is N
 
     def fold(seed):
         """Per strategy: containment row and, for the chasing strategy, the sums at the visit ends."""

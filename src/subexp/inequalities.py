@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import AmbiguitySet, Event, TwoSidedPareto
 from .errors import MuNotAttainable
-from .expectation import choquet_integral, upper_abs_survival, PowerAbs
+from .expectation import choquet_integral, upper_abs_survival
 from .lattice_dp import RunningMax, TerminalEvent, dp_value, lattice_model
 from .parallel import parallel_map
 
@@ -91,34 +91,27 @@ def kolmogorov_lower_capacity_bound(
     x: float,
     amb: AmbiguitySet | None = None,
 ) -> float:
-    """2 x^{-2} sum_k (upper second moment_k - |mu_k|^2).
+    """2 x^{-2} sum_k (upper second moment_k - mu_k^2), in dimension 1.
 
     mus must be attainable means; when the generating set is supplied each
-    mu is checked against the member-mean interval (hull for vectors) and an
-    unattainable one raises MuNotAttainable.
+    mu is checked against its member-mean interval and an unattainable one
+    raises MuNotAttainable.
     """
     if x <= 0:
         raise ValueError("x must be positive")
     if len(second_moments) != len(mus):
         raise ValueError("one mu per summand required")
     if amb is not None:
-        means = np.atleast_2d(amb.member_means().reshape(len(amb.members), -1))
-        if means.shape[1] == 1:
-            lo, hi = float(means.min()), float(means.max())
-            for mu in mus:
-                if not (lo - 1e-12 <= float(mu) <= hi + 1e-12):
-                    raise MuNotAttainable(f"mu={mu} outside [{lo}, {hi}]")
-        else:
-            from .sampler import mixture_for_target
-
-            for mu in mus:
-                mixture_for_target(amb, mu)
-    total = math.fsum(
-        float(s2) - float(np.dot(np.atleast_1d(mu), np.atleast_1d(mu)))
-        for s2, mu in zip(second_moments, mus)
-    )
+        if amb.dim != 1:
+            raise ValueError("kolmogorov_lower_capacity_bound is defined for dimension 1")
+        means = amb.member_means()
+        lo, hi = float(means.min()), float(means.max())
+        for mu in mus:
+            if not (lo - 1e-12 <= float(mu) <= hi + 1e-12):
+                raise MuNotAttainable(f"mu={mu} outside [{lo}, {hi}]")
+    total = math.fsum(float(s2) - float(mu) * float(mu) for s2, mu in zip(second_moments, mus))
     if total < -1e-9:
-        raise ValueError("second moments below |mu|^2; inputs inconsistent")
+        raise ValueError("second moments below mu^2; inputs inconsistent")
     return 2.0 * max(total, 0.0) / (x * x)
 
 
@@ -142,21 +135,14 @@ def _max_increment_term(amb: AmbiguitySet, y: float, n: int) -> float:
     return 1.0 - (1.0 - p_star) ** n
 
 
-def check_inequality(
-    amb: AmbiguitySet,
-    which: str,
-    n: int,
-    x: float,
-    y: float | None = None,
-    mu: float | None = None,
-) -> BoundReport:
+def check_inequality(amb: AmbiguitySet, which: str, n: int, x: float) -> BoundReport:
     """Pit an exact DP capacity against the matching closed-form bound.
 
     kolmogorov_upper / exponential center increments at the upper mean (so
     the centered upper mean is 0) and bound the upper capacity of
-    max_m sum Z >= x. kolmogorov_lower bounds the lower capacity of
-    max_m |sum (Z - mu)| >= x with an attainable mu (default: the midpoint
-    of the mean interval).
+    max_m sum Z >= x; the exponential bound takes y = x. kolmogorov_lower
+    bounds the lower capacity of max_m |sum (Z - mu)| >= x with mu the
+    midpoint of the mean interval.
     """
     if which in ("kolmogorov_upper", "exponential"):
         centered, m_up, b2_step = _centered(amb)
@@ -166,22 +152,20 @@ def check_inequality(
             rhs = kolmogorov_upper_bound(B2, x)
             ctx = f"kolmogorov_upper model={amb.label} n={n} x={x:g}"
         else:
-            y_eff = x if y is None else y
-            rhs = exponential_bound(B2, x, y_eff) + _max_increment_term(centered, y_eff, n)
-            ctx = f"exponential model={amb.label} n={n} x={x:g} y={y_eff:g}"
+            rhs = exponential_bound(B2, x, x) + _max_increment_term(centered, x, n)
+            ctx = f"exponential model={amb.label} n={n} x={x:g} y={x:g}"
         return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
 
     if which == "kolmogorov_lower":
         means = amb.member_means()
-        lo, hi = float(np.min(means)), float(np.max(means))
-        mu_eff = 0.5 * (lo + hi) if mu is None else float(mu)
+        mu = 0.5 * (float(np.min(means)) + float(np.max(means)))
         s2 = max(m.second_moment() for m in amb.members)
-        rhs = kolmogorov_lower_capacity_bound([s2] * n, [mu_eff] * n, x, amb=amb)
+        rhs = kolmogorov_lower_capacity_bound([s2] * n, [mu] * n, x, amb=amb)
         shifted = AmbiguitySet(
-            tuple(m.shifted(-mu_eff) for m in amb.members), label=f"{amb.label}-mu"
+            tuple(m.shifted(-mu) for m in amb.members), label=f"{amb.label}-mu"
         )
         lhs = dp_value(shifted, RunningMax(x, mode="abs"), n, side="lower")
-        ctx = f"kolmogorov_lower model={amb.label} n={n} x={x:g} mu={mu_eff:g}"
+        ctx = f"kolmogorov_lower model={amb.label} n={n} x={x:g} mu={mu:g}"
         return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
 
     raise ValueError(f"unknown inequality {which!r}")
@@ -315,7 +299,7 @@ def choquet_series_test(
         ratio_matched = increment <= 1e-9
 
     verdict = "convergent" if tail_finite else "divergent"
-    choquet_value = choquet_integral(amb, PowerAbs(p))
+    choquet_value = choquet_integral(amb, p)
     consistent = (verdict == "convergent") == math.isfinite(choquet_value)
 
     return SeriesReport(

@@ -90,7 +90,6 @@ def _sphere_points(dimension: int, count: int) -> np.ndarray:
 class MeanSet:
     """Support-value representation of the attainable-mean set."""
 
-    dimension: int
     net: DirectionNet
     support_values: np.ndarray  # g(p) per net direction
 
@@ -118,11 +117,7 @@ def build_mean_set(amb: AmbiguitySet, delta: float = 0.05) -> MeanSet:
     net = build_direction_net(amb.dim, delta)
     means = np.atleast_2d(amb.member_means().reshape(len(amb.members), -1))
     values = (net.directions @ means.T).max(axis=1)
-    return MeanSet(
-        dimension=amb.dim,
-        net=net,
-        support_values=values,
-    )
+    return MeanSet(net=net, support_values=values)
 
 
 def distance_to_mean_set(mean_set: MeanSet, y) -> float:
@@ -132,8 +127,8 @@ def distance_to_mean_set(mean_set: MeanSet, y) -> float:
     delta * (|y| + max|g|): the net value never exceeds the true distance.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (mean_set.dimension,):
-        raise ValueError(f"point has shape {y.shape}, expected ({mean_set.dimension},)")
+    if y.shape != (mean_set.net.dimension,):
+        raise ValueError(f"point has shape {y.shape}, expected ({mean_set.net.dimension},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("point must be finite")
     gaps = mean_set.net.directions @ y - mean_set.support_values

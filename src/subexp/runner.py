@@ -2,8 +2,9 @@
 
 Every run writes three files into the output directory: results.json (the
 full result), results.csv (flat rows keyed run_id, experiment, strategy,
-seed, n, statistic, value, tolerance, verdict), and resolved_config.json
-(the config with all defaults materialized and the effective seeds). Floats
+seed, n, statistic, value, tolerance, verdict; a field is quoted only when
+it holds a comma, a quote or a line break), and resolved_config.json (the
+config with all defaults materialized and the effective seeds). Floats
 are serialized with 17 significant digits and rows are emitted in generation
 order, which does not depend on the parallelism level, so repeated runs
 produce byte-identical CSV files.
@@ -19,8 +20,10 @@ no results.csv.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -99,13 +102,15 @@ def write_outputs(result: ExperimentResult, resolved: dict, out_dir: str) -> str
     }
     _dump_json(payload, os.path.join(out_dir, "results.json"))
 
-    lines = [_CSV_HEADER]
+    # A statistic name can hold the free-text model label, so quote as needed.
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(_CSV_HEADER.split(","))
     for r in result.rows:
         verdict = "info" if r.passed is None else ("pass" if r.passed else "fail")
-        fields = (run_id, experiment, r.strategy, str(r.seed), str(r.n), r.statistic,
-                  _fmt(r.value), _fmt(r.tolerance), verdict)
-        lines.append(",".join(fields))
-    _replace_file(os.path.join(out_dir, "results.csv"), "\n".join(lines) + "\n")
+        writer.writerow((run_id, experiment, r.strategy, r.seed, r.n, r.statistic,
+                         _fmt(r.value), _fmt(r.tolerance), verdict))
+    _replace_file(os.path.join(out_dir, "results.csv"), text.getvalue())
     return run_id
 
 

@@ -14,20 +14,19 @@ all of it. No global or sequential RNG state exists anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import AmbiguitySet
 from .errors import TargetOutOfRange, TargetOutsideM
-from .meanset import MeanSet, build_mean_set, distance_to_mean_set
+from .meanset import MeanSet, distance_to_mean_set
 
 __all__ = [
     "BlockSchedule",
     "Path",
     "Stationary",
-    "TargetChasing",
     "alternating_schedule",
     "extreme_members",
     "hash_window",
@@ -149,54 +148,19 @@ class BlockSchedule:
         return [(e, w) for e, w in out if e > 0]
 
 
-@dataclass(frozen=True)
-class TargetChasing:
-    """Block schedule that chases a list of mean targets cyclically.
-
-    visit_ends are the block ends where the running mean is expected to sit
-    near the block's target; cluster-set experiments read them off directly.
-    """
-
-    targets: tuple
-    plan: BlockSchedule
-    label: str = "target_chasing"
-
-    @property
-    def visit_ends(self) -> tuple:
-        return self.plan.ends
-
-    def blocks_for(self, n: int) -> list[tuple[int, tuple]]:
-        return self.plan.blocks_for(n)
-
-
-Strategy = Stationary | BlockSchedule | TargetChasing
+Strategy = Stationary | BlockSchedule
 
 
 @dataclass
 class Path:
-    """Sampled increment sequence with exact running sums.
+    """Sampled increments and the member that drew each.
 
-    A path drawn from step `start` holds n = (its horizon - start) steps, and
-    its partial sums are sums of those steps alone.
+    A path drawn from step `start` holds n = (its horizon - start) steps.
     """
 
     n: int
     increments: np.ndarray  # (n,) or (n, d)
     member_indices: np.ndarray  # (n,) int16
-    _partial_sums: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def partial_sums(self) -> np.ndarray:
-        """S_m for m = 1..n; S_m = S_{m-1} + increment_m exactly (running sum)."""
-        if self._partial_sums is None:
-            self._partial_sums = np.cumsum(self.increments, axis=0)
-        return self._partial_sums
-
-    def running_means(self) -> np.ndarray:
-        """S_m / m for m = 1..n."""
-        counts = np.arange(1, self.n + 1, dtype=float)
-        sums = self.partial_sums
-        return sums / (counts[:, None] if sums.ndim == 2 else counts)
 
 
 def extreme_members(amb: AmbiguitySet) -> tuple[int, int]:
@@ -309,15 +273,10 @@ def alternating_schedule(amb: AmbiguitySet, ends: Sequence[int], label: str) -> 
     return BlockSchedule(tuple(ends), weights, label=label)
 
 
-def oscillation_schedule(
-    amb: AmbiguitySet,
-    K: int,
-    factor: float = 16.0,
-    start: int = 16,
-) -> BlockSchedule:
+def oscillation_schedule(amb: AmbiguitySet, K: int, factor: float = 16.0) -> BlockSchedule:
     """Alternating pure max-mean / min-mean blocks with geometric ends.
 
-    Block k covers (end_{k-1}, end_k] with end_k = start * factor^(k-1); the
+    Block k covers (end_{k-1}, end_k] with end_k = 16 * factor^(k-1); the
     first block plays the max-mean member. The ratio end_{k-1}/end_k = 1/factor
     controls how close the running mean gets to the extreme means: the
     oscillation reaches within roughly (upper-lower)/factor of each endpoint,
@@ -329,12 +288,12 @@ def oscillation_schedule(
         raise ValueError("factor must exceed 1")
     ends = []
     for j in range(K):
-        end = int(round(start * factor ** j))
+        end = int(round(16 * factor ** j))
         ends.append(max(end, (ends[-1] + 1) if ends else 1))
     return alternating_schedule(amb, ends, "oscillation")
 
 
-def default_targets(amb: AmbiguitySet, m: int, mean_set: MeanSet | None = None) -> np.ndarray:
+def default_targets(amb: AmbiguitySet, m: int, mean_set: MeanSet) -> np.ndarray:
     """m target means inside the mean set.
 
     1-d: uniform grid on [lower, upper]. Higher d: simplex-lattice convex
@@ -349,8 +308,6 @@ def default_targets(amb: AmbiguitySet, m: int, mean_set: MeanSet | None = None) 
         lo, hi = float(means.min()), float(means.max())
         return np.linspace(lo, hi, m)
 
-    if mean_set is None:
-        mean_set = build_mean_set(amb, delta=0.05)
     grid = _simplex_lattice(len(amb.members), resolution=max(8, m))
     candidates = np.unique(np.round(grid @ means, 12), axis=0)
     chosen = _farthest_point_subset(candidates, m)
@@ -395,58 +352,38 @@ def _farthest_point_subset(points: np.ndarray, m: int) -> np.ndarray:
 
 
 def target_chasing_schedule(
-    amb: AmbiguitySet,
-    m: int,
-    horizon: int,
-    mean_set: MeanSet | None = None,
-    targets: Sequence | None = None,
-    start: int = 1000,
-    laps: int = 1,
-) -> TargetChasing:
-    """Cyclic target-chasing plan fitted to a finite horizon.
+    amb: AmbiguitySet, targets, horizon: int, start: int = 1000
+) -> BlockSchedule:
+    """Block schedule that visits the mean targets in order, one per block.
 
-    Targets are visited in order, one per block, cycling laps times; block
-    ends grow geometrically from `start` to `horizon`, so each visit's error
-    contracts to about (adjacent target spacing)/(growth factor - 1) plus CLT
-    noise. In the infinite extension the cycle continues with the same factor,
-    so every target index recurs infinitely often.
+    Block ends grow geometrically from `start` to `horizon`, so each visit's
+    error contracts to about (adjacent target spacing)/(growth factor - 1)
+    plus CLT noise; the block ends are where the running mean should sit
+    near each block's target. In the infinite extension the cycle continues
+    with the same factor, so every target recurs infinitely often.
     """
     if horizon <= 2 * start:
         raise ValueError(f"horizon {horizon} too small for start {start}")
-    if laps < 1:
-        raise ValueError("laps must be >= 1")
-    if targets is None:
-        targets = default_targets(amb, m, mean_set)
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if targets.ndim == 1 and amb.dim > 1:
         raise ValueError("vector model needs vector targets")
     m = len(targets)
 
-    blocks = laps * m
     ends = []
-    if blocks == 1:
+    if m == 1:
         ends = [horizon]
     else:
-        ratio = (horizon / start) ** (1.0 / (blocks - 1))
-        for j in range(blocks):
+        ratio = (horizon / start) ** (1.0 / (m - 1))
+        for j in range(m):
             end = int(round(start * ratio ** j))
             ends.append(max(end, (ends[-1] + 1) if ends else 1))
         ends[-1] = horizon
 
-    weights = []
-    for j in range(blocks):
-        idx = j % m
-        b = targets[idx] if targets.ndim > 1 else float(targets[idx])
-        if amb.dim == 1:
-            weights.append(stationary_for_target(amb, b).weights)
-        else:
-            weights.append(mixture_for_target(amb, b))
-
-    plan = BlockSchedule(tuple(ends), tuple(weights), label="target_chasing")
-    return TargetChasing(
-        targets=tuple(map(tuple, targets)) if targets.ndim > 1 else tuple(targets.tolist()),
-        plan=plan,
-    )
+    if amb.dim == 1:
+        weights = [stationary_for_target(amb, float(b)).weights for b in targets]
+    else:
+        weights = [mixture_for_target(amb, b) for b in targets]
+    return BlockSchedule(tuple(ends), tuple(weights), label="target_chasing")
 
 
 def sample_path(

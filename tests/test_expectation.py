@@ -17,7 +17,6 @@ from subexp import (
     Event,
     FiniteDiscrete,
     MomentReport,
-    PowerAbs,
     TwoSidedPareto,
     choquet_integral,
     event_upper_capacity,
@@ -145,32 +144,33 @@ def test_survival_and_excess_helpers(e1):
 
 
 def test_choquet_integral_finite_support(e1):
-    assert choquet_integral(e1, PowerAbs(1.0)) == pytest.approx(1.0, abs=1e-9)
-    assert choquet_integral(e1, PowerAbs(2.0)) == pytest.approx(1.0, abs=1e-9)
+    assert choquet_integral(e1, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert choquet_integral(e1, 2.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_choquet_integral_pareto_closed_value():
     amb = AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),), label="p15")
     # absolute first moment of a two-sided Pareto(3/2): alpha/(alpha-1) = 3
-    assert choquet_integral(amb, PowerAbs(1.0)) == pytest.approx(3.0, abs=1e-6)
+    assert choquet_integral(amb, 1.0) == pytest.approx(3.0, abs=1e-6)
 
 
 def test_choquet_integral_divergent_is_inf():
     amb = AmbiguitySet((TwoSidedPareto(1.2, 1.0, 0.5),), label="p12")
-    assert choquet_integral(amb, PowerAbs(1.5)) == math.inf
+    assert choquet_integral(amb, 1.5) == math.inf
     heavy = AmbiguitySet((TwoSidedPareto(0.9, 1.0, 0.5),), label="p09")
-    assert choquet_integral(heavy, PowerAbs(1.0)) == math.inf
+    assert choquet_integral(heavy, 1.0) == math.inf
 
 
 def test_choquet_dominates_upper_expectation(e1):
     # C_V(g(X)) >= Ehat[g(X)] since V dominates every member law
-    g = PowerAbs(1.0)
-    assert choquet_integral(e1, g) >= upper_expectation(e1, lambda x: abs(x)) - 1e-12
+    assert choquet_integral(e1, 1.0) >= upper_expectation(e1, lambda x: abs(x)) - 1e-12
 
 
-def test_power_abs_validation():
-    with pytest.raises(ValueError):
-        PowerAbs(0.0)
+def test_power_abs_validation(e1):
+    # the power p of |X|^p must be positive
+    for p in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="power must be positive"):
+            choquet_integral(e1, p)
 
 
 # ---------------------------------------------- randomized axiom properties

@@ -31,6 +31,7 @@ from subexp.meanset import build_mean_set
 from subexp.sampler import (
     BlockSchedule,
     Stationary,
+    default_targets,
     oscillation_schedule,
     sample_path,
     target_chasing_schedule,
@@ -96,6 +97,35 @@ def test_weak_lln_mc_mode(e1):
     assert freq
     # monte carlo rows carry a CI half-width in the tolerance column
     assert all(r.tolerance > 0 for r in freq)
+
+
+def test_weak_lln_mc_reads_every_n_of_the_grid(monkeypatch):
+    # A fair and a biased planar sign coin: S_n/n leaves their mean segment.
+    amb = AmbiguitySet((
+        FiniteDiscrete.from_arrays([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]],
+                                   [0.25] * 4),
+        FiniteDiscrete.from_arrays([[-1.0, -1.0], [1.0, 1.0]], [0.25, 0.75]),
+    ), label="coins")
+    seeds = range(1, 31)
+    both = run_weak_lln(amb, ns=(64, 16), mode="mc", seeds=seeds)
+    top = run_weak_lln(amb, ns=(64,), mode="mc", seeds=seeds)
+    assert both.n_grid == (16, 64)
+    rows = [r for r in both.rows if r.statistic == "escape_frequency"]
+    # One row per (strategy, n), in ascending n; the verdict only at the largest n.
+    assert [(r.strategy, r.n) for r in rows] == [
+        (s, n) for s in ("pure_0", "pure_1", "uniform_mix") for n in (16, 64)
+    ]
+    assert all((r.passed is None) == (r.n == 16) for r in rows)
+    assert [r for r in rows if r.n == 64] == list(top.rows)
+    # The n=16 rows read S_16 from the same walk: the values of a walk to 16.
+    low = run_weak_lln(amb, ns=(16,), mode="mc", seeds=seeds)
+    assert [(r.value, r.tolerance) for r in rows if r.n == 16] == [
+        (r.value, r.tolerance) for r in low.rows
+    ]
+    assert [r.value for r in low.rows] != [r.value for r in top.rows]
+    # Read inside later windows, where the sums are chained.
+    monkeypatch.setattr(experiments, "_WINDOW", 10)
+    assert run_weak_lln(amb, ns=(16, 64), mode="mc", seeds=seeds).rows == both.rows
 
 
 # ---------------------------------------------------------------- drivers
@@ -218,7 +248,8 @@ def _unchunked_excess(amb, mean_set, path) -> float:
     """Worst containment excess from one gap matrix over the whole tail."""
     start = max(1, path.n // 100)
     ns = np.arange(start, path.n + 1, dtype=float)
-    return _whole_gap_excess(amb, mean_set, ns, path.running_means()[start - 1 :])
+    sums = np.cumsum(path.increments, axis=0)[start - 1 :]
+    return _whole_gap_excess(amb, mean_set, ns, sums / (ns[:, None] if sums.ndim == 2 else ns))
 
 
 def _chunking_case(model: str, n: int):
@@ -367,10 +398,11 @@ def test_cluster_visits_are_partial_sums_at_visit_ends(monkeypatch):
     monkeypatch.setattr(experiments, "_WINDOW", 4096)
     got = [r.value for r in run_cluster_set(e1, m_targets=3, N=n, seeds=(1,)).rows
            if r.statistic == "visit_hausdorff"]
-    chasing = target_chasing_schedule(e1, 3, n, mean_set=build_mean_set(e1, delta=0.05))
-    ends = np.asarray(chasing.visit_ends)
-    visits = sample_path(e1, chasing, n, seed=1).partial_sums[ends - 1] / ends
-    d = np.abs(np.asarray(chasing.targets)[:, None] - visits[None, :])
+    targets = default_targets(e1, 3, build_mean_set(e1, delta=0.05))
+    chasing = target_chasing_schedule(e1, targets, n)
+    ends = np.asarray(chasing.ends)
+    visits = np.cumsum(sample_path(e1, chasing, n, seed=1).increments)[ends - 1] / ends
+    d = np.abs(targets[:, None] - visits[None, :])
     assert got == [max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))]
 
 

@@ -62,11 +62,13 @@ def test_kolmogorov_lower_bound_arithmetic(e1):
     assert big == pytest.approx(8.0 / 100.0 ** 2, rel=1e-12)
 
 
-def test_kolmogorov_lower_bound_validation(e1):
+def test_kolmogorov_lower_bound_validation(e1, v2mix):
     with pytest.raises(ValueError):
         kolmogorov_lower_capacity_bound([1.0, 1.0], [0.0], 1.0)
     with pytest.raises(ValueError):
         kolmogorov_lower_capacity_bound([1.0], [0.0], 0.0)
+    with pytest.raises(ValueError, match="dimension 1"):
+        kolmogorov_lower_capacity_bound([1.0], [0.5], 1.0, amb=v2mix)
     with pytest.raises(MuNotAttainable):
         kolmogorov_lower_capacity_bound([1.0] * 2, [0.7] * 2, 1.0, amb=e1)
 
@@ -88,6 +90,7 @@ def test_check_exponential_frozen(e1):
     assert rep.lhs == pytest.approx(0.07176673505455256, abs=1e-14)
     assert rep.rhs == pytest.approx(0.5479176897486613, rel=1e-10)
     assert rep.satisfied
+    assert rep.context == "exponential model=E1 n=16 x=6 y=6"  # y is x
 
 
 def test_check_kolmogorov_lower_frozen(e1):
@@ -95,7 +98,7 @@ def test_check_kolmogorov_lower_frozen(e1):
     assert rep.lhs == pytest.approx(0.24560546875, abs=1e-15)
     assert rep.rhs == pytest.approx(5.0 / 3.0, rel=1e-12)
     assert rep.satisfied
-    assert "mu=0.25" in rep.context  # defaults to the mean-interval midpoint
+    assert rep.context == "kolmogorov_lower model=E1 n=8 x=3 mu=0.25"  # the midpoint
 
 
 def test_check_inequality_unknown_kind(e1):

@@ -23,12 +23,12 @@ EXPORTS = {
                "NonLattice", "NotConvergent", "QuadratureNotConverged", "SchemaError",
                "StateSpaceTooLarge", "SubexpError", "TargetOutOfRange", "TargetOutsideM",
                "TooLargeForBruteForce"),
-    "expectation": ("MomentReport", "PowerAbs", "choquet_integral", "event_upper_capacity",
+    "expectation": ("MomentReport", "choquet_integral", "event_upper_capacity",
                     "lower_expectation", "mean_interval", "truncated_expectation",
                     "upper_abs_survival", "upper_expectation"),
     "meanset": ("DirectionNet", "MeanSet", "build_direction_net", "build_mean_set",
                 "distance_to_mean_set", "support_function"),
-    "sampler": ("BlockSchedule", "Path", "Stationary", "TargetChasing", "mixture_for_target",
+    "sampler": ("BlockSchedule", "Path", "Stationary", "mixture_for_target",
                 "oscillation_schedule", "sample_path", "stationary_for_target",
                 "target_chasing_schedule"),
     "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalEvent",
@@ -104,6 +104,7 @@ def test_planar_sampled_runs_never_load_scipy_optimize(tmp_path):
 
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
+    assert len(NAMES) == 81
     assert subexp.__version__ == "0.1.0"
 
 
@@ -155,20 +156,30 @@ UNREACHED = {
     "truncated_expectation": "the paper's truncation definition that tests hold mean_interval to",
 }
 
+# Public classes that no config or command-line path instantiates, and why each stays.
+UNUSED_CLASSES = {
+    "AllBlocksHit": "the benchmark tracer imports it; the Borel-Cantelli experiment needs it",
+}
+
 
 def test_every_public_function_is_reached_by_a_config_or_the_cli(tmp_path, monkeypatch, capsys):
     """Runs every golden config, the inequality grid and the axiom suite through
-    the command line, and lists the public functions none of them called."""
+    the command line, and lists the public functions none of them called and
+    the public classes (exceptions aside) none of their methods ran on."""
     monkeypatch.chdir(tmp_path)
     paths = {}
     for name, (doc, *_) in GOLDEN.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    called = set()
+    called, instances = set(), set()
 
     def profile(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
+            code = frame.f_code
+            called.add(code)
+            # A method call, dataclass __init__s included: record the class of self.
+            if code.co_argcount and code.co_varnames[0] == "self":
+                instances.add(type(frame.f_locals["self"]))
 
     sys.setprofile(profile)
     threading.setprofile(profile)
@@ -189,3 +200,11 @@ def test_every_public_function_is_reached_by_a_config_or_the_cli(tmp_path, monke
     missed = [name for name, fn in sorted(functions.items())
               if fn.__code__ not in called and name not in UNREACHED]
     assert missed == []
+
+    classes = {name: getattr(subexp, name) for name in subexp.__all__}
+    classes = {name: cls for name, cls in classes.items()
+               if inspect.isclass(cls) and not issubclass(cls, BaseException)}
+    assert set(UNUSED_CLASSES) <= set(classes)
+    unused = [name for name, cls in sorted(classes.items())
+              if cls not in instances and name not in UNUSED_CLASSES]
+    assert unused == []

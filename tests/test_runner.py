@@ -5,6 +5,7 @@ missed, 2 the run could not be carried out at all (the failure record in
 results.json says why).
 """
 
+import csv
 import json
 import os
 
@@ -266,3 +267,17 @@ def test_crash_mid_write_leaves_no_foreign_results_csv(tmp_path, monkeypatch, se
     if csv.exists():
         run_ids = {line.split(",")[0] for line in csv.read_text().splitlines()[1:]}
         assert run_ids == {runner._run_id(resolved)}
+
+
+def test_csv_quotes_a_label_with_a_comma_a_quote_and_a_newline(tmp_path):
+    label = 'E1, "biased"\nrun'
+    doc = config_doc("inequality_grid", {"whichs": ["kolmogorov_upper"], "ns": [4], "xs": [2.0],
+                                         "levy_alphas": [0.5]},
+                     model={"label": label, "members": E1_MEMBERS})
+    run_doc(doc, tmp_path)
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == "run_id,experiment,strategy,seed,n,statistic,value,tolerance,verdict".split(",")
+    assert [len(row) for row in rows] == [9, 9, 9]
+    assert rows[1][5] == f"kolmogorov_upper model={label} n=4 x=2"
+    assert rows[2][5] == f"levy model={label} n=4 x=2 alpha=0.5"

@@ -7,7 +7,7 @@ depend on how far the path eventually runs.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subexp import (
@@ -24,7 +24,7 @@ from subexp import (
     target_chasing_schedule,
 )
 from subexp import experiments
-from subexp.sampler import _check_weights, _uniforms, hash_window, pure_weights
+from subexp.sampler import _check_weights, _uniforms, default_targets, hash_window, pure_weights
 from subexp.errors import TargetOutOfRange, TargetOutsideM
 from conftest import make_asym3, make_e1, make_v2mix
 
@@ -50,14 +50,6 @@ def test_different_seeds_differ(e1):
     p1 = sample_path(e1, s, 200, seed=1)
     p2 = sample_path(e1, s, 200, seed=2)
     assert not np.array_equal(p1.increments, p2.increments)
-
-
-def test_path_partial_sums_and_running_means(e1):
-    p = sample_path(e1, Stationary((1.0, 0.0)), 100, seed=3)
-    assert np.array_equal(p.partial_sums, np.cumsum(p.increments))
-    rm = p.running_means()
-    assert rm.shape == (100,)
-    assert rm[-1] == pytest.approx(p.partial_sums[-1] / 100)
 
 
 def test_stationary_validation(e1):
@@ -95,7 +87,7 @@ def test_target_attained_empirically(e1):
     b = 0.25
     p = sample_path(e1, stationary_for_target(e1, b), 200_000, seed=11)
     # CLT band: sd <= 1 per step
-    assert abs(p.partial_sums[-1] / p.n - b) < 5.0 / np.sqrt(p.n)
+    assert abs(p.increments.mean() - b) < 5.0 / np.sqrt(p.n)
 
 
 def test_mixture_for_target_planar(v2mix):
@@ -206,24 +198,29 @@ def test_oscillation_schedule_geometry(e1):
 
 
 def test_target_chasing_visits_every_target(v2mix):
-    ms = build_mean_set(v2mix, delta=0.05)
-    chase = target_chasing_schedule(v2mix, m=5, horizon=100_000, mean_set=ms)
-    assert len(chase.targets) == 5
-    # Block j chases target j mod 5, and its weights attain that target.
+    targets = default_targets(v2mix, 5, build_mean_set(v2mix, delta=0.05))
+    assert targets.shape == (5, 2)
+    chase = target_chasing_schedule(v2mix, targets, horizon=100_000)
+    assert chase.label == "target_chasing"
+    # Block j chases target j, and its weights attain that target.
     means = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    weights = chase.plan.weights_per_block
+    weights = chase.weights_per_block
     assert len(weights) == 5
     for j, w in enumerate(weights):
-        assert np.abs(np.asarray(w) @ means - chase.targets[j % 5]).max() <= 1e-9
-    assert chase.visit_ends[-1] <= 100_000
-    # plan ends strictly increase
-    assert all(b > a for a, b in zip(chase.plan.ends, chase.plan.ends[1:]))
+        assert np.abs(np.asarray(w) @ means - targets[j]).max() <= 1e-9
+    # Block ends grow from start to the horizon.
+    assert chase.ends[0] == 1000 and chase.ends[-1] == 100_000
+    assert all(b > a for a, b in zip(chase.ends, chase.ends[1:]))
 
 
 def test_target_chasing_interval_targets(e1):
-    chase = target_chasing_schedule(e1, m=5, horizon=50_000)
-    got = sorted(float(t) for t in np.asarray(chase.targets).ravel())
-    assert got == pytest.approx([0.0, 0.125, 0.25, 0.375, 0.5])
+    targets = default_targets(e1, 5, build_mean_set(e1, delta=0.05))
+    assert targets.tolist() == pytest.approx([0.0, 0.125, 0.25, 0.375, 0.5])
+    chase = target_chasing_schedule(e1, targets, horizon=50_000)
+    got = [float(np.dot(w, e1.member_means())) for w in chase.weights_per_block]
+    assert got == pytest.approx(targets.tolist(), abs=1e-15)
+    with pytest.raises(ValueError, match="too small"):
+        target_chasing_schedule(e1, targets, horizon=2000)
 
 
 # ------------------------------------------------------ stream statistics
@@ -352,33 +349,46 @@ def _reference_path(amb, strategy, n, seed, start):
     return increments, member_idx
 
 
-def _uniform_cases():
+def _chasing(amb, m: int, horizon: int, start: int):
+    targets = default_targets(amb, m, build_mean_set(amb, delta=0.05))
+    return target_chasing_schedule(amb, targets, horizon, start=start)
+
+
+def _uniform_cases(alpha: float):
+    """(model, strategy) per case; the Pareto cases mix a Pareto(alpha) member
+    with a fair coin."""
     heavy = AmbiguitySet(
-        (TwoSidedPareto(0.05, 1.0, 0.5), FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5])),
-        label="pareto0.05",
+        (TwoSidedPareto(alpha, 1.0, 0.5), FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5])),
+        label=f"pareto{alpha:g}",
     )
     v2 = make_v2mix()
-    chase = target_chasing_schedule(v2, m=3, horizon=400, start=50)
     three = BlockSchedule((90, 170, 400), ((0.0, 1.0, 0.0), (0.2, 0.3, 0.5), (1.0, 0.0, 0.0)))
     return {
         "1d-stationary": (make_asym3(), Stationary((0.3, 0.7))),
         "1d-blocks": (make_asym3(), _PLAN),
-        "1d-chasing": (make_e1(), target_chasing_schedule(make_e1(), m=3, horizon=400, start=50)),
+        "1d-chasing": (make_e1(), _chasing(make_e1(), 3, 400, 50)),
         "2d-stationary": (v2, Stationary((0.2, 0.3, 0.5))),
         "2d-blocks": (v2, three),
-        "2d-chasing": (v2, chase),
+        "2d-chasing": (v2, _chasing(v2, 3, 400, 50)),
         "pareto-pure": (heavy, Stationary((1.0, 0.0))),
         "pareto-mixed": (heavy, BlockSchedule((60, 400), ((0.5, 0.5), (1.0, 0.0)))),
     }
 
 
-@pytest.mark.parametrize("case", sorted(_uniform_cases()))
-def test_shared_uniforms_give_the_same_path(case):
-    amb, strategy = _uniform_cases()[case]
-    n, seed = 400, 2**64 - 1
-    # Whole path, windows on and across block ends, and windows whose first
-    # block starts inside them (every plan has an end at 60, 90 or 100).
-    for start, end in [(0, n), (0, 64), (40, 104), (55, 170), (64, 128), (399, 400)]:
+_N = 400
+_WINDOWS = st.integers(0, _N - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, _N)))
+
+
+@pytest.mark.parametrize("case", sorted(_uniform_cases(1.0)))
+@given(seed=_SEEDS, alpha=st.floats(0.05, 4.0), window=_WINDOWS)
+@example(seed=2**64 - 1, alpha=0.05, window=(0, _N))
+@settings(max_examples=40, deadline=None)
+def test_shared_uniforms_give_the_same_path(case, seed, alpha, window):
+    amb, strategy = _uniform_cases(alpha)[case]
+    # The drawn window, the whole path, windows on and across block ends, and
+    # windows whose first block starts inside them (every plan has an end at
+    # 60, 90 or 100).
+    for start, end in [window, (0, _N), (0, 64), (40, 104), (55, 170), (64, 128), (399, 400)]:
         u = np.empty(end - start), np.empty(end - start)
         hash_window(seed, start, *u)
         shared = sample_path(amb, strategy, end, seed, start=start, uniforms=u)
@@ -388,8 +398,9 @@ def test_shared_uniforms_give_the_same_path(case):
             assert path.n == end - start and path.member_indices.dtype == np.int16
             assert np.array_equal(path.increments, ref_x)
             assert np.array_equal(path.member_indices, ref_idx)
-    if case.startswith("pareto"):  # the case reaches the far tail of alpha=0.05
-        assert np.abs(sample_path(amb, strategy, n, seed).increments).max() > 1e6
+    if case.startswith("pareto") and alpha == 0.05 and seed == 2**64 - 1:
+        # the far tail of alpha=0.05 is reached
+        assert np.abs(sample_path(amb, strategy, _N, seed).increments).max() > 1e6
 
 
 def test_uniforms_must_cover_the_window(e1):
