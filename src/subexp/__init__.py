@@ -44,7 +44,6 @@ _EXPORTS = {
             "lower_expectation",
             "mean_interval",
             "truncated_expectation",
-            "upper_abs_survival",
             "upper_expectation",
         ),
         "meanset": (

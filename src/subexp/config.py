@@ -258,6 +258,9 @@ def model_from_spec(spec: Any, path: str = "model") -> AmbiguitySet:
     label = spec.get("label", "")
     if not isinstance(label, str):
         raise SchemaError(f"{path}.label: expected a string")
+    if "\r" in label:
+        # csv.writer leaves a lone \r unquoted, and csv.reader rejects the row.
+        raise SchemaError(f"{path}.label: a carriage return cannot go into results.csv")
     parsed = tuple(
         _member_from_spec(m, f"{path}.members[{i}]") for i, m in enumerate(members)
     )

@@ -6,7 +6,9 @@ lower expectation is its conjugate. Event capacities take the member-wise
 max of exact probabilities. The upper and lower means come from each
 member's closed-form mean; truncated_expectation keeps the truncation
 definition they are the limit of. The Choquet integral integrates the upper
-survival function.
+survival function in closed form, piece by piece: between breakpoints it is
+the upper envelope of a constant and Pareto power laws. No numerical
+integrator runs here, so a Choquet moment never loads scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "event_upper_capacity",
     "lower_expectation",
     "mean_interval",
-    "upper_abs_survival",
     "upper_expectation",
     "truncated_expectation",
 ]
@@ -38,8 +39,9 @@ _QUAD_RTOL = 1e-8
 def upper_expectation(amb: AmbiguitySet, f) -> float:
     """Max over members of the member's linear expectation of f.
 
-    Exact weighted sums for finite members; doubling-cutoff quadrature for
-    Pareto members (NonIntegrable when f grows at or above the tail exponent).
+    Exact weighted sums for finite members; scipy integration with a doubling
+    cutoff for Pareto members (NonIntegrable when f grows at or above the tail
+    exponent).
     """
     return max(m.expectation(f) for m in amb.members)
 
@@ -52,11 +54,6 @@ def lower_expectation(amb: AmbiguitySet, f) -> float:
 def event_upper_capacity(amb: AmbiguitySet, event: Event) -> float:
     """Max over members of the exact event probability (dimension 1)."""
     return max(m.prob(event) for m in amb.members)
-
-
-def upper_abs_survival(amb: AmbiguitySet, x: float) -> float:
-    """Upper capacity of {|X| >= x}."""
-    return max(m.abs_survival(x) for m in amb.members)
 
 
 def truncated_expectation(amb: AmbiguitySet, c: float, sign: int = +1) -> float:
@@ -112,8 +109,12 @@ def choquet_integral(amb: AmbiguitySet, p: float) -> float:
     """Integral over t >= 0 of the upper capacity of {|X|^p >= t}.
 
     Finite-support sets give an exact finite sum over the sorted distinct
-    values of |x|^p. Pareto tails integrate by adaptive quadrature with a
-    doubling upper limit; a tail exponent at or below p gives +inf.
+    values of |x|^p. With Pareto members the integral runs over doubling
+    intervals [h, 2h], each integrated exactly, until an interval adds at
+    most 1e-8 of the total: the result is that truncated sum, not the
+    untruncated tail. A total past 1e12 gives +inf, as does a tail exponent
+    at or below p; 200 doublings without settling raise
+    QuadratureNotConverged.
     """
     if amb.dim != 1:
         raise ValueError("choquet_integral is defined for dimension 1")
@@ -123,7 +124,7 @@ def choquet_integral(amb: AmbiguitySet, p: float) -> float:
         return _finite_choquet(amb, p)
     if amb.heaviest_alpha() <= p:
         return math.inf
-    return _quadrature_choquet(amb, p)
+    return _pareto_choquet(amb, p)
 
 
 def _finite_choquet(amb: AmbiguitySet, p: float) -> float:
@@ -142,12 +143,7 @@ def _finite_choquet(amb: AmbiguitySet, p: float) -> float:
     return total
 
 
-def _quadrature_choquet(amb: AmbiguitySet, p: float) -> float:
-    from scipy.integrate import quad
-
-    def surv(t: float) -> float:
-        return 1.0 if t <= 0 else upper_abs_survival(amb, t ** (1.0 / p))
-
+def _pareto_choquet(amb: AmbiguitySet, p: float) -> float:
     # Breakpoints where the upper survival can jump or change formula.
     points = {0.0}
     for m in amb.members:
@@ -160,13 +156,12 @@ def _quadrature_choquet(amb: AmbiguitySet, p: float) -> float:
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
         if b > a:
-            piece, _ = quad(surv, a, b, limit=200)
-            total += piece
+            total += _survival_integral(amb, p, a, b)
 
     lo = points[-1]
     hi = 2.0 * max(lo, 1.0)
     for _ in range(_MAX_DOUBLINGS):
-        piece, _ = quad(surv, lo, hi, limit=200)
+        piece = _survival_integral(amb, p, lo, hi)
         total += piece
         if total > _DIVERGENCE_CAP:
             return math.inf
@@ -176,3 +171,72 @@ def _quadrature_choquet(amb: AmbiguitySet, p: float) -> float:
     raise QuadratureNotConverged(
         f"Choquet tail integral did not stabilize at rtol={_QUAD_RTOL} (last piece {piece!r})"
     )
+
+
+def _survival_integral(amb: AmbiguitySet, p: float, a: float, b: float) -> float:
+    """Integral over [a, b] (0 <= a <= b) of the upper survival V(|X|^p >= t) dt.
+
+    Between the breakpoints |x|^p of finite members and s^p of Pareto members
+    every member's survival is a constant or, for a Pareto member past its
+    scale, the power law (s^p/t)^(alpha/p). The upper survival is then the
+    upper envelope of one constant and some power laws; each stretch between
+    two branch crossings integrates its winning branch in closed form.
+    """
+    finite, pareto = [], []
+    cuts = {a, b}
+    for m in amb.members:
+        if isinstance(m, FiniteDiscrete):
+            g = np.abs(np.atleast_1d(m.values)) ** p
+            finite.append((g, m.weights))
+            cuts.update(float(x) for x in g)
+        else:
+            pareto.append((float(m.scale ** p), m.alpha / p))
+            cuts.add(pareto[-1][0])
+    cuts = sorted(t for t in cuts if a <= t <= b)
+
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi <= lo:
+            continue
+        # No breakpoint lies in (lo, hi): a finite member keeps its value at hi.
+        const = max((math.fsum(w[g > lo].tolist()) for g, w in finite), default=0.0)
+        powers = []
+        for s, e in pareto:
+            if hi <= s:
+                const = 1.0
+            else:
+                powers.append((s, e))
+        total += _envelope_integral(const, powers, lo, hi)
+    return total
+
+
+def _envelope_integral(const: float, powers: list, lo: float, hi: float) -> float:
+    """Integral over [lo, hi] of max(const, max over (s, e) of (s/t)^e), s <= lo."""
+    if not powers:
+        return const * (hi - lo)
+    # Crossings in log t: e1 log(s1/t) = e2 log(s2/t), or e log(s/t) = log const.
+    branches = [(math.log(const), 0.0)] if const > 0 else []
+    branches += [(e * math.log(s), e) for s, e in powers]
+    cuts = {lo, hi}
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    for i, (k1, e1) in enumerate(branches):
+        for k2, e2 in branches[i + 1:]:
+            if e1 != e2:
+                log_t = (k1 - k2) / (e1 - e2)
+                if log_lo < log_t < log_hi:
+                    cuts.add(math.exp(log_t))
+    cuts = sorted(cuts)
+
+    total = 0.0
+    for u, v in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (u + v)
+        s, e = max(powers, key=lambda b: (b[0] / mid) ** b[1])
+        if const >= (s / mid) ** e:
+            total += const * (v - u)
+        elif e == 1.0:
+            total += s * math.log(v / u)
+        else:
+            # s (s/u)^(e-1) ((v/u)^(1-e) - 1) / (1-e): no overflow (s <= u)
+            # and no cancellation when e is near 1.
+            total += s * (s / u) ** (e - 1.0) * math.expm1((1.0 - e) * math.log(v / u)) / (1.0 - e)
+    return total

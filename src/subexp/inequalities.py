@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import AmbiguitySet, Event, TwoSidedPareto
 from .errors import MuNotAttainable
-from .expectation import choquet_integral, upper_abs_survival
+from .expectation import _survival_integral, choquet_integral
 from .lattice_dp import RunningMax, TerminalEvent, dp_value, lattice_model
 from .parallel import parallel_map
 
@@ -280,12 +280,9 @@ def choquet_series_test(
     s_head = float(math.fsum(terms[:k10]))
     increment = s_full - s_head
 
-    from scipy.integrate import quad
-
-    def survival_t(t: float) -> float:
-        return upper_abs_survival(amb, M * t ** (1.0 / p))
-
-    window, _ = quad(survival_t, k10, K, limit=200)
+    # int V(|X| >= M t^{1/p}) dt over [K/10, K], substituting u = M^p t.
+    mp = M ** p
+    window = _survival_integral(amb, p, mp * k10, mp * K) / mp
 
     # Tail finiteness: survival at M t^{1/p} decays like t^{-alpha/p} for a
     # heaviest Pareto member with exponent alpha, so the tail integral is

@@ -77,13 +77,30 @@ def _sphere_points(dimension: int, count: int) -> np.ndarray:
     # d = 4: deterministic low-discrepancy points pushed through the
     # Gaussian map and normalized; covering verified by probing in tests.
     from scipy.special import ndtri
-    from scipy.stats.qmc import Halton
 
-    u = Halton(d=dimension, scramble=False).random(count + 1)[1:]  # drop the origin point
+    u = _halton(count)
     g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return g / norms
+
+
+def _halton(count: int) -> np.ndarray:
+    """Points 1..count of the unscrambled 4-d Halton sequence (the origin dropped).
+
+    Radical inverses in bases 2, 3, 5 and 7, summed digit by digit from the
+    lowest in the order scipy.stats.qmc.Halton uses, so the points are its
+    bit for bit without importing scipy.stats.
+    """
+    index = np.arange(1, count + 1)
+    u = np.zeros((count, 4))
+    for j, base in enumerate((2, 3, 5, 7)):
+        q, f = index.copy(), 1.0 / base
+        while q.any():
+            u[:, j] += (q % base) * f
+            f /= base
+            q //= base
+    return u
 
 
 @dataclass(frozen=True)

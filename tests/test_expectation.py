@@ -23,11 +23,11 @@ from subexp import (
     lower_expectation,
     mean_interval,
     truncated_expectation,
-    upper_abs_survival,
     upper_expectation,
 )
 from subexp.axioms import random_ambiguity_set, random_max_affine
 from subexp.errors import NotConvergent
+from subexp.expectation import _survival_integral
 
 
 def test_upper_lower_expectation_coin(e1):
@@ -136,8 +136,8 @@ def test_sandwich_around_indicator(e1):
 
 
 def test_survival_and_excess_helpers(e1):
-    assert upper_abs_survival(e1, 1.0) == 1.0
-    assert upper_abs_survival(e1, 1.5) == 0.0
+    assert max(m.abs_survival(1.0) for m in e1.members) == 1.0
+    assert max(m.abs_survival(1.5) for m in e1.members) == 0.0
 
 
 # ------------------------------------------------------- choquet integral
@@ -164,6 +164,75 @@ def test_choquet_integral_divergent_is_inf():
 def test_choquet_dominates_upper_expectation(e1):
     # C_V(g(X)) >= Ehat[g(X)] since V dominates every member law
     assert choquet_integral(e1, 1.0) >= upper_expectation(e1, lambda x: abs(x)) - 1e-12
+
+
+def test_choquet_integral_pareto_is_the_truncated_doubling_sum():
+    # Pieces [h, 2h] add 2 (h^-1/2 - (2h)^-1/2) to 1 + (tail above 1) until
+    # one adds at most 1e-8 of the total: that happens at 2h = 2^50.
+    amb = AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),))
+    assert choquet_integral(amb, 1.0) == 3 - 2**-24
+
+
+def test_survival_integral_switches_member_where_the_tails_cross():
+    # 8 t^-3 (alpha 3, scale 2) leads t^-1.5 (alpha 1.5, scale 1) on (2, 4)
+    # and trails it beyond t = 4; both equal 1 below their scales.
+    amb = AmbiguitySet((TwoSidedPareto(3.0, 2.0), TwoSidedPareto(1.5, 1.0)))
+    # 1 on [1, 2], int_2^4 8 t^-3 = 3/4, int_4^16 t^-1.5 = 1/2.
+    assert _survival_integral(amb, 1.0, 1.0, 16.0) == pytest.approx(9 / 4, rel=1e-14)
+    # int_3^4 8 t^-3 = 7/36, then 1/2.
+    assert _survival_integral(amb, 1.0, 3.0, 16.0) == pytest.approx(25 / 36, rel=1e-14)
+
+
+@st.composite
+def survival_cases(draw):
+    """1-3 Pareto members and 0-2 finite ones, a power p in [1, 2) and a < b."""
+    members = [
+        TwoSidedPareto(draw(st.floats(1.05, 4.0)), draw(st.floats(0.1, 5.0)),
+                       draw(st.floats(0.0, 1.0)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        values = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4, unique=True))
+        raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(values),
+                                     max_size=len(values))))
+        members.append(FiniteDiscrete.from_arrays(values, raw / raw.sum()))
+    p = draw(st.floats(1.0, 2.0, exclude_max=True))
+    a = draw(st.floats(0.0, 40.0))
+    return AmbiguitySet(tuple(members)), p, a, a + draw(st.floats(1e-3, 60.0))
+
+
+def _quad_survival_integral(amb, p, a, b):
+    """Reference: scipy's quad, told every breakpoint and every crossing."""
+    from scipy.integrate import quad
+
+    tails = [(m.scale ** p, m.alpha / p) for m in amb.members if isinstance(m, TwoSidedPareto)]
+    points = {s for s, _ in tails}
+    levels = {1.0}
+    for m in amb.members:
+        if isinstance(m, FiniteDiscrete):
+            points.update((np.abs(m.values) ** p).tolist())
+            levels.update(m.abs_survival(x) for x in np.abs(m.values))
+    for i, (s1, e1) in enumerate(tails):
+        # (s1/t)^e1 meets the level c at t = s1 c^(-1/e1), and (s2/t)^e2 where
+        # e1 log(s1/t) = e2 log(s2/t).
+        points.update(s1 * c ** (-1.0 / e1) for c in levels)
+        points.update(math.exp(min((e1 * math.log(s1) - e2 * math.log(s2)) / (e1 - e2), 700.0))
+                      for s2, e2 in tails[i + 1:] if e1 != e2)
+    inner = sorted(t for t in points if a < t < b) or None
+
+    def survival(t):
+        return max(m.abs_survival(t ** (1.0 / p)) for m in amb.members)
+
+    value, _ = quad(survival, a, b, points=inner, limit=500, epsabs=0.0, epsrel=1e-12)
+    return value
+
+
+@given(survival_cases())
+@settings(max_examples=150, deadline=None)
+def test_survival_integral_matches_quadrature(case):
+    amb, p, a, b = case
+    reference = _quad_survival_integral(amb, p, a, b)
+    assert _survival_integral(amb, p, a, b) == pytest.approx(reference, rel=1e-10, abs=0.0)
 
 
 def test_power_abs_validation(e1):

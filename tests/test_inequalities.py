@@ -162,6 +162,17 @@ def test_choquet_series_pareto_divergent():
     assert math.isinf(rep.choquet_value)
 
 
+def test_choquet_series_window_scales_with_m_and_jumps_at_atoms():
+    # The window is M^-p times the survival integral over [M^p K/10, M^p K].
+    rep = choquet_series_test(TwoSidedPareto(1.9, 1.0, 0.5), p=1.2, M=2.0, K=20_000)
+    assert rep.ratio_matched
+    # Atoms at +-300 drop the survival from 1 to 0 inside the window [100, 1000].
+    coin = FiniteDiscrete.from_arrays([-300.0, 300.0], [0.5, 0.5])
+    rep = choquet_series_test(coin, p=1.0, K=1_000)
+    assert rep.partial_sum == 300.0
+    assert rep.ratio_matched
+
+
 def test_choquet_series_bounded_support_trivial():
     d = FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5])
     rep = choquet_series_test(d, p=1.5, K=1_000)

@@ -21,6 +21,7 @@ from subexp import (
     support_function,
 )
 from subexp.errors import DimensionTooLarge, NotConvergent
+from subexp.meanset import _NET_CAP
 
 
 def segment_distance(y):
@@ -151,3 +152,15 @@ def test_distance_input_validation(v2mix):
         distance_to_mean_set(ms, [0.0])
     with pytest.raises(ValueError):
         distance_to_mean_set(ms, [math.nan, 0.0])
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.05])
+def test_four_d_net_equals_the_scipy_halton_net(delta):
+    from scipy.special import ndtri
+    from scipy.stats.qmc import Halton
+
+    net = build_direction_net(4, delta)
+    assert len(net) == (64 if delta == 1.0 else _NET_CAP)
+    u = Halton(d=4, scramble=False).random(len(net) + 1)[1:]
+    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    assert np.array_equal(net.directions, g / np.linalg.norm(g, axis=1, keepdims=True))

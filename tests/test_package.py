@@ -25,7 +25,7 @@ EXPORTS = {
                "TooLargeForBruteForce"),
     "expectation": ("MomentReport", "choquet_integral", "event_upper_capacity",
                     "lower_expectation", "mean_interval", "truncated_expectation",
-                    "upper_abs_survival", "upper_expectation"),
+                    "upper_expectation"),
     "meanset": ("DirectionNet", "MeanSet", "build_direction_net", "build_mean_set",
                 "distance_to_mean_set", "support_function"),
     "sampler": ("BlockSchedule", "Path", "Stationary", "mixture_for_target",
@@ -88,23 +88,38 @@ _RUN = (
 )
 
 
+def _scipy_loaded_by_runs(docs, tmp_path):
+    src = str(Path(subexp.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _RUN, src, str(tmp_path)],
+                          input=json.dumps(docs), capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_planar_sampled_runs_never_load_scipy_optimize(tmp_path):
     docs = [
         {"model": V2MIX, "experiment": "cluster_set", "parameters": {"N": 20_000}, "seeds": [1]},
         {"model": V2MIX, "experiment": "weak_lln",
          "parameters": {"mode": "mc", "ns": [16], "mc_replicas": 6}},
     ]
-    src = str(Path(subexp.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", _RUN, src, str(tmp_path)],
-                          input=json.dumps(docs), capture_output=True, text=True, timeout=120,
-                          check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.optimize" not in _scipy_loaded_by_runs(docs, tmp_path)
+
+
+def test_choquet_series_runs_never_load_scipy_integrate(tmp_path):
+    coin = {"kind": "finite", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
+    docs = [
+        GOLDEN["choquet_series"][0],
+        {"model": {"label": "p15coin", "members": PARETO["members"] + [coin]},
+         "experiment": "choquet_series", "parameters": {"p": 1.2, "K": 2000}},
+    ]
+    loaded = _scipy_loaded_by_runs(docs, tmp_path)
+    assert "scipy.integrate" not in loaded
     assert "scipy.optimize" not in loaded
 
 
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
-    assert len(NAMES) == 81
+    assert len(NAMES) == 80
     assert subexp.__version__ == "0.1.0"
 
 

@@ -11,7 +11,8 @@ import os
 
 import pytest
 
-from subexp import parse_config, run
+from subexp import cli, parse_config, run
+from subexp.errors import SchemaError
 
 E1_MEMBERS = [
     {"kind": "finite", "atoms": [[-1.0, 0.5], [1.0, 0.5]]},
@@ -267,6 +268,19 @@ def test_crash_mid_write_leaves_no_foreign_results_csv(tmp_path, monkeypatch, se
     if csv.exists():
         run_ids = {line.split(",")[0] for line in csv.read_text().splitlines()[1:]}
         assert run_ids == {runner._run_id(resolved)}
+
+
+def test_label_with_a_carriage_return_exits_two_before_writing(tmp_path, capsys):
+    # csv.writer would leave a lone \r unquoted, which csv.reader cannot read back.
+    doc = config_doc(model={"label": "E1\rrun", "members": E1_MEMBERS})
+    with pytest.raises(SchemaError, match=r"model\.label"):
+        parse_config(json.dumps(doc))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    assert "model.label" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_quotes_a_label_with_a_comma_a_quote_and_a_newline(tmp_path):
