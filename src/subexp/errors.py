@@ -18,7 +18,7 @@ class NotConvergent(SubexpError):
 
 
 class QuadratureNotConverged(SubexpError):
-    """Tail quadrature failed to bracket a finite value at the requested tolerance."""
+    """A doubling tail integral did not settle at the requested tolerance."""
 
 
 class TargetOutOfRange(SubexpError):

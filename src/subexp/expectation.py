@@ -33,7 +33,7 @@ __all__ = [
 
 _DIVERGENCE_CAP = 1e12
 _MAX_DOUBLINGS = 200
-_QUAD_RTOL = 1e-8
+_TAIL_RTOL = 1e-8
 
 
 def upper_expectation(amb: AmbiguitySet, f) -> float:
@@ -108,68 +108,44 @@ def mean_interval(amb: AmbiguitySet) -> MomentReport:
 def choquet_integral(amb: AmbiguitySet, p: float) -> float:
     """Integral over t >= 0 of the upper capacity of {|X|^p >= t}.
 
-    Finite-support sets give an exact finite sum over the sorted distinct
-    values of |x|^p. With Pareto members the integral runs over doubling
-    intervals [h, 2h], each integrated exactly, until an interval adds at
-    most 1e-8 of the total: the result is that truncated sum, not the
-    untruncated tail. A total past 1e12 gives +inf, as does a tail exponent
-    at or below p; 200 doublings without settling raise
+    Up to the last breakpoint (the largest |x|^p of a finite member or s^p of
+    a Pareto scale) the integral is an exact sum of closed-form pieces, and
+    finite-support sets stop there. With Pareto members the tail then runs
+    over doubling intervals [h, 2h], each integrated exactly, until an
+    interval adds at most 1e-8 of the total: the result is that truncated
+    sum, not the untruncated tail. A total past 1e12 gives +inf, as does a
+    tail exponent at or below p; 200 doublings without settling raise
     QuadratureNotConverged.
     """
     if amb.dim != 1:
         raise ValueError("choquet_integral is defined for dimension 1")
     if not p > 0:
         raise ValueError(f"power must be positive, got {p}")
-    if amb.is_finite_support:
-        return _finite_choquet(amb, p)
-    if amb.heaviest_alpha() <= p:
+    if not amb.is_finite_support and amb.heaviest_alpha() <= p:
         return math.inf
-    return _pareto_choquet(amb, p)
+    top = max(
+        float(np.max(np.abs(np.atleast_1d(m.values)) ** p))
+        if isinstance(m, FiniteDiscrete)
+        else float(m.scale ** p)
+        for m in amb.members
+    )
+    total = _survival_integral(amb, p, 0.0, top)
+    if amb.is_finite_support:
+        return total
 
-
-def _finite_choquet(amb: AmbiguitySet, p: float) -> float:
-    """Exact piecewise-constant integral for finite-support sets."""
-    transformed = [(np.abs(np.atleast_1d(m.values)) ** p, m.weights) for m in amb.members]
-    levels = sorted({float(g) for values, _ in transformed for g in values if g > 0})
-    total = 0.0
-    prev = 0.0
-    for level in levels:
-        surv = max(
-            math.fsum(w[g >= level].tolist()) if (g >= level).any() else 0.0
-            for g, w in transformed
-        )
-        total += (level - prev) * surv
-        prev = level
-    return total
-
-
-def _pareto_choquet(amb: AmbiguitySet, p: float) -> float:
-    # Breakpoints where the upper survival can jump or change formula.
-    points = {0.0}
-    for m in amb.members:
-        if isinstance(m, FiniteDiscrete):
-            points.update(float(g) for g in np.abs(np.atleast_1d(m.values)) ** p)
-        else:
-            points.add(float(m.scale ** p))
-    points = sorted(t for t in points if t >= 0.0)
-
-    total = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        if b > a:
-            total += _survival_integral(amb, p, a, b)
-
-    lo = points[-1]
+    lo = top
     hi = 2.0 * max(lo, 1.0)
     for _ in range(_MAX_DOUBLINGS):
         piece = _survival_integral(amb, p, lo, hi)
         total += piece
         if total > _DIVERGENCE_CAP:
             return math.inf
-        if piece <= _QUAD_RTOL * max(total, 1e-300):
+        if piece <= _TAIL_RTOL * max(total, 1e-300):
             return total
         lo, hi = hi, 2.0 * hi
     raise QuadratureNotConverged(
-        f"Choquet tail integral did not stabilize at rtol={_QUAD_RTOL} (last piece {piece!r})"
+        f"Choquet tail did not settle in {_MAX_DOUBLINGS} doublings: the last "
+        f"piece {piece!r} still exceeds {_TAIL_RTOL} of the total"
     )
 
 
