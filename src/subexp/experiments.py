@@ -12,8 +12,9 @@ depends on the window size, and peak memory is bounded by jobs windows
 and containment blocks, whatever the horizon and the number of paths.
 Numeric policy: running extrema over n >= N/100 stand in for
 limsup/liminf (burn-in discard, bias toward the finite-N side), and every
-convergence verdict uses a tail-ratio test against power-decay majorants
-rather than raw thresholds.
+series or moment convergence verdict is read in closed form from the
+members (their Pareto tail exponents and means), never from finitely many
+terms.
 """
 
 from __future__ import annotations
@@ -610,45 +611,26 @@ def run_weak_lln(
     )
 
 
-def _series_verdict(terms: np.ndarray) -> str:
-    """Tail-ratio verdict for sum of nonnegative terms.
+def _series_exponents(amb: AmbiguitySet, q: float) -> dict[str, float]:
+    """Decay exponent beta of each three-series term for X_n = n^{-q} X, inf
+    when the terms vanish from some n on; a series converges iff beta > 1.
 
-    Power-decay majorants C n^{-beta} give last-decade / previous-decade
-    ratio 10^{1-beta}, so ratios clearly below 1 certify beta > 1. A tail
-    that is exactly zero is convergent outright.
+    The levels t_n = c n^q pass every finite atom, so only Pareto tails stay
+    (alpha > 1, or member_means raises NotConvergent): V(|X| > t_n) falls
+    like t_n^{-alpha}, each truncated mean tends to its member's mean (and
+    is exactly 0 for a zero mean), and E[X^2 /\\ t_n^2] grows like
+    t_n^{2-alpha} below alpha = 2, like log t_n at alpha = 2.
     """
-    n = len(terms)
-    i2 = float(np.sum(terms[n // 10 :]))
-    i1 = float(np.sum(terms[n // 100 : n // 10]))
-    if i2 <= 1e-15:
-        return "convergent"
-    if i1 <= 1e-15:
-        return "divergent"  # mass appearing only late cannot be summable decay
-    ratio = i2 / i1
-    if ratio <= 0.8:
-        return "convergent"
-    return "divergent"
-
-
-def _series_terms(amb: AmbiguitySet, a_n: np.ndarray, c: float) -> tuple:
-    """Terms of S1, S2 (upper and lower) and S3 for the variables a_n X at level c.
-
-    Each term of aX at level c is a term of X at level t = c / a, so the
-    members' closed forms serve unscaled: P(|aX| > c) = P(|X| > t),
-    E[clip(aX, +-c)] = a E[clip(X, +-t)] and E[(aX)^2 /\\ c^2] = a^2 E[X^2 /\\ t^2].
-    """
-    n = len(a_n)
-    s1, s2_upper, s2_lower, s3 = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-    for i, (a, t) in enumerate(zip(a_n.tolist(), (c / a_n).tolist())):
-        means = [a * m.truncated_mean(t) for m in amb.members]
-        tu = s2_upper[i] = max(means)
-        s2_lower[i] = min(means)
-        s1[i] = max(m.prob(Event("abs_gt", t)) for m in amb.members)
-        s3[i] = max(
-            a * a * m.truncated_second(t) - 2.0 * tu * mean + tu * tu
-            for m, mean in zip(amb.members, means)
-        )
-    return s1, s2_upper, s2_lower, s3
+    means = amb.member_means()
+    alpha = amb.heaviest_alpha()
+    point_mass = amb.is_finite_support and len(
+        {v for m in amb.members for v in m.values.tolist()}) == 1
+    return {
+        "S1": q * alpha,
+        "S2_upper": math.inf if means.max() == 0.0 else q,
+        "S2_lower": math.inf if means.min() == 0.0 else q,
+        "S3": math.inf if point_mass else q * min(alpha, 2.0),
+    }
 
 
 def run_three_series(
@@ -664,9 +646,11 @@ def run_three_series(
     """Three-series conditions for X_n = n^{-q} X and the Cauchy consequence.
 
     S1: sum of V(|X_n| > c); S2: both series of truncated upper and lower
-    means; S3: sum of upper variances of the truncation. Verdicts use the
-    tail-ratio rule. When every condition is convergent, sampled partial
-    sums under four strategies must be Cauchy past N0; when S1 fails, the
+    means; S3: sum of upper variances of the truncation. Each verdict comes
+    from the closed-form decay exponent of its terms (`_series_exponents`):
+    convergent iff the exponent exceeds 1, whatever N is. N sizes only the
+    sampled check: when every condition is convergent, sampled partial sums
+    under four strategies must be Cauchy past N0; when S1 fails, the
     recurrence of increments larger than c is reported instead.
     """
     if amb.dim != 1:
@@ -676,21 +660,14 @@ def run_three_series(
     if not c > 0:
         raise ValueError(f"c: the truncation level must be positive, got {c}")
     q = float(scale_exponent)
-    idx = np.arange(1, N + 1, dtype=float)
-    a_n = idx ** (-q)
-
-    s1, s2_upper, s2_lower, s3 = _series_terms(amb, a_n, c)
-    verdicts = {
-        "S1": _series_verdict(s1),
-        "S2_upper": _series_verdict(np.abs(s2_upper)),
-        "S2_lower": _series_verdict(np.abs(s2_lower)),
-        "S3": _series_verdict(s3),
-    }
-    all_ok = all(v == "convergent" for v in verdicts.values())
+    if not q > 0:
+        raise ValueError(f"scale_exponent: the level exponent must be positive, got {q}")
+    convergent = {name: beta > 1.0 for name, beta in _series_exponents(amb, q).items()}
+    all_ok = all(convergent.values())
 
     rows = [
-        Row(f"series_{name}_convergent", 1.0 if v == "convergent" else 0.0, 0.0, None, "", 0, N)
-        for name, v in verdicts.items()
+        Row(f"series_{name}_convergent", 1.0 if ok else 0.0, 0.0, None, "", 0, N)
+        for name, ok in convergent.items()
     ]
 
     k = len(amb.members)
@@ -700,7 +677,8 @@ def run_three_series(
         alternating_schedule(amb, range(100, N + 100, 100), "alternating_100"),
     ]
 
-    count_big = verdicts["S1"] != "convergent"  # implies not all_ok
+    count_big = not convergent["S1"]  # implies not all_ok
+    a_n = np.arange(1, N + 1, dtype=float) ** (-q)
 
     def fluctuation(seed):
         """Per strategy: tail fluctuation of the weighted sums a_n X_n and, when

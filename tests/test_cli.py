@@ -74,12 +74,19 @@ def test_run_seed_override_outside_the_hash_range_exits_two(tmp_path, capsys, se
     assert not out.exists()
 
 
-@pytest.mark.parametrize("c", [0.0, -1.0])
-def test_three_series_with_a_nonpositive_level_exits_two(tmp_path, capsys, c):
-    doc = dict(E1_DOC, experiment="three_series", parameters={"N": 2000, "N0": 200, "c": c})
+@pytest.mark.parametrize("parameter, value, message", [
+    pytest.param("c", 0.0, "truncation level must be positive", id="0.0"),
+    pytest.param("c", -1.0, "truncation level must be positive", id="-1.0"),
+    pytest.param("scale_exponent", 0.0, "level exponent must be positive",
+                 id="scale_exponent-0.0"),
+])
+def test_three_series_with_a_nonpositive_level_exits_two(tmp_path, capsys, parameter, value,
+                                                         message):
+    doc = dict(E1_DOC, experiment="three_series",
+               parameters={"N": 2000, "N0": 200, parameter: value})
     out = tmp_path / "out"
     assert main(["run", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
-    assert "error: c: the truncation level must be positive" in capsys.readouterr().err
+    assert f"error: {parameter}: the {message}" in capsys.readouterr().err
     assert not (out / "results.csv").exists()
 
 
