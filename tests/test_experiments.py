@@ -208,20 +208,41 @@ SERIES_MODELS = {
 }
 
 
-@pytest.mark.parametrize("model", list(SERIES_MODELS))
-def test_series_exponents_match_the_explicitly_scaled_laws(model):
+def _assert_exponents_match_the_oracle(amb, q):
     # Referee: the slope of the oracle's terms between n = 1e4 and 1e6. An
     # infinite exponent needs the term at 1e6 to vanish up to rounding.
-    amb = SERIES_MODELS[model]
+    got = experiments._series_exponents(amb, q)
+    terms = _scaled_series_terms(amb, np.array([1e4, 1e6]) ** -q, 1.0)
+    for name, (t4, t6) in zip(("S1", "S2_upper", "S2_lower", "S3"), terms):
+        if math.isinf(got[name]):
+            assert abs(t6) <= 1e-15 * 1e6 ** -q, (q, name, t6)
+        else:
+            slope = -math.log(t6 / t4) / math.log(100.0)
+            assert abs(got[name] - slope) <= 0.15, (q, name, got[name], slope)
+
+
+@pytest.mark.parametrize("model", list(SERIES_MODELS))
+def test_series_exponents_match_the_explicitly_scaled_laws(model):
     for q in (0.5, 1.0, 2.0):
-        got = experiments._series_exponents(amb, q)
-        terms = _scaled_series_terms(amb, np.array([1e4, 1e6]) ** -q, 1.0)
-        for name, (t4, t6) in zip(("S1", "S2_upper", "S2_lower", "S3"), terms):
-            if math.isinf(got[name]):
-                assert abs(t6) <= 1e-15 * 1e6 ** -q, (q, name, t6)
-            else:
-                slope = -math.log(t6 / t4) / math.log(100.0)
-                assert abs(got[name] - slope) <= 0.15, (q, name, got[name], slope)
+        _assert_exponents_match_the_oracle(SERIES_MODELS[model], q)
+
+
+@pytest.mark.parametrize("q", [0.8, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("model", ["E1", "mix"])
+def test_series_terms_match_the_explicitly_scaled_laws(model, q):
+    # A finite member with a nonzero mean beside a Pareto tail, and the
+    # verdict rows of run_three_series read as beta > 1 from these exponents.
+    amb = make_e1() if model == "E1" else AmbiguitySet((
+        TwoSidedPareto(1.5, 1.0, 0.75),
+        FiniteDiscrete.from_arrays([-1.0, 0.5, 2.0], [0.3, 0.4, 0.3]),
+    ))
+    _assert_exponents_match_the_oracle(amb, q)
+    res = run_three_series(amb, scale_exponent=q, N=2000, N0=200)
+    verdicts = {r.statistic: r.value for r in res.rows if r.statistic.startswith("series_")}
+    assert verdicts == {
+        f"series_{name}_convergent": float(beta > 1.0)
+        for name, beta in experiments._series_exponents(amb, q).items()
+    }
 
 
 def test_three_series_takes_a_slow_pareto_tail_as_convergent():
