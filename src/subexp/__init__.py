@@ -26,7 +26,6 @@ _EXPORTS = {
             "DimensionTooLarge",
             "MuNotAttainable",
             "NonFiniteVerdict",
-            "NonIntegrable",
             "NonLattice",
             "NotConvergent",
             "QuadratureNotConverged",
@@ -77,11 +76,8 @@ _EXPORTS = {
         ),
         "inequalities": (
             "BoundReport",
-            "SeriesReport",
             "check_inequality",
-            "choquet_series_test",
             "exponential_bound",
-            "inequality_grid",
             "kolmogorov_lower_capacity_bound",
             "kolmogorov_upper_bound",
             "levy_bound_check",

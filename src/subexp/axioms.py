@@ -95,6 +95,8 @@ def run_axiom_suite(trials: int = 1000, seed: int = 20240) -> AxiomSuiteReport:
     Choquet domination on `trials` random instances."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     names = [
         "monotonicity",

@@ -2,10 +2,11 @@
 
     subexp run <config.json> [--seed-override K] [--out DIR] [--jobs J]
     subexp check-axioms [--trials N] [--seed S]
-    subexp inequality-grid <config.json> [--out DIR] [--jobs J]
 
+`run` executes any configured experiment, the inequality grid included.
 Exit status 0 means every verdict passed; 1 means a verdict failed; 2 means
-the run could not be executed (bad config or an unsatisfiable mode).
+the run could not be executed (bad config, bad flag or an unsatisfiable
+mode).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .runner import run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subexp",
-        description="Sub-linear expectation laboratory: experiments, axiom checks, bound grids.",
+        description="Sub-linear expectation laboratory: experiments and axiom checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -39,11 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument("--trials", type=int, default=1000)
     p_ax.add_argument("--seed", type=int, default=20240)
 
-    p_grid = sub.add_parser("inequality-grid", help="exact DP vs closed-form bound grid")
-    p_grid.add_argument("config", help="path to a JSON config with experiment inequality_grid")
-    p_grid.add_argument("--out", default=None, metavar="DIR")
-    p_grid.add_argument("--jobs", type=int, default=1, metavar="J")
-
     return parser
 
 
@@ -56,10 +52,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "check-axioms":
-        if args.trials < 1:
-            print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        try:
+            report = run_axiom_suite(trials=args.trials, seed=args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        report = run_axiom_suite(trials=args.trials, seed=args.seed)
         for check in report.checks:
             status = "PASS" if check.ok else "FAIL"
             print(
@@ -74,16 +71,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "inequality-grid" and config.experiment != "inequality_grid":
-        print(
-            f"error: config experiment is {config.experiment!r}, expected 'inequality_grid'",
-            file=sys.stderr,
-        )
-        return 2
-
     try:
-        seed_override = getattr(args, "seed_override", None)
-        return run(config, out=args.out, seed_override=seed_override, jobs=args.jobs)
+        return run(config, out=args.out, seed_override=args.seed_override, jobs=args.jobs)
     except SubexpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonIntegrable, NotConvergent
+from .errors import NotConvergent
 
 __all__ = [
     "AmbiguitySet",
@@ -326,44 +326,6 @@ class TwoSidedPareto:
         if a == 2.0:
             return s * s * (1.0 + 2.0 * math.log(c / s))
         return s * s + s ** a * (c ** (2.0 - a) - s ** (2.0 - a)) / (1.0 - a / 2.0)
-
-    # -- numeric expectation of a general test function -----------------------
-
-    def expectation(self, f: Callable) -> float:
-        """Integrate f against the density by doubling-cutoff quadrature,
-        until one doubling adds at most 1e-10 of the total (or of 1).
-
-        Raises NonIntegrable when the partial integrals fail to stabilize
-        (growth of f at or above the tail exponent).
-        """
-        from scipy.integrate import quad
-
-        r, s, a = self.right_mass, self.scale, self.alpha
-
-        def density_part(sign: float, lo: float, hi: float) -> float:
-            val, _ = quad(
-                lambda x: float(f(sign * x)) * a * s ** a * x ** (-a - 1.0),
-                lo, hi, limit=200,
-            )
-            return val
-
-        total = 0.0
-        lo, hi = s, 4.0 * s
-        for _ in range(200):
-            piece = 0.0
-            if r > 0:
-                piece += r * density_part(1.0, lo, hi)
-            if r < 1:
-                piece += (1.0 - r) * density_part(-1.0, lo, hi)
-            total += piece
-            if abs(piece) <= 1e-10 * max(1.0, abs(total)):
-                return total
-            if abs(total) > 1e12:
-                break
-            lo, hi = hi, 2.0 * hi
-        raise NonIntegrable(
-            f"test function not integrable against Pareto(alpha={a}, scale={s})"
-        )
 
     # -- sampling -------------------------------------------------------------
 

@@ -9,10 +9,6 @@ class SubexpError(Exception):
     """Base class for all deliberate failures."""
 
 
-class NonIntegrable(SubexpError):
-    """A test function cannot be integrated against a heavy-tailed member."""
-
-
 class NotConvergent(SubexpError):
     """A requested limit (mean, truncation limit) does not exist."""
 

@@ -1,14 +1,16 @@
 """Exact upper/lower expectation calculus over ambiguity sets.
 
-The upper expectation is the maximum of member expectations; it is sublinear
-(monotone, constant preserving, sub-additive, positively homogeneous) and the
-lower expectation is its conjugate. Event capacities take the member-wise
-max of exact probabilities. The upper and lower means come from each
-member's closed-form mean; truncated_expectation keeps the truncation
-definition they are the limit of. The Choquet integral integrates the upper
-survival function in closed form, piece by piece: between breakpoints it is
-the upper envelope of a constant and Pareto power laws. No numerical
-integrator runs here, so a Choquet moment never loads scipy.
+The upper expectation of a test function is the maximum of the finite
+members' exact weighted sums; it is sublinear (monotone, constant preserving,
+sub-additive, positively homogeneous) and the lower expectation is its
+conjugate. Event capacities take the member-wise max of exact probabilities.
+The upper and lower means come from each member's closed-form mean;
+truncated_expectation keeps the truncation definition they are the limit of.
+This module also owns the upper survival function V(|X| >= t): evaluated on
+a grid of thresholds and integrated in closed form, piece by piece, since
+between breakpoints it is the upper envelope of a constant and Pareto power
+laws. The Choquet integral is that integral. No numerical integrator runs
+here, so nothing in it loads scipy.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ _TAIL_RTOL = 1e-8
 
 
 def upper_expectation(amb: AmbiguitySet, f) -> float:
-    """Max over members of the member's linear expectation of f.
+    """Max over members of the exact weighted sum of f over the member's atoms.
 
-    Exact weighted sums for finite members; scipy integration with a doubling
-    cutoff for Pareto members (NonIntegrable when f grows at or above the tail
-    exponent).
+    Finite members only: a set with a Pareto member raises ValueError. Such a
+    set's means, truncated moments and Choquet moments come from closed forms
+    instead (mean_interval, truncated_expectation, choquet_integral).
     """
+    if not amb.is_finite_support:
+        raise ValueError("upper_expectation takes finite members only, not Pareto ones")
     return max(m.expectation(f) for m in amb.members)
 
 
@@ -147,6 +151,25 @@ def choquet_integral(amb: AmbiguitySet, p: float) -> float:
         f"Choquet tail did not settle in {_MAX_DOUBLINGS} doublings: the last "
         f"piece {piece!r} still exceeds {_TAIL_RTOL} of the total"
     )
+
+
+def _survival_curve(amb: AmbiguitySet, ts: np.ndarray) -> np.ndarray:
+    """Upper survival V(|X| >= t), the max over members of P(|X| >= t), at each t."""
+    out = np.zeros_like(ts)
+    for m in amb.members:
+        if isinstance(m, FiniteDiscrete):
+            av = np.abs(np.asarray(m.values, dtype=float).ravel())
+            order = np.argsort(av)
+            sorted_av = av[order]
+            w = np.asarray(m.weights, dtype=float)[order]
+            suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+            vals = suffix[np.searchsorted(sorted_av, ts, side="left")]
+        else:
+            vals = np.where(
+                ts <= m.scale, 1.0, (m.scale / np.maximum(ts, m.scale)) ** m.alpha
+            )
+        out = np.maximum(out, vals)
+    return out
 
 
 def _survival_integral(amb: AmbiguitySet, p: float, a: float, b: float) -> float:

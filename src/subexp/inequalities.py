@@ -1,8 +1,11 @@
 """Maximal-inequality bound evaluators and exact-value checkers.
 
-Each closed-form bound is a theorem for the exact optimal-value capacities
-computed by the lattice DP, so a checker that reports satisfied=False on an
-exact comparison indicates an implementation bug, not a near-miss.
+The Kolmogorov, exponential and Lévy maximal inequalities, each as a closed
+form and as a checker that pits it against exact lattice DP capacities; the
+experiment driver run_inequality_grid sweeps the checkers over a grid. Each
+closed-form bound is a theorem for the exact optimal-value capacities, so a
+checker that reports satisfied=False on an exact comparison indicates an
+implementation bug, not a near-miss.
 """
 
 from __future__ import annotations
@@ -13,19 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event, TwoSidedPareto
+from .distributions import AmbiguitySet, Event
 from .errors import MuNotAttainable
-from .expectation import _survival_integral, choquet_integral
 from .lattice_dp import RunningMax, TerminalEvent, dp_value, lattice_model
-from .parallel import parallel_map
 
 __all__ = [
     "BoundReport",
-    "SeriesReport",
     "check_inequality",
-    "choquet_series_test",
     "exponential_bound",
-    "inequality_grid",
     "kolmogorov_lower_capacity_bound",
     "kolmogorov_upper_bound",
     "levy_bound_check",
@@ -142,8 +140,10 @@ def check_inequality(amb: AmbiguitySet, which: str, n: int, x: float) -> BoundRe
     the centered upper mean is 0) and bound the upper capacity of
     max_m sum Z >= x; the exponential bound takes y = x. kolmogorov_lower
     bounds the lower capacity of max_m |sum (Z - mu)| >= x with mu the
-    midpoint of the mean interval.
+    midpoint of the mean interval. A set off the lattice, a Pareto member
+    included, raises NonLattice before any centering.
     """
+    lattice_model(amb)
     if which in ("kolmogorov_upper", "exponential"):
         centered, m_up, b2_step = _centered(amb)
         B2 = n * b2_step
@@ -207,102 +207,3 @@ def levy_bound_check(amb: AmbiguitySet, n: int, x: float, alpha: float) -> Bound
     rhs = dp_value(amb, TerminalEvent(Event("abs_gt", x)), n, side="upper")
     ctx = f"levy model={amb.label} n={n} x={x:g} alpha={alpha:g}"
     return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
-
-
-def inequality_grid(
-    amb: AmbiguitySet,
-    whichs: Sequence[str],
-    ns: Sequence[int],
-    xs: Sequence[float],
-    jobs: int = 1,
-) -> list[BoundReport]:
-    """Evaluate every (which, n, x) combination, in sorted (which, n, x) order."""
-    combos = sorted((w, n, x) for w in whichs for n in ns for x in xs)
-    return parallel_map(lambda c: check_inequality(amb, *c), combos, jobs)
-
-
-def _survival_curve(amb: AmbiguitySet, ts: np.ndarray) -> np.ndarray:
-    """max over members of P(|X| >= t), vectorized over thresholds."""
-    out = np.zeros_like(ts)
-    for m in amb.members:
-        if isinstance(m, TwoSidedPareto):
-            vals = np.where(
-                ts <= m.scale, 1.0, (m.scale / np.maximum(ts, m.scale)) ** m.alpha
-            )
-        else:
-            av = np.abs(np.asarray(m.values, dtype=float).ravel())
-            order = np.argsort(av)
-            sorted_av = av[order]
-            w = np.asarray(m.weights, dtype=float)[order]
-            suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-            vals = suffix[np.searchsorted(sorted_av, ts, side="left")]
-        out = np.maximum(out, vals)
-    return out
-
-
-@dataclass(frozen=True)
-class SeriesReport:
-    """Partial-sum evidence for a capacity series and its Choquet moment."""
-
-    verdict: str  # "convergent" or "divergent"
-    partial_sum: float
-    ratio_matched: bool
-    choquet_value: float
-    consistent: bool
-
-
-def choquet_series_test(
-    dist, p: float, M: float = 1.0, K: int = 100_000
-) -> SeriesReport:
-    """Convergence test for sum_i V(|X| >= M i^{1/p}).
-
-    The series converges iff the p-power upper Choquet moment is finite, so
-    the verdict comes from the tail integral int_{K/10}^inf V(|X| >= M t^{1/p}) dt:
-    infinite tail means divergent. The observed increment S_K - S_{K/10} is
-    compared with the same integral over [K/10, K]; a match within 10%
-    validates the numerics.
-    """
-    if not (1.0 <= p < 2.0):
-        raise ValueError("p must lie in [1, 2)")
-    if M <= 0:
-        raise ValueError("M must be positive")
-    if K < 1000:
-        raise ValueError("K must be at least 1000")
-    amb = dist if isinstance(dist, AmbiguitySet) else AmbiguitySet((dist,))
-    if amb.dim != 1:
-        raise ValueError("the series test is one-dimensional")
-
-    idx = np.arange(1, K + 1, dtype=float)
-    thresholds = M * idx ** (1.0 / p)
-    terms = _survival_curve(amb, thresholds)
-    s_full = float(math.fsum(terms))
-    k10 = K // 10
-    s_head = float(math.fsum(terms[:k10]))
-    increment = s_full - s_head
-
-    # int V(|X| >= M t^{1/p}) dt over [K/10, K], substituting u = M^p t.
-    mp = M ** p
-    window = _survival_integral(amb, p, mp * k10, mp * K) / mp
-
-    # Tail finiteness: survival at M t^{1/p} decays like t^{-alpha/p} for a
-    # heaviest Pareto member with exponent alpha, so the tail integral is
-    # finite iff alpha > p; finite-support members contribute nothing beyond
-    # a finite index.
-    tail_finite = amb.heaviest_alpha() > p  # inf > p for finite support
-
-    if window > 1e-12:
-        ratio_matched = abs(increment - window) <= 0.1 * window
-    else:
-        ratio_matched = increment <= 1e-9
-
-    verdict = "convergent" if tail_finite else "divergent"
-    choquet_value = choquet_integral(amb, p)
-    consistent = (verdict == "convergent") == math.isfinite(choquet_value)
-
-    return SeriesReport(
-        verdict=verdict,
-        partial_sum=s_full,
-        ratio_matched=bool(ratio_matched),
-        choquet_value=choquet_value,
-        consistent=bool(consistent),
-    )

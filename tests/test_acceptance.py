@@ -26,14 +26,14 @@ from subexp import (
     TerminalEvent,
     TwoSidedPareto,
     brute_force_value,
-    choquet_series_test,
     dp_value,
-    inequality_grid,
     levy_bound_check,
     parse_config,
     run,
     run_axiom_suite,
+    run_choquet_series,
     run_cluster_set,
+    run_inequality_grid,
     run_marcinkiewicz,
     run_slln,
     run_three_series,
@@ -113,17 +113,18 @@ def test_criterion_02_dp_matches_brute_force_oracle(e1):
 
 def test_criterion_03_inequality_grid_zero_violations(e1):
     t0 = time.monotonic()
-    reports = inequality_grid(
+    rows = run_inequality_grid(
         e1,
         whichs=("kolmogorov_upper", "kolmogorov_lower", "exponential"),
         ns=(4, 8, 16),
         xs=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0),
+        levy_alphas=(),
         jobs=4,
-    )
-    violations = [r for r in reports if not r.satisfied]
-    assert len(reports) == 72
+    ).rows
+    violations = [r for r in rows if not r.passed]
+    assert len(rows) == 72
     for r in violations:
-        print(f"VIOLATION {r.context}: lhs {r.lhs!r} > rhs {r.rhs!r}")
+        print(f"VIOLATION {r.statistic}: lhs {r.value!r} > rhs {r.tolerance!r}")
     assert not violations
 
     for alpha in (0.3, 0.5):
@@ -240,17 +241,23 @@ def test_criterion_08_three_series_convergence_and_control(e1):
 
 
 def test_criterion_09_choquet_moment_matches_series_verdict():
-    fin = choquet_series_test(TwoSidedPareto(1.5, 1.0, 0.5), p=1.0, K=100_000)
-    print(f"\nalpha=1.5, p=1: verdict {fin.verdict}, C_V(|X|) = {fin.choquet_value!r}")
-    assert fin.verdict == "convergent"
-    assert fin.consistent and fin.ratio_matched
-    assert fin.choquet_value == pytest.approx(3.0, abs=1e-6)
+    def series(alpha, p, K):
+        result = run_choquet_series(AmbiguitySet((TwoSidedPareto(alpha, 1.0, 0.5),)), p=p, K=K)
+        return {r.statistic: r for r in result.rows}
 
-    div = choquet_series_test(TwoSidedPareto(1.2, 1.0, 0.5), p=1.5, K=20_000)
-    print(f"alpha=1.2, p=1.5: verdict {div.verdict}, C_V(|X|^p) = {div.choquet_value!r}")
-    assert div.verdict == "divergent"
-    assert div.consistent
-    assert math.isinf(div.choquet_value)
+    fin = series(1.5, p=1.0, K=100_000)
+    print(f"\nalpha=1.5, p=1: convergent {fin['series_convergent'].value}, "
+          f"C_V(|X|) = {fin['choquet_value'].value!r}")
+    assert fin["series_convergent"].value == 1.0
+    assert fin["equivalence_consistent"].passed and fin["series_ratio_matched"].passed
+    assert fin["choquet_value"].value == pytest.approx(3.0, abs=1e-6)
+
+    div = series(1.2, p=1.5, K=20_000)
+    print(f"alpha=1.2, p=1.5: convergent {div['series_convergent'].value}, "
+          f"C_V(|X|^p) = {div['choquet_value'].value!r}")
+    assert div["series_convergent"].value == 0.0
+    assert div["equivalence_consistent"].passed
+    assert math.isinf(div["choquet_value"].value)
 
 
 def test_criterion_10_planar_cluster_set(v2mix):

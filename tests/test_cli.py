@@ -110,27 +110,12 @@ def test_check_axioms_reports_each_property(capsys):
 
 
 def test_check_axioms_without_trials_exits_two(capsys):
-    assert main(["check-axioms", "--trials", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-
-
-def test_inequality_grid_runs_config(tmp_path, capsys):
-    doc = dict(E1_DOC, experiment="inequality_grid",
-               parameters={"ns": [4], "xs": [1.0, 2.0], "whichs": ["exponential"]})
-    cfg = write_cfg(tmp_path, doc)
-    code = main(["inequality-grid", cfg, "--out", str(tmp_path / "out")])
-    assert code == 0
-    assert (tmp_path / "out" / "results.csv").exists()
-
-
-def test_inequality_grid_rejects_other_experiments(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, dict(E1_DOC, experiment="slln", parameters={}))
-    code = main(["inequality-grid", cfg, "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "'slln'" in err and "inequality_grid" in err
+    for flag, value in (("--trials", "0"), ("--seed", "-1")):
+        assert main(["check-axioms", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert f"{flag[2:]} must be at least" in captured.err and f"got {value}" in captured.err
 
 
 def test_unknown_command_rejected():

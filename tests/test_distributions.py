@@ -217,12 +217,6 @@ def test_pareto_icdf_overflows_to_signed_inf_quietly(alpha, scale, right_mass, u
     assert (x < 0) if negative else (x > 0)
 
 
-def test_pareto_expectation_against_quadrature():
-    p = TwoSidedPareto(2.5, 1.0, 0.5)
-    got = p.expectation(lambda x: x * x)
-    assert got == pytest.approx(5.0, rel=1e-8)
-
-
 # ------------------------------------------------------------ ambiguity set
 
 

@@ -39,6 +39,14 @@ def test_upper_lower_expectation_coin(e1):
     assert lower_expectation(e1, lambda x: x) == -upper_expectation(e1, lambda x: -x)
 
 
+def test_upper_expectation_rejects_a_pareto_member(e1):
+    mixed = AmbiguitySet(e1.members + (TwoSidedPareto(2.5, 1.0, 0.5),))
+    with pytest.raises(ValueError, match="finite members only"):
+        upper_expectation(mixed, lambda x: x * x)
+    with pytest.raises(ValueError, match="finite members only"):
+        lower_expectation(mixed, lambda x: x)
+
+
 def test_subadditivity_example(e1):
     f = lambda x: x
     g = lambda x: -x

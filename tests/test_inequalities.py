@@ -2,12 +2,13 @@
 
 Bound values here were computed once by direct evaluation of the closed
 forms and pinned; the DP sides were frozen from the first exact run and
-guard against regressions in either the bound or the optimizer.
+guard against regressions in either the bound or the optimizer. The grid
+and capacity-series tests read the rows of the experiment drivers
+run_inequality_grid and run_choquet_series.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 from subexp import (
@@ -15,14 +16,14 @@ from subexp import (
     FiniteDiscrete,
     TwoSidedPareto,
     check_inequality,
-    choquet_series_test,
     exponential_bound,
-    inequality_grid,
     kolmogorov_lower_capacity_bound,
     kolmogorov_upper_bound,
     levy_bound_check,
+    run_choquet_series,
+    run_inequality_grid,
 )
-from subexp.errors import MuNotAttainable
+from subexp.errors import MuNotAttainable, NonLattice
 
 
 # ----------------------------------------------------------- closed forms
@@ -104,6 +105,10 @@ def test_check_kolmogorov_lower_frozen(e1):
 def test_check_inequality_unknown_kind(e1):
     with pytest.raises(ValueError):
         check_inequality(e1, "chebyshev", n=4, x=1.0)
+    # A Pareto member has no lattice, so no exact capacity to check.
+    pareto = AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),))
+    with pytest.raises(NonLattice):
+        check_inequality(pareto, "kolmogorov_upper", n=4, x=1.0)
 
 
 def test_bound_report_ci_slack(e1):
@@ -118,21 +123,24 @@ def test_bound_report_ci_slack(e1):
 
 
 def test_grid_zero_violations_small(e1):
-    reports = inequality_grid(
+    rows = run_inequality_grid(
         e1,
         whichs=("kolmogorov_upper", "kolmogorov_lower", "exponential"),
         ns=(4, 8),
         xs=(1.0, 2.0, 3.0, 4.0),
-    )
-    assert len(reports) == 3 * 2 * 4
-    assert all(r.satisfied for r in reports)
+        levy_alphas=(),
+    ).rows
+    assert len(rows) == 3 * 2 * 4
+    assert all(r.passed for r in rows)
 
 
 def test_grid_is_deterministic_and_parallel_safe(e1):
-    kw = dict(whichs=("kolmogorov_upper", "exponential"), ns=(4,), xs=(1.0, 2.0))
-    seq = inequality_grid(e1, **kw, jobs=1)
-    par = inequality_grid(e1, **kw, jobs=8)
-    assert [(r.context, r.lhs, r.rhs) for r in seq] == [(r.context, r.lhs, r.rhs) for r in par]
+    kw = dict(whichs=("kolmogorov_upper", "exponential"), ns=(4,), xs=(1.0, 2.0), levy_alphas=())
+    seq = run_inequality_grid(e1, **kw, jobs=1).rows
+    par = run_inequality_grid(e1, **kw, jobs=8).rows
+    assert [(r.statistic, r.value, r.tolerance) for r in seq] == [
+        (r.statistic, r.value, r.tolerance) for r in par
+    ]
 
 
 def test_levy_reflection(e1):
@@ -147,37 +155,44 @@ def test_levy_reflection(e1):
 # ---------------------------------------------------- capacity series tests
 
 
+def series_rows(members, **kw):
+    """run_choquet_series rows by statistic name."""
+    result = run_choquet_series(AmbiguitySet(members), **kw)
+    return {r.statistic: r for r in result.rows}
+
+
 def test_choquet_series_pareto_convergent():
-    rep = choquet_series_test(TwoSidedPareto(1.5, 1.0, 0.5), p=1.0, K=20_000)
-    assert rep.verdict == "convergent"
-    assert rep.consistent
-    assert rep.ratio_matched
-    assert rep.choquet_value == pytest.approx(3.0, abs=1e-6)
+    rows = series_rows((TwoSidedPareto(1.5, 1.0, 0.5),), p=1.0, K=20_000)
+    assert rows["series_convergent"].value == 1.0
+    assert rows["equivalence_consistent"].passed
+    assert rows["series_ratio_matched"].passed
+    assert rows["choquet_value"].value == pytest.approx(3.0, abs=1e-6)
 
 
 def test_choquet_series_pareto_divergent():
-    rep = choquet_series_test(TwoSidedPareto(1.2, 1.0, 0.5), p=1.5, K=5_000)
-    assert rep.verdict == "divergent"
-    assert rep.consistent
-    assert math.isinf(rep.choquet_value)
+    rows = series_rows((TwoSidedPareto(1.2, 1.0, 0.5),), p=1.5, K=5_000)
+    assert rows["series_convergent"].value == 0.0
+    assert rows["equivalence_consistent"].passed
+    assert math.isinf(rows["choquet_value"].value)
 
 
 def test_choquet_series_window_scales_with_m_and_jumps_at_atoms():
     # The window is M^-p times the survival integral over [M^p K/10, M^p K].
-    rep = choquet_series_test(TwoSidedPareto(1.9, 1.0, 0.5), p=1.2, M=2.0, K=20_000)
-    assert rep.ratio_matched
+    rows = series_rows((TwoSidedPareto(1.9, 1.0, 0.5),), p=1.2, M=2.0, K=20_000)
+    assert rows["series_ratio_matched"].passed
     # Atoms at +-300 drop the survival from 1 to 0 inside the window [100, 1000].
     coin = FiniteDiscrete.from_arrays([-300.0, 300.0], [0.5, 0.5])
-    rep = choquet_series_test(coin, p=1.0, K=1_000)
-    assert rep.partial_sum == 300.0
-    assert rep.ratio_matched
+    rows = series_rows((coin,), p=1.0, K=1_000)
+    assert rows["series_partial_sum"].value == 300.0
+    assert rows["series_ratio_matched"].passed
 
 
 def test_choquet_series_bounded_support_trivial():
     d = FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5])
-    rep = choquet_series_test(d, p=1.5, K=1_000)
-    assert rep.verdict == "convergent"
-    assert rep.consistent
-    assert rep.ratio_matched  # the window has no mass, so S_K - S_{K/10} is at most 1e-9
+    rows = series_rows((d,), p=1.5, K=1_000)
+    assert rows["series_convergent"].value == 1.0
+    assert rows["equivalence_consistent"].passed
+    # the window has no mass, so S_K - S_{K/10} is at most 1e-9
+    assert rows["series_ratio_matched"].passed
     with pytest.raises(ValueError):
-        choquet_series_test(d, p=2.0)
+        series_rows((d,), p=2.0)

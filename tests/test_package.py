@@ -19,10 +19,9 @@ from test_golden import GOLDEN, V2MIX
 # Every public name of the package, by home module.
 EXPORTS = {
     "distributions": ("AmbiguitySet", "Event", "FiniteDiscrete", "TwoSidedPareto"),
-    "errors": ("DimensionTooLarge", "MuNotAttainable", "NonFiniteVerdict", "NonIntegrable",
-               "NonLattice", "NotConvergent", "QuadratureNotConverged", "SchemaError",
-               "StateSpaceTooLarge", "SubexpError", "TargetOutOfRange", "TargetOutsideM",
-               "TooLargeForBruteForce"),
+    "errors": ("DimensionTooLarge", "MuNotAttainable", "NonFiniteVerdict", "NonLattice",
+               "NotConvergent", "QuadratureNotConverged", "SchemaError", "StateSpaceTooLarge",
+               "SubexpError", "TargetOutOfRange", "TargetOutsideM", "TooLargeForBruteForce"),
     "expectation": ("MomentReport", "choquet_integral", "event_upper_capacity",
                     "lower_expectation", "mean_interval", "truncated_expectation",
                     "upper_expectation"),
@@ -34,9 +33,9 @@ EXPORTS = {
     "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalEvent",
                    "TerminalSum", "brute_force_value", "dp_value", "lattice_model",
                    "policy_enumeration_value"),
-    "inequalities": ("BoundReport", "SeriesReport", "check_inequality", "choquet_series_test",
-                     "exponential_bound", "inequality_grid", "kolmogorov_lower_capacity_bound",
-                     "kolmogorov_upper_bound", "levy_bound_check"),
+    "inequalities": ("BoundReport", "check_inequality", "exponential_bound",
+                     "kolmogorov_lower_capacity_bound", "kolmogorov_upper_bound",
+                     "levy_bound_check"),
     "axioms": ("AxiomSuiteReport", "PropertyCheck", "random_ambiguity_set",
                "random_max_affine", "run_axiom_suite"),
     "experiments": ("ExperimentResult", "Row", "run_axioms", "run_choquet_series",
@@ -117,9 +116,15 @@ def test_choquet_series_runs_never_load_scipy_integrate(tmp_path):
     assert "scipy.optimize" not in loaded
 
 
+def test_golden_runs_load_no_scipy(tmp_path):
+    # Only the 4-d direction nets' ndtri loads scipy, and no golden config has d=4.
+    docs = [doc for doc, *_ in GOLDEN.values()]
+    assert _scipy_loaded_by_runs(docs, tmp_path) == []
+
+
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
-    assert len(NAMES) == 80
+    assert len(NAMES) == 76
     assert subexp.__version__ == "0.1.0"
 
 
@@ -178,9 +183,10 @@ UNUSED_CLASSES = {
 
 
 def test_every_public_function_is_reached_by_a_config_or_the_cli(tmp_path, monkeypatch, capsys):
-    """Runs every golden config, the inequality grid and the axiom suite through
-    the command line, and lists the public functions none of them called and
-    the public classes (exceptions aside) none of their methods ran on."""
+    """Runs every golden config (the inequality grid among them) and the axiom
+    suite through the command line, and lists the public functions none of
+    them called and the public classes (exceptions aside) none of their
+    methods ran on."""
     monkeypatch.chdir(tmp_path)
     paths = {}
     for name, (doc, *_) in GOLDEN.items():
@@ -201,8 +207,6 @@ def test_every_public_function_is_reached_by_a_config_or_the_cli(tmp_path, monke
     try:
         for name, path in paths.items():
             assert cli.main(["run", str(path), "--out", name, "--jobs", "2"]) in (0, 1), name
-        grid = paths["inequality_grid"]
-        assert cli.main(["inequality-grid", str(grid), "--out", "grid", "--jobs", "2"]) == 0
         assert cli.main(["check-axioms", "--trials", "20"]) == 0
     finally:
         sys.setprofile(None)

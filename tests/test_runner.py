@@ -113,12 +113,27 @@ def test_sampled_horizon_below_one_exits_two(tmp_path, capsys, experiment, N):
     assert record["error"] == {"type": "ValueError", "message": message}
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_axioms_without_trials_exits_two(tmp_path, trials):
-    assert run_doc(config_doc(parameters={"trials": trials}), tmp_path) == 2
+@pytest.mark.parametrize("parameters, message", [
+    pytest.param({"trials": 0}, "trials must be at least 1, got 0", id="0"),
+    pytest.param({"trials": -1}, "trials must be at least 1, got -1", id="-1"),
+    pytest.param({"axiom_seed": -1}, "seed must be at least 0, got -1", id="axiom_seed--1"),
+])
+def test_axioms_without_trials_exits_two(tmp_path, parameters, message):
+    assert run_doc(config_doc(parameters=parameters), tmp_path) == 2
     record = json.loads((tmp_path / "results.json").read_text())
-    assert record["error"]["type"] == "ValueError"
-    assert f"got {trials}" in record["error"]["message"]
+    assert record["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_inequality_grid_on_a_pareto_model_exits_two(tmp_path, capsys):
+    pareto = {"kind": "pareto", "alpha": 1.5, "scale": 1.0, "right_mass": 0.5}
+    doc = config_doc("inequality_grid", {"ns": [4], "xs": [1.0]},
+                     model={"label": "p15", "members": [pareto]})
+    assert run_doc(doc, tmp_path) == 2
+    assert sorted(os.listdir(tmp_path)) == ["resolved_config.json", "results.json"]
+    record = json.loads((tmp_path / "results.json").read_text())
+    assert record["error"]["type"] == "NonLattice"
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_id_ignores_output_location(tmp_path):
