@@ -678,17 +678,18 @@ def run_three_series(
     ]
 
     count_big = not convergent["S1"]  # implies not all_ok
-    a_n = np.arange(1, N + 1, dtype=float) ** (-q)
 
     def fluctuation(seed):
-        """Per strategy: tail fluctuation of the weighted sums a_n X_n and, when
+        """Per strategy: tail fluctuation of the weighted sums n^{-q} X_n and, when
         S1 failed, the count of large weighted increments."""
         carry = [None] * len(strategies)
         hi, lo = [-math.inf] * len(strategies), [math.inf] * len(strategies)
         big = [0] * len(strategies)
         for j, ns, x, _ in _windows(amb, strategies, N, seed):
             start = int(ns[0]) - 1
-            x *= a_n[start : start + len(x)]
+            if j == 0:  # the window's first strategy: its weights serve them all
+                a_n = ns ** (-q)
+            x *= a_n
             tail = max(N0 - 1 - start, 0)
             if count_big:
                 big[j] += int(np.sum(np.abs(x[tail:]) > c))
@@ -823,6 +824,13 @@ def run_inequality_grid(
     )
 
 
+def _series_terms(amb: AmbiguitySet, p: float, M: float, n: int):
+    """V(|X| >= M i^{1/p}) for i = 1..n, one window of i at a time."""
+    for a in range(0, n, _WINDOW):
+        i = np.arange(a + 1, min(a + _WINDOW, n) + 1, dtype=float)
+        yield from _survival_curve(amb, M * i ** (1.0 / p)).tolist()
+
+
 def run_choquet_series(
     amb: AmbiguitySet, p: float = 1.0, M: float = 1.0, K: int = 100_000
 ) -> ExperimentResult:
@@ -837,6 +845,11 @@ def run_choquet_series(
     S_K and the Choquet moment are informational; the window ratio must
     match when the series converges, and the verdict must agree with
     finiteness of the Choquet moment.
+
+    The terms are computed _WINDOW at a time and fed into one math.fsum per
+    sum, which rounds the exact sum of all its terms once, so memory does not
+    grow with K and no sum depends on the window size. S_{K/10} regenerates
+    its K/10 terms rather than keep them.
     """
     if not (1.0 <= p < 2.0):
         raise ValueError("p must lie in [1, 2)")
@@ -847,10 +860,9 @@ def run_choquet_series(
     if amb.dim != 1:
         raise ValueError("the series test is one-dimensional")
 
-    terms = _survival_curve(amb, M * np.arange(1, K + 1, dtype=float) ** (1.0 / p))
-    partial_sum = float(math.fsum(terms))
+    partial_sum = math.fsum(_series_terms(amb, p, M, K))
     k10 = K // 10
-    increment = partial_sum - float(math.fsum(terms[:k10]))
+    increment = partial_sum - math.fsum(_series_terms(amb, p, M, k10))
     # The window integral over [K/10, K], substituting u = M^p t.
     mp = M ** p
     window = _survival_integral(amb, p, mp * k10, mp * K) / mp

@@ -13,6 +13,7 @@ all of it. No global or sequential RNG state exists anywhere in this module.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -117,7 +118,7 @@ class Stationary:
     weights: tuple
     label: str = "stationary"
 
-    def blocks_for(self, n: int) -> list[tuple[int, tuple]]:
+    def blocks_for(self, n: int, start: int = 0) -> list[tuple[int, tuple]]:
         return [(n, self.weights)]
 
 
@@ -132,20 +133,25 @@ class BlockSchedule:
     label: str = "blocks"
 
     def __post_init__(self) -> None:
+        if not self.ends:
+            raise ValueError("a block schedule needs at least one block")
         if len(self.ends) != len(self.weights_per_block):
             raise ValueError("one mixture per block required")
         if any(b <= a for a, b in zip((0,) + self.ends[:-1], self.ends)):
             raise ValueError(f"block ends must be strictly increasing, got {self.ends}")
 
-    def blocks_for(self, n: int) -> list[tuple[int, tuple]]:
+    def blocks_for(self, n: int, start: int = 0) -> list[tuple[int, tuple]]:
+        """(end, mixture) of the blocks of steps 1..n that end after step
+        `start`, each end clipped to n; earlier blocks are skipped by bisection."""
         out = []
-        for end, w in zip(self.ends, self.weights_per_block):
-            out.append((min(end, n), w))
+        for j in range(bisect.bisect_right(self.ends, start), len(self.ends)):
+            end = self.ends[j]
+            out.append((min(end, n), self.weights_per_block[j]))
             if end >= n:
                 break
-        if out[-1][0] < n:
+        if not out or out[-1][0] < n:
             out.append((n, self.weights_per_block[-1]))
-        return [(e, w) for e, w in out if e > 0]
+        return [(e, w) for e, w in out if e > start]
 
 
 Strategy = Stationary | BlockSchedule
@@ -267,9 +273,9 @@ def mixture_for_target(amb: AmbiguitySet, b) -> tuple:
 def alternating_schedule(amb: AmbiguitySet, ends: Sequence[int], label: str) -> BlockSchedule:
     """Pure max-mean and min-mean blocks in turn over the given block ends,
     the max-mean member first."""
-    hi, lo = extreme_members(amb)
     k = len(amb.members)
-    weights = tuple(pure_weights(k, hi if j % 2 == 0 else lo) for j in range(len(ends)))
+    pure = [pure_weights(k, j) for j in extreme_members(amb)]
+    weights = tuple(pure[j % 2] for j in range(len(ends)))
     return BlockSchedule(tuple(ends), weights, label=label)
 
 
@@ -424,14 +430,11 @@ def sample_path(
         increments = np.empty((n - start, amb.dim), dtype=float)
     member_idx = np.empty(n - start, dtype=np.int16)
 
-    prev_end = 0
-    for end, weights in strategy.blocks_for(n):
+    lo = start
+    for end, weights in strategy.blocks_for(n, start):
         weights = _check_weights(weights, k)
-        lo = max(prev_end, start)
-        prev_end = end
-        if end <= lo:
-            continue
         out = slice(lo - start, end - start)
+        lo = end
         if weights.count(1.0) == 1 and weights.count(0.0) == k - 1:
             # Every uniform selects this member, as the search below would.
             j = weights.index(1.0)

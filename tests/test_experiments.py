@@ -8,6 +8,7 @@ the tight acceptance tolerance) is the thing under test.
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from subexp import (
     FiniteDiscrete,
     Row,
     TwoSidedPareto,
+    run_choquet_series,
     run_cluster_set,
     run_marcinkiewicz,
     run_slln,
@@ -26,6 +28,7 @@ from subexp import (
 )
 from subexp import experiments
 from subexp.errors import NonFiniteVerdict
+from subexp.expectation import _survival_curve
 from subexp.experiments import _CONTAINMENT_BYTES, _WINDOW, _Containment, _chain, _windows
 from subexp.meanset import build_mean_set
 from subexp.sampler import (
@@ -410,14 +413,17 @@ def test_containment_closed_form_matches_net_product(monkeypatch, model):
 @pytest.mark.parametrize("window", [256, 4096, 5000])
 def test_rows_do_not_depend_on_window(monkeypatch, window):
     # 256 leaves whole windows before the burn-in ends; 4096 and 5000 are no
-    # multiples of V2mix's 520-row block. The reference walks each path in
-    # one window.
+    # multiples of V2mix's 520-row block. The reference walks each path, and
+    # sums each capacity series, in one window.
     n = 50_000
+    mixed = AmbiguitySet((make_e1().members[0], TwoSidedPareto(1.2, 2.0, 0.5)), label="mixed")
     runs = [
         lambda: run_slln(make_e1(), N=n, seeds=(1, 2), jobs=1),
         lambda: run_cluster_set(make_v2mix(), N=n, seeds=(1,), jobs=1),
         lambda: run_marcinkiewicz(make_e1(), N=n, seeds=(1, 2), jobs=1),
         lambda: run_weak_lln(make_v2mix(), ns=(n,), mode="mc", seeds=(1, 2, 3), jobs=1),
+        lambda: run_choquet_series(mixed, p=1.5, M=1.3, K=n),
+        lambda: run_three_series(make_e1(), N=n, N0=1000, seeds=(1, 2)),
     ]
     monkeypatch.setattr(experiments, "_WINDOW", n)
     whole = [run().rows for run in runs]
@@ -478,17 +484,80 @@ def test_peak_memory_does_not_grow_with_seeds(driver, amb):
     assert six < 64 * 2**20
 
 
-@pytest.mark.parametrize(
-    "driver, amb", [(run_slln, make_e1()), (run_cluster_set, make_v2mix())],
-    ids=["slln", "cluster_set"],
-)
-def test_peak_memory_does_not_grow_with_horizon(driver, amb):
-    # Each task walks its path in windows, so a 4x longer path costs no more.
-    driver(amb, N=200_000, seeds=(1,), jobs=1)  # warm-up: imports and caches
-    short = _traced_peak(lambda: driver(amb, N=200_000, seeds=(1,), jobs=1))
-    long = _traced_peak(lambda: driver(amb, N=800_000, seeds=(1,), jobs=1))
-    assert long <= 1.10 * short
+# (driver at horizon n, short horizon, bound on the long/short peak ratio).
+# choquet_series read 0.75 MiB at both K, against 3.1 and 12.6 MiB when it
+# held every term. three_series read 1.37 and 1.60 MiB, against 3.2 and
+# 12.9 MiB with a whole-N weight array: what still grows is the
+# alternating_100 schedule's tuple of N/100 block ends.
+_HORIZON_CASES = {
+    "slln": (lambda n: run_slln(make_e1(), N=n, seeds=(1,), jobs=1), 200_000, 1.10),
+    "cluster_set": (lambda n: run_cluster_set(make_v2mix(), N=n, seeds=(1,), jobs=1), 200_000, 1.10),
+    "choquet_series": (
+        lambda n: run_choquet_series(AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),)), K=n),
+        100_000, 1.02,
+    ),
+    "three_series": (lambda n: run_three_series(make_e1(), N=n, N0=1000, seeds=(1,)), 200_000, 1.25),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HORIZON_CASES))
+def test_peak_memory_does_not_grow_with_horizon(case):
+    # Each task walks its path in windows, and the capacity series is summed
+    # one window of terms at a time, so a 4x longer horizon costs no more.
+    run, n, ratio = _HORIZON_CASES[case]
+    run(n)  # warm-up: imports and caches
+    short = _traced_peak(lambda: run(n))
+    long = _traced_peak(lambda: run(4 * n))
+    assert long <= ratio * short
     assert long < 16 * 2**20
+
+
+def _choquet_cases():
+    coin = make_e1().members[0]
+    atoms = FiniteDiscrete.from_arrays([-50.0, 0.0, 3.0], [0.2, 0.5, 0.3])
+    return {
+        "finite": AmbiguitySet((coin, atoms)),
+        "pareto": AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),)),
+        "mixed": AmbiguitySet((atoms, TwoSidedPareto(1.2, 2.0, 0.5))),
+    }
+
+
+@pytest.mark.parametrize("K", [1000, 16_384, 16_385, 100_001])
+@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("model", ["finite", "pareto", "mixed"])
+def test_choquet_series_windowed_terms_equal_the_whole_array(monkeypatch, model, p, K):
+    # Reference: every term in one array, as the sums were taken before they
+    # were windowed. Each fsum must see the same terms bit for bit, the K of
+    # S_K and the first K/10 of S_{K/10}, and S_K is the row's value.
+    amb, M = _choquet_cases()[model], 1.3
+    terms = _survival_curve(amb, M * np.arange(1, K + 1, dtype=float) ** (1.0 / p))
+    fsum, seen = math.fsum, []
+
+    def recording_fsum(xs):
+        seen.append(list(xs))
+        return fsum(seen[-1])
+
+    # The driver's own math module only: the moment calculus sums its pieces too.
+    monkeypatch.setattr(experiments, "math", SimpleNamespace(**{**vars(math), "fsum": recording_fsum}))
+    rows = run_choquet_series(amb, p=p, M=M, K=K).rows
+    assert seen == [terms.tolist(), terms[: K // 10].tolist()]
+    partial = next(r.value for r in rows if r.statistic == "series_partial_sum")
+    assert partial == fsum(terms)
+
+
+def test_choquet_series_asks_one_window_of_thresholds_at_a_time(monkeypatch):
+    sizes = []
+
+    def recording_curve(amb, ts):
+        sizes.append(len(ts))
+        return _survival_curve(amb, ts)
+
+    monkeypatch.setattr(experiments, "_survival_curve", recording_curve)
+    K = 5 * _WINDOW + 7
+    run_choquet_series(_choquet_cases()["mixed"], K=K)
+    assert max(sizes) <= _WINDOW
+    # K terms for S_K, then K/10 again for S_{K/10}.
+    assert sum(sizes) == K + K // 10
 
 
 def test_slln_peak_memory_is_a_few_windows():

@@ -23,8 +23,15 @@ from subexp import (
     stationary_for_target,
     target_chasing_schedule,
 )
-from subexp import experiments
-from subexp.sampler import _check_weights, _uniforms, default_targets, hash_window, pure_weights
+from subexp import experiments, sampler
+from subexp.sampler import (
+    _check_weights,
+    _uniforms,
+    alternating_schedule,
+    default_targets,
+    hash_window,
+    pure_weights,
+)
 from subexp.errors import TargetOutOfRange, TargetOutsideM
 from conftest import make_asym3, make_e1, make_v2mix
 
@@ -185,6 +192,40 @@ def test_block_schedule_validation():
         BlockSchedule((30, 10), ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         BlockSchedule((10, 30), ((1.0, 0.0),))
+    with pytest.raises(ValueError, match="at least one block"):
+        BlockSchedule((), ())
+
+
+def test_block_schedule_blocks_from_start_are_the_later_blocks():
+    sched = BlockSchedule((10, 30, 31, 60), ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.2, 0.8)))
+    for n in (1, 9, 10, 11, 30, 31, 45, 60, 61, 100):
+        whole = sched.blocks_for(n)
+        for start in range(n):
+            assert sched.blocks_for(n, start) == [(e, w) for e, w in whole if e > start]
+
+
+def test_sample_path_checks_only_the_blocks_it_draws(monkeypatch, e1):
+    # 10^4 blocks of 10 steps; the window of steps 50 006..51 005 meets the
+    # blocks that end at 50 010, 50 020, ..., 51 010: 101 of them.
+    sched = alternating_schedule(e1, range(10, 100_010, 10), "alternating_10")
+    calls = []
+
+    def counting_check(weights, k):
+        calls.append(weights)
+        return _check_weights(weights, k)
+
+    monkeypatch.setattr(sampler, "_check_weights", counting_check)
+    start, end = 50_005, 51_005
+    path = sample_path(e1, sched, end, seed=4, start=start)
+    assert len(calls) == len(sched.blocks_for(end, start)) == 101
+    monkeypatch.undo()
+    assert np.array_equal(path.increments, sample_path(e1, sched, end, seed=4).increments[start:])
+
+
+def test_alternating_schedule_shares_its_two_mixtures(e1):
+    sched = alternating_schedule(e1, range(100, 10_100, 100), "alternating_100")
+    assert len({id(w) for w in sched.weights_per_block}) == 2
+    assert sched.weights_per_block[:3] == ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
 
 
 def test_oscillation_schedule_geometry(e1):
