@@ -82,13 +82,7 @@ _EXPORTS = {
             "kolmogorov_upper_bound",
             "levy_bound_check",
         ),
-        "axioms": (
-            "AxiomSuiteReport",
-            "PropertyCheck",
-            "random_ambiguity_set",
-            "random_max_affine",
-            "run_axiom_suite",
-        ),
+        "axioms": ("random_ambiguity_set", "random_max_affine"),
         "experiments": (
             "ExperimentResult",
             "Row",

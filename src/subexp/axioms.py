@@ -1,4 +1,5 @@
-"""Randomized property suite for the expectation calculus.
+"""Random instances for the axiom suite, `experiments.run_axioms`, and the
+gaps each property shows on one.
 
 Instances are small finite ambiguity sets with max-affine test functions, so
 every expectation in a check is an exact weighted sum and the axioms must
@@ -7,46 +8,14 @@ hold to accumulation error (1e-12), not to statistical tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .distributions import AmbiguitySet, Event, FiniteDiscrete
 from .expectation import choquet_integral, event_upper_capacity, lower_expectation, upper_expectation
 
-__all__ = [
-    "AxiomSuiteReport",
-    "PropertyCheck",
-    "random_ambiguity_set",
-    "random_max_affine",
-    "run_axiom_suite",
-]
-
-_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    trials: int
-    failures: int
-    worst_gap: float
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
-
-
-@dataclass(frozen=True)
-class AxiomSuiteReport:
-    checks: tuple
-    trials: int
-    seed: int
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+__all__ = ["random_ambiguity_set", "random_max_affine"]
 
 
 def random_ambiguity_set(rng: np.random.Generator, dim: int = 1) -> AmbiguitySet:
@@ -90,90 +59,64 @@ def _combine(f: Callable, g: Callable, op) -> Callable:
     return lambda x: op(f(x), g(x))
 
 
-def run_axiom_suite(trials: int = 1000, seed: int = 20240) -> AxiomSuiteReport:
-    """Check the defining axioms plus conjugacy, sandwich, invariance and
-    Choquet domination on `trials` random instances."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    names = [
-        "monotonicity",
-        "constant_preserving",
-        "subadditivity",
-        "positive_homogeneity",
-        "conjugacy",
-        "sandwich",
-        "distributional_invariance",
-        "choquet_dominates_mean",
-    ]
-    failures = dict.fromkeys(names, 0)
-    worst = dict.fromkeys(names, 0.0)
+def _property_gaps(rng: np.random.Generator) -> Iterator[tuple[str, float]]:
+    """Draw one instance from rng and yield (property, gap) for each check.
 
-    def record(name: str, gap: float) -> None:
-        worst[name] = max(worst[name], gap)
-        if gap > _TOL:
-            failures[name] += 1
+    A property holds on the instance when its gaps are at most 0 up to
+    accumulation error. Some properties yield two gaps. The properties come
+    in the same order on every instance.
+    """
+    amb = random_ambiguity_set(rng)
+    f = random_max_affine(rng)
+    g = random_max_affine(rng)
 
-    for _ in range(trials):
-        amb = random_ambiguity_set(rng)
-        f = random_max_affine(rng)
-        g = random_max_affine(rng)
+    ef = upper_expectation(amb, f)
+    eg = upper_expectation(amb, g)
 
-        ef = upper_expectation(amb, f)
-        eg = upper_expectation(amb, g)
+    # (a) monotonicity via f <= max(f, g)
+    e_max = upper_expectation(amb, _combine(f, g, max))
+    yield "monotonicity", ef - e_max
 
-        # (a) monotonicity via f <= max(f, g)
-        e_max = upper_expectation(amb, _combine(f, g, max))
-        record("monotonicity", ef - e_max)
+    # (b) constant preserving
+    c = float(rng.normal(0.0, 5.0))
+    yield "constant_preserving", abs(upper_expectation(amb, lambda x: c) - c)
 
-        # (b) constant preserving
-        c = float(rng.normal(0.0, 5.0))
-        record("constant_preserving", abs(upper_expectation(amb, lambda x: c) - c))
+    # (c) sub-additivity
+    e_sum = upper_expectation(amb, _combine(f, g, lambda u, v: u + v))
+    yield "subadditivity", e_sum - (ef + eg)
 
-        # (c) sub-additivity
-        e_sum = upper_expectation(amb, _combine(f, g, lambda u, v: u + v))
-        record("subadditivity", e_sum - (ef + eg))
+    # (d) positive homogeneity
+    lam = float(rng.uniform(0.0, 3.0))
+    e_scaled = upper_expectation(amb, lambda x: lam * f(x))
+    yield "positive_homogeneity", abs(e_scaled - lam * ef) / max(1.0, lam * abs(ef))
 
-        # (d) positive homogeneity
-        lam = float(rng.uniform(0.0, 3.0))
-        e_scaled = upper_expectation(amb, lambda x: lam * f(x))
-        record("positive_homogeneity", abs(e_scaled - lam * ef) / max(1.0, lam * abs(ef)))
+    # conjugate: lower = -upper(-f) and lower <= upper
+    lf = lower_expectation(amb, f)
+    neg = upper_expectation(amb, lambda x: -f(x))
+    yield "conjugacy", abs(lf + neg)
+    yield "conjugacy", lf - ef
 
-        # conjugate: lower = -upper(-f) and lower <= upper
-        lf = lower_expectation(amb, f)
-        neg = upper_expectation(amb, lambda x: -f(x))
-        record("conjugacy", max(abs(lf + neg), lf - ef))
+    # sandwich around a half-line event
+    a = float(rng.normal(0.0, 2.0))
+    w = float(rng.uniform(0.1, 1.0))
+    under = lambda x: min(1.0, max(0.0, (float(x) - a) / w))
+    over = lambda x: min(1.0, max(0.0, (float(x) - a) / w + 1.0))
+    cap = event_upper_capacity(amb, Event("ge", a))
+    yield "sandwich", upper_expectation(amb, under) - cap
+    yield "sandwich", cap - upper_expectation(amb, over)
 
-        # sandwich around a half-line event
-        a = float(rng.normal(0.0, 2.0))
-        w = float(rng.uniform(0.1, 1.0))
-        under = lambda x: min(1.0, max(0.0, (float(x) - a) / w))
-        over = lambda x: min(1.0, max(0.0, (float(x) - a) / w + 1.0))
-        cap = event_upper_capacity(amb, Event("ge", a))
-        record(
-            "sandwich",
-            max(upper_expectation(amb, under) - cap, cap - upper_expectation(amb, over)),
-        )
+    # shuffling members and atom lists changes nothing (atom order is
+    # normalized at construction, so equality is exact)
+    perm = rng.permutation(len(amb.members))
+    shuffled = AmbiguitySet(tuple(amb.members[i] for i in perm), label="shuffled")
+    t = float(rng.normal(0.0, 2.0))
+    cap_a = event_upper_capacity(amb, Event("ge", t))
+    cap_b = event_upper_capacity(shuffled, Event("ge", t))
+    ch_a = choquet_integral(amb, 1.0)
+    ch_b = choquet_integral(shuffled, 1.0)
+    yield "distributional_invariance", abs(cap_a - cap_b)
+    yield "distributional_invariance", abs(ch_a - ch_b)
 
-        # shuffling members and atom lists changes nothing (atom order is
-        # normalized at construction, so equality is exact)
-        perm = rng.permutation(len(amb.members))
-        shuffled = AmbiguitySet(tuple(amb.members[i] for i in perm), label="shuffled")
-        t = float(rng.normal(0.0, 2.0))
-        cap_a = event_upper_capacity(amb, Event("ge", t))
-        cap_b = event_upper_capacity(shuffled, Event("ge", t))
-        ch_a = choquet_integral(amb, 1.0)
-        ch_b = choquet_integral(shuffled, 1.0)
-        record("distributional_invariance", max(abs(cap_a - cap_b), abs(ch_a - ch_b)))
-
-        # breve mean of |X| (exact for bounded support) <= Choquet integral
-        abs_mean = max(m.expectation(abs) for m in amb.members)
-        record("choquet_dominates_mean", abs_mean - ch_a)
-
-    checks = tuple(
-        PropertyCheck(name=n, trials=trials, failures=failures[n], worst_gap=worst[n])
-        for n in names
-    )
-    return AxiomSuiteReport(checks=checks, trials=trials, seed=seed)
+    # breve mean of |X| (exact for bounded support) <= Choquet integral
+    abs_mean = max(m.expectation(abs) for m in amb.members)
+    yield "choquet_dominates_mean", abs_mean - ch_a

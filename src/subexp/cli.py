@@ -1,9 +1,9 @@
 """Command line front end.
 
     subexp run <config.json> [--seed-override K] [--out DIR] [--jobs J]
-    subexp check-axioms [--trials N] [--seed S]
 
-`run` executes any configured experiment, the inequality grid included.
+`run` executes any configured experiment, the inequality grid and the axiom
+suite included.
 Exit status 0 means every verdict passed; 1 means a verdict failed; 2 means
 the run could not be executed (bad config, bad flag or an unsatisfiable
 mode).
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .axioms import run_axiom_suite
 from .config import parse_config
 from .errors import SchemaError, SubexpError
 from .runner import run
@@ -35,11 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: config output_dir)")
     p_run.add_argument("--jobs", type=int, default=1, metavar="J",
                        help="worker threads for independent trials")
-
-    p_ax = sub.add_parser("check-axioms", help="randomized axiom property suite")
-    p_ax.add_argument("--trials", type=int, default=1000)
-    p_ax.add_argument("--seed", type=int, default=20240)
-
     return parser
 
 
@@ -50,20 +44,6 @@ def _load(path: str):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if args.command == "check-axioms":
-        try:
-            report = run_axiom_suite(trials=args.trials, seed=args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for check in report.checks:
-            status = "PASS" if check.ok else "FAIL"
-            print(
-                f"{status} {check.name}: trials={check.trials} "
-                f"failures={check.failures} worst_gap={check.worst_gap:.3e}"
-            )
-        return 0 if report.ok else 1
 
     try:
         config = _load(args.config)

@@ -30,7 +30,7 @@ from subexp import (
     levy_bound_check,
     parse_config,
     run,
-    run_axiom_suite,
+    run_axioms,
     run_choquet_series,
     run_cluster_set,
     run_inequality_grid,
@@ -74,14 +74,14 @@ def slln_million(e1):
     return result, time.monotonic() - t0
 
 
-def test_criterion_01_randomized_axiom_suite():
+def test_criterion_01_randomized_axiom_suite(e1):
     t0 = time.monotonic()
-    report = run_axiom_suite(trials=1000, seed=3517)
+    gaps = {r.statistic: r for r in run_axioms(e1, trials=1000, axiom_seed=3517).rows}
     elapsed = time.monotonic() - t0
-    worst = max(c.worst_gap for c in report.checks)
+    worst = max(r.value for r in gaps.values())
     print(f"\naxioms: 1000 trials, worst gap {worst:.3e}, {elapsed:.1f}s")
-    for check in report.checks:
-        assert check.ok, f"{check.name}: {check.failures} failures"
+    for name, row in gaps.items():
+        assert row.passed, f"{name}: worst gap {row.value:.3e}"
     assert worst <= GAP_TOL
     assert elapsed < 60.0
 

@@ -2,15 +2,14 @@
 
 import numpy as np
 
-from subexp import random_ambiguity_set, random_max_affine, run_axiom_suite
+from subexp import random_ambiguity_set, random_max_affine, run_axioms
 
 
-def test_suite_passes_at_tight_tolerance():
-    report = run_axiom_suite(trials=200, seed=123)
-    assert report.ok
-    assert report.trials == 200
-    names = [c.name for c in report.checks]
-    assert names == [
+def test_suite_passes_at_tight_tolerance(e1):
+    result = run_axioms(e1, trials=200, axiom_seed=123)
+    assert result.passed
+    assert result.n_grid == (200,)
+    assert [r.statistic for r in result.rows] == [
         "monotonicity",
         "constant_preserving",
         "subadditivity",
@@ -20,16 +19,16 @@ def test_suite_passes_at_tight_tolerance():
         "distributional_invariance",
         "choquet_dominates_mean",
     ]
-    for check in report.checks:
-        assert check.failures == 0
-        assert check.worst_gap <= 1e-12
-        assert check.trials == 200
+    for row in result.rows:
+        assert row.passed
+        assert row.value <= 1e-12
+        assert row.n == 200
 
 
-def test_suite_is_deterministic():
-    a = run_axiom_suite(trials=50, seed=7)
-    b = run_axiom_suite(trials=50, seed=7)
-    assert [(c.name, c.worst_gap) for c in a.checks] == [(c.name, c.worst_gap) for c in b.checks]
+def test_suite_is_deterministic(e1):
+    a = run_axioms(e1, trials=50, axiom_seed=7)
+    b = run_axioms(e1, trials=50, axiom_seed=7)
+    assert [(r.statistic, r.value) for r in a.rows] == [(r.statistic, r.value) for r in b.rows]
 
 
 def test_random_generators_produce_valid_objects():

@@ -1,10 +1,12 @@
 """Command line entry points: argument handling, output, exit statuses."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from subexp.cli import main
+from subexp.cli import _build_parser, main
 
 E1_DOC = {
     "model": {
@@ -99,26 +101,18 @@ def test_run_jobs_flag_preserves_bytes(tmp_path):
     assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
 
 
-def test_check_axioms_reports_each_property(capsys):
-    code = main(["check-axioms", "--trials", "60", "--seed", "5"])
-    assert code == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    assert len(lines) == 8
-    for line in lines:
-        assert line.startswith("PASS ")
-        assert "trials=60" in line and "worst_gap=" in line
-
-
-def test_check_axioms_without_trials_exits_two(capsys):
-    for flag, value in (("--trials", "0"), ("--seed", "-1")):
-        assert main(["check-axioms", flag, value]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-        assert f"{flag[2:]} must be at least" in captured.err and f"got {value}" in captured.err
-
-
 def test_unknown_command_rejected():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for command in ("frobnicate", "check-axioms"):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+
+
+def test_readme_command_line_names_every_subcommand():
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("subexp ")]
+    assert sorted(named) == sorted(subparsers.choices)

@@ -284,6 +284,21 @@ def test_cluster_set_loose_horizon():
     assert contain and all(r.passed for r in contain)
 
 
+@pytest.mark.parametrize("driver, amb, horizon", [
+    pytest.param(run_slln, make_e1(), {"N": 3000}, id="slln"),
+    pytest.param(run_marcinkiewicz, make_e1(), {"N": 3000}, id="marcinkiewicz"),
+    pytest.param(run_marcinkiewicz, AmbiguitySet((TwoSidedPareto(1.8, 1.0, 0.5),)),
+                 {"N": 3000}, id="marcinkiewicz-pareto"),
+    pytest.param(run_weak_lln, make_e1(), {"ns": (3000,), "mode": "mc"}, id="weak_lln-mc"),
+    pytest.param(run_three_series, make_e1(), {"N": 3000}, id="three_series"),
+    pytest.param(run_cluster_set, make_v2mix(), {"N": 3000}, id="cluster_set"),
+])
+def test_sampled_driver_without_seeds_raises(driver, amb, horizon):
+    # No seed means no path: a verdict over none would pass vacuously.
+    with pytest.raises(ValueError, match="a sampled experiment needs at least one seed"):
+        driver(amb, seeds=(), **horizon)
+
+
 # ------------------------------------------------------------ streaming
 
 

@@ -221,15 +221,15 @@ def test_failed_run_removes_stale_results_csv(tmp_path):
 
 
 def test_unexpected_error_is_recorded_then_raised(tmp_path, monkeypatch):
-    import subexp.experiments
+    import subexp.axioms
 
     doc = config_doc(parameters={"trials": 50})
     assert run_doc(doc, tmp_path) == 0
 
-    def broken(**kw):
+    def broken(rng):
         raise RuntimeError("broken axiom suite")
 
-    monkeypatch.setattr(subexp.experiments, "run_axiom_suite", broken)
+    monkeypatch.setattr(subexp.axioms, "random_ambiguity_set", broken)
     with pytest.raises(RuntimeError, match="broken axiom suite"):
         run_doc(doc, tmp_path)
     assert sorted(os.listdir(tmp_path)) == ["resolved_config.json", "results.json"]
@@ -238,19 +238,16 @@ def test_unexpected_error_is_recorded_then_raised(tmp_path, monkeypatch):
 
 
 def test_non_finite_verdict_exits_two_and_names_the_row(tmp_path, monkeypatch):
-    import types
+    import subexp.axioms
 
-    import subexp.experiments
-
-    # A check whose gap came out NaN would otherwise be written as a plain "fail".
-    nan_check = types.SimpleNamespace(name="monotone", worst_gap=float("nan"), ok=False, trials=5)
-    report = types.SimpleNamespace(checks=[nan_check])
-    monkeypatch.setattr(subexp.experiments, "run_axiom_suite", lambda **kw: report)
+    # A NaN Choquet integral makes the invariance and domination gaps NaN; a
+    # plain max over the gaps would drop it and let both rows pass.
+    monkeypatch.setattr(subexp.axioms, "choquet_integral", lambda amb, p: float("nan"))
     assert run_doc(config_doc(parameters={"trials": 50}), tmp_path) == 2
     assert sorted(os.listdir(tmp_path)) == ["resolved_config.json", "results.json"]
     record = json.loads((tmp_path / "results.json").read_text())
     assert record["error"]["type"] == "NonFiniteVerdict"
-    assert "'monotone'" in record["error"]["message"]
+    assert "'distributional_invariance'" in record["error"]["message"]
     assert "seed 20240" in record["error"]["message"]
 
 
