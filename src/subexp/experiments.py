@@ -304,8 +304,8 @@ def run_slln(
             carry[j] = _chain(sums, carry[j])
             if strategies[j] is osc:
                 means = sums[tail:] / ns[tail:]
-                run_max = max(run_max, float(means.max(initial=-math.inf)))
-                run_min = min(run_min, float(means.min(initial=math.inf)))
+                run_max = np.maximum(run_max, means.max(initial=-math.inf))
+                run_min = np.minimum(run_min, means.min(initial=math.inf))
             if containment is not None:
                 worst[j] = containment.fold(worst[j], ns, sums, tail)
         return [
@@ -400,7 +400,7 @@ def run_marcinkiewicz(
         for _, ns, sums, tail in _windows(amb, [strategy], N, seed):
             carry = _chain(sums, carry)
             scaled = fold(sums - ns * upper) / ns ** (1.0 / p)
-            worst = max(worst, float(scaled[tail:].max(initial=-math.inf)))
+            worst = _raise_worst(worst, scaled[tail:].max(initial=-math.inf))
         return worst
 
     (worsts,) = _per_seed(lambda seed: [scaled_sup(s_max, seed)], seeds, jobs)
@@ -442,16 +442,9 @@ def run_marcinkiewicz(
     # scaled running sup approaches 0 from below, reported for inspection.
     if moment_ok and amb.is_finite_support:
         exponent = 2.0 * p / (2.0 - p)
-        ends = []
-        k = 1
-        while True:
-            e = int(math.ceil(k ** exponent))
-            if ends and e <= ends[-1]:
-                e = ends[-1] + 1
-            ends.append(e)
-            if e >= N:
-                break
-            k += 1
+        ends = [1]  # block k ends at ceil(k^exponent), past block k-1
+        while ends[-1] < N:
+            ends.append(max(int(math.ceil((len(ends) + 1) ** exponent)), ends[-1] + 1))
         sched = alternating_schedule(amb, ends, "p_oscillation")
         rows.append(
             Row(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import AmbiguitySet, Event
 from .errors import MuNotAttainable
-from .lattice_dp import RunningMax, TerminalEvent, dp_value, lattice_model
+from .lattice_dp import RunningMax, TerminalEvent, _levy_thresholds, dp_value, lattice_model
 
 __all__ = [
     "BoundReport",
@@ -113,16 +113,6 @@ def kolmogorov_lower_capacity_bound(
     return 2.0 * max(total, 0.0) / (x * x)
 
 
-def _centered(amb: AmbiguitySet) -> tuple[AmbiguitySet, float, float]:
-    """Shift members by the upper mean; returns (set, upper mean, B2 per step)."""
-    m_up = float(np.max(amb.member_means()))
-    shifted = AmbiguitySet(
-        tuple(m.shifted(-m_up) for m in amb.members), label=f"{amb.label}-centered"
-    )
-    b2_step = max(m.second_moment() for m in shifted.members)
-    return shifted, m_up, b2_step
-
-
 def _max_increment_term(amb: AmbiguitySet, y: float, n: int) -> float:
     """Upper capacity that some single increment reaches y in n steps.
 
@@ -145,8 +135,11 @@ def check_inequality(amb: AmbiguitySet, which: str, n: int, x: float) -> BoundRe
     """
     lattice_model(amb)
     if which in ("kolmogorov_upper", "exponential"):
-        centered, m_up, b2_step = _centered(amb)
-        B2 = n * b2_step
+        m_up = float(np.max(amb.member_means()))
+        centered = AmbiguitySet(
+            tuple(m.shifted(-m_up) for m in amb.members), label=f"{amb.label}-centered"
+        )
+        B2 = n * max(m.second_moment() for m in centered.members)
         lhs = dp_value(centered, RunningMax(x, mode="pos"), n, side="upper")
         if which == "kolmogorov_upper":
             rhs = kolmogorov_upper_bound(B2, x)
@@ -171,39 +164,20 @@ def check_inequality(amb: AmbiguitySet, which: str, n: int, x: float) -> BoundRe
     raise ValueError(f"unknown inequality {which!r}")
 
 
-def _beta_for_suffix(amb: AmbiguitySet, length: int, alpha: float, pitch: float, amax_abs: float) -> float:
-    """Smallest lattice multiple b with V(|T| > b) <= alpha, T a length-step sum."""
-    if length == 0:
-        return 0.0
-    lo, hi = 0, int(math.ceil(length * amax_abs / pitch)) + 1
-    # V(|T| > m*pitch) is nonincreasing in m and 0 at hi.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        cap = dp_value(amb, TerminalEvent(Event("abs_gt", mid * pitch)), length, "upper")
-        if cap <= alpha:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo * pitch
-
-
 def levy_bound_check(amb: AmbiguitySet, n: int, x: float, alpha: float) -> BoundReport:
     """(1-alpha) V(max_k (|S_k| - b_{n,k}) > x) <= V(|S_n| > x), both exact.
 
     b_{n,k} is the smallest lattice value with V(|S_n - S_k| > b) <= alpha,
-    found by integer bisection on suffix DPs; b_{n,n} = 0. On the lattice the
-    epsilon in the hypothesis vanishes: strict comparisons already realize
-    the limit epsilon -> 0.
+    read for every k from one backward pass per lattice threshold;
+    b_{n,n} = 0. On the lattice the epsilon in the hypothesis vanishes:
+    strict comparisons already realize the limit epsilon -> 0.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    model = lattice_model(amb)
-    amax_abs = max(abs(model.amin), abs(model.amax)) * model.pitch
-    betas = [
-        _beta_for_suffix(amb, n - k, alpha, model.pitch, amax_abs) for k in range(1, n + 1)
-    ]
+    # dp_value rejects n < 1 and an oversized horizon before the sweep.
+    rhs = dp_value(amb, TerminalEvent(Event("abs_gt", x)), n, side="upper")
+    betas = _levy_thresholds(amb, n, alpha)
     running = RunningMax(tuple(x + b for b in betas), mode="abs", strict=True)
     lhs = (1.0 - alpha) * dp_value(amb, running, n, side="upper")
-    rhs = dp_value(amb, TerminalEvent(Event("abs_gt", x)), n, side="upper")
     ctx = f"levy model={amb.label} n={n} x={x:g} alpha={alpha:g}"
     return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)

@@ -75,28 +75,13 @@ def lattice_model(amb: AmbiguitySet) -> LatticeModel:
                 if abs(float(f) - v) > _LATTICE_TOL:
                     raise NonLattice(f"atom {v!r} is not close to a small rational")
                 fractions.append(f)
-    if not fractions:
-        pitch = Fraction(1)
-    else:
-        num = 0
-        den = 1
-        for f in fractions:
-            num = math.gcd(num, abs(f.numerator))
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        pitch = Fraction(num, den)
-    h = float(pitch)
-
-    offsets = []
-    weights = []
-    amin = 0
-    amax = 0
-    for member in amb.members:
-        offs = lattice_offsets(member.values, h)
-        offsets.append(offs)
-        weights.append(tuple(float(w) for w in member.weights))
-        amin = min(amin, min(offs))
-        amax = max(amax, max(offs))
-    return LatticeModel(h, tuple(offsets), tuple(weights), amin, amax)
+    # gcd of the numerators over lcm of the denominators, 1 if every atom is 0
+    h = float(Fraction(math.gcd(*(f.numerator for f in fractions)) or 1,
+                       math.lcm(*(f.denominator for f in fractions))))
+    offsets = tuple(lattice_offsets(m.values, h) for m in amb.members)
+    weights = tuple(tuple(float(w) for w in m.weights) for m in amb.members)
+    flat = [a for offs in offsets for a in offs]
+    return LatticeModel(h, offsets, weights, min(0, *flat), max(0, *flat))
 
 
 def lattice_offsets(values, pitch: float) -> tuple:
@@ -174,7 +159,6 @@ class RunningMax:
 
     def history_value(self, history: tuple) -> float:
         n = len(history)
-        running = 0.0
         for k in range(1, n + 1):
             running = math.fsum(history[:k])
             if bool(self.hit(k, n, np.asarray([running]))[0]):
@@ -228,12 +212,18 @@ def _backward_pass(
     terminal: np.ndarray,
     side: str,
     running: RunningMax | None = None,
-) -> float:
+) -> np.ndarray:
+    """Backward induction from terminal values on [n*amin, n*amax].
+
+    Entry k of the result is the value at S_k = 0 after n - k levels (index
+    -k*amin of level k); without a running event, the (n - k)-step value.
+    """
     opt = _check_side(side)
-    span = model.span
     v = terminal
+    at_zero = np.empty(n + 1)
+    at_zero[n] = v[-n * model.amin]
     for k in range(n - 1, -1, -1):
-        width = k * span + 1
+        width = k * model.span + 1
         acc = None
         for offs, wts in zip(model.offsets, model.weights):
             member_val = np.zeros(width)
@@ -245,7 +235,27 @@ def _backward_pass(
         if running is not None and k >= 1:
             sums = (k * model.amin + np.arange(width)) * model.pitch
             v = np.where(running.hit(k, n, sums), 1.0, v)
-    return float(v[0])
+        at_zero[k] = v[-k * model.amin]
+    return at_zero
+
+
+def _levy_thresholds(amb: AmbiguitySet, n: int, alpha: float) -> list:
+    """b_{n,k} for k = 1..n: the least lattice b with V(|S_n - S_k| > b) <= alpha.
+
+    The pass on |S_n| > m*pitch holds each suffix capacity at sum 0 of level
+    k; it is nonincreasing in m, so one pass per m = 0, 1, ... gives each k
+    its first m at or below alpha. b_{n,n} = 0.
+    """
+    model = lattice_model(amb)
+    sums = np.abs(n * model.amin + np.arange(n * model.span + 1)) * model.pitch
+    betas = [None] * (n - 1) + [0.0]
+    m = 0
+    while None in betas:
+        at_zero = _backward_pass(model, n, (sums > m * model.pitch).astype(float), "upper")
+        betas = [m * model.pitch if b is None and at_zero[k] <= alpha else b
+                 for k, b in enumerate(betas, 1)]
+        m += 1
+    return betas
 
 
 def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upper") -> float:
@@ -265,11 +275,11 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
     sums_n = (n * model.amin + np.arange(width_n)) * model.pitch
 
     if isinstance(functional, (TerminalSum, TerminalEvent)):
-        return _backward_pass(model, n, functional.terminal(sums_n), side)
+        return float(_backward_pass(model, n, functional.terminal(sums_n), side)[0])
 
     if isinstance(functional, RunningMax):
         terminal = functional.hit(n, n, sums_n).astype(float)
-        return _backward_pass(model, n, terminal, side, running=functional)
+        return float(_backward_pass(model, n, terminal, side, running=functional)[0])
 
     if isinstance(functional, AllBlocksHit):
         if functional.ends[-1] != n:
@@ -283,7 +293,7 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
             length = end - prev
             w = length * span + 1
             sums = (length * model.amin + np.arange(w)) * model.pitch
-            value *= _backward_pass(model, length, event.holds(sums).astype(float), side)
+            value *= float(_backward_pass(model, length, event.holds(sums).astype(float), side)[0])
             prev = end
         return value
 
@@ -364,23 +374,13 @@ def policy_enumeration_value(
     prefixes: list[tuple] = [()]
     all_values = sorted({v for vals, _ in atoms for v in vals})
     for step in range(1, n):
-        prefixes.extend(p for p in product(all_values, repeat=step))
+        prefixes.extend(product(all_values, repeat=step))
 
-    best = None
-    for assignment in product(range(k), repeat=len(prefixes)):
-        table = dict(zip(prefixes, assignment))
+    def walk(table: dict, history: tuple, prob: float) -> float:
+        if len(history) == n:
+            return prob * functional.history_value(history)
+        values, weights = atoms[table[history]]
+        return math.fsum(walk(table, history + (v,), prob * w) for v, w in zip(values, weights))
 
-        def walk(history: tuple, prob: float) -> float:
-            if len(history) == n:
-                return prob * functional.history_value(history)
-            values, weights = atoms[table[history]]
-            return math.fsum(
-                walk(history + (v,), prob * w) for v, w in zip(values, weights)
-            )
-
-        value = walk((), 1.0)
-        if best is None:
-            best = value
-        else:
-            best = max(best, value) if side == "upper" else min(best, value)
-    return best
+    tables = (dict(zip(prefixes, a)) for a in product(range(k), repeat=len(prefixes)))
+    return (max if side == "upper" else min)(walk(t, (), 1.0) for t in tables)

@@ -127,13 +127,14 @@ def test_criterion_03_inequality_grid_zero_violations(e1):
         print(f"VIOLATION {r.statistic}: lhs {r.value!r} > rhs {r.tolerance!r}")
     assert not violations
 
+    # n = 32, 64 and 128 are the sizes of the benchmark's exact_dp grid.
     for alpha in (0.3, 0.5):
-        for n in (4, 8, 16):
+        for n in (4, 8, 16, 32, 64, 128):
             for x in (1.0, 2.0, 3.0):
                 rep = levy_bound_check(e1, n=n, x=x, alpha=alpha)
                 assert rep.satisfied, rep.context
     elapsed = time.monotonic() - t0
-    print(f"\n72 capacity-vs-bound rows + 18 maximal-vs-terminal rows clean, {elapsed:.1f}s")
+    print(f"\n72 capacity-vs-bound rows + 36 maximal-vs-terminal rows clean, {elapsed:.1f}s")
     assert elapsed < 300.0
 
 

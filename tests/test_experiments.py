@@ -617,3 +617,45 @@ def test_drivers_never_sample_a_whole_horizon():
     assert calls, "the drivers no longer call sample_path"
     for call in calls:
         assert "start" in {kw.arg for kw in call.keywords}, f"line {call.lineno}: no start="
+
+
+def test_marcinkiewicz_keeps_a_nan_window(monkeypatch, e1):
+    # NaN sums in every window after the first: a max that dropped them left
+    # envelope_sup at 0.700, a verdict on the first window alone.
+    def poisoned(x, carry):
+        out = _chain(x, carry)
+        if carry is not None:
+            x[:] = math.nan
+        return out
+
+    monkeypatch.setattr(experiments, "_chain", poisoned)
+    with pytest.raises(NonFiniteVerdict, match="'envelope_sup'"):
+        run_marcinkiewicz(e1, N=3 * _WINDOW, seeds=(1,))
+
+
+def test_slln_oscillation_extremes_keep_a_nan_window(monkeypatch):
+    # NaN in the oscillation strategy's later windows only, on a model with
+    # no containment row: its running max and min must both turn NaN.
+    amb = AmbiguitySet(
+        (TwoSidedPareto(3.0, 1.0, 0.5), FiniteDiscrete.from_arrays([-1.0, 1.0], [0.25, 0.75]))
+    )
+    windows = experiments._windows
+
+    def poisoned(amb, strategies, N, seed):
+        for j, ns, x, tail in windows(amb, strategies, N, seed):
+            if strategies[j].label == "oscillation" and ns[0] > 1:
+                x[:] = math.nan
+            yield j, ns, x, tail
+
+    values = {}
+
+    def recorded(statistic, value, *rest):
+        values.setdefault(statistic, value)
+        return Row(statistic, 0.0, *rest)
+
+    monkeypatch.setattr(experiments, "_windows", poisoned)
+    monkeypatch.setattr(experiments, "Row", recorded)
+    run_slln(amb, N=3 * _WINDOW, seeds=(1,))
+    assert math.isnan(values["osc_running_max"])
+    assert math.isnan(values["osc_running_min"])
+    assert math.isfinite(values["endpoint_upper_gap"])

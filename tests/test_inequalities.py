@@ -7,23 +7,32 @@ and capacity-series tests read the rows of the experiment drivers
 run_inequality_grid and run_choquet_series.
 """
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
+import subexp.inequalities
+from conftest import make_e1, random_lattice_instance
 from subexp import (
     AmbiguitySet,
+    Event,
     FiniteDiscrete,
+    TerminalEvent,
     TwoSidedPareto,
     check_inequality,
+    dp_value,
     exponential_bound,
     kolmogorov_lower_capacity_bound,
     kolmogorov_upper_bound,
+    lattice_model,
     levy_bound_check,
     run_choquet_series,
     run_inequality_grid,
 )
 from subexp.errors import MuNotAttainable, NonLattice
+from subexp.lattice_dp import _levy_thresholds
 
 
 # ----------------------------------------------------------- closed forms
@@ -150,6 +159,60 @@ def test_levy_reflection(e1):
         assert f"alpha={alpha:g}" in rep.context
     with pytest.raises(ValueError):
         levy_bound_check(e1, n=8, x=2.0, alpha=1.5)
+
+
+def test_levy_rejects_a_horizon_without_steps(e1):
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="need at least one step"):
+            levy_bound_check(e1, n=n, x=1.0, alpha=0.3)
+
+
+def test_levy_makes_exactly_two_dp_calls(monkeypatch, e1):
+    # The suffix thresholds come from the sweep, not from one DP per probe.
+    calls = []
+    real = subexp.inequalities.dp_value
+
+    def counted(amb, functional, n, side="upper"):
+        calls.append(type(functional).__name__)
+        return real(amb, functional, n, side)
+
+    monkeypatch.setattr(subexp.inequalities, "dp_value", counted)
+    assert levy_bound_check(e1, n=32, x=2.0, alpha=0.3).satisfied
+    assert sorted(calls) == ["RunningMax", "TerminalEvent"]
+
+
+def _bisected_thresholds(amb, n, alphas):
+    """Referee: b_{n,k} per alpha by integer bisection on separate suffix DPs."""
+    model = lattice_model(amb)
+    reach = max(-model.amin, model.amax)
+
+    @functools.cache
+    def capacity(length, m):
+        return dp_value(amb, TerminalEvent(Event("abs_gt", m * model.pitch)), length)
+
+    def least(alpha, length):
+        lo, hi = 0, length * reach + 1  # no length-step sum exceeds hi lattice steps
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if capacity(length, mid) <= alpha else (mid + 1, hi)
+        return lo * model.pitch
+
+    return {alpha: [least(alpha, n - k) for k in range(1, n)] + [0.0] for alpha in alphas}
+
+
+_RNG = np.random.default_rng(4242)
+LEVY_CASES = [(make_e1(), n) for n in (1, 2, 3, 5, 8, 13, 21, 34, 40)] + [
+    (random_lattice_instance(_RNG)[0], int(_RNG.integers(1, 41))) for _ in range(10)
+]
+
+
+@pytest.mark.parametrize(
+    "amb, n", LEVY_CASES, ids=[f"{a.label}{i}-n{n}" for i, (a, n) in enumerate(LEVY_CASES)]
+)
+def test_levy_thresholds_equal_bisection(amb, n):
+    alphas = (0.01, 0.05, 0.3, 0.5, 0.95)
+    for alpha, expected in _bisected_thresholds(amb, n, alphas).items():
+        assert _levy_thresholds(amb, n, alpha) == expected, (alpha, amb.members)
 
 
 # ---------------------------------------------------- capacity series tests

@@ -25,6 +25,7 @@ from subexp import (
     policy_enumeration_value,
 )
 from subexp.errors import NonLattice, StateSpaceTooLarge, TooLargeForBruteForce
+from subexp.lattice_dp import _backward_pass
 from conftest import random_lattice_instance
 
 
@@ -171,3 +172,23 @@ def test_upper_dominates_lower_randomized():
         up = dp_value(amb, functional, n, "upper")
         lo = dp_value(amb, functional, n, "lower")
         assert up >= lo - 1e-12
+
+
+def test_backward_pass_holds_every_suffix_value_at_sum_zero():
+    """Entry k of one pass from horizon n is the value at S_k = 0 after n - k
+    levels: the (n - k)-step value of the same payoff, bit for bit."""
+    rng = np.random.default_rng(1789)
+    compared = 0
+    while compared < 3000:
+        amb, functional, _, side = random_lattice_instance(rng)
+        if not isinstance(functional, (TerminalSum, TerminalEvent)):
+            continue
+        n = int(rng.integers(1, 31))
+        model = lattice_model(amb)
+        sums = (n * model.amin + np.arange(n * model.span + 1)) * model.pitch
+        at_zero = _backward_pass(model, n, functional.terminal(sums), side)
+        assert len(at_zero) == n + 1
+        assert at_zero[n] == functional.terminal(np.zeros(1))[0]
+        for k in range(n):
+            assert at_zero[k] == dp_value(amb, functional, n - k, side), (k, n, side)
+        compared += n + 1
