@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (default: config output_dir)")
     p_run.add_argument("--jobs", type=int, default=1, metavar="J",
-                       help="worker threads for independent trials")
+                       help="worker threads, the calling thread included")
     return parser
 
 
@@ -44,6 +44,9 @@ def _load(path: str):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.jobs < 1:
+        print(f"error: --jobs: need at least 1 worker thread, got {args.jobs}", file=sys.stderr)
+        return 2
 
     try:
         config = _load(args.config)

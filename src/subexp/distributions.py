@@ -215,11 +215,12 @@ class FiniteDiscrete:
 
     # -- sampling -------------------------------------------------------------
 
-    def icdf(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF in the stored atom order; u in [0, 1)."""
+    def icdf(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Inverse CDF in the stored atom order; u in [0, 1). Written into
+        `out` when given; a u past the last cumulative weight (rounding) takes
+        the last atom."""
         idx = np.searchsorted(self._cumw, u, side="right")
-        idx = np.minimum(idx, len(self._weights) - 1)
-        return self._values[idx]
+        return np.take(self._values, idx, axis=0, out=out, mode="clip")
 
     # -- derived laws ---------------------------------------------------------
 
@@ -329,9 +330,10 @@ class TwoSidedPareto:
 
     # -- sampling -------------------------------------------------------------
 
-    def icdf(self, u: np.ndarray) -> np.ndarray:
+    def icdf(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse CDF for u in [0, 1): -s (left/u)^(1/alpha) below left = 1 - r,
         s (r/(1-u))^(1/alpha) from there, with u and 1 - u floored at 2^-64.
+        Written into `out` when given.
 
         A quantile beyond the largest float (small alpha at extreme u) is -inf
         or +inf, without an overflow warning; a verdict on such a value raises
@@ -340,7 +342,7 @@ class TwoSidedPareto:
         u = np.maximum(np.asarray(u, dtype=float), _U_FLOOR)
         r, s, a = self.right_mass, self.scale, self.alpha
         left = 1.0 - r
-        out = np.empty_like(u)
+        out = np.empty_like(u) if out is None else out
         neg = u < left
         pos = ~neg
         with np.errstate(over="ignore"):

@@ -30,7 +30,7 @@ from .axioms import _property_gaps
 from .distributions import AmbiguitySet, Event
 from .errors import NonFiniteVerdict
 from .expectation import _survival_curve, _survival_integral, choquet_integral, mean_interval
-from .inequalities import check_inequality, levy_bound_check
+from .inequalities import _levy_checks, check_inequality
 from .lattice_dp import TerminalEvent, TerminalSum, dp_value
 from .meanset import MeanSet, build_mean_set, distance_to_mean_set
 from .parallel import parallel_map
@@ -67,9 +67,9 @@ _BURN_IN_FRACTION = 100  # tail = n >= N / this
 # whatever the net, and each block is one GEMM small enough for OpenBLAS to
 # run on one thread.
 _CONTAINMENT_BYTES = 512 * 1024
-# Steps per sampled window. A task's live window arrays (two uniforms, their
-# uint64 scratch, the step counts and one strategy's increments) take 128 KB
-# each at d=1, so together they stay in a 2 MB L2.
+# Steps per sampled window. A task's window workspace (two uniforms, their
+# uint64 scratch, the step counts, one strategy's increments and member
+# indices) takes 672 KiB at d=1, so it stays in a 2 MB L2.
 _WINDOW = 16_384
 
 
@@ -144,29 +144,41 @@ def _uniform_mix(amb: AmbiguitySet) -> Stationary:
 def _windows(amb: AmbiguitySet, strategies: Sequence, N: int, seed: int):
     """Walk the N-step paths that the strategies draw under one seed, in windows.
 
-    Each window of _WINDOW steps is hashed once into buffers the walk reuses,
-    and every strategy draws its window from those uniforms. Yields
-    (j, ns, x, tail) for each window and each strategy j in turn: x is a
-    fresh array of strategies[j]'s increments on the steps ns (start+1..end,
-    as floats, shared by the strategies of the window), and rows from tail on
-    lie past the burn-in. `_chain` turns x into running sums.
+    One workspace, allocated per call, holds a window's uniforms, step
+    counts, increments and member indices. Each window of _WINDOW steps is
+    hashed once, and every strategy draws its window from those uniforms.
+    Yields (j, ns, x, tail) for each window and each strategy j in turn: x is
+    strategies[j]'s increments on the steps ns (start+1..end, as floats,
+    shared by the strategies of the window), and rows from tail on lie past
+    the burn-in. ns and x are views into the workspace, valid until the next
+    yield, which the caller may overwrite; `_chain` turns x into running sums.
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     burn = _tail_slice(N)
     size = min(_WINDOW, N)
-    u_member, u_value = np.empty(size), np.empty(size)
-    scratch = np.empty(size, dtype=np.uint64)
+    # Float64 rows of one window: ns, two uniforms and their uint64 scratch,
+    # then dim rows of increments, then the int16 member indices.
+    work = np.empty((4 + amb.dim) * size + size // 4 + 1)
+    ns, u_member, u_value, scratch = work[:4 * size].reshape(4, size)
+    scratch = scratch.view(np.uint64)
+    increments = work[4 * size:(4 + amb.dim) * size]
+    if amb.dim > 1:
+        increments = increments.reshape(size, amb.dim)
+    member_idx = work[(4 + amb.dim) * size:].view(np.int16)[:size]
+    ns.fill(1.0)
+    np.cumsum(ns, out=ns)  # 1..size, exact in float64
     for start in range(0, N, _WINDOW):
-        end = min(start + _WINDOW, N)
-        w = slice(0, end - start)
+        if start:
+            ns += _WINDOW  # every earlier window was full
+        w = slice(0, min(start + _WINDOW, N) - start)
         uniforms = u_member[w], u_value[w]
         hash_window(seed, start, *uniforms, scratch[w])
-        ns = np.arange(start + 1, end + 1, dtype=float)
         tail = max(burn - 1 - start, 0)
         for j, strategy in enumerate(strategies):
-            path = sample_path(amb, strategy, end, seed, start=start, uniforms=uniforms)
-            yield j, ns, path.increments, tail
+            path = sample_path(amb, strategy, start + w.stop, seed, start=start,
+                               uniforms=uniforms, out=(increments[w], member_idx[w]))
+            yield j, ns[w], path.increments, tail
 
 
 def _chain(x: np.ndarray, carry):
@@ -221,8 +233,8 @@ class _Containment:
     over windows and row blocks is exact, so the value depends neither on
     the window nor on the block height. A NaN anywhere in the tail makes the
     value NaN, so the row raises NonFiniteVerdict. The net-based distance
-    underestimates the true distance, so a pass here is conservative in the
-    right direction for a containment claim.
+    never exceeds the true one, so it errs towards a pass: a path that
+    leaves M by less than the net resolves reads as contained.
     """
 
     def __init__(self, amb: AmbiguitySet, mean_set: MeanSet, tol_outer: float):
@@ -237,10 +249,19 @@ class _Containment:
         if sums.ndim == 1:
             # The 1-d net is exactly {+1, -1}: the products by +-1.0 are exact,
             # so this closed form gives the bits of the matrix product.
-            y = sums[tail:] / ns[tail:]
-            dist = np.maximum(np.maximum(y - self.support[0], -y - self.support[1]), 0.0)
-            excess = dist - 4.0 * np.sqrt(self.s2 / ns[tail:])
-            return _raise_worst(worst, excess.max(initial=-math.inf))
+            # In place on two buffers, each operation the one of
+            # max(y - s0, -y - s1, 0) - 4 sqrt(s2 / n).
+            y = np.divide(sums[tail:], ns[tail:])
+            t = np.negative(y)
+            t -= self.support[1]
+            y -= self.support[0]
+            np.maximum(y, t, out=y)
+            np.maximum(y, 0.0, out=y)
+            np.divide(self.s2, ns[tail:], out=t)
+            np.sqrt(t, out=t)
+            t *= 4.0
+            y -= t
+            return _raise_worst(worst, y.max(initial=-math.inf))
         # One gap buffer per window, refilled in place for every row block.
         gaps = np.empty((min(self.rows, len(ns)), len(self.support)))
         for i in range(tail, len(ns), self.rows):
@@ -811,10 +832,16 @@ def run_inequality_grid(
         Row(rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, "exact_dp", 0, rep.n)
         for rep in parallel_map(lambda c: check_inequality(amb, *c), grid, jobs)
     ]
-    levy = sorted((n, x, a) for n in ns for x in xs for a in levy_alphas)
+    # One threshold sweep per (n, alpha) serves every x.
+    levy_xs = sorted(set(xs))
+    sweeps = sorted({(n, a) for n in ns for a in levy_alphas}) if xs else []
+    levy = {}
+    for (n, a), reps in zip(sweeps, parallel_map(
+            lambda c: _levy_checks(amb, c[0], levy_xs, c[1]), sweeps, jobs)):
+        levy.update(((n, x, a), rep) for x, rep in zip(levy_xs, reps))
     rows.extend(
         Row(rep.context, rep.lhs, rep.rhs, rep.satisfied, "exact_dp", 0, rep.n)
-        for rep in parallel_map(lambda c: levy_bound_check(amb, *c), levy, jobs)
+        for rep in (levy[c] for c in sorted((n, x, a) for n in ns for x in xs for a in levy_alphas))
     )
     return ExperimentResult(
         strategy_labels=("exact_dp",),

@@ -172,12 +172,21 @@ def levy_bound_check(amb: AmbiguitySet, n: int, x: float, alpha: float) -> Bound
     b_{n,n} = 0. On the lattice the epsilon in the hypothesis vanishes:
     strict comparisons already realize the limit epsilon -> 0.
     """
+    return _levy_checks(amb, n, [x], alpha)[0]
+
+
+def _levy_checks(amb: AmbiguitySet, n: int, xs: Sequence[float], alpha: float) -> list:
+    """levy_bound_check at every x of xs (at least one), from one threshold
+    sweep: b_{n,k} depends on (n, alpha) only."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     # dp_value rejects n < 1 and an oversized horizon before the sweep.
-    rhs = dp_value(amb, TerminalEvent(Event("abs_gt", x)), n, side="upper")
+    rhs = [dp_value(amb, TerminalEvent(Event("abs_gt", x)), n, side="upper") for x in xs]
     betas = _levy_thresholds(amb, n, alpha)
-    running = RunningMax(tuple(x + b for b in betas), mode="abs", strict=True)
-    lhs = (1.0 - alpha) * dp_value(amb, running, n, side="upper")
-    ctx = f"levy model={amb.label} n={n} x={x:g} alpha={alpha:g}"
-    return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
+    reports = []
+    for x, r in zip(xs, rhs):
+        running = RunningMax(tuple(x + b for b in betas), mode="abs", strict=True)
+        lhs = (1.0 - alpha) * dp_value(amb, running, n, side="upper")
+        ctx = f"levy model={amb.label} n={n} x={x:g} alpha={alpha:g}"
+        reports.append(BoundReport(lhs=lhs, rhs=r, context=ctx, n=n))
+    return reports

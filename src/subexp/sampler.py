@@ -14,6 +14,7 @@ all of it. No global or sequential RNG state exists anywhere in this module.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,6 +127,7 @@ class Stationary:
 class BlockSchedule:
     """Piecewise-stationary mixture: weights_per_block[j] applies on steps
     (ends[j-1], ends[j]]. Steps beyond the last end reuse the final mixture.
+    ends may be a range, which holds evenly spaced ends in constant space.
     """
 
     ends: tuple
@@ -137,7 +139,7 @@ class BlockSchedule:
             raise ValueError("a block schedule needs at least one block")
         if len(self.ends) != len(self.weights_per_block):
             raise ValueError("one mixture per block required")
-        if any(b <= a for a, b in zip((0,) + self.ends[:-1], self.ends)):
+        if any(b <= a for a, b in zip(itertools.chain((0,), self.ends), self.ends)):
             raise ValueError(f"block ends must be strictly increasing, got {self.ends}")
 
     def blocks_for(self, n: int, start: int = 0) -> list[tuple[int, tuple]]:
@@ -272,11 +274,11 @@ def mixture_for_target(amb: AmbiguitySet, b) -> tuple:
 
 def alternating_schedule(amb: AmbiguitySet, ends: Sequence[int], label: str) -> BlockSchedule:
     """Pure max-mean and min-mean blocks in turn over the given block ends,
-    the max-mean member first."""
+    the max-mean member first; a range of ends is kept as it is."""
     k = len(amb.members)
     pure = [pure_weights(k, j) for j in extreme_members(amb)]
     weights = tuple(pure[j % 2] for j in range(len(ends)))
-    return BlockSchedule(tuple(ends), weights, label=label)
+    return BlockSchedule(ends if isinstance(ends, range) else tuple(ends), weights, label=label)
 
 
 def oscillation_schedule(amb: AmbiguitySet, K: int, factor: float = 16.0) -> BlockSchedule:
@@ -399,6 +401,7 @@ def sample_path(
     seed: int,
     start: int = 0,
     uniforms: tuple[np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Path:
     """Draw steps start+1..n under the strategy's per-block mixtures.
 
@@ -413,6 +416,8 @@ def sample_path(
     for (seed, start), n - start each; a caller that draws several strategies
     of one seed hashes them once. Without them this function hashes them
     itself. A block whose mixture is one-hot skips the member uniform.
+    `out` are (increments, member_indices) arrays of n - start rows for the
+    path to be drawn into, so a caller that walks windows allocates none.
     """
     if not 0 <= start < n:
         raise ValueError(f"need 0 <= start < n, got start={start}, n={n}")
@@ -424,32 +429,33 @@ def sample_path(
         raise ValueError(f"uniforms must cover the {n - start} steps drawn")
     members = amb.members
     k = len(members)
-    if amb.dim == 1:
-        increments = np.empty(n - start, dtype=float)
-    else:
-        increments = np.empty((n - start, amb.dim), dtype=float)
-    member_idx = np.empty(n - start, dtype=np.int16)
+    if out is None:
+        shape = (n - start,) if amb.dim == 1 else (n - start, amb.dim)
+        out = np.empty(shape), np.empty(n - start, dtype=np.int16)
+    increments, member_idx = out
+    if len(increments) != n - start or len(member_idx) != n - start:
+        raise ValueError(f"output arrays must hold the {n - start} steps drawn")
 
     lo = start
     for end, weights in strategy.blocks_for(n, start):
         weights = _check_weights(weights, k)
-        out = slice(lo - start, end - start)
+        rows = slice(lo - start, end - start)
         lo = end
         if weights.count(1.0) == 1 and weights.count(0.0) == k - 1:
             # Every uniform selects this member, as the search below would.
             j = weights.index(1.0)
-            member_idx[out] = j
-            increments[out] = members[j].icdf(u_value[out])
+            member_idx[rows] = j
+            members[j].icdf(u_value[rows], out=increments[rows])
             continue
         cumw = np.cumsum(weights)
         cumw[-1] = 1.0
-        idx = np.minimum(np.searchsorted(cumw, u_member[out], side="right"), k - 1)
-        member_idx[out] = idx
-        values = u_value[out]
+        idx, values, block = member_idx[rows], u_value[rows], increments[rows]
+        np.minimum(np.searchsorted(cumw, u_member[rows], side="right"), k - 1,
+                   out=idx, casting="unsafe")
         for j, member in enumerate(members):
             mask = idx == j
             if mask.any():
-                increments[out][mask] = member.icdf(values[mask])
+                block[mask] = member.icdf(values[mask])
 
     return Path(
         n=n - start,

@@ -101,6 +101,21 @@ def test_run_jobs_flag_preserves_bytes(tmp_path):
     assert (tmp_path / "a" / "results.csv").read_bytes() == (tmp_path / "b" / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, E1_DOC), "--out", str(out), "--jobs", jobs]) == 2
+    assert f"error: --jobs: need at least 1 worker thread, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_jobs_help_counts_the_calling_thread():
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    (jobs,) = [a for a in subparsers.choices["run"]._actions if "--jobs" in a.option_strings]
+    assert jobs.help == "worker threads, the calling thread included"
+
+
 def test_unknown_command_rejected():
     for command in ("frobnicate", "check-axioms"):
         with pytest.raises(SystemExit) as exc:

@@ -499,6 +499,30 @@ def test_peak_memory_does_not_grow_with_seeds(driver, amb):
     assert six < 64 * 2**20
 
 
+def test_two_seeds_at_two_jobs_hold_about_two_tasks():
+    # Each task owns one window workspace, and the calling thread is one of
+    # the two workers. 20 repeats read 1.86-2.00 (1.94-2.07 with a thread
+    # pool and per-window arrays).
+    amb = make_e1()
+    run_slln(amb, N=200_000, seeds=(1,), jobs=1)  # warm-up: imports and caches
+    one = _traced_peak(lambda: run_slln(amb, N=200_000, seeds=(1,), jobs=1))
+    two = _traced_peak(lambda: run_slln(amb, N=200_000, seeds=(1, 2), jobs=2))
+    assert two <= 2.1 * one
+
+
+@pytest.mark.parametrize("amb", [make_asym3(), make_v2mix()], ids=["1d", "2d"])
+def test_windows_yield_views_of_one_workspace(monkeypatch, amb):
+    # No window allocates: every array yielded for a seed views one buffer.
+    monkeypatch.setattr(experiments, "_WINDOW", 64)
+    k = len(amb.members)
+    plans = [Stationary(tuple(1.0 / k for _ in range(k))),
+             Stationary(tuple(float(j == 0) for j in range(k)))]
+    arrays = [a for _, ns, x, _ in _windows(amb, plans, 300, seed=3) for a in (ns, x)]
+    assert len(arrays) == 2 * 2 * 5
+    base = arrays[0].base
+    assert base is not None and all(a.base is base for a in arrays)
+
+
 # (driver at horizon n, short horizon, bound on the long/short peak ratio).
 # choquet_series read 0.75 MiB at both K, against 3.1 and 12.6 MiB when it
 # held every term. three_series read 1.37 and 1.60 MiB, against 3.2 and

@@ -181,6 +181,25 @@ def test_levy_makes_exactly_two_dp_calls(monkeypatch, e1):
     assert sorted(calls) == ["RunningMax", "TerminalEvent"]
 
 
+def test_grid_sweeps_levy_thresholds_once_per_horizon_and_alpha(monkeypatch, e1):
+    # The exact_dp grid: three xs share each (n, alpha) sweep, 3 sweeps for 9 rows.
+    calls = []
+    real = subexp.inequalities._levy_thresholds
+
+    def counted(amb, n, alpha):
+        calls.append((n, alpha))
+        return real(amb, n, alpha)
+
+    monkeypatch.setattr(subexp.inequalities, "_levy_thresholds", counted)
+    kw = dict(ns=(32, 64, 128), xs=(1.0, 2.0, 4.0), levy_alphas=(0.3,))
+    rows = run_inequality_grid(e1, whichs=(), **kw).rows
+    assert sorted(calls) == [(32, 0.3), (64, 0.3), (128, 0.3)]
+    alone = [levy_bound_check(e1, n, x, a) for n in kw["ns"] for x in kw["xs"]
+             for a in kw["levy_alphas"]]
+    assert [(r.statistic, r.value, r.tolerance, r.n) for r in rows] == [
+        (rep.context, rep.lhs, rep.rhs, rep.n) for rep in alone]
+
+
 def _bisected_thresholds(amb, n, alphas):
     """Referee: b_{n,k} per alpha by integer bisection on separate suffix DPs."""
     model = lattice_model(amb)

@@ -228,6 +228,21 @@ def test_alternating_schedule_shares_its_two_mixtures(e1):
     assert sched.weights_per_block[:3] == ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
 
 
+def test_alternating_schedule_keeps_a_range_and_its_path(e1):
+    # The ends of a range cost no memory per block and draw the same path.
+    ends = range(100, 10_100, 100)
+    sched = alternating_schedule(e1, ends, "alternating_100")
+    assert sched.ends is ends
+    copy = alternating_schedule(e1, list(ends), "alternating_100")
+    assert copy.ends == tuple(ends)
+    for n in (10_000, 10_050):
+        assert np.array_equal(sample_path(e1, sched, n, seed=5).increments,
+                              sample_path(e1, copy, n, seed=5).increments)
+    for bad in (range(0, 100, 10), range(30, 0, -10)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            alternating_schedule(e1, bad, "bad")
+
+
 def test_oscillation_schedule_geometry(e1):
     sched = oscillation_schedule(e1, K=5)
     assert len(sched.ends) == 5
@@ -322,7 +337,9 @@ def test_chained_window_sums_equal_whole_cumsum(monkeypatch, model):
     k = len(amb.members)
     plans = [_PLAN, Stationary(pure_weights(k, 1)), Stationary((0.5, 0.5))]
     monkeypatch.setattr(experiments, "_WINDOW", _W)
-    windows = list(experiments._windows(amb, plans, 300, seed=7))
+    # The yielded arrays are views valid until the next yield: copy each one.
+    windows = [(j, ns.copy(), x.copy(), tail)
+               for j, ns, x, tail in experiments._windows(amb, plans, 300, seed=7)]
     assert [j for j, _, _, _ in windows] == [0, 1, 2] * 5  # each window, every plan
     assert [len(ns) for _, ns, _, _ in windows[::3]] == [64, 64, 64, 64, 44]
     assert [tail for _, _, _, tail in windows[::3]] == [2, 0, 0, 0, 0]  # burn-in is 3 steps
