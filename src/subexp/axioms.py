@@ -12,7 +12,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event, FiniteDiscrete
+from .distributions import AmbiguitySet, Event, FiniteDiscrete, _distinct_rows
 from .expectation import choquet_integral, event_upper_capacity, lower_expectation, upper_expectation
 
 __all__ = ["random_ambiguity_set", "random_max_affine"]
@@ -28,7 +28,7 @@ def random_ambiguity_set(rng: np.random.Generator, dim: int = 1) -> AmbiguitySet
                 values = np.round(rng.normal(0.0, 2.0, size=k), 6)
             else:
                 values = np.round(rng.normal(0.0, 2.0, size=(k, dim)), 6)
-            if len(np.unique(values, axis=0)) == k:
+            if len(_distinct_rows(values.reshape(k, -1))) == k:
                 break
         weights = rng.dirichlet(np.ones(k))
         members.append(FiniteDiscrete.from_arrays(values, weights))

@@ -9,6 +9,7 @@ dynamic programs -- consumes these objects and nothing else.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -36,6 +37,16 @@ def _as_value_array(values: Sequence) -> np.ndarray:
     if arr.ndim not in (1, 2):
         raise ValueError(f"atom values must be scalars or flat vectors, got shape {arr.shape}")
     return arr
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array in lexicographic order, as
+    np.unique(rows, axis=0) gives them, without the numpy.ma import that
+    every np.unique call makes."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return rows[fresh]
 
 
 @dataclass(frozen=True)
@@ -377,6 +388,34 @@ class AmbiguitySet:
     @property
     def is_finite_support(self) -> bool:
         return all(isinstance(m, FiniteDiscrete) for m in self.members)
+
+    @functools.cached_property
+    def icdf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(thresholds, offsets, atoms) that draw any member's increments by one gather.
+
+        atoms concatenates the finite members' atoms, member j's from
+        offsets[j] on. thresholds[a, j] is member j's cumulative weight a,
+        for every atom a but its last, and +inf past them. For u in [0, 1)
+        the count of a with thresholds[a, j] <= u is then the index that
+        `FiniteDiscrete.icdf` searches for (its last cumulative weight is
+        1.0), so atoms[offsets[j] + count] is the float it takes. A Pareto
+        member has no finite threshold, and its offset names a NaN atom.
+        """
+        k = len(self.members)
+        width = max((len(m.weights) for m in self.members if m.kind == "finite"), default=1)
+        thresholds = np.full((width - 1, k), np.inf)
+        offsets = np.empty(k, dtype=np.intp)
+        atoms, size = [], 0
+        for j, m in enumerate(self.members):
+            if m.kind == "finite":
+                thresholds[: len(m.weights) - 1, j] = m._cumw[:-1]
+                offsets[j] = size
+                atoms.append(m.values)
+                size += len(m.values)
+        if not self.is_finite_support:
+            offsets[[m.kind != "finite" for m in self.members]] = size
+            atoms.append(np.array([np.nan]))
+        return thresholds, offsets, np.concatenate(atoms)
 
     def member_means(self) -> np.ndarray:
         """Matrix of member means, shape (k,) in dimension 1 else (k, d).

@@ -69,8 +69,8 @@ _BURN_IN_FRACTION = 100  # tail = n >= N / this
 _CONTAINMENT_BYTES = 512 * 1024
 # Steps per sampled window. A task's window workspace (two uniforms, their
 # uint64 scratch, the step counts, one strategy's increments and member
-# indices) takes 672 KiB at d=1, so it stays in a 2 MB L2.
-_WINDOW = 16_384
+# indices) takes 336 KiB at d=1, so it stays in a 2 MB L2.
+_WINDOW = 8_192
 
 
 @dataclass(frozen=True)

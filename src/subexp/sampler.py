@@ -14,6 +14,7 @@ all of it. No global or sequential RNG state exists anywhere in this module.
 from __future__ import annotations
 
 import bisect
+import collections.abc
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import AmbiguitySet
+from .distributions import AmbiguitySet, _distinct_rows
 from .errors import TargetOutOfRange, TargetOutsideM
 from .meanset import MeanSet, distance_to_mean_set
 
@@ -127,7 +128,8 @@ class Stationary:
 class BlockSchedule:
     """Piecewise-stationary mixture: weights_per_block[j] applies on steps
     (ends[j-1], ends[j]]. Steps beyond the last end reuse the final mixture.
-    ends may be a range, which holds evenly spaced ends in constant space.
+    ends may be a range, which holds evenly spaced ends in constant space,
+    and weights_per_block any sequence of mixtures.
     """
 
     ends: tuple
@@ -272,12 +274,29 @@ def mixture_for_target(amb: AmbiguitySet, b) -> tuple:
     return tuple(float(x) for x in w)
 
 
+class _Cycle(collections.abc.Sequence):
+    """The read-only sequence of `length` entries whose entry i is
+    items[i % len(items)], held in the space of the items alone."""
+
+    def __init__(self, items: tuple, length: int) -> None:
+        self._items, self._length = items, length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(self._length)[i])
+        i = range(self._length)[i]  # raises IndexError past either end
+        return self._items[i % len(self._items)]
+
+
 def alternating_schedule(amb: AmbiguitySet, ends: Sequence[int], label: str) -> BlockSchedule:
     """Pure max-mean and min-mean blocks in turn over the given block ends,
-    the max-mean member first; a range of ends is kept as it is."""
+    the max-mean member first. A range of ends is kept as it is, and the
+    two mixtures are cycled, so a schedule holds nothing per block."""
     k = len(amb.members)
-    pure = [pure_weights(k, j) for j in extreme_members(amb)]
-    weights = tuple(pure[j % 2] for j in range(len(ends)))
+    weights = _Cycle(tuple(pure_weights(k, j) for j in extreme_members(amb)), len(ends))
     return BlockSchedule(ends if isinstance(ends, range) else tuple(ends), weights, label=label)
 
 
@@ -317,7 +336,7 @@ def default_targets(amb: AmbiguitySet, m: int, mean_set: MeanSet) -> np.ndarray:
         return np.linspace(lo, hi, m)
 
     grid = _simplex_lattice(len(amb.members), resolution=max(8, m))
-    candidates = np.unique(np.round(grid @ means, 12), axis=0)
+    candidates = _distinct_rows(np.round(grid @ means, 12))
     chosen = _farthest_point_subset(candidates, m)
     centered = chosen - chosen.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -415,7 +434,9 @@ def sample_path(
     `uniforms` are the (u_member, u_value) arrays that `hash_window` filled
     for (seed, start), n - start each; a caller that draws several strategies
     of one seed hashes them once. Without them this function hashes them
-    itself. A block whose mixture is one-hot skips the member uniform.
+    itself. A block whose mixture is one-hot skips the member uniform; any
+    other block draws its finite members' rows by one gather from the
+    model's `icdf_table`.
     `out` are (increments, member_indices) arrays of n - start rows for the
     path to be drawn into, so a caller that walks windows allocates none.
     """
@@ -452,10 +473,19 @@ def sample_path(
         idx, values, block = member_idx[rows], u_value[rows], increments[rows]
         np.minimum(np.searchsorted(cumw, u_member[rows], side="right"), k - 1,
                    out=idx, casting="unsafe")
+        # Each row's atom is its member's offset plus the count of that
+        # member's thresholds at or below the value uniform: one gather
+        # takes the float that the member's own icdf would.
+        thresholds, offsets, atoms = amb.icdf_table
+        pos = offsets[idx]
+        for column in thresholds:
+            pos += column[idx] <= values
+        np.take(atoms, pos, axis=0, out=block)
         for j, member in enumerate(members):
-            mask = idx == j
-            if mask.any():
-                block[mask] = member.icdf(values[mask])
+            if member.kind == "pareto":
+                mask = idx == j
+                if mask.any():
+                    block[mask] = member.icdf(values[mask])
 
     return Path(
         n=n - start,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from subexp import AmbiguitySet, Event, FiniteDiscrete, TwoSidedPareto
+from subexp.distributions import _distinct_rows
 from subexp.errors import NotConvergent
 
 # ---------------------------------------------------------------- events
@@ -245,3 +246,30 @@ def test_ambiguity_set_heaviest_alpha_with_pareto():
     )
     assert amb.heaviest_alpha() == 1.5
     assert not amb.is_finite_support
+
+
+def test_icdf_table_concatenates_the_finite_members():
+    three = FiniteDiscrete.from_arrays([-0.7, 0.15, 1.3], [0.3, 0.5, 0.2])
+    two = FiniteDiscrete.from_arrays([-0.4, 0.9], [0.6, 0.4])
+    amb = AmbiguitySet((three, TwoSidedPareto(1.5, 1.0, 0.5), two))
+    thresholds, offsets, atoms = amb.icdf_table
+    assert amb.icdf_table is amb.icdf_table  # built once per model
+    assert thresholds.tolist() == [[0.3, math.inf, 0.6], [0.8, math.inf, math.inf]]
+    assert offsets.tolist() == [0, 5, 3]
+    assert atoms[:5].tolist() == [-0.7, 0.15, 1.3, -0.4, 0.9] and math.isnan(atoms[5])
+    e = np.eye(2)
+    planar = AmbiguitySet((FiniteDiscrete.from_arrays([e[0]], [1.0]),
+                           FiniteDiscrete.from_arrays(e, [0.5, 0.5])))
+    thresholds, offsets, atoms = planar.icdf_table
+    assert thresholds.tolist() == [[math.inf, 0.5]]
+    assert offsets.tolist() == [0, 1]
+    assert atoms.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-2, 2).map(lambda i: i / 2), min_size=d, max_size=d),
+    min_size=1, max_size=40)))
+@settings(max_examples=200, deadline=None)
+def test_distinct_rows_equal_numpy_unique(rows):
+    rows = np.asarray(rows)
+    assert np.array_equal(_distinct_rows(rows), np.unique(rows, axis=0))

@@ -75,20 +75,22 @@ def test_parsing_loads_only_the_schema_layer():
 
 
 # Runs the configs read from stdin in a fresh interpreter, then prints the
-# scipy modules loaded.
+# loaded modules under the roots given as a comma-separated list.
 _RUN = (
     "import io, json, sys, tempfile; sys.path.insert(0, sys.argv[1]); import subexp\n"
     "sys.stdout = io.StringIO()\n"
     "for doc in json.load(sys.stdin):\n"
     "    subexp.run(subexp.parse_config(json.dumps(doc)), out=tempfile.mkdtemp(dir=sys.argv[2]))\n"
     "sys.stdout = sys.__stdout__\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    "roots = tuple(sys.argv[3].split(','))\n"
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "                        if m in roots or m.startswith(tuple(r + '.' for r in roots)))))"
 )
 
 
-def _scipy_loaded_by_runs(docs, tmp_path):
+def _modules_loaded_by_runs(docs, tmp_path, roots=("scipy",)):
     src = str(Path(subexp.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", _RUN, src, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", _RUN, src, str(tmp_path), ",".join(roots)],
                           input=json.dumps(docs), capture_output=True, text=True, timeout=120,
                           check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -100,7 +102,7 @@ def test_planar_sampled_runs_never_load_scipy_optimize(tmp_path):
         {"model": V2MIX, "experiment": "weak_lln",
          "parameters": {"mode": "mc", "ns": [16], "mc_replicas": 6}},
     ]
-    assert "scipy.optimize" not in _scipy_loaded_by_runs(docs, tmp_path)
+    assert "scipy.optimize" not in _modules_loaded_by_runs(docs, tmp_path)
 
 
 def test_choquet_series_runs_never_load_scipy_integrate(tmp_path):
@@ -110,7 +112,7 @@ def test_choquet_series_runs_never_load_scipy_integrate(tmp_path):
         {"model": {"label": "p15coin", "members": PARETO["members"] + [coin]},
          "experiment": "choquet_series", "parameters": {"p": 1.2, "K": 2000}},
     ]
-    loaded = _scipy_loaded_by_runs(docs, tmp_path)
+    loaded = _modules_loaded_by_runs(docs, tmp_path)
     assert "scipy.integrate" not in loaded
     assert "scipy.optimize" not in loaded
 
@@ -118,7 +120,18 @@ def test_choquet_series_runs_never_load_scipy_integrate(tmp_path):
 def test_golden_runs_load_no_scipy(tmp_path):
     # Only the 4-d direction nets' ndtri loads scipy, and no golden config has d=4.
     docs = [doc for doc, *_ in GOLDEN.values()]
-    assert _scipy_loaded_by_runs(docs, tmp_path) == []
+    assert _modules_loaded_by_runs(docs, tmp_path) == []
+
+
+def test_golden_runs_load_no_numpy_ma_and_only_axioms_load_numpy_random(tmp_path):
+    # Any np.unique call loads numpy.ma; only the axiom suite draws from
+    # numpy.random.
+    roots = ("numpy.ma", "numpy.random")
+    docs = [doc for name, (doc, *_) in GOLDEN.items() if name != "axioms"]
+    assert _modules_loaded_by_runs(docs, tmp_path, roots) == []
+    axioms = _modules_loaded_by_runs([GOLDEN["axioms"][0]], tmp_path, roots)
+    assert "numpy.random" in axioms
+    assert all(m.startswith("numpy.random") for m in axioms)
 
 
 def test_all_lists_exactly_the_exported_names():

@@ -224,8 +224,14 @@ def test_sample_path_checks_only_the_blocks_it_draws(monkeypatch, e1):
 
 def test_alternating_schedule_shares_its_two_mixtures(e1):
     sched = alternating_schedule(e1, range(100, 10_100, 100), "alternating_100")
-    assert len({id(w) for w in sched.weights_per_block}) == 2
-    assert sched.weights_per_block[:3] == ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
+    weights = sched.weights_per_block
+    for past in (100, -101):  # before iterating: iteration stops at IndexError
+        with pytest.raises(IndexError):
+            weights[past]
+    assert len(weights) == 100 and len({id(w) for w in weights}) == 2
+    assert weights[:3] == ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
+    assert weights[-1] == weights[99] == weights[-99] == (1.0, 0.0)
+    assert weights[97:] == ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)) and weights[100:] == ()
 
 
 def test_alternating_schedule_keeps_a_range_and_its_path(e1):
@@ -384,8 +390,13 @@ def test_hash_window_rejects_mismatched_lengths():
         hash_window(1, 0, np.empty(4), np.empty(4), np.empty(3, dtype=np.uint64))
 
 
-def _reference_path(amb, strategy, n, seed, start):
-    """Per-block draw with a member search on every block, one-hot or not."""
+def _reference_path(amb, strategy, n, seed, start, uniforms=None):
+    """Per-block draw with a member search on every block, one-hot or not,
+    and each member's own icdf, from the (u_member, u_value) of steps
+    start+1..n: hashed from seed, or the given ones."""
+    if uniforms is None:
+        steps = np.arange(start, n, dtype=np.uint64)
+        uniforms = _uniforms(seed, 2 * steps), _uniforms(seed, 2 * steps + np.uint64(1))
     k = len(amb.members)
     increments = np.empty((n - start,) + ((amb.dim,) if amb.dim > 1 else ()))
     member_idx = np.empty(n - start, dtype=np.int16)
@@ -394,13 +405,11 @@ def _reference_path(amb, strategy, n, seed, start):
         lo, prev_end = max(prev_end, start), end
         if end <= lo:
             continue
-        steps = np.arange(lo, end, dtype=np.uint64)
-        u_member = _uniforms(seed, 2 * steps)
-        u_value = _uniforms(seed, 2 * steps + np.uint64(1))
+        out = slice(lo - start, end - start)
+        u_member, u_value = uniforms[0][out], uniforms[1][out]
         cumw = np.cumsum(_check_weights(weights, k))
         cumw[-1] = 1.0
         idx = np.minimum(np.searchsorted(cumw, u_member, side="right"), k - 1)
-        out = slice(lo - start, end - start)
         member_idx[out] = idx
         for j, member in enumerate(amb.members):
             increments[out][idx == j] = member.icdf(u_value[idx == j])
@@ -465,3 +474,66 @@ def test_uniforms_must_cover_the_window(e1):
     u = np.empty(10), np.empty(10)
     with pytest.raises(ValueError):
         sample_path(e1, Stationary((0.5, 0.5)), 20, seed=1, start=5, uniforms=u)
+
+
+def _normalized(weights):
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def _finite_members(dim: int):
+    """A finite law of 1 to 6 atoms on a quarter grid; equal points merge."""
+    point = st.integers(-6, 6).map(lambda i: i / 4)
+    value = point if dim == 1 else st.lists(point, min_size=dim, max_size=dim)
+    atoms = st.lists(st.tuples(value, st.floats(0.01, 1.0)), min_size=1, max_size=6)
+    return atoms.map(lambda a: FiniteDiscrete.from_arrays(
+        [v for v, _ in a], _normalized([w for _, w in a])))
+
+
+def _models():
+    """1 to 6 members in 1-d, Pareto ones among them, or in 2-d."""
+    pareto = st.builds(TwoSidedPareto, st.floats(0.5, 4.0), st.floats(0.1, 3.0), st.floats(0.0, 1.0))
+    one_d = st.lists(st.one_of(_finite_members(1), pareto), min_size=1, max_size=6)
+    two_d = st.lists(_finite_members(2), min_size=1, max_size=6)
+    return st.one_of(one_d, two_d).map(AmbiguitySet)
+
+
+@given(_models(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_draw_equals_each_members_own_icdf(amb, data):
+    k = len(amb.members)
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    weights = data.draw(st.lists(weight, min_size=k, max_size=k).filter(any))
+    weights = _normalized(weights)
+    # Uniforms on and just below every cumulative weight, the mixture's and
+    # each finite member's, where a search off by one would show.
+    edges = [0.0, 1.0 - 2.0**-53, *np.cumsum(weights)[:-1]]
+    edges += [c for m in amb.members if m.kind == "finite" for c in m._cumw[:-1]]
+    edges = [e for edge in edges for e in (edge, np.nextafter(edge, 0.0)) if 0.0 <= e < 1.0]
+    uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges))
+    n = data.draw(st.integers(1, 40))
+    u = tuple(np.array(data.draw(st.lists(uniform, min_size=n, max_size=n))) for _ in range(2))
+    strategy = Stationary(tuple(weights))
+    path = sample_path(amb, strategy, n, seed=0, uniforms=u)
+    ref_x, ref_idx = _reference_path(amb, strategy, n, 0, 0, uniforms=u)
+    assert np.array_equal(path.increments, ref_x)
+    assert np.array_equal(path.member_indices, ref_idx)
+
+
+@pytest.mark.parametrize("n", [experiments._WINDOW, experiments._WINDOW + 1])
+@pytest.mark.parametrize("model", sorted(_WINDOW_MODELS))
+def test_sums_chain_across_the_engine_window(model, n):
+    # The engine's own window: a horizon that fills it, and one that spills
+    # a single step into a second window.
+    amb = _WINDOW_MODELS[model]
+    plans = [_PLAN, Stationary((0.5, 0.5))]
+    windows = [(ns.copy(), x.copy()) for _, ns, x, _ in experiments._windows(amb, plans, n, seed=7)]
+    sizes = [experiments._WINDOW] + [1] * (n - experiments._WINDOW)
+    assert [len(ns) for ns, _ in windows] == [size for size in sizes for _ in plans]
+    for j, plan in enumerate(plans):
+        carry, sums = None, []
+        for _, x in windows[j::2]:
+            carry = experiments._chain(x, carry)
+            sums.append(x)
+        whole = sample_path(amb, plan, n, seed=7)
+        assert np.array_equal(np.concatenate(sums), np.cumsum(whole.increments, axis=0))
