@@ -67,7 +67,6 @@ _EXPORTS = {
             "AllBlocksHit",
             "LatticeModel",
             "RunningMax",
-            "TerminalEvent",
             "TerminalSum",
             "brute_force_value",
             "dp_value",

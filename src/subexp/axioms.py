@@ -1,9 +1,10 @@
 """Random instances for the axiom suite, `experiments.run_axioms`, and the
 gaps each property shows on one.
 
-Instances are small finite ambiguity sets with max-affine test functions, so
-every expectation in a check is an exact weighted sum and the axioms must
-hold to accumulation error (1e-12), not to statistical tolerance.
+Instances are small finite ambiguity sets with max-affine test functions,
+which map a member's atom array to one value per atom. Every expectation in a
+check is an exact weighted sum, so the axioms must hold to accumulation error
+(1e-12), not to statistical tolerance.
 """
 
 from __future__ import annotations
@@ -35,28 +36,13 @@ def random_ambiguity_set(rng: np.random.Generator, dim: int = 1) -> AmbiguitySet
     return AmbiguitySet(tuple(members), label="random")
 
 
-def random_max_affine(rng: np.random.Generator, dim: int = 1) -> Callable:
-    """max of <=3 affine pieces with random slopes and offsets."""
+def random_max_affine(rng: np.random.Generator) -> Callable:
+    """max of 1 to 3 affine pieces with random slopes and offsets, as a map
+    from an array of scalar atoms to one value per atom."""
     pieces = int(rng.integers(1, 4))
-    slopes = rng.normal(0.0, 1.5, size=(pieces, dim))
+    slopes = rng.normal(0.0, 1.5, size=pieces)
     offsets = rng.normal(0.0, 1.0, size=pieces)
-
-    if dim == 1:
-        a = slopes[:, 0]
-
-        def evaluator(x, a=a, b=offsets):
-            return float(np.max(a * float(x) + b))
-
-    else:
-
-        def evaluator(x, a=slopes, b=offsets):
-            return float(np.max(a @ np.asarray(x, dtype=float) + b))
-
-    return evaluator
-
-
-def _combine(f: Callable, g: Callable, op) -> Callable:
-    return lambda x: op(f(x), g(x))
+    return lambda x: np.max(slopes * x[:, None] + offsets, axis=1)
 
 
 def _property_gaps(rng: np.random.Generator) -> Iterator[tuple[str, float]]:
@@ -74,15 +60,15 @@ def _property_gaps(rng: np.random.Generator) -> Iterator[tuple[str, float]]:
     eg = upper_expectation(amb, g)
 
     # (a) monotonicity via f <= max(f, g)
-    e_max = upper_expectation(amb, _combine(f, g, max))
+    e_max = upper_expectation(amb, lambda x: np.maximum(f(x), g(x)))
     yield "monotonicity", ef - e_max
 
     # (b) constant preserving
     c = float(rng.normal(0.0, 5.0))
-    yield "constant_preserving", abs(upper_expectation(amb, lambda x: c) - c)
+    yield "constant_preserving", abs(upper_expectation(amb, lambda x: np.full(len(x), c)) - c)
 
     # (c) sub-additivity
-    e_sum = upper_expectation(amb, _combine(f, g, lambda u, v: u + v))
+    e_sum = upper_expectation(amb, lambda x: f(x) + g(x))
     yield "subadditivity", e_sum - (ef + eg)
 
     # (d) positive homogeneity
@@ -99,8 +85,8 @@ def _property_gaps(rng: np.random.Generator) -> Iterator[tuple[str, float]]:
     # sandwich around a half-line event
     a = float(rng.normal(0.0, 2.0))
     w = float(rng.uniform(0.1, 1.0))
-    under = lambda x: min(1.0, max(0.0, (float(x) - a) / w))
-    over = lambda x: min(1.0, max(0.0, (float(x) - a) / w + 1.0))
+    under = lambda x: np.minimum(1.0, np.maximum(0.0, (x - a) / w))
+    over = lambda x: np.minimum(1.0, np.maximum(0.0, (x - a) / w + 1.0))
     cap = event_upper_capacity(amb, Event("ge", a))
     yield "sandwich", upper_expectation(amb, under) - cap
     yield "sandwich", cap - upper_expectation(amb, over)
@@ -118,5 +104,5 @@ def _property_gaps(rng: np.random.Generator) -> Iterator[tuple[str, float]]:
     yield "distributional_invariance", abs(ch_a - ch_b)
 
     # breve mean of |X| (exact for bounded support) <= Choquet integral
-    abs_mean = max(m.expectation(abs) for m in amb.members)
+    abs_mean = max(m.expectation(np.abs) for m in amb.members)
     yield "choquet_dominates_mean", abs_mean - ch_a

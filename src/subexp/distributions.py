@@ -184,41 +184,42 @@ class FiniteDiscrete:
     # -- exact moments --------------------------------------------------------
 
     def expectation(self, f: Callable) -> float:
-        """Exact weighted sum of f over the atoms (accumulated with fsum)."""
-        return math.fsum(w * float(f(v)) for v, w in zip(self._values, self._weights))
+        """Exact weighted sum of f over the atoms, accumulated with fsum.
+
+        f maps the atom array (shape (k,), or (k, d) for vectors) to one value
+        per atom; any other shape raises ValueError.
+        """
+        fx = f(self._values)
+        if np.shape(fx) != self._weights.shape:
+            raise ValueError(
+                f"a test function must give one value per atom, shape "
+                f"{self._weights.shape}, got {np.shape(fx)}"
+            )
+        return math.fsum((self._weights * fx).tolist())
 
     def mean(self):
         if self._values.ndim == 1:
-            return math.fsum((self._weights * self._values).tolist())
-        return np.array([
-            math.fsum((self._weights * self._values[:, j]).tolist())
-            for j in range(self._values.shape[1])
-        ])
+            return self.expectation(lambda x: x)
+        return np.array([self.expectation(lambda x, j=j: x[:, j]) for j in range(self.dim)])
 
     def second_moment(self) -> float:
         """E[X^2] in dimension 1, E[|X|^2] otherwise."""
-        if self._values.ndim == 1:
-            sq = self._values ** 2
-        else:
-            sq = np.sum(self._values ** 2, axis=1)
-        return math.fsum((self._weights * sq).tolist())
+        return self.expectation(lambda x: x ** 2 if x.ndim == 1 else np.sum(x ** 2, axis=1))
 
     def truncated_mean(self, c: float) -> float:
         self._require_dim1()
-        clipped = np.clip(self._values, -c, c)
-        return math.fsum((self._weights * clipped).tolist())
+        return self.expectation(lambda x: np.clip(x, -c, c))
 
     def truncated_second(self, c: float) -> float:
         """E[X^2 /\\ c^2]."""
         self._require_dim1()
-        return math.fsum((self._weights * np.minimum(self._values ** 2, c * c)).tolist())
+        return self.expectation(lambda x: np.minimum(x ** 2, c * c))
 
     # -- probabilities --------------------------------------------------------
 
     def prob(self, event: Event) -> float:
         self._require_dim1()
-        mask = event.holds(self._values)
-        return math.fsum(self._weights[mask].tolist()) if mask.any() else 0.0
+        return self.expectation(event.holds)
 
     def abs_survival(self, x: float) -> float:
         """P(|X| >= x)."""

@@ -3,7 +3,8 @@
 The upper expectation of a test function is the maximum of the finite
 members' exact weighted sums; it is sublinear (monotone, constant preserving,
 sub-additive, positively homogeneous) and the lower expectation is its
-conjugate. Event capacities take the member-wise max of exact probabilities.
+conjugate. A test function maps a member's atom array to one value per atom.
+Event capacities take the member-wise max of exact probabilities.
 The upper and lower means come from each member's closed-form mean;
 truncated_expectation keeps the truncation definition they are the limit of.
 This module also owns the upper survival function V(|X| >= t): evaluated on

@@ -31,7 +31,7 @@ from .distributions import AmbiguitySet, Event
 from .errors import NonFiniteVerdict
 from .expectation import _survival_curve, _survival_integral, choquet_integral, mean_interval
 from .inequalities import _levy_checks, check_inequality
-from .lattice_dp import TerminalEvent, TerminalSum, dp_value
+from .lattice_dp import TerminalSum, dp_value
 from .meanset import MeanSet, build_mean_set, distance_to_mean_set
 from .parallel import parallel_map
 from .sampler import (
@@ -195,9 +195,12 @@ def _chain(x: np.ndarray, carry):
     return x[-1].copy()  # a view would keep this window alive
 
 
-def _at_steps(sums: np.ndarray, ns: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The rows of one window's sums (on the steps ns) at those of steps it holds."""
-    return sums[steps[(steps >= ns[0]) & (steps <= ns[-1])] - int(ns[0])]
+def _keep_at_steps(found: list, sums: np.ndarray, ns: np.ndarray, steps: np.ndarray) -> None:
+    """Append to found the rows of one window's sums (on the steps ns) at
+    those of steps it holds, unless it holds none, as most windows do."""
+    held = steps[(steps >= ns[0]) & (steps <= ns[-1])]
+    if len(held):
+        found.append(sums[held - int(ns[0])])
 
 
 def _per_seed(fold, seeds: Sequence[int], jobs: int) -> list[tuple]:
@@ -542,7 +545,7 @@ def run_weak_lln(
         caps = []
         for n in ns:
             event = Event("outside_closed", n * (lower - epsilon), n * (upper + epsilon))
-            caps.append(dp_value(amb, TerminalEvent(event), n, side="upper"))
+            caps.append(dp_value(amb, TerminalSum(event.holds), n, side="upper"))
         for n, cap in zip(ns, caps):
             is_top = n == n_top
             rows.append(
@@ -573,7 +576,7 @@ def run_weak_lln(
 
         b = 0.5 * (lower + upper) if interior_b is None else float(interior_b)
         event_in = Event("between_open", n_top * (b - epsilon), n_top * (b + epsilon))
-        cap_in = dp_value(amb, TerminalEvent(event_in), n_top, side="upper")
+        cap_in = dp_value(amb, TerminalSum(event_in.holds), n_top, side="upper")
         rows.append(
             Row(
                 f"interior_capacity_b={b:g}",
@@ -608,7 +611,7 @@ def run_weak_lln(
             sums = [[] for _ in strategies]
             for j, steps, x, _ in _windows(amb, strategies, n_top, seed):
                 carry[j] = _chain(x, carry[j])
-                sums[j].append(_at_steps(x, steps, grid))
+                _keep_at_steps(sums[j], x, steps, grid)
             return [
                 [1.0 if distance_to_mean_set(mean_set, s / n) >= epsilon else 0.0
                  for s, n in zip(np.concatenate(per), ns)]
@@ -785,7 +788,7 @@ def run_cluster_set(
             carry[j] = _chain(sums, carry[j])
             worst[j] = containment.fold(worst[j], ns, sums, tail)
             if strategies[j] is chasing:
-                visits.append(_at_steps(sums, ns, ends))
+                _keep_at_steps(visits, sums, ns, ends)
         return [
             (containment.row(worst[j], strategy.label, seed, N),
              np.concatenate(visits) if strategy is chasing else None)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import AmbiguitySet, Event
 from .errors import MuNotAttainable
-from .lattice_dp import RunningMax, TerminalEvent, _levy_thresholds, dp_value, lattice_model
+from .lattice_dp import RunningMax, TerminalSum, _levy_thresholds, dp_value, lattice_model
 
 __all__ = [
     "BoundReport",
@@ -181,7 +181,7 @@ def _levy_checks(amb: AmbiguitySet, n: int, xs: Sequence[float], alpha: float) -
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     # dp_value rejects n < 1 and an oversized horizon before the sweep.
-    rhs = [dp_value(amb, TerminalEvent(Event("abs_gt", x)), n, side="upper") for x in xs]
+    rhs = [dp_value(amb, TerminalSum(Event("abs_gt", x).holds), n, side="upper") for x in xs]
     betas = _levy_thresholds(amb, n, alpha)
     reports = []
     for x, r in zip(xs, rhs):

@@ -4,7 +4,9 @@ For finite-support scalar members whose atoms share a common lattice, the
 upper (or lower) value of a path functional over all adaptive strategies is
 computed by backward induction on the partial sum. Sums after k steps live on
 the integer window [k*amin, k*amax] of the lattice, so each level is a dense
-array and transitions are shifted slices, one per atom.
+array and transitions are shifted slices, one per atom. A terminal payoff
+maps the whole array of sums to one value per sum, as every test function in
+the package maps its array.
 
 `brute_force_value` re-derives the same number by recursing over full outcome
 histories with no state compression; it is the oracle the DP is tested
@@ -20,14 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event
+from .distributions import AmbiguitySet
 from .errors import NonLattice, StateSpaceTooLarge, TooLargeForBruteForce
 
 __all__ = [
     "AllBlocksHit",
     "LatticeModel",
     "RunningMax",
-    "TerminalEvent",
     "TerminalSum",
     "brute_force_value",
     "dp_value",
@@ -100,29 +101,16 @@ def lattice_offsets(values, pitch: float) -> tuple:
 
 @dataclass(frozen=True)
 class TerminalSum:
-    """Value f(S_n); f must accept an ndarray of sums."""
+    """Value f(S_n); f maps an ndarray of sums to one value per sum. An event
+    on S_n is TerminalSum(event.holds)."""
 
     f: Callable
-    name: str = "terminal_sum"
 
     def terminal(self, sums: np.ndarray) -> np.ndarray:
         return np.asarray(self.f(sums), dtype=float)
 
     def history_value(self, history: tuple) -> float:
         return float(self.terminal(np.asarray([math.fsum(history)]))[0])
-
-
-@dataclass(frozen=True)
-class TerminalEvent:
-    """Indicator of an event on S_n."""
-
-    event: Event
-
-    def terminal(self, sums: np.ndarray) -> np.ndarray:
-        return self.event.holds(sums).astype(float)
-
-    def history_value(self, history: tuple) -> float:
-        return 1.0 if bool(self.event.holds(math.fsum(history))) else 0.0
 
 
 @dataclass(frozen=True)
@@ -195,7 +183,7 @@ class AllBlocksHit:
         return 1.0
 
 
-Functional = TerminalSum | TerminalEvent | RunningMax | AllBlocksHit
+Functional = TerminalSum | RunningMax | AllBlocksHit
 
 
 def _check_side(side: str) -> Callable:
@@ -274,7 +262,7 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
         raise StateSpaceTooLarge(f"{width_n} lattice states at the horizon")
     sums_n = (n * model.amin + np.arange(width_n)) * model.pitch
 
-    if isinstance(functional, (TerminalSum, TerminalEvent)):
+    if isinstance(functional, TerminalSum):
         return float(_backward_pass(model, n, functional.terminal(sums_n), side)[0])
 
     if isinstance(functional, RunningMax):

@@ -14,7 +14,6 @@ from subexp import (
     Event,
     FiniteDiscrete,
     RunningMax,
-    TerminalEvent,
     TerminalSum,
 )
 
@@ -94,10 +93,10 @@ def random_lattice_instance(rng: np.random.Generator):
     if kind == 0:
         slope = float(rng.uniform(-2, 2))
         bias = float(rng.uniform(-1, 1))
-        functional = TerminalSum(lambda s, a=slope, b=bias: a * s + b, name="affine")
+        functional = TerminalSum(lambda s, a=slope, b=bias: a * s + b)
     elif kind == 1:
         threshold = float(rng.uniform(-span, span))
-        functional = TerminalEvent(Event("ge", threshold))
+        functional = TerminalSum(Event("ge", threshold).holds)
     elif kind == 2:
         threshold = float(rng.uniform(0.1, span))
         mode = "abs" if rng.random() < 0.5 else "pos"
@@ -105,6 +104,6 @@ def random_lattice_instance(rng: np.random.Generator):
     else:
         split = max(1, n - 1)
         events = (Event("ge", float(rng.uniform(-2, 2))), Event("ge", float(rng.uniform(-2, 2))))
-        functional = AllBlocksHit((split, n), events) if n > 1 else TerminalEvent(events[0])
+        functional = AllBlocksHit((split, n), events) if n > 1 else TerminalSum(events[0].holds)
     side = "upper" if rng.random() < 0.5 else "lower"
     return amb, functional, n, side

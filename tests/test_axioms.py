@@ -38,9 +38,9 @@ def test_random_generators_produce_valid_objects():
         assert 1 <= len(amb.members) <= 5
         for m in amb.members:
             assert abs(float(np.sum(m.weights)) - 1.0) < 1e-9
-        f = random_max_affine(rng, amb.dim)
-        x = rng.normal(size=amb.dim) if amb.dim > 1 else float(rng.normal())
-        assert np.isfinite(f(x))
+        f = random_max_affine(rng)
+        fx = f(rng.normal(size=4))
+        assert fx.shape == (4,) and np.all(np.isfinite(fx))
 
 
 def test_vector_sets_supported():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from subexp import AmbiguitySet, Event, FiniteDiscrete, TwoSidedPareto
+from subexp.axioms import random_ambiguity_set, random_max_affine
 from subexp.distributions import _distinct_rows
 from subexp.errors import NotConvergent
 
@@ -122,6 +123,55 @@ def test_finite_expectation_is_weighted_sum(values, data):
     d = FiniteDiscrete.from_arrays(values, weights)
     expected = sum(w * v for v, w in zip(values, weights))
     assert abs(d.mean() - expected) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 5.0),
+       st.sampled_from(["ge", "gt", "le", "lt", "abs_ge", "abs_lt", "between", "outside_closed"]),
+       st.floats(-5.0, 5.0))
+def test_array_expectation_equals_the_per_atom_sums(seed, c, kind, a):
+    # Referee: each member sum as it was formed before test functions took
+    # the atom array, one Python call of f per atom. Equal by float.hex.
+    rng = np.random.default_rng(seed)
+    f = random_max_affine(rng)
+    event = Event(kind, a, a + c) if kind in ("between", "outside_closed") else Event(kind, a)
+    for m in random_ambiguity_set(rng).members:
+        v, w = m.values, m.weights
+        old = {
+            "f": math.fsum(wi * float(f(np.array([x]))[0]) for x, wi in zip(v, w)),
+            "mean": math.fsum((w * v).tolist()),
+            "second": math.fsum((w * v ** 2).tolist()),
+            "truncated_mean": math.fsum((w * np.clip(v, -c, c)).tolist()),
+            "truncated_second": math.fsum((w * np.minimum(v ** 2, c * c)).tolist()),
+            "prob": math.fsum(w[event.holds(v)].tolist()) if event.holds(v).any() else 0.0,
+        }
+        new = {
+            "f": m.expectation(f),
+            "mean": m.mean(),
+            "second": m.second_moment(),
+            "truncated_mean": m.truncated_mean(c),
+            "truncated_second": m.truncated_second(c),
+            "prob": m.prob(event),
+        }
+        assert {k: x.hex() for k, x in new.items()} == {k: x.hex() for k, x in old.items()}
+    for m in random_ambiguity_set(rng, dim=2).members:
+        v, w = m.values, m.weights
+        old_mean = [math.fsum((w * v[:, j]).tolist()) for j in range(2)]
+        assert [x.hex() for x in m.mean()] == [x.hex() for x in old_mean]
+        old_second = math.fsum((w * np.sum(v ** 2, axis=1)).tolist())
+        assert m.second_moment().hex() == old_second.hex()
+
+
+def test_expectation_rejects_a_test_function_of_the_wrong_shape():
+    d = FiniteDiscrete.from_arrays([-1.0, 0.0, 2.0], [0.25, 0.25, 0.5])
+    assert d.expectation(lambda x: np.full(len(x), 2.0)) == 2.0
+    for f in (lambda x: 2.0, lambda x: x[:, None], lambda x: x[:2], np.sum):
+        with pytest.raises(ValueError, match="one value per atom"):
+            d.expectation(f)
+    planar = FiniteDiscrete.from_arrays([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+    assert planar.expectation(lambda x: x[:, 0]) == 0.5
+    with pytest.raises(ValueError, match="one value per atom"):
+        planar.expectation(lambda x: x)
 
 
 # ------------------------------------------------------- two-sided pareto

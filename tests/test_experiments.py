@@ -604,20 +604,21 @@ def test_choquet_series_asks_one_window_of_thresholds_at_a_time(monkeypatch):
 
 def test_slln_peak_memory_is_a_few_windows():
     # A task reuses one window's uniform buffers for every strategy and
-    # holds one strategy's window at a time: 0.60 MiB measured. The bound is
-    # half the 5.7 MiB of one task per path over 65 536-step windows.
+    # holds one strategy's window at a time: 0.60-0.67 MiB measured. The
+    # bound is about 1.5 times that; 16 384-step windows read 1.14-1.16 MiB.
     run_slln(make_e1(), N=200_000, seeds=(1, 2, 3), jobs=1)  # warm-up: imports and caches
     peak = _traced_peak(lambda: run_slln(make_e1(), N=200_000, seeds=(1, 2, 3), jobs=1))
-    assert peak <= 2.85 * 2**20
+    assert peak <= 0.95 * 2**20
 
 
 def test_cluster_set_peak_memory_is_a_few_blocks():
-    # 1.01 MiB measured with 520-row gap blocks; 4.92 MiB when a block held
-    # 4096 rows (4 MB), so the bound is about half of that.
+    # 0.97-1.01 MiB measured with 520-row gap blocks and 8 192-step windows;
+    # 1.37-1.38 MiB with 16 384-step windows and 4.92 MiB when a block held
+    # 4096 rows (4 MB), so the bound sits between the first two.
     v2 = make_v2mix()
     run_cluster_set(v2, N=200_000, seeds=(1, 2, 3), jobs=1)  # warm-up: imports and caches
     peak = _traced_peak(lambda: run_cluster_set(v2, N=200_000, seeds=(1, 2, 3), jobs=1))
-    assert peak <= 2.5 * 2**20
+    assert peak <= 1.3 * 2**20
 
 
 def test_cluster_set_peak_memory_in_3d_is_a_budget():

@@ -19,7 +19,7 @@ from subexp import (
     AmbiguitySet,
     Event,
     FiniteDiscrete,
-    TerminalEvent,
+    TerminalSum,
     TwoSidedPareto,
     check_inequality,
     dp_value,
@@ -178,7 +178,7 @@ def test_levy_makes_exactly_two_dp_calls(monkeypatch, e1):
 
     monkeypatch.setattr(subexp.inequalities, "dp_value", counted)
     assert levy_bound_check(e1, n=32, x=2.0, alpha=0.3).satisfied
-    assert sorted(calls) == ["RunningMax", "TerminalEvent"]
+    assert sorted(calls) == ["RunningMax", "TerminalSum"]
 
 
 def test_grid_sweeps_levy_thresholds_once_per_horizon_and_alpha(monkeypatch, e1):
@@ -207,7 +207,7 @@ def _bisected_thresholds(amb, n, alphas):
 
     @functools.cache
     def capacity(length, m):
-        return dp_value(amb, TerminalEvent(Event("abs_gt", m * model.pitch)), length)
+        return dp_value(amb, TerminalSum(Event("abs_gt", m * model.pitch).holds), length)
 
     def least(alpha, length):
         lo, hi = 0, length * reach + 1  # no length-step sum exceeds hi lattice steps

@@ -17,7 +17,6 @@ from subexp import (
     Event,
     FiniteDiscrete,
     RunningMax,
-    TerminalEvent,
     TerminalSum,
     brute_force_value,
     dp_value,
@@ -68,7 +67,7 @@ def test_state_space_guard():
         (FiniteDiscrete.from_arrays([1e-6, 1.0], [0.5, 0.5]),), label="wide"
     )
     with pytest.raises(StateSpaceTooLarge):
-        dp_value(amb, TerminalEvent(Event("ge", 0.5)), 20, "upper")
+        dp_value(amb, TerminalSum(Event("ge", 0.5).holds), 20, "upper")
 
 
 # ------------------------------------------------------------ fixed anchors
@@ -76,7 +75,7 @@ def test_state_space_guard():
 
 def test_two_step_threshold_anchors(e1):
     """Reaching S_2 >= 2 needs two up-steps; the best member gives 0.75^2."""
-    f = TerminalEvent(Event("ge", 2.0))
+    f = TerminalSum(Event("ge", 2.0).holds)
     assert dp_value(e1, f, 2, "upper") == pytest.approx(0.5625, abs=1e-15)
     assert dp_value(e1, f, 2, "lower") == pytest.approx(0.25, abs=1e-15)
     assert brute_force_value(e1, f, 2, "upper") == pytest.approx(0.5625, abs=1e-15)
@@ -86,7 +85,7 @@ def test_two_step_threshold_anchors(e1):
 
 
 def test_affine_terminal_reduces_to_mean(e1):
-    f = TerminalSum(lambda s: s, name="identity")
+    f = TerminalSum(lambda s: s)
     assert dp_value(e1, f, 3, "upper") == pytest.approx(1.5, abs=1e-12)
     assert dp_value(e1, f, 3, "lower") == pytest.approx(0.0, abs=1e-12)
 
@@ -115,7 +114,7 @@ def test_running_max_abs_sees_both_sides(e1):
 
 def test_all_blocks_hit_decouples(e1):
     """Block reaching is a product: the second block restarts from zero."""
-    per_block = dp_value(e1, TerminalEvent(Event("ge", 2.0)), 2, "upper")
+    per_block = dp_value(e1, TerminalSum(Event("ge", 2.0).holds), 2, "upper")
     f = AllBlocksHit((2, 4), (Event("ge", 2.0), Event("ge", 2.0)))
     got = dp_value(e1, f, 4, "upper")
     assert got == pytest.approx(per_block ** 2, abs=1e-15)
@@ -125,14 +124,14 @@ def test_all_blocks_hit_decouples(e1):
 
 def test_side_validation(e1):
     with pytest.raises(ValueError):
-        dp_value(e1, TerminalEvent(Event("ge", 0.0)), 2, "sideways")
+        dp_value(e1, TerminalSum(Event("ge", 0.0).holds), 2, "sideways")
 
 
 def test_brute_force_caps(e1):
     with pytest.raises(TooLargeForBruteForce):
-        brute_force_value(e1, TerminalEvent(Event("ge", 0.0)), 12, "upper")
+        brute_force_value(e1, TerminalSum(Event("ge", 0.0).holds), 12, "upper")
     with pytest.raises(TooLargeForBruteForce):
-        policy_enumeration_value(e1, TerminalEvent(Event("ge", 0.0)), 3, "upper")
+        policy_enumeration_value(e1, TerminalSum(Event("ge", 0.0).holds), 3, "upper")
 
 
 # ------------------------------------------------- randomized oracle sweep
@@ -181,7 +180,7 @@ def test_backward_pass_holds_every_suffix_value_at_sum_zero():
     compared = 0
     while compared < 3000:
         amb, functional, _, side = random_lattice_instance(rng)
-        if not isinstance(functional, (TerminalSum, TerminalEvent)):
+        if not isinstance(functional, TerminalSum):
             continue
         n = int(rng.integers(1, 31))
         model = lattice_model(amb)

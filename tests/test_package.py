@@ -1,6 +1,7 @@
 """The package surface: lazy imports, exported names, the experiment table, and
 which public functions the configs and the command line reach."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -30,8 +31,8 @@ EXPORTS = {
     "sampler": ("BlockSchedule", "Path", "Stationary", "mixture_for_target",
                 "oscillation_schedule", "sample_path", "stationary_for_target",
                 "target_chasing_schedule"),
-    "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalEvent",
-                   "TerminalSum", "brute_force_value", "dp_value", "lattice_model",
+    "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalSum",
+                   "brute_force_value", "dp_value", "lattice_model",
                    "policy_enumeration_value"),
     "inequalities": ("BoundReport", "check_inequality", "exponential_bound",
                      "kolmogorov_lower_capacity_bound", "kolmogorov_upper_bound",
@@ -136,8 +137,29 @@ def test_golden_runs_load_no_numpy_ma_and_only_axioms_load_numpy_random(tmp_path
 
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
-    assert len(NAMES) == 73
+    assert len(NAMES) == 72
     assert subexp.__version__ == "0.1.0"
+
+
+def _unused_imports(path):
+    """Names that the module at path imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # No linter runs on the package, so an import left behind by a deletion
+    # would stay. The package's __init__ imports to re-export, and is skipped.
+    modules = Path(subexp.__file__).parent.glob("*.py")
+    unused = {m.name: _unused_imports(m) for m in modules if m.name != "__init__.py"}
+    assert "lattice_dp.py" in unused
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
