@@ -52,8 +52,9 @@ def upper_expectation(amb: AmbiguitySet, f) -> float:
 
 
 def lower_expectation(amb: AmbiguitySet, f) -> float:
-    """Conjugate value -upper(-f), i.e. the minimum member expectation."""
-    return -upper_expectation(amb, lambda x: -f(x))
+    """Conjugate value -upper(-f), i.e. the minimum member expectation.
+    Formed as 0.0 - upper(-f), so a zero value is +0.0, not -0.0."""
+    return 0.0 - upper_expectation(amb, lambda x: -f(x))
 
 
 def event_upper_capacity(amb: AmbiguitySet, event: Event) -> float:

@@ -210,15 +210,49 @@ def stationary_for_target(amb: AmbiguitySet, b: float) -> Stationary:
     return Stationary(tuple(w), label=f"target={b:g}")
 
 
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The basic least-squares solution of a x = b, by Householder QR with
+    column pivoting (Lawson & Hanson 1995, ch. 14).
+
+    Step k moves the column of largest remaining norm to position k and
+    reflects it onto e_k. Once every remaining norm is at most 1e-12 of a's
+    largest column norm, the remaining columns get weight 0: a member whose
+    mean is a combination of others' (V2mix's midpoint) drops out.
+    """
+    r, y = a.astype(float), b.astype(float)
+    order = np.arange(r.shape[1])
+    cutoff = 1e-12 * np.linalg.norm(r, axis=0).max()
+    rank = 0
+    while rank < min(r.shape):
+        rest = np.linalg.norm(r[rank:, rank:], axis=0)
+        p = int(np.argmax(rest))
+        if rest[p] <= cutoff:
+            break
+        r[:, [rank, rank + p]] = r[:, [rank + p, rank]]
+        order[[rank, rank + p]] = order[[rank + p, rank]]
+        v = r[rank:, rank].copy()
+        v[0] += math.copysign(rest[p], v[0])
+        v /= np.linalg.norm(v)
+        r[rank:, rank:] -= 2.0 * np.outer(v, v @ r[rank:, rank:])
+        y[rank:] -= 2.0 * (v @ y[rank:]) * v
+        rank += 1
+    z = np.zeros(r.shape[1])
+    for i in reversed(range(rank)):
+        z[i] = (y[i] - r[i, i + 1:rank] @ z[i + 1:rank]) / r[i, i]
+    x = np.empty_like(z)
+    x[order] = z
+    return x
+
+
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin ||a x - b|| over x >= 0 by Lawson and Hanson's active-set method.
 
     The column with the largest gradient joins the passive set P and x_P is
-    solved by least squares. While that solution s has a negative entry, x
-    moves towards s only until its first entry reaches 0, that entry leaves
-    P, and P is solved again. At most 3n outer iterations (Lawson & Hanson
-    1995, ch. 23); the caller checks the residual, so a solve cut short
-    cannot pass unnoticed.
+    solved by least squares (`_lstsq`, its basic solution). While that
+    solution s has a negative entry, x moves towards s only until its first
+    entry reaches 0, that entry leaves P, and P is solved again. At most 3n
+    outer iterations (Lawson & Hanson 1995, ch. 23); the caller checks the
+    residual, so a solve cut short cannot pass unnoticed.
     """
     n = a.shape[1]
     tol = 10.0 * max(a.shape) * np.finfo(float).eps
@@ -232,7 +266,7 @@ def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         passive[np.argmax(grad)] = True
         while True:
             s = np.zeros(n)
-            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            s[passive] = _lstsq(a[:, passive], b)
             neg = passive & (s < 0)
             if not neg.any():
                 break
@@ -325,8 +359,10 @@ def default_targets(amb: AmbiguitySet, m: int, mean_set: MeanSet) -> np.ndarray:
 
     1-d: uniform grid on [lower, upper]. Higher d: simplex-lattice convex
     combinations of member means, thinned to m spread-out points by farthest
-    point sampling, then ordered along their principal axis so consecutive
-    targets are near each other (which is what the chasing schedule wants).
+    point sampling, then stably ordered by their projection on q - p, where
+    (p, q) is the lexicographically first pair at the largest distance, so
+    consecutive targets are near each other (which is what the chasing
+    schedule wants) and the order depends on the model alone.
     """
     if m < 1:
         raise ValueError("need at least one target")
@@ -338,9 +374,9 @@ def default_targets(amb: AmbiguitySet, m: int, mean_set: MeanSet) -> np.ndarray:
     grid = _simplex_lattice(len(amb.members), resolution=max(8, m))
     candidates = _distinct_rows(np.round(grid @ means, 12))
     chosen = _farthest_point_subset(candidates, m)
-    centered = chosen - chosen.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    order = np.argsort(centered @ vt[0])
+    gaps = np.square(chosen[:, None, :] - chosen[None, :, :]).sum(axis=2)
+    i, j = divmod(int(np.argmax(gaps)), len(chosen))
+    order = np.argsort((chosen - chosen.mean(axis=0)) @ (chosen[j] - chosen[i]), kind="stable")
     chosen = chosen[order]
     tol = 10.0 * mean_set.net.delta
     for t in chosen:

@@ -33,6 +33,7 @@ from subexp.expectation import _survival_integral
 def test_upper_lower_expectation_coin(e1):
     assert upper_expectation(e1, lambda x: x) == 0.5
     assert lower_expectation(e1, lambda x: x) == 0.0
+    assert math.copysign(1.0, lower_expectation(e1, lambda x: x)) == 1.0  # +0.0, not -0.0
     assert upper_expectation(e1, lambda x: -x) == 0.0
     assert upper_expectation(e1, lambda x: x * x) == 1.0
     # conjugacy: lower = -upper of the negation

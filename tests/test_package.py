@@ -15,7 +15,7 @@ import pytest
 import subexp
 from subexp import cli
 from subexp.config import EXPERIMENT_TABLE, EXPERIMENTS
-from test_golden import GOLDEN, V2MIX
+from test_golden import _FILES, GOLDEN, V2MIX, _sha
 
 # Every public name of the package, by home module.
 EXPORTS = {
@@ -133,6 +133,48 @@ def test_golden_runs_load_no_numpy_ma_and_only_axioms_load_numpy_random(tmp_path
     axioms = _modules_loaded_by_runs([GOLDEN["axioms"][0]], tmp_path, roots)
     assert "numpy.random" in axioms
     assert all(m.startswith("numpy.random") for m in axioms)
+
+
+# numpy.linalg's entry points that call LAPACK. The first LAPACK call in a
+# process pages in its code, about 1.2 MB of resident memory, so no run may
+# make one.
+_LAPACK = ("svd", "lstsq", "solve", "qr", "eig", "eigh", "eigvals", "eigvalsh", "inv", "pinv",
+           "det", "slogdet", "cholesky", "matrix_rank")
+
+# Runs the {name: config} documents read from stdin in a fresh interpreter,
+# each into the directory of its name, with every LAPACK entry point raising.
+_RUN_WITHOUT_LAPACK = (
+    "import io, json, sys; sys.path.insert(0, sys.argv[1]); import numpy.linalg\n"
+    "def lapack(*args, **kwargs): raise AssertionError('LAPACK called')\n"
+    "for name in sys.argv[2].split(','): setattr(numpy.linalg, name, lapack)\n"
+    "import subexp\n"
+    "sys.stdout = io.StringIO()\n"
+    "for name, doc in json.load(sys.stdin).items():\n"
+    "    subexp.run(subexp.parse_config(json.dumps(doc)), out=name)\n"
+)
+
+
+def test_golden_runs_keep_their_bytes_with_lapack_unavailable(tmp_path):
+    src = str(Path(subexp.__file__).resolve().parent.parent)
+    docs = {name: doc for name, (doc, *_) in GOLDEN.items()}
+    subprocess.run([sys.executable, "-c", _RUN_WITHOUT_LAPACK, src, ",".join(_LAPACK)],
+                   input=json.dumps(docs), capture_output=True, text=True, timeout=120,
+                   check=True, cwd=tmp_path)
+    for name, (_, *digests) in GOLDEN.items():
+        assert [_sha(tmp_path / name / f) for f in _FILES] == digests, name
+
+
+def test_no_module_uses_numpy_linalg_but_norm():
+    # The runtime guard above covers the golden configs; this covers every path.
+    used = set()
+    for path in Path(subexp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "linalg":
+                used.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node):
+                used.add(ast.unparse(node))
+    assert used == {"norm"}
 
 
 def test_all_lists_exactly_the_exported_names():

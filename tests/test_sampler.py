@@ -5,6 +5,8 @@ Determinism is the contract here: a path is a pure function of
 depend on how far the path eventually runs.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,7 @@ from subexp import (
 from subexp import experiments, sampler
 from subexp.sampler import (
     _check_weights,
+    _lstsq,
     _uniforms,
     alternating_schedule,
     default_targets,
@@ -169,6 +172,39 @@ def test_mixture_for_target_matches_scipy_nnls_on_simplices(d):
         assert np.abs(np.asarray(w) - ref / ref.sum()).max() <= 1e-9
 
 
+def test_lstsq_matches_numpy_on_full_rank_systems():
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        # Up to 5 x 4, the last row the penalty row of mixture_for_target.
+        rows = int(rng.integers(2, 6))
+        top = rng.uniform(-2, 2, (rows - 1, rng.integers(1, min(rows, 4) + 1)))
+        penalty = 100.0 * max(1.0, float(np.abs(top).max()))
+        a = np.vstack([top, np.full((1, top.shape[1]), penalty)])
+        b = np.append(rng.uniform(-2, 2, rows - 1), penalty)
+        ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        # Each solve is backward stable, so the two differ by about
+        # cond(a) * eps: 1e-12 up to condition 1e3, proportionally beyond.
+        tol = 1e-12 * max(1.0, np.linalg.cond(a) / 1e3)
+        assert np.linalg.norm(_lstsq(a, b) - ref) <= tol * np.linalg.norm(ref)
+
+
+def test_lstsq_attains_numpys_residual_on_rank_deficient_systems():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        # A duplicate column and a midpoint column, as V2mix-like models give.
+        rows = int(rng.integers(2, 6))
+        base = rng.uniform(-2, 2, (rows - 1, rng.integers(1, 4)))
+        i, j = rng.integers(base.shape[1], size=2)
+        top = np.hstack([base, base[:, [i]], (base[:, [i]] + base[:, [j]]) / 2])
+        top = top[:, rng.permutation(top.shape[1])]
+        penalty = 100.0 * max(1.0, float(np.abs(top).max()))
+        a = np.vstack([top, np.full((1, top.shape[1]), penalty)])
+        b = np.append(rng.uniform(-2, 2, rows - 1), penalty)
+        ref = np.linalg.norm(a @ np.linalg.lstsq(a, b, rcond=None)[0] - b)
+        got = np.linalg.norm(a @ _lstsq(a, b) - b)
+        assert abs(got - ref) <= 1e-12 * np.linalg.norm(b)
+
+
 # ----------------------------------------------------------------- schedules
 
 
@@ -261,7 +297,7 @@ def test_oscillation_schedule_geometry(e1):
 
 def test_target_chasing_visits_every_target(v2mix):
     targets = default_targets(v2mix, 5, build_mean_set(v2mix, delta=0.05))
-    assert targets.shape == (5, 2)
+    assert targets.tolist() == [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25], [1.0, 0.0]]
     chase = target_chasing_schedule(v2mix, targets, horizon=100_000)
     assert chase.label == "target_chasing"
     # Block j chases target j, and its weights attain that target.
@@ -275,9 +311,28 @@ def test_target_chasing_visits_every_target(v2mix):
     assert all(b > a for a, b in zip(chase.ends, chase.ends[1:]))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_default_targets_run_along_the_first_furthest_pair_whatever_the_member_order(d):
+    rng = np.random.default_rng(30 + d)
+    for _ in range(8):
+        # Means on a quarter grid, so every distance and tie is exact.
+        means = np.round(rng.uniform(-2, 2, (rng.integers(2, 6), d)) * 4) / 4
+        amb = _dirac_set(means)
+        shuffled = _dirac_set(means[rng.permutation(len(means))])
+        mean_set, shuffled_set = build_mean_set(amb, delta=0.1), build_mean_set(shuffled, delta=0.1)
+        for m in (2, 5, 8):
+            targets = default_targets(amb, m, mean_set)
+            rows = sorted(map(tuple, targets.tolist()))
+            pairs = [(p, q) for i, p in enumerate(rows) for q in rows[i + 1:]]
+            gaps = [math.dist(p, q) for p, q in pairs]
+            p, q = pairs[gaps.index(max(gaps))]
+            assert tuple(targets[0]) == p and tuple(targets[-1]) == q
+            assert np.array_equal(default_targets(shuffled, m, shuffled_set), targets)
+
+
 def test_target_chasing_interval_targets(e1):
     targets = default_targets(e1, 5, build_mean_set(e1, delta=0.05))
-    assert targets.tolist() == pytest.approx([0.0, 0.125, 0.25, 0.375, 0.5])
+    assert np.array_equal(targets, np.linspace(0.0, 0.5, 5))
     chase = target_chasing_schedule(e1, targets, horizon=50_000)
     got = [float(np.dot(w, e1.member_means())) for w in chase.weights_per_block]
     assert got == pytest.approx(targets.tolist(), abs=1e-15)
