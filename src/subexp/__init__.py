@@ -33,7 +33,6 @@ _EXPORTS = {
             "StateSpaceTooLarge",
             "SubexpError",
             "TargetOutOfRange",
-            "TargetOutsideM",
             "TooLargeForBruteForce",
         ),
         "expectation": (
@@ -57,7 +56,6 @@ _EXPORTS = {
             "BlockSchedule",
             "Path",
             "Stationary",
-            "mixture_for_target",
             "oscillation_schedule",
             "sample_path",
             "stationary_for_target",

@@ -21,10 +21,6 @@ class TargetOutOfRange(SubexpError):
     """Requested long-run mean lies outside the attainable mean interval."""
 
 
-class TargetOutsideM(SubexpError):
-    """Requested vector target is not in the mean set (simplex solve residual too large)."""
-
-
 class MuNotAttainable(SubexpError):
     """A centering mean is not a mixture of member means."""
 

@@ -769,8 +769,8 @@ def run_cluster_set(
     strategy stays within tol_outer + CLT slack of the mean set (containment).
     """
     mean_set = build_mean_set(amb, delta=delta)
-    targets = default_targets(amb, m_targets, mean_set)
-    chasing = target_chasing_schedule(amb, targets, N)
+    targets, mixtures = default_targets(amb, m_targets)
+    chasing = target_chasing_schedule(mixtures, N)
     if targets.ndim == 1:
         targets = targets[:, None]
 

@@ -22,9 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import AmbiguitySet, _distinct_rows
-from .errors import TargetOutOfRange, TargetOutsideM
-from .meanset import MeanSet, distance_to_mean_set
+from .distributions import AmbiguitySet
+from .errors import TargetOutOfRange
 
 __all__ = [
     "BlockSchedule",
@@ -33,7 +32,6 @@ __all__ = [
     "alternating_schedule",
     "extreme_members",
     "hash_window",
-    "mixture_for_target",
     "oscillation_schedule",
     "pure_weights",
     "sample_path",
@@ -42,7 +40,6 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
-_RESIDUAL_TOL = 1e-9
 
 # splitmix64 finalizer constants.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -141,8 +138,9 @@ class BlockSchedule:
             raise ValueError("a block schedule needs at least one block")
         if len(self.ends) != len(self.weights_per_block):
             raise ValueError("one mixture per block required")
-        if any(b <= a for a, b in zip(itertools.chain((0,), self.ends), self.ends)):
-            raise ValueError(f"block ends must be strictly increasing, got {self.ends}")
+        for a, b in zip(itertools.chain((0,), self.ends), self.ends):
+            if b <= a:
+                raise ValueError(f"block ends must be strictly increasing, got {b} after {a}")
 
     def blocks_for(self, n: int, start: int = 0) -> list[tuple[int, tuple]]:
         """(end, mixture) of the blocks of steps 1..n that end after step
@@ -210,104 +208,6 @@ def stationary_for_target(amb: AmbiguitySet, b: float) -> Stationary:
     return Stationary(tuple(w), label=f"target={b:g}")
 
 
-def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The basic least-squares solution of a x = b, by Householder QR with
-    column pivoting (Lawson & Hanson 1995, ch. 14).
-
-    Step k moves the column of largest remaining norm to position k and
-    reflects it onto e_k. Once every remaining norm is at most 1e-12 of a's
-    largest column norm, the remaining columns get weight 0: a member whose
-    mean is a combination of others' (V2mix's midpoint) drops out.
-    """
-    r, y = a.astype(float), b.astype(float)
-    order = np.arange(r.shape[1])
-    cutoff = 1e-12 * np.linalg.norm(r, axis=0).max()
-    rank = 0
-    while rank < min(r.shape):
-        rest = np.linalg.norm(r[rank:, rank:], axis=0)
-        p = int(np.argmax(rest))
-        if rest[p] <= cutoff:
-            break
-        r[:, [rank, rank + p]] = r[:, [rank + p, rank]]
-        order[[rank, rank + p]] = order[[rank + p, rank]]
-        v = r[rank:, rank].copy()
-        v[0] += math.copysign(rest[p], v[0])
-        v /= np.linalg.norm(v)
-        r[rank:, rank:] -= 2.0 * np.outer(v, v @ r[rank:, rank:])
-        y[rank:] -= 2.0 * (v @ y[rank:]) * v
-        rank += 1
-    z = np.zeros(r.shape[1])
-    for i in reversed(range(rank)):
-        z[i] = (y[i] - r[i, i + 1:rank] @ z[i + 1:rank]) / r[i, i]
-    x = np.empty_like(z)
-    x[order] = z
-    return x
-
-
-def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin ||a x - b|| over x >= 0 by Lawson and Hanson's active-set method.
-
-    The column with the largest gradient joins the passive set P and x_P is
-    solved by least squares (`_lstsq`, its basic solution). While that
-    solution s has a negative entry, x moves towards s only until its first
-    entry reaches 0, that entry leaves P, and P is solved again. At most 3n
-    outer iterations (Lawson & Hanson 1995, ch. 23); the caller checks the
-    residual, so a solve cut short cannot pass unnoticed.
-    """
-    n = a.shape[1]
-    tol = 10.0 * max(a.shape) * np.finfo(float).eps
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    for _ in range(3 * n):
-        grad = a.T @ (b - a @ x)
-        grad[passive] = -np.inf
-        if grad.max() <= tol:
-            break
-        passive[np.argmax(grad)] = True
-        while True:
-            s = np.zeros(n)
-            s[passive] = _lstsq(a[:, passive], b)
-            neg = passive & (s < 0)
-            if not neg.any():
-                break
-            step = np.full(n, np.inf)
-            step[neg] = x[neg] / (x[neg] - s[neg])
-            j = int(np.argmin(step))
-            x += step[j] * (s - x)
-            x[j] = 0.0
-            passive &= x > tol
-        x = s
-    return x
-
-
-def mixture_for_target(amb: AmbiguitySet, b) -> tuple:
-    """Member weights whose mean vector equals b.
-
-    Solved as a nonnegative least-squares problem (`_nnls`) over member means
-    with an appended sum-to-one row; a residual above 1e-9 means b is not in
-    the convex hull of member means and raises TargetOutsideM.
-    """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    means = np.atleast_2d(amb.member_means().reshape(len(amb.members), -1))
-    if b.shape != (means.shape[1],):
-        raise ValueError(f"target has shape {b.shape}, expected ({means.shape[1]},)")
-
-    penalty = 100.0 * max(1.0, float(np.abs(means).max()))
-    a_mat = np.vstack([means.T, penalty * np.ones((1, len(amb.members)))])
-    rhs = np.concatenate([b, [penalty]])
-    w = _nnls(a_mat, rhs)
-    total = w.sum()
-    if total <= 0:
-        raise TargetOutsideM(f"target {b.tolist()} not attainable")
-    w = w / total
-    residual = float(np.linalg.norm(means.T @ w - b))
-    if residual > _RESIDUAL_TOL:
-        raise TargetOutsideM(
-            f"target {b.tolist()} outside the mean set (residual {residual:.2e})"
-        )
-    return tuple(float(x) for x in w)
-
-
 class _Cycle(collections.abc.Sequence):
     """The read-only sequence of `length` entries whose entry i is
     items[i % len(items)], held in the space of the items alone."""
@@ -354,35 +254,38 @@ def oscillation_schedule(amb: AmbiguitySet, K: int, factor: float = 16.0) -> Blo
     return alternating_schedule(amb, ends, "oscillation")
 
 
-def default_targets(amb: AmbiguitySet, m: int, mean_set: MeanSet) -> np.ndarray:
-    """m target means inside the mean set.
+def default_targets(amb: AmbiguitySet, m: int) -> tuple[np.ndarray, list[tuple]]:
+    """m target means in the mean set, each with the member mixture it is the mean of.
 
-    1-d: uniform grid on [lower, upper]. Higher d: simplex-lattice convex
-    combinations of member means, thinned to m spread-out points by farthest
-    point sampling, then stably ordered by their projection on q - p, where
-    (p, q) is the lexicographically first pair at the largest distance, so
-    consecutive targets are near each other (which is what the chasing
-    schedule wants) and the order depends on the model alone.
+    1-d: uniform grid on [lower, upper], with `stationary_for_target`'s
+    mixtures. Higher d: means of simplex-lattice mixtures, each kept with the
+    lexicographically largest lattice row that attains it, thinned to m
+    spread-out points by farthest point sampling, then stably ordered by their
+    projection on q - p, where (p, q) is the lexicographically first pair at
+    the largest distance, so consecutive targets are near each other (which
+    is what the chasing schedule wants) and the order depends on the model
+    alone.
     """
     if m < 1:
         raise ValueError("need at least one target")
     means = np.atleast_2d(amb.member_means().reshape(len(amb.members), -1))
     if amb.dim == 1:
         lo, hi = float(means.min()), float(means.max())
-        return np.linspace(lo, hi, m)
+        targets = np.linspace(lo, hi, m)
+        return targets, [stationary_for_target(amb, float(b)).weights for b in targets]
 
     grid = _simplex_lattice(len(amb.members), resolution=max(8, m))
-    candidates = _distinct_rows(np.round(grid @ means, 12))
-    chosen = _farthest_point_subset(candidates, m)
+    # Lattice rows come in increasing lexicographic order, so the last row
+    # that rounds to a point is its largest; a dict keeps the first key
+    # object it sees, so -0.0 and 0.0 keep the representative met first.
+    mixture_of = {tuple(point): tuple(row)
+                  for point, row in zip(np.round(grid @ means, 12).tolist(), grid.tolist())}
+    chosen = _farthest_point_subset(np.array(sorted(mixture_of)), m)
     gaps = np.square(chosen[:, None, :] - chosen[None, :, :]).sum(axis=2)
     i, j = divmod(int(np.argmax(gaps)), len(chosen))
     order = np.argsort((chosen - chosen.mean(axis=0)) @ (chosen[j] - chosen[i]), kind="stable")
     chosen = chosen[order]
-    tol = 10.0 * mean_set.net.delta
-    for t in chosen:
-        if distance_to_mean_set(mean_set, t) > tol:
-            raise TargetOutsideM(f"generated target {t.tolist()} fails the membership check")
-    return chosen
+    return chosen, [mixture_of[tuple(t)] for t in chosen.tolist()]
 
 
 def _simplex_lattice(k: int, resolution: int) -> np.ndarray:
@@ -414,23 +317,25 @@ def _farthest_point_subset(points: np.ndarray, m: int) -> np.ndarray:
     return points[sorted(chosen)]
 
 
-def target_chasing_schedule(
-    amb: AmbiguitySet, targets, horizon: int, start: int = 1000
-) -> BlockSchedule:
-    """Block schedule that visits the mean targets in order, one per block.
+def target_chasing_schedule(mixtures, horizon: int, start: int = 1000) -> BlockSchedule:
+    """Block schedule that plays the targets' mixtures (from `default_targets`)
+    in order, one per block.
 
     Block ends grow geometrically from `start` to `horizon`, so each visit's
     error contracts to about (adjacent target spacing)/(growth factor - 1)
     plus CLT noise; the block ends are where the running mean should sit
     near each block's target. In the infinite extension the cycle continues
-    with the same factor, so every target recurs infinitely often.
+    with the same factor, so every target recurs infinitely often. Each
+    block ends at its own step in start..horizon.
     """
     if horizon <= 2 * start:
         raise ValueError(f"horizon {horizon} too small for start {start}")
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if targets.ndim == 1 and amb.dim > 1:
-        raise ValueError("vector model needs vector targets")
-    m = len(targets)
+    m = len(mixtures)
+    if m > horizon - start + 1:
+        raise ValueError(
+            f"{m} targets need {m} block ends, but steps {start}..{horizon} hold at most "
+            f"{horizon - start + 1}"
+        )
 
     ends = []
     if m == 1:
@@ -441,12 +346,7 @@ def target_chasing_schedule(
             end = int(round(start * ratio ** j))
             ends.append(max(end, (ends[-1] + 1) if ends else 1))
         ends[-1] = horizon
-
-    if amb.dim == 1:
-        weights = [stationary_for_target(amb, float(b)).weights for b in targets]
-    else:
-        weights = [mixture_for_target(amb, b) for b in targets]
-    return BlockSchedule(tuple(ends), tuple(weights), label="target_chasing")
+    return BlockSchedule(tuple(ends), tuple(mixtures), label="target_chasing")
 
 
 def sample_path(

@@ -284,6 +284,13 @@ def test_cluster_set_loose_horizon():
     assert contain and all(r.passed for r in contain)
 
 
+def test_cluster_set_rejects_more_targets_than_block_ends_in_a_short_message():
+    # Steps 1000..2500 hold 1501 block ends, so 2000 targets cannot each get one.
+    with pytest.raises(ValueError, match="2000 targets.*1000..2500") as info:
+        run_cluster_set(make_e1(), m_targets=2000, N=2500, seeds=(1,))
+    assert len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("driver, amb, horizon", [
     pytest.param(run_slln, make_e1(), {"N": 3000}, id="slln"),
     pytest.param(run_marcinkiewicz, make_e1(), {"N": 3000}, id="marcinkiewicz"),
@@ -469,8 +476,8 @@ def test_cluster_visits_are_partial_sums_at_visit_ends(monkeypatch):
     monkeypatch.setattr(experiments, "_WINDOW", 4096)
     got = [r.value for r in run_cluster_set(e1, m_targets=3, N=n, seeds=(1,)).rows
            if r.statistic == "visit_hausdorff"]
-    targets = default_targets(e1, 3, build_mean_set(e1, delta=0.05))
-    chasing = target_chasing_schedule(e1, targets, n)
+    targets, mixtures = default_targets(e1, 3)
+    chasing = target_chasing_schedule(mixtures, n)
     ends = np.asarray(chasing.ends)
     visits = np.cumsum(sample_path(e1, chasing, n, seed=1).increments)[ends - 1] / ends
     d = np.abs(targets[:, None] - visits[None, :])

@@ -22,15 +22,14 @@ EXPORTS = {
     "distributions": ("AmbiguitySet", "Event", "FiniteDiscrete", "TwoSidedPareto"),
     "errors": ("DimensionTooLarge", "MuNotAttainable", "NonFiniteVerdict", "NonLattice",
                "NotConvergent", "QuadratureNotConverged", "SchemaError", "StateSpaceTooLarge",
-               "SubexpError", "TargetOutOfRange", "TargetOutsideM", "TooLargeForBruteForce"),
+               "SubexpError", "TargetOutOfRange", "TooLargeForBruteForce"),
     "expectation": ("MomentReport", "choquet_integral", "event_upper_capacity",
                     "lower_expectation", "mean_interval", "truncated_expectation",
                     "upper_expectation"),
     "meanset": ("DirectionNet", "MeanSet", "build_direction_net", "build_mean_set",
                 "distance_to_mean_set", "support_function"),
-    "sampler": ("BlockSchedule", "Path", "Stationary", "mixture_for_target",
-                "oscillation_schedule", "sample_path", "stationary_for_target",
-                "target_chasing_schedule"),
+    "sampler": ("BlockSchedule", "Path", "Stationary", "oscillation_schedule",
+                "sample_path", "stationary_for_target", "target_chasing_schedule"),
     "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalSum",
                    "brute_force_value", "dp_value", "lattice_model",
                    "policy_enumeration_value"),
@@ -179,7 +178,7 @@ def test_no_module_uses_numpy_linalg_but_norm():
 
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
-    assert len(NAMES) == 72
+    assert len(NAMES) == 70
     assert subexp.__version__ == "0.1.0"
 
 

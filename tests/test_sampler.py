@@ -5,6 +5,7 @@ Determinism is the contract here: a path is a pure function of
 depend on how far the path eventually runs.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,8 +19,6 @@ from subexp import (
     FiniteDiscrete,
     Stationary,
     TwoSidedPareto,
-    build_mean_set,
-    mixture_for_target,
     oscillation_schedule,
     sample_path,
     stationary_for_target,
@@ -28,14 +27,13 @@ from subexp import (
 from subexp import experiments, sampler
 from subexp.sampler import (
     _check_weights,
-    _lstsq,
     _uniforms,
     alternating_schedule,
     default_targets,
     hash_window,
     pure_weights,
 )
-from subexp.errors import TargetOutOfRange, TargetOutsideM
+from subexp.errors import TargetOutOfRange
 from conftest import make_asym3, make_e1, make_v2mix
 
 
@@ -100,21 +98,6 @@ def test_target_attained_empirically(e1):
     assert abs(p.increments.mean() - b) < 5.0 / np.sqrt(p.n)
 
 
-def test_mixture_for_target_planar(v2mix):
-    w = mixture_for_target(v2mix, [0.25, 0.75])
-    assert len(w) == 3
-    assert min(w) >= -1e-12
-    assert sum(w) == pytest.approx(1.0, abs=1e-9)
-    means = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    got = np.asarray(w) @ means
-    assert np.allclose(got, [0.25, 0.75], atol=1e-9)
-
-
-def test_mixture_for_target_outside_hull(v2mix):
-    with pytest.raises(TargetOutsideM):
-        mixture_for_target(v2mix, [0.8, 0.8])
-
-
 def _dirac_set(means) -> AmbiguitySet:
     return AmbiguitySet([FiniteDiscrete.from_arrays([m], [1.0]) for m in means])
 
@@ -131,78 +114,32 @@ def _random_means(rng, d: int) -> np.ndarray:
     return np.vstack([base, base[i], (base[i] + base[j]) / 2])[rng.permutation(len(base) + 2)]
 
 
+def _lattice_referee(means, m: int, target) -> tuple:
+    """The lexicographically largest lattice mixture whose rounded mean is
+    target, by enumerating the lattice as bars among stars."""
+    k, res = len(means), max(8, m)
+    rows = []
+    for bars in itertools.combinations(range(res + k - 1), k - 1):
+        cuts = (-1,) + bars + (res + k - 1,)
+        rows.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
+    # In default_targets' row order, so each rounded mean is the same float.
+    grid = np.asarray(sorted(rows), dtype=float) / res
+    hits = (np.round(grid @ means, 12) == target).all(axis=1)
+    return max(map(tuple, grid[hits].tolist()))
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_mixture_for_target_attains_hull_points(d):
-    rng = np.random.default_rng(d)
-    for _ in range(60):
+def test_default_target_mixtures_are_the_largest_lattice_rows_attaining_them(d):
+    rng = np.random.default_rng(50 + d)
+    for _ in range(12):
         means = _random_means(rng, d)
-        target = rng.dirichlet(np.full(len(means), 0.5)) @ means
-        w = np.asarray(mixture_for_target(_dirac_set(means), target))
-        assert w.min() >= 0.0
-        assert abs(w.sum() - 1.0) <= 1e-12
-        assert np.linalg.norm(w @ means - target) <= 1e-9
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_mixture_for_target_rejects_points_outside_the_hull(d):
-    rng = np.random.default_rng(10 + d)
-    for _ in range(60):
-        means = _random_means(rng, d)
-        # A point 0.1 beyond the hull's supporting plane in a random direction.
-        p = rng.normal(size=d)
-        p /= np.linalg.norm(p)
-        target = means[np.argmax(means @ p)] + 0.1 * p
-        with pytest.raises(TargetOutsideM):
-            mixture_for_target(_dirac_set(means), target)
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_mixture_for_target_matches_scipy_nnls_on_simplices(d):
-    from scipy.optimize import nnls
-
-    rng = np.random.default_rng(20 + d)
-    for _ in range(60):
-        # At most d + 1 affinely independent means: the weights are unique.
-        means = rng.uniform(-2, 2, (rng.integers(2, d + 2), d))
-        target = rng.dirichlet(np.ones(len(means))) @ means
-        penalty = 100.0 * max(1.0, float(np.abs(means).max()))
-        ref, _ = nnls(np.vstack([means.T, np.full((1, len(means)), penalty)]),
-                      np.append(target, penalty))
-        w = mixture_for_target(_dirac_set(means), target)
-        assert np.abs(np.asarray(w) - ref / ref.sum()).max() <= 1e-9
-
-
-def test_lstsq_matches_numpy_on_full_rank_systems():
-    rng = np.random.default_rng(40)
-    for _ in range(300):
-        # Up to 5 x 4, the last row the penalty row of mixture_for_target.
-        rows = int(rng.integers(2, 6))
-        top = rng.uniform(-2, 2, (rows - 1, rng.integers(1, min(rows, 4) + 1)))
-        penalty = 100.0 * max(1.0, float(np.abs(top).max()))
-        a = np.vstack([top, np.full((1, top.shape[1]), penalty)])
-        b = np.append(rng.uniform(-2, 2, rows - 1), penalty)
-        ref = np.linalg.lstsq(a, b, rcond=None)[0]
-        # Each solve is backward stable, so the two differ by about
-        # cond(a) * eps: 1e-12 up to condition 1e3, proportionally beyond.
-        tol = 1e-12 * max(1.0, np.linalg.cond(a) / 1e3)
-        assert np.linalg.norm(_lstsq(a, b) - ref) <= tol * np.linalg.norm(ref)
-
-
-def test_lstsq_attains_numpys_residual_on_rank_deficient_systems():
-    rng = np.random.default_rng(41)
-    for _ in range(300):
-        # A duplicate column and a midpoint column, as V2mix-like models give.
-        rows = int(rng.integers(2, 6))
-        base = rng.uniform(-2, 2, (rows - 1, rng.integers(1, 4)))
-        i, j = rng.integers(base.shape[1], size=2)
-        top = np.hstack([base, base[:, [i]], (base[:, [i]] + base[:, [j]]) / 2])
-        top = top[:, rng.permutation(top.shape[1])]
-        penalty = 100.0 * max(1.0, float(np.abs(top).max()))
-        a = np.vstack([top, np.full((1, top.shape[1]), penalty)])
-        b = np.append(rng.uniform(-2, 2, rows - 1), penalty)
-        ref = np.linalg.norm(a @ np.linalg.lstsq(a, b, rcond=None)[0] - b)
-        got = np.linalg.norm(a @ _lstsq(a, b) - b)
-        assert abs(got - ref) <= 1e-12 * np.linalg.norm(b)
+        for m in (2, 5, 8):
+            targets, mixtures = default_targets(_dirac_set(means), m)
+            assert len(mixtures) == len(targets) == m
+            for target, w in zip(targets, mixtures):
+                assert min(w) >= 0.0 and math.fsum(w) == 1.0
+                assert np.abs(np.asarray(w) @ means - target).max() <= 1e-12
+                assert w == _lattice_referee(means, m, target)
 
 
 # ----------------------------------------------------------------- schedules
@@ -296,14 +233,17 @@ def test_oscillation_schedule_geometry(e1):
 
 
 def test_target_chasing_visits_every_target(v2mix):
-    targets = default_targets(v2mix, 5, build_mean_set(v2mix, delta=0.05))
+    targets, mixtures = default_targets(v2mix, 5)
     assert targets.tolist() == [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [0.75, 0.25], [1.0, 0.0]]
-    chase = target_chasing_schedule(v2mix, targets, horizon=100_000)
+    # The lattice rows themselves, the largest that attains each target.
+    assert mixtures == [(0.0, 1.0, 0.0), (0.25, 0.75, 0.0), (0.5, 0.5, 0.0),
+                        (0.75, 0.25, 0.0), (1.0, 0.0, 0.0)]
+    chase = target_chasing_schedule(mixtures, horizon=100_000)
     assert chase.label == "target_chasing"
     # Block j chases target j, and its weights attain that target.
     means = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     weights = chase.weights_per_block
-    assert len(weights) == 5
+    assert weights == tuple(mixtures)
     for j, w in enumerate(weights):
         assert np.abs(np.asarray(w) @ means - targets[j]).max() <= 1e-9
     # Block ends grow from start to the horizon.
@@ -319,25 +259,43 @@ def test_default_targets_run_along_the_first_furthest_pair_whatever_the_member_o
         means = np.round(rng.uniform(-2, 2, (rng.integers(2, 6), d)) * 4) / 4
         amb = _dirac_set(means)
         shuffled = _dirac_set(means[rng.permutation(len(means))])
-        mean_set, shuffled_set = build_mean_set(amb, delta=0.1), build_mean_set(shuffled, delta=0.1)
         for m in (2, 5, 8):
-            targets = default_targets(amb, m, mean_set)
+            targets, _ = default_targets(amb, m)
             rows = sorted(map(tuple, targets.tolist()))
             pairs = [(p, q) for i, p in enumerate(rows) for q in rows[i + 1:]]
             gaps = [math.dist(p, q) for p, q in pairs]
             p, q = pairs[gaps.index(max(gaps))]
             assert tuple(targets[0]) == p and tuple(targets[-1]) == q
-            assert np.array_equal(default_targets(shuffled, m, shuffled_set), targets)
+            assert np.array_equal(default_targets(shuffled, m)[0], targets)
 
 
 def test_target_chasing_interval_targets(e1):
-    targets = default_targets(e1, 5, build_mean_set(e1, delta=0.05))
+    targets, mixtures = default_targets(e1, 5)
     assert np.array_equal(targets, np.linspace(0.0, 0.5, 5))
-    chase = target_chasing_schedule(e1, targets, horizon=50_000)
+    chase = target_chasing_schedule(mixtures, horizon=50_000)
     got = [float(np.dot(w, e1.member_means())) for w in chase.weights_per_block]
     assert got == pytest.approx(targets.tolist(), abs=1e-15)
     with pytest.raises(ValueError, match="too small"):
-        target_chasing_schedule(e1, targets, horizon=2000)
+        target_chasing_schedule(mixtures, horizon=2000)
+
+
+@pytest.mark.parametrize("horizon", [2001, 2500, 3000, 7777])
+def test_target_chasing_fits_one_target_per_step_from_start_to_horizon(horizon):
+    fits = horizon - 1000 + 1
+    chase = target_chasing_schedule([(1.0, 0.0)] * fits, horizon)
+    assert chase.ends == tuple(range(1000, horizon + 1))
+    with pytest.raises(ValueError) as info:
+        target_chasing_schedule([(1.0, 0.0)] * (fits + 1), horizon)
+    message = str(info.value)
+    assert len(message) < 200
+    assert all(str(x) in message for x in (fits + 1, 1000, horizon))
+
+
+def test_block_schedule_names_only_the_first_bad_pair_of_ends():
+    ends = tuple(range(1, 11)) + (9,) + tuple(range(12, 5000)) + (3,)
+    with pytest.raises(ValueError, match="strictly increasing, got 9 after 10$") as info:
+        BlockSchedule(ends, ((1.0,),) * len(ends))
+    assert len(str(info.value)) < 200
 
 
 # ------------------------------------------------------ stream statistics
@@ -472,8 +430,7 @@ def _reference_path(amb, strategy, n, seed, start, uniforms=None):
 
 
 def _chasing(amb, m: int, horizon: int, start: int):
-    targets = default_targets(amb, m, build_mean_set(amb, delta=0.05))
-    return target_chasing_schedule(amb, targets, horizon, start=start)
+    return target_chasing_schedule(default_targets(amb, m)[1], horizon, start=start)
 
 
 def _uniform_cases(alpha: float):
