@@ -11,7 +11,7 @@ This module also owns the upper survival function V(|X| >= t): evaluated on
 a grid of thresholds and integrated in closed form, piece by piece, since
 between breakpoints it is the upper envelope of a constant and Pareto power
 laws. The Choquet integral is that integral. No numerical integrator runs
-here, so nothing in it loads scipy.
+here.
 """
 
 from __future__ import annotations

@@ -43,8 +43,11 @@ class DirectionNet:
 
 
 def build_direction_net(dimension: int, delta: float) -> DirectionNet:
-    """Unit-sphere net: exact {+1,-1} in 1-d, uniform angles in 2-d,
-    spiral/low-discrepancy points in 3-d and 4-d. Dimension capped at 4.
+    """Unit-sphere net: exact {+1,-1} in 1-d, uniform angles in 2-d, a
+    Fibonacci spiral in 3-d and the Hopf image of Halton points in 4-d.
+    Dimension capped at 4 and size at 100 000 directions, so below delta
+    about 0.07 the 4-d mesh exceeds delta (4 000 random probes found 0.067
+    at delta 0.05) and a containment block is one 800 KB row.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -74,27 +77,23 @@ def _sphere_points(dimension: int, count: int) -> np.ndarray:
         theta = 2.0 * math.pi * i / golden
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
-    # d = 4: deterministic low-discrepancy points pushed through the
-    # Gaussian map and normalized; covering verified by probing in tests.
-    from scipy.special import ndtri
-
-    u = _halton(count)
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return g / norms
+    # d = 4: the Hopf map (Shoemake 1992) carries the uniform law on the cube
+    # to the uniform law on the 3-sphere; covering verified by probing in tests.
+    u1, u2, u3 = _halton(count).T
+    a, b = np.sqrt(1.0 - u1), np.sqrt(u1)
+    t2, t3 = 2.0 * math.pi * u2, 2.0 * math.pi * u3
+    return np.column_stack([a * np.cos(t2), a * np.sin(t2), b * np.cos(t3), b * np.sin(t3)])
 
 
 def _halton(count: int) -> np.ndarray:
-    """Points 1..count of the unscrambled 4-d Halton sequence (the origin dropped).
+    """Points 1..count of the unscrambled 3-d Halton sequence (the origin dropped).
 
-    Radical inverses in bases 2, 3, 5 and 7, summed digit by digit from the
-    lowest in the order scipy.stats.qmc.Halton uses, so the points are its
-    bit for bit without importing scipy.stats.
+    Radical inverses in bases 2, 3 and 5, each summed digit by digit from the
+    lowest, so the points equal the reference generator's in tests bit for bit.
     """
     index = np.arange(1, count + 1)
-    u = np.zeros((count, 4))
-    for j, base in enumerate((2, 3, 5, 7)):
+    u = np.zeros((count, 3))
+    for j, base in enumerate((2, 3, 5)):
         q, f = index.copy(), 1.0 / base
         while q.any():
             u[:, j] += (q % base) * f
@@ -121,12 +120,7 @@ def support_function(amb: AmbiguitySet, p) -> float:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.shape != (amb.dim,):
         raise ValueError(f"direction has shape {p.shape}, expected ({amb.dim},)")
-    best = -math.inf
-    for m in amb.members:
-        mu = m.mean()
-        val = float(p[0]) * mu if amb.dim == 1 else float(p @ mu)
-        best = max(best, val)
-    return best
+    return max(float(p @ np.atleast_1d(m.mean())) for m in amb.members)
 
 
 def build_mean_set(amb: AmbiguitySet, delta: float = 0.05) -> MeanSet:

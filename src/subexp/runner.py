@@ -73,7 +73,6 @@ def _dump_json(obj: dict, path: str, **kw) -> None:
 def _write_resolved(resolved: dict, out_dir: str) -> str:
     """Remove any earlier results.csv, write resolved_config.json and return
     the run id."""
-    os.makedirs(out_dir, exist_ok=True)
     try:
         os.remove(os.path.join(out_dir, "results.csv"))
     except FileNotFoundError:
@@ -83,6 +82,7 @@ def _write_resolved(resolved: dict, out_dir: str) -> str:
 
 
 def write_outputs(result: ExperimentResult, resolved: dict, out_dir: str) -> str:
+    """Write the three files into the existing directory out_dir; return the run id."""
     run_id = _write_resolved(resolved, out_dir)
     experiment = resolved["experiment"]
     payload = {
@@ -135,7 +135,12 @@ def run(
     resolved = config.resolved()
     resolved["output_dir"] = out_dir
     try:
+        os.makedirs(out_dir, exist_ok=True)
         result = EXPERIMENT_TABLE[config.experiment].execute(config, jobs)
+        run_id = write_outputs(result, resolved, out_dir)
+    except OSError as exc:  # the output directory cannot be created or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (SubexpError, ValueError) as exc:
         _write_failure(exc, resolved, out_dir)
         print(f"error: {exc}", file=sys.stderr)
@@ -144,7 +149,6 @@ def run(
         # A defect, not a bad config: record it, then let the traceback through.
         _write_failure(exc, resolved, out_dir)
         raise
-    run_id = write_outputs(result, resolved, out_dir)
     verdict = "PASS" if result.passed else "FAIL"
     print(
         f"{config.experiment} {config.model.label} run_id={run_id} "

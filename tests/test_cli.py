@@ -56,6 +56,22 @@ def test_run_schema_error_exits_two(tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_exits_two_before_the_experiment_runs(tmp_path, capsys, monkeypatch,
+                                                            under):
+    def driver(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("subexp.experiments.run_axioms", driver)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    assert main(["run", write_cfg(tmp_path, E1_DOC), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert blocker.read_text() == ""
+
+
 def test_run_seed_override_flag(tmp_path):
     doc = dict(E1_DOC, experiment="three_series",
                parameters={"N": 2000, "N0": 200})

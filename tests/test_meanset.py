@@ -53,8 +53,8 @@ def test_net_rows_are_unit_and_mesh_holds():
 
 
 def test_net_mesh_three_and_four_dimensional():
-    for dim in (3, 4):
-        net = build_direction_net(dim, 0.4)
+    for dim, delta in ((3, 0.4), (4, 0.4), (3, 0.2), (4, 0.2)):
+        net = build_direction_net(dim, delta)
         norms = np.linalg.norm(net.directions, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
         rng = np.random.default_rng(dim)
@@ -156,11 +156,13 @@ def test_distance_input_validation(v2mix):
 
 @pytest.mark.parametrize("delta", [1.0, 0.05])
 def test_four_d_net_equals_the_scipy_halton_net(delta):
-    from scipy.special import ndtri
+    """The Hopf image of scipy's unscrambled 3-d Halton points, bit for bit."""
     from scipy.stats.qmc import Halton
 
     net = build_direction_net(4, delta)
     assert len(net) == (64 if delta == 1.0 else _NET_CAP)
-    u = Halton(d=4, scramble=False).random(len(net) + 1)[1:]
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    assert np.array_equal(net.directions, g / np.linalg.norm(g, axis=1, keepdims=True))
+    u1, u2, u3 = Halton(d=3, scramble=False).random(len(net) + 1)[1:].T
+    a, b = np.sqrt(1.0 - u1), np.sqrt(u1)
+    t2, t3 = 2.0 * math.pi * u2, 2.0 * math.pi * u3
+    hopf = np.column_stack([a * np.cos(t2), a * np.sin(t2), b * np.cos(t3), b * np.sin(t3)])
+    assert np.array_equal(net.directions, hopf)

@@ -96,31 +96,39 @@ def _modules_loaded_by_runs(docs, tmp_path, roots=("scipy",)):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_planar_sampled_runs_never_load_scipy_optimize(tmp_path):
-    docs = [
-        {"model": V2MIX, "experiment": "cluster_set", "parameters": {"N": 20_000}, "seeds": [1]},
-        {"model": V2MIX, "experiment": "weak_lln",
-         "parameters": {"mode": "mc", "ns": [16], "mc_replicas": 6}},
-    ]
-    assert "scipy.optimize" not in _modules_loaded_by_runs(docs, tmp_path)
+# Two 4-d point masses and a fair mix of two more: a run on a 4-d direction net.
+C4 = {"label": "C4", "members": [
+    {"kind": "finite", "atoms": [[[1.0, 0.0, 0.0, 0.0], 1.0]]},
+    {"kind": "finite", "atoms": [[[0.0, 1.0, 0.0, 0.0], 1.0]]},
+    {"kind": "finite", "atoms": [[[0.0, 0.0, 1.0, 0.0], 0.5], [[0.0, 0.0, 0.0, 1.0], 0.5]]},
+]}
 
 
-def test_choquet_series_runs_never_load_scipy_integrate(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
+    # Every golden config, a longer planar cluster set, a Choquet series that
+    # mixes a Pareto member with a coin, and a 4-d cluster set.
     coin = {"kind": "finite", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
-    docs = [
-        GOLDEN["choquet_series"][0],
+    docs = [doc for doc, *_ in GOLDEN.values()] + [
+        {"model": V2MIX, "experiment": "cluster_set", "parameters": {"N": 20_000}, "seeds": [1]},
         {"model": {"label": "p15coin", "members": PARETO["members"] + [coin]},
          "experiment": "choquet_series", "parameters": {"p": 1.2, "K": 2000}},
+        {"model": C4, "experiment": "cluster_set", "parameters": {"N": 2000, "delta": 0.4},
+         "seeds": [1]},
     ]
-    loaded = _modules_loaded_by_runs(docs, tmp_path)
-    assert "scipy.integrate" not in loaded
-    assert "scipy.optimize" not in loaded
-
-
-def test_golden_runs_load_no_scipy(tmp_path):
-    # Only the 4-d direction nets' ndtri loads scipy, and no golden config has d=4.
-    docs = [doc for doc, *_ in GOLDEN.values()]
     assert _modules_loaded_by_runs(docs, tmp_path) == []
+
+
+def test_numpy_is_the_only_import_outside_the_standard_library():
+    # Function-level imports count too, so a lazy import cannot add a dependency.
+    roots = set()
+    for path in Path(subexp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+    assert "math" in roots
+    assert roots - set(sys.stdlib_module_names) == {"numpy"}
 
 
 def test_golden_runs_load_no_numpy_ma_and_only_axioms_load_numpy_random(tmp_path):

@@ -252,7 +252,7 @@ def test_non_finite_verdict_exits_two_and_names_the_row(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("second", ["other_seed", "failing"])
-def test_crash_mid_write_leaves_no_foreign_results_csv(tmp_path, monkeypatch, second):
+def test_crash_mid_write_leaves_no_foreign_results_csv(tmp_path, monkeypatch, capsys, second):
     import subexp.runner as runner
 
     assert run_doc(config_doc("slln", {"N": 2000}, seeds=[1]), tmp_path) == 1
@@ -270,8 +270,14 @@ def test_crash_mid_write_leaves_no_foreign_results_csv(tmp_path, monkeypatch, se
     else:
         pareto = {"kind": "pareto", "alpha": 0.8, "scale": 1.0, "right_mass": 0.5}
         doc = config_doc("slln", {"N": 2000}, model={"label": "p08", "members": [pareto]})
-    with pytest.raises(OSError, match="disk full"):
-        run_doc(doc, tmp_path)
+    if second == "other_seed":
+        # A write error after the experiment is reported like a bad config.
+        assert run_doc(doc, tmp_path) == 2
+        assert "error: disk full" in capsys.readouterr().err
+    else:
+        # The error record itself cannot be written, so the error goes through.
+        with pytest.raises(OSError, match="disk full"):
+            run_doc(doc, tmp_path)
     # The crash left the second run's config beside the first run's results.json;
     # a results.csv, the commit marker, may only belong to the config beside it.
     resolved = json.loads((tmp_path / "resolved_config.json").read_text())
