@@ -104,14 +104,29 @@ C4 = {"label": "C4", "members": [
 ]}
 
 
-def test_no_run_loads_scipy(tmp_path):
-    # Every golden config, a longer planar cluster set, a Choquet series that
-    # mixes a Pareto member with a coin, and a 4-d cluster set.
-    coin = {"kind": "finite", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
-    docs = [doc for doc, *_ in GOLDEN.values()] + [
+def test_planar_sampled_runs_never_load_scipy_optimize(tmp_path):
+    docs = [
         {"model": V2MIX, "experiment": "cluster_set", "parameters": {"N": 20_000}, "seeds": [1]},
+        {"model": V2MIX, "experiment": "weak_lln",
+         "parameters": {"mode": "mc", "ns": [16], "mc_replicas": 6}},
+    ]
+    assert _modules_loaded_by_runs(docs, tmp_path) == []
+
+
+def test_choquet_series_runs_never_load_scipy_integrate(tmp_path):
+    coin = {"kind": "finite", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
+    docs = [
+        GOLDEN["choquet_series"][0],
         {"model": {"label": "p15coin", "members": PARETO["members"] + [coin]},
          "experiment": "choquet_series", "parameters": {"p": 1.2, "K": 2000}},
+    ]
+    assert _modules_loaded_by_runs(docs, tmp_path) == []
+
+
+def test_golden_runs_load_no_scipy(tmp_path):
+    # Every golden config, and a 4-d cluster set whose direction net is built
+    # without scipy's ndtri.
+    docs = [doc for doc, *_ in GOLDEN.values()] + [
         {"model": C4, "experiment": "cluster_set", "parameters": {"N": 2000, "delta": 0.4},
          "seeds": [1]},
     ]
