@@ -7,8 +7,8 @@ law-of-large-numbers experiment drivers.
 
 Importing the package loads no submodule. Each public name below is imported
 from its home module on first access (PEP 562), so parse_config loads only the
-schema layer; the engines load when a run starts. The command line (cli.py)
-imports the runner, and with it every engine, at start.
+schema layer, and a run loads only its driver's module and the engines that
+module imports. This table is also how a run finds its driver by name.
 """
 
 import importlib as _importlib
@@ -78,20 +78,12 @@ _EXPORTS = {
             "kolmogorov_lower_capacity_bound",
             "kolmogorov_upper_bound",
             "levy_bound_check",
-        ),
-        "axioms": ("random_ambiguity_set", "random_max_affine"),
-        "experiments": (
-            "ExperimentResult",
-            "Row",
-            "run_axioms",
-            "run_choquet_series",
-            "run_cluster_set",
             "run_inequality_grid",
-            "run_marcinkiewicz",
-            "run_slln",
-            "run_three_series",
-            "run_weak_lln",
         ),
+        "axioms": ("random_ambiguity_set", "random_max_affine", "run_axioms"),
+        "windows": ("ExperimentResult", "Row"),
+        "experiments": ("run_cluster_set", "run_marcinkiewicz", "run_slln", "run_weak_lln"),
+        "series": ("run_choquet_series", "run_three_series"),
         "config": (
             "EXPERIMENTS",
             "RunConfig",

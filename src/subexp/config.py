@@ -5,8 +5,8 @@ the offending path, and parsing materializes every default so the resolved
 config written next to the results is complete on its own. EXPERIMENT_TABLE
 maps each experiment name to its driver's name and parameter schema; parsing,
 EXPERIMENTS and the runner all read it. The table holds names, not functions:
-each driver is resolved in subexp.experiments when a run starts, so parsing
-never loads the engines.
+each driver is resolved through the package's lazy exports when a run starts,
+so parsing never loads the engines, and a run loads only its driver's module.
 
 Schema:
     {
@@ -25,6 +25,7 @@ member (pareto):  {"kind": "pareto", "alpha": a, "scale": s, "right_mass": r}
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
 import math
@@ -35,7 +36,7 @@ from .distributions import AmbiguitySet, FiniteDiscrete, TwoSidedPareto
 from .errors import NonLattice, SchemaError
 
 if TYPE_CHECKING:
-    from .experiments import ExperimentResult
+    from .windows import ExperimentResult
 
 __all__ = [
     "EXPERIMENTS",
@@ -100,7 +101,7 @@ def _mode(x: Any, path: str) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A driver, named by its function in subexp.experiments, and its
+    """A driver, named by its public name in the subexp package, and its
     parameter schema, name -> (default, validator).
 
     Parameters reach the driver as keywords of the same name, plus the run's
@@ -113,9 +114,7 @@ class Experiment:
     replicas: str | None = None
 
     def execute(self, config: RunConfig, jobs: int) -> ExperimentResult:
-        from . import experiments
-
-        fn = getattr(experiments, self.driver)
+        fn = getattr(importlib.import_module(__package__), self.driver)
         kwargs = dict(config.parameters)
         seeds = config.seeds
         if self.replicas is not None:

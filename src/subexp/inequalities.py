@@ -19,6 +19,8 @@ import numpy as np
 from .distributions import AmbiguitySet, Event
 from .errors import MuNotAttainable
 from .lattice_dp import RunningMax, TerminalSum, _levy_thresholds, dp_value, lattice_model
+from .parallel import parallel_map
+from .windows import ExperimentResult, Row
 
 __all__ = [
     "BoundReport",
@@ -27,6 +29,7 @@ __all__ = [
     "kolmogorov_lower_capacity_bound",
     "kolmogorov_upper_bound",
     "levy_bound_check",
+    "run_inequality_grid",
 ]
 
 _EXACT_SLACK = 1e-12
@@ -190,3 +193,40 @@ def _levy_checks(amb: AmbiguitySet, n: int, xs: Sequence[float], alpha: float) -
         ctx = f"levy model={amb.label} n={n} x={x:g} alpha={alpha:g}"
         reports.append(BoundReport(lhs=lhs, rhs=r, context=ctx, n=n))
     return reports
+
+
+def run_inequality_grid(
+    amb: AmbiguitySet,
+    whichs: Sequence[str] = ("kolmogorov_upper", "kolmogorov_lower", "exponential"),
+    ns: Sequence[int] = (4, 8, 16),
+    xs: Sequence[float] = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0),
+    levy_alphas: Sequence[float] = (0.3, 0.5),
+    jobs: int = 1,
+) -> ExperimentResult:
+    """Exact DP capacities against their closed-form bounds, then Lévy's.
+
+    One row per (which, n, x) in sorted order, with the bound capped at 1,
+    followed by one row per (n, x, alpha) of the Lévy maximal check.
+    """
+    grid = sorted((w, n, x) for w in whichs for n in ns for x in xs)
+    rows = [
+        Row(rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, "exact_dp", 0, rep.n)
+        for rep in parallel_map(lambda c: check_inequality(amb, *c), grid, jobs)
+    ]
+    # One threshold sweep per (n, alpha) serves every x.
+    levy_xs = sorted(set(xs))
+    sweeps = sorted({(n, a) for n in ns for a in levy_alphas}) if xs else []
+    levy = {}
+    for (n, a), reps in zip(sweeps, parallel_map(
+            lambda c: _levy_checks(amb, c[0], levy_xs, c[1]), sweeps, jobs)):
+        levy.update(((n, x, a), rep) for x, rep in zip(levy_xs, reps))
+    rows.extend(
+        Row(rep.context, rep.lhs, rep.rhs, rep.satisfied, "exact_dp", 0, rep.n)
+        for rep in (levy[c] for c in sorted((n, x, a) for n in ns for x in xs for a in levy_alphas))
+    )
+    return ExperimentResult(
+        strategy_labels=("exact_dp",),
+        n_grid=tuple(ns),
+        seeds=(0,),
+        rows=tuple(rows),
+    )

@@ -28,10 +28,13 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .config import EXPERIMENT_TABLE, RunConfig, check_seed
 from .errors import SubexpError
-from .experiments import ExperimentResult
+
+if TYPE_CHECKING:
+    from .windows import ExperimentResult
 
 __all__ = ["run", "write_outputs"]
 

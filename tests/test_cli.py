@@ -62,7 +62,7 @@ def test_unusable_out_exits_two_before_the_experiment_runs(tmp_path, capsys, mon
     def driver(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
-    monkeypatch.setattr("subexp.experiments.run_axioms", driver)
+    monkeypatch.setattr("subexp.run_axioms", driver)
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = blocker / "out" if under else blocker

@@ -26,10 +26,10 @@ from subexp import (
     run_three_series,
     run_weak_lln,
 )
-from subexp import experiments
+from subexp import experiments, series, windows
 from subexp.errors import NonFiniteVerdict
 from subexp.expectation import _survival_curve
-from subexp.experiments import _CONTAINMENT_BYTES, _WINDOW, _Containment, _chain, _windows
+from subexp.windows import _CONTAINMENT_BYTES, _WINDOW, _Containment, _chain, _windows
 from subexp.meanset import build_mean_set
 from subexp.sampler import (
     BlockSchedule,
@@ -127,7 +127,7 @@ def test_weak_lln_mc_reads_every_n_of_the_grid(monkeypatch):
     ]
     assert [r.value for r in low.rows] != [r.value for r in top.rows]
     # Read inside later windows, where the sums are chained.
-    monkeypatch.setattr(experiments, "_WINDOW", 10)
+    monkeypatch.setattr(windows, "_WINDOW", 10)
     assert run_weak_lln(amb, ns=(16, 64), mode="mc", seeds=seeds).rows == both.rows
 
 
@@ -214,7 +214,7 @@ SERIES_MODELS = {
 def _assert_exponents_match_the_oracle(amb, q):
     # Referee: the slope of the oracle's terms between n = 1e4 and 1e6. An
     # infinite exponent needs the term at 1e6 to vanish up to rounding.
-    got = experiments._series_exponents(amb, q)
+    got = series._series_exponents(amb, q)
     terms = _scaled_series_terms(amb, np.array([1e4, 1e6]) ** -q, 1.0)
     for name, (t4, t6) in zip(("S1", "S2_upper", "S2_lower", "S3"), terms):
         if math.isinf(got[name]):
@@ -244,7 +244,7 @@ def test_series_terms_match_the_explicitly_scaled_laws(model, q):
     verdicts = {r.statistic: r.value for r in res.rows if r.statistic.startswith("series_")}
     assert verdicts == {
         f"series_{name}_convergent": float(beta > 1.0)
-        for name, beta in experiments._series_exponents(amb, q).items()
+        for name, beta in series._series_exponents(amb, q).items()
     }
 
 
@@ -355,7 +355,7 @@ _CHUNKING_CASES = [
     "model, n, window", _CHUNKING_CASES, ids=[f"{m}-{n}" for m, n, _ in _CHUNKING_CASES]
 )
 def test_containment_excess_does_not_depend_on_chunking(monkeypatch, model, n, window):
-    monkeypatch.setattr(experiments, "_WINDOW", window)
+    monkeypatch.setattr(windows, "_WINDOW", window)
     amb, mean_set, strategy = _chunking_case(model, n)
     path = sample_path(amb, strategy, n, seed=3)
     containment = _Containment(amb, mean_set, 0.05)
@@ -421,7 +421,7 @@ def test_containment_closed_form_matches_net_product(monkeypatch, model):
         amb = make_asym3()
         mean_set = build_mean_set(amb, delta=0.05)
         strategy = oscillation_schedule(amb, 4, factor=4.0)
-    monkeypatch.setattr(experiments, "_WINDOW", 5000)
+    monkeypatch.setattr(windows, "_WINDOW", 5000)
     n = 3 * 5000 + 77
     containment = _Containment(amb, mean_set, 0.05)
     worst, carry = -math.inf, None
@@ -447,9 +447,12 @@ def test_rows_do_not_depend_on_window(monkeypatch, window):
         lambda: run_choquet_series(mixed, p=1.5, M=1.3, K=n),
         lambda: run_three_series(make_e1(), N=n, N0=1000, seeds=(1, 2)),
     ]
-    monkeypatch.setattr(experiments, "_WINDOW", n)
+    # The engine's window, and the window of capacity-series terms.
+    for module in (windows, series):
+        monkeypatch.setattr(module, "_WINDOW", n)
     whole = [run().rows for run in runs]
-    monkeypatch.setattr(experiments, "_WINDOW", window)
+    for module in (windows, series):
+        monkeypatch.setattr(module, "_WINDOW", window)
     assert [run().rows for run in runs] == whole
 
 
@@ -462,10 +465,10 @@ def test_three_series_rows_do_not_depend_on_window(monkeypatch, window):
         lambda: run_three_series(make_e1(), N=3000, N0=500, seeds=(1, 2)),
         lambda: run_three_series(pareto, scale_exponent=0.5, N=3000, N0=500, seeds=(1,)),
     ]
-    monkeypatch.setattr(experiments, "_WINDOW", 3000)
+    monkeypatch.setattr(windows, "_WINDOW", 3000)
     whole = [run().rows for run in runs]
     assert any(r.statistic == "large_increments_after_N0" and r.value > 0 for r in whole[1])
-    monkeypatch.setattr(experiments, "_WINDOW", window)
+    monkeypatch.setattr(windows, "_WINDOW", window)
     assert [run().rows for run in runs] == whole
 
 
@@ -473,7 +476,7 @@ def test_cluster_visits_are_partial_sums_at_visit_ends(monkeypatch):
     # Oracle: the whole path's partial sums at the visit ends. On this case
     # the Hausdorff value moves if any visit is read one step early or late.
     e1, n = make_e1(), 20_000
-    monkeypatch.setattr(experiments, "_WINDOW", 4096)
+    monkeypatch.setattr(windows, "_WINDOW", 4096)
     got = [r.value for r in run_cluster_set(e1, m_targets=3, N=n, seeds=(1,)).rows
            if r.statistic == "visit_hausdorff"]
     targets, mixtures = default_targets(e1, 3)
@@ -523,7 +526,7 @@ def test_two_seeds_at_two_jobs_hold_about_two_tasks():
 @pytest.mark.parametrize("amb", [make_asym3(), make_v2mix()], ids=["1d", "2d"])
 def test_windows_yield_views_of_one_workspace(monkeypatch, amb):
     # No window allocates: every array yielded for a seed views one buffer.
-    monkeypatch.setattr(experiments, "_WINDOW", 64)
+    monkeypatch.setattr(windows, "_WINDOW", 64)
     k = len(amb.members)
     plans = [Stationary(tuple(1.0 / k for _ in range(k))),
              Stationary(tuple(float(j == 0) for j in range(k)))]
@@ -587,7 +590,7 @@ def test_choquet_series_windowed_terms_equal_the_whole_array(monkeypatch, model,
         return fsum(seen[-1])
 
     # The driver's own math module only: the moment calculus sums its pieces too.
-    monkeypatch.setattr(experiments, "math", SimpleNamespace(**{**vars(math), "fsum": recording_fsum}))
+    monkeypatch.setattr(series, "math", SimpleNamespace(**{**vars(math), "fsum": recording_fsum}))
     rows = run_choquet_series(amb, p=p, M=M, K=K).rows
     assert seen == [terms.tolist(), terms[: K // 10].tolist()]
     partial = next(r.value for r in rows if r.statistic == "series_partial_sum")
@@ -601,7 +604,7 @@ def test_choquet_series_asks_one_window_of_thresholds_at_a_time(monkeypatch):
         sizes.append(len(ts))
         return _survival_curve(amb, ts)
 
-    monkeypatch.setattr(experiments, "_survival_curve", recording_curve)
+    monkeypatch.setattr(series, "_survival_curve", recording_curve)
     K = 5 * _WINDOW + 7
     run_choquet_series(_choquet_cases()["mixed"], K=K)
     assert max(sizes) <= _WINDOW
@@ -638,20 +641,22 @@ def test_cluster_set_peak_memory_in_3d_is_a_budget():
 
 
 def test_drivers_never_sample_a_whole_horizon():
-    # Every sample_path call in the drivers draws one window (start=...), so
-    # no driver can hold a whole path again without this test noticing.
+    # Every sample_path call outside the sampler draws one window (start=...),
+    # so no driver can hold a whole path again without this test noticing.
+    # Every module of the package is parsed, so a call in a new module counts.
     import ast
-    import inspect
+    from pathlib import Path
 
-    tree = ast.parse(inspect.getsource(experiments))
     calls = [
-        node for node in ast.walk(tree)
+        (path.name, node)
+        for path in sorted(Path(windows.__file__).parent.glob("*.py")) if path.name != "sampler.py"
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
         and "sample_path" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    assert calls, "the drivers no longer call sample_path"
-    for call in calls:
-        assert "start" in {kw.arg for kw in call.keywords}, f"line {call.lineno}: no start="
+    assert {name for name, _ in calls} == {"windows.py"}, "the drivers no longer call sample_path"
+    for name, call in calls:
+        assert "start" in {kw.arg for kw in call.keywords}, f"{name}:{call.lineno}: no start="
 
 
 def test_marcinkiewicz_keeps_a_nan_window(monkeypatch, e1):
@@ -674,10 +679,8 @@ def test_slln_oscillation_extremes_keep_a_nan_window(monkeypatch):
     amb = AmbiguitySet(
         (TwoSidedPareto(3.0, 1.0, 0.5), FiniteDiscrete.from_arrays([-1.0, 1.0], [0.25, 0.75]))
     )
-    windows = experiments._windows
-
     def poisoned(amb, strategies, N, seed):
-        for j, ns, x, tail in windows(amb, strategies, N, seed):
+        for j, ns, x, tail in _windows(amb, strategies, N, seed):
             if strategies[j].label == "oscillation" and ns[0] > 1:
                 x[:] = math.nan
             yield j, ns, x, tail

@@ -24,7 +24,7 @@ from subexp import (
     stationary_for_target,
     target_chasing_schedule,
 )
-from subexp import experiments, sampler
+from subexp import sampler, windows
 from subexp.sampler import (
     _check_weights,
     _uniforms,
@@ -355,19 +355,19 @@ def test_chained_window_sums_equal_whole_cumsum(monkeypatch, model):
     amb = _WINDOW_MODELS[model]
     k = len(amb.members)
     plans = [_PLAN, Stationary(pure_weights(k, 1)), Stationary((0.5, 0.5))]
-    monkeypatch.setattr(experiments, "_WINDOW", _W)
+    monkeypatch.setattr(windows, "_WINDOW", _W)
     # The yielded arrays are views valid until the next yield: copy each one.
-    windows = [(j, ns.copy(), x.copy(), tail)
-               for j, ns, x, tail in experiments._windows(amb, plans, 300, seed=7)]
-    assert [j for j, _, _, _ in windows] == [0, 1, 2] * 5  # each window, every plan
-    assert [len(ns) for _, ns, _, _ in windows[::3]] == [64, 64, 64, 64, 44]
-    assert [tail for _, _, _, tail in windows[::3]] == [2, 0, 0, 0, 0]  # burn-in is 3 steps
-    assert np.array_equal(np.concatenate([ns for _, ns, _, _ in windows[::3]]),
+    walked = [(j, ns.copy(), x.copy(), tail)
+              for j, ns, x, tail in windows._windows(amb, plans, 300, seed=7)]
+    assert [j for j, _, _, _ in walked] == [0, 1, 2] * 5  # each window, every plan
+    assert [len(ns) for _, ns, _, _ in walked[::3]] == [64, 64, 64, 64, 44]
+    assert [tail for _, _, _, tail in walked[::3]] == [2, 0, 0, 0, 0]  # burn-in is 3 steps
+    assert np.array_equal(np.concatenate([ns for _, ns, _, _ in walked[::3]]),
                           np.arange(1.0, 301.0))
     for j, plan in enumerate(plans):
         carry, sums = None, []
-        for _, _, x, _ in windows[j::3]:
-            carry = experiments._chain(x, carry)
+        for _, _, x, _ in walked[j::3]:
+            carry = windows._chain(x, carry)
             sums.append(x)
         whole = sample_path(amb, plan, 300, seed=7)
         assert np.array_equal(np.concatenate(sums), np.cumsum(whole.increments, axis=0))
@@ -532,20 +532,20 @@ def test_table_draw_equals_each_members_own_icdf(amb, data):
     assert np.array_equal(path.member_indices, ref_idx)
 
 
-@pytest.mark.parametrize("n", [experiments._WINDOW, experiments._WINDOW + 1])
+@pytest.mark.parametrize("n", [windows._WINDOW, windows._WINDOW + 1])
 @pytest.mark.parametrize("model", sorted(_WINDOW_MODELS))
 def test_sums_chain_across_the_engine_window(model, n):
     # The engine's own window: a horizon that fills it, and one that spills
     # a single step into a second window.
     amb = _WINDOW_MODELS[model]
     plans = [_PLAN, Stationary((0.5, 0.5))]
-    windows = [(ns.copy(), x.copy()) for _, ns, x, _ in experiments._windows(amb, plans, n, seed=7)]
-    sizes = [experiments._WINDOW] + [1] * (n - experiments._WINDOW)
-    assert [len(ns) for ns, _ in windows] == [size for size in sizes for _ in plans]
+    walked = [(ns.copy(), x.copy()) for _, ns, x, _ in windows._windows(amb, plans, n, seed=7)]
+    sizes = [windows._WINDOW] + [1] * (n - windows._WINDOW)
+    assert [len(ns) for ns, _ in walked] == [size for size in sizes for _ in plans]
     for j, plan in enumerate(plans):
         carry, sums = None, []
-        for _, x in windows[j::2]:
-            carry = experiments._chain(x, carry)
+        for _, x in walked[j::2]:
+            carry = windows._chain(x, carry)
             sums.append(x)
         whole = sample_path(amb, plan, n, seed=7)
         assert np.array_equal(np.concatenate(sums), np.cumsum(whole.increments, axis=0))
