@@ -136,35 +136,44 @@ def check_inequality(amb: AmbiguitySet, which: str, n: int, x: float) -> BoundRe
     midpoint of the mean interval. A set off the lattice, a Pareto member
     included, raises NonLattice before any centering.
     """
+    return _inequality_checks(amb, [which], n, x)[0]
+
+
+def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: float) -> list:
+    """check_inequality for each of whichs at one (n, x). kolmogorov_upper and
+    exponential bound the same capacity, which is solved once for both."""
     lattice_model(amb)
-    if which in ("kolmogorov_upper", "exponential"):
-        m_up = float(np.max(amb.member_means()))
-        centered = AmbiguitySet(
-            tuple(m.shifted(-m_up) for m in amb.members), label=f"{amb.label}-centered"
-        )
-        B2 = n * max(m.second_moment() for m in centered.members)
-        lhs = dp_value(centered, RunningMax(x, mode="pos"), n, side="upper")
-        if which == "kolmogorov_upper":
-            rhs = kolmogorov_upper_bound(B2, x)
-            ctx = f"kolmogorov_upper model={amb.label} n={n} x={x:g}"
+    reports, upper = [], None
+    for which in whichs:
+        if which in ("kolmogorov_upper", "exponential"):
+            if upper is None:
+                m_up = float(np.max(amb.member_means()))
+                centered = AmbiguitySet(
+                    tuple(m.shifted(-m_up) for m in amb.members), label=f"{amb.label}-centered"
+                )
+                B2 = n * max(m.second_moment() for m in centered.members)
+                upper = dp_value(centered, RunningMax(x, mode="pos"), n, side="upper")
+            if which == "kolmogorov_upper":
+                rhs = kolmogorov_upper_bound(B2, x)
+                ctx = f"kolmogorov_upper model={amb.label} n={n} x={x:g}"
+            else:
+                rhs = exponential_bound(B2, x, x) + _max_increment_term(centered, x, n)
+                ctx = f"exponential model={amb.label} n={n} x={x:g} y={x:g}"
+            reports.append(BoundReport(lhs=upper, rhs=rhs, context=ctx, n=n))
+        elif which == "kolmogorov_lower":
+            means = amb.member_means()
+            mu = 0.5 * (float(np.min(means)) + float(np.max(means)))
+            s2 = max(m.second_moment() for m in amb.members)
+            rhs = kolmogorov_lower_capacity_bound([s2] * n, [mu] * n, x, amb=amb)
+            shifted = AmbiguitySet(
+                tuple(m.shifted(-mu) for m in amb.members), label=f"{amb.label}-mu"
+            )
+            lhs = dp_value(shifted, RunningMax(x, mode="abs"), n, side="lower")
+            ctx = f"kolmogorov_lower model={amb.label} n={n} x={x:g} mu={mu:g}"
+            reports.append(BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n))
         else:
-            rhs = exponential_bound(B2, x, x) + _max_increment_term(centered, x, n)
-            ctx = f"exponential model={amb.label} n={n} x={x:g} y={x:g}"
-        return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
-
-    if which == "kolmogorov_lower":
-        means = amb.member_means()
-        mu = 0.5 * (float(np.min(means)) + float(np.max(means)))
-        s2 = max(m.second_moment() for m in amb.members)
-        rhs = kolmogorov_lower_capacity_bound([s2] * n, [mu] * n, x, amb=amb)
-        shifted = AmbiguitySet(
-            tuple(m.shifted(-mu) for m in amb.members), label=f"{amb.label}-mu"
-        )
-        lhs = dp_value(shifted, RunningMax(x, mode="abs"), n, side="lower")
-        ctx = f"kolmogorov_lower model={amb.label} n={n} x={x:g} mu={mu:g}"
-        return BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n)
-
-    raise ValueError(f"unknown inequality {which!r}")
+            raise ValueError(f"unknown inequality {which!r}")
+    return reports
 
 
 def levy_bound_check(amb: AmbiguitySet, n: int, x: float, alpha: float) -> BoundReport:
@@ -209,9 +218,17 @@ def run_inequality_grid(
     followed by one row per (n, x, alpha) of the Lévy maximal check.
     """
     grid = sorted((w, n, x) for w in whichs for n in ns for x in xs)
+    # One task per (n, x) checks every inequality there, so kolmogorov_upper
+    # and exponential share their capacity.
+    kinds = sorted(set(whichs))
+    points = sorted({(n, x) for _, n, x in grid})
+    checks = {}
+    for (n, x), reps in zip(points, parallel_map(
+            lambda c: _inequality_checks(amb, kinds, *c), points, jobs)):
+        checks.update(((w, n, x), rep) for w, rep in zip(kinds, reps))
     rows = [
         Row(rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, "exact_dp", 0, rep.n)
-        for rep in parallel_map(lambda c: check_inequality(amb, *c), grid, jobs)
+        for rep in (checks[c] for c in grid)
     ]
     # One threshold sweep per (n, alpha) serves every x.
     levy_xs = sorted(set(xs))

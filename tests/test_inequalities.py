@@ -152,6 +152,29 @@ def test_grid_is_deterministic_and_parallel_safe(e1):
     ]
 
 
+def test_grid_solves_the_shared_upper_capacity_once_per_point(monkeypatch, e1):
+    # kolmogorov_upper and exponential bound one capacity: with kolmogorov_lower,
+    # two DP solves per (n, x), not three, and the rows are check_inequality's.
+    calls = []
+    real = subexp.inequalities.dp_value
+
+    def counted(amb, functional, n, side="upper"):
+        calls.append((n, side))
+        return real(amb, functional, n, side)
+
+    monkeypatch.setattr(subexp.inequalities, "dp_value", counted)
+    kw = dict(ns=(4, 8), xs=(1.0, 2.0, 3.0), levy_alphas=())
+    whichs = ("kolmogorov_upper", "kolmogorov_lower", "exponential")
+    rows = run_inequality_grid(e1, whichs=whichs, **kw).rows
+    assert sorted(calls) == sorted((n, side) for n in kw["ns"] for _ in kw["xs"]
+                                   for side in ("lower", "upper"))
+    monkeypatch.setattr(subexp.inequalities, "dp_value", real)
+    alone = [check_inequality(e1, w, n, x) for w in sorted(whichs) for n in kw["ns"]
+             for x in kw["xs"]]
+    assert [(r.statistic, r.value, r.tolerance, r.passed, r.n) for r in rows] == [
+        (rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, rep.n) for rep in alone]
+
+
 def test_levy_reflection(e1):
     for alpha in (0.3, 0.5):
         rep = levy_bound_check(e1, n=8, x=2.0, alpha=alpha)

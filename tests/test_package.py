@@ -292,6 +292,8 @@ def test_table_driver_is_the_named_function_and_takes_the_schema(name):
 # Public functions that no config or command-line path calls, and why each stays.
 UNREACHED = {
     "brute_force_value": "referee for dp_value over every adversary history",
+    "check_inequality": "one check alone; referee for the grid, which solves the capacity "
+                        "kolmogorov_upper and exponential share once for both",
     "levy_bound_check": "one Lévy check alone; referee for the grid, which sweeps once for every x",
     "policy_enumeration_value": "referee for dp_value over every deterministic policy",
     "support_function": "exact support function that tests hold build_mean_set's net to",
