@@ -31,8 +31,8 @@ from .sampler import (
 from .windows import (
     ExperimentResult,
     Row,
-    _chain,
     _Containment,
+    _chain,
     _keep_at_steps,
     _per_seed,
     _pure_extremes,

@@ -143,9 +143,11 @@ def test_an_axioms_run_loads_only_the_modules_of_its_driver(tmp_path):
 # Each process compiles every module it imports from source when no bytecode
 # cache is written, and the heap high-water mark of that compile is set by
 # the largest single module, not by the package's total size. One compile()
-# in a fresh interpreter, after numpy, raised ru_maxrss by 2.00 MB for a
-# 951-line module, 1.88 / 1.50 / 1.25 / 0.75 MB for 950 / 803 / 672 / 575
-# lines, 0.75 MB for 446 and 0.62 MB for 430 (2-vCPU x86 host, Python 3.11).
+# in a fresh interpreter, after numpy, raised ru_maxrss by 2.50 MB for the
+# 951-line experiments.py that held every driver, 1.25-1.38 MB for modules of
+# 430-459 lines and 0.62 MB for 214-254 lines (2-vCPU x86 host, Python
+# 3.11). Importing every module from source after numpy peaked 1.05 MB
+# lower once no module exceeded this cap (+6.55 against +7.6 MB).
 _MAX_MODULE_LINES = 480
 
 
