@@ -654,7 +654,7 @@ def test_drivers_never_sample_a_whole_horizon():
         if isinstance(node, ast.Call)
         and "sample_path" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    assert {name for name, _ in calls} == {"windows.py"}, "the drivers no longer call sample_path"
+    assert {name for name, _ in calls} == {"windows.py"}, "only the window engine samples"
     for name, call in calls:
         assert "start" in {kw.arg for kw in call.keywords}, f"{name}:{call.lineno}: no start="
 
@@ -679,6 +679,7 @@ def test_slln_oscillation_extremes_keep_a_nan_window(monkeypatch):
     amb = AmbiguitySet(
         (TwoSidedPareto(3.0, 1.0, 0.5), FiniteDiscrete.from_arrays([-1.0, 1.0], [0.25, 0.75]))
     )
+
     def poisoned(amb, strategies, N, seed):
         for j, ns, x, tail in _windows(amb, strategies, N, seed):
             if strategies[j].label == "oscillation" and ns[0] > 1:
