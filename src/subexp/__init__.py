@@ -45,7 +45,6 @@ _EXPORTS = {
             "upper_expectation",
         ),
         "meanset": (
-            "DirectionNet",
             "MeanSet",
             "build_direction_net",
             "build_mean_set",

@@ -105,22 +105,17 @@ class Experiment:
     parameter schema, name -> (default, validator).
 
     Parameters reach the driver as keywords of the same name, plus the run's
-    seeds and worker count where the driver's signature takes them. When
-    replicas names a count parameter, seeds 1..count replace the config's.
+    seeds and worker count where the driver's signature takes them.
     """
 
     driver: str
     schema: dict
-    replicas: str | None = None
 
     def execute(self, config: RunConfig, jobs: int) -> ExperimentResult:
         fn = getattr(importlib.import_module(__package__), self.driver)
         kwargs = dict(config.parameters)
-        seeds = config.seeds
-        if self.replicas is not None:
-            seeds = tuple(range(1, kwargs.pop(self.replicas) + 1))
         takes = inspect.signature(fn).parameters
-        run_args = {"seeds": seeds, "jobs": jobs}
+        run_args = {"seeds": config.seeds, "jobs": jobs}
         kwargs.update({k: v for k, v in run_args.items() if k in takes})
         return fn(config.model, **kwargs)
 
@@ -145,7 +140,7 @@ EXPERIMENT_TABLE: dict[str, Experiment] = {
         "interior_b": (None, _optional_num),
         "interior_threshold": (0.9, _num),
         "mc_replicas": (200, _int),
-    }, replicas="mc_replicas"),
+    }),
     "three_series": Experiment("run_three_series", {
         "scale_exponent": (2.0, _num),
         "c": (1.0, _num),

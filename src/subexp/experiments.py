@@ -31,8 +31,8 @@ from .sampler import (
 from .windows import (
     ExperimentResult,
     Row,
-    _Containment,
     _chain,
+    _containment,
     _keep_at_steps,
     _per_seed,
     _pure_extremes,
@@ -71,11 +71,7 @@ def run_slln(
     targets = np.linspace(lower, upper, m_targets)
     strategies = [s_max, s_min, osc] + [stationary_for_target(amb, float(b)) for b in targets]
 
-    containment = (
-        _Containment(amb, build_mean_set(amb, delta=0.05), tol_outer)
-        if amb.is_finite_support
-        else None
-    )
+    containment = _containment(amb, tol_outer)
 
     def fold(seed):
         """Per strategy: last partial sum, oscillation tail extremes, containment row."""
@@ -134,8 +130,7 @@ def run_slln(
             v = abs(last / N - float(b))
             rows.append(Row(f"target_gap_b={float(b):g}", float(v), tol, v <= tol, label, seed, N))
 
-    if containment is not None:
-        rows.extend(row for outs in reduced for _, _, row in outs)
+    rows.extend(row for outs in reduced for _, _, row in outs if row is not None)
 
     return ExperimentResult(
         strategy_labels=tuple(s.label for s in strategies),
@@ -273,7 +268,7 @@ def run_weak_lln(
     threshold: float = 0.05,
     interior_b: float | None = None,
     interior_threshold: float = 0.9,
-    seeds: Sequence[int] = tuple(range(1, 201)),
+    mc_replicas: int = 200,
     jobs: int = 1,
 ) -> ExperimentResult:
     """Escape capacities for dist(S_n/n, M) >= epsilon along an n grid.
@@ -287,7 +282,8 @@ def run_weak_lln(
     and the upper expectation of each bank function of S_n/n must approach
     its supremum over M. MC mode (d >= 2) estimates the escape frequency
     per strategy and per n with a binomial confidence interval, from one
-    walk to the largest n per seed; only the largest n carries a verdict.
+    walk to the largest n per seed 1..mc_replicas; only the largest n carries
+    a verdict.
     """
     ns = tuple(sorted(ns))
     if ns[0] < 1:
@@ -360,7 +356,7 @@ def run_weak_lln(
     elif mode == "mc":
         mean_set = build_mean_set(amb, delta=0.05)
         strategies = [*_pure_members(amb), _uniform_mix(amb)]
-
+        seeds = tuple(range(1, mc_replicas + 1))
         grid = np.asarray(ns)
 
         def hit(seed) -> list[list[float]]:
@@ -371,8 +367,8 @@ def run_weak_lln(
                 carry[j] = _chain(x, carry[j])
                 _keep_at_steps(sums[j], x, steps, grid)
             return [
-                [1.0 if distance_to_mean_set(mean_set, s / n) >= epsilon else 0.0
-                 for s, n in zip(np.concatenate(per), ns)]
+                [1.0 if d >= epsilon else 0.0 for d in distance_to_mean_set(
+                    mean_set, np.concatenate(per).reshape(len(grid), -1) / grid[:, None])]
                 for per in sums
             ]
 
@@ -389,7 +385,7 @@ def run_weak_lln(
     return ExperimentResult(
         strategy_labels=("exact_dp",) if mode == "exact" else tuple(s.label for s in strategies),
         n_grid=ns,
-        seeds=(0,) if mode == "exact" else tuple(seeds),
+        seeds=(0,) if mode == "exact" else seeds,
         rows=tuple(rows),
     )
 
@@ -409,8 +405,9 @@ def run_cluster_set(
     at its block ends n_k must be within tol_hausdorff of the target grid
     (two-sided Hausdorff, filling) while every tail point of every sampled
     strategy stays within tol_outer + CLT slack of the mean set (containment).
+    A model with a Pareto member has no containment rows, as in run_slln.
     """
-    mean_set = build_mean_set(amb, delta=delta)
+    containment = _containment(amb, tol_outer, delta)
     targets, mixtures = default_targets(amb, m_targets)
     chasing = target_chasing_schedule(mixtures, N)
     if targets.ndim == 1:
@@ -418,8 +415,6 @@ def run_cluster_set(
 
     strategies = list(_pure_extremes(amb)) if amb.dim == 1 else _pure_members(amb)
     strategies.append(chasing)
-
-    containment = _Containment(amb, mean_set, tol_outer)
     ends = np.asarray(chasing.ends)  # visit ends: the last is N
 
     def fold(seed):
@@ -428,17 +423,18 @@ def run_cluster_set(
         worst, visits = [-math.inf] * len(strategies), []
         for j, ns, sums, tail in _windows(amb, strategies, N, seed):
             carry[j] = _chain(sums, carry[j])
-            worst[j] = containment.fold(worst[j], ns, sums, tail)
+            if containment is not None:
+                worst[j] = containment.fold(worst[j], ns, sums, tail)
             if strategies[j] is chasing:
                 _keep_at_steps(visits, sums, ns, ends)
         return [
-            (containment.row(worst[j], strategy.label, seed, N),
+            (None if containment is None else containment.row(worst[j], strategy.label, seed, N),
              np.concatenate(visits) if strategy is chasing else None)
             for j, strategy in enumerate(strategies)
         ]
 
     reduced = _per_seed(fold, seeds, jobs)
-    rows = [row for outs in reduced for row, _ in outs]
+    rows = [row for outs in reduced for row, _ in outs if row is not None]
 
     for seed, (_, sums) in zip(seeds, reduced[strategies.index(chasing)]):
         if sums.ndim == 1:

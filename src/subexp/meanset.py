@@ -5,6 +5,9 @@ convex hull of the member means, so the support function in direction p is
 simply the max of <p, member mean>. The set is represented purely by support
 values on a direction net; distance queries follow from support-function
 duality, with a documented O(delta) net error for points outside the set.
+No other module reads the net: every distance, `distance_to_mean_set`'s and
+the window engine's containment scan, goes through the one kernel
+`fold_distances`, whose memory depends on neither the points nor the net.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .distributions import AmbiguitySet
 from .errors import DimensionTooLarge
 
 __all__ = [
-    "DirectionNet",
     "MeanSet",
     "build_direction_net",
     "build_mean_set",
@@ -28,26 +30,20 @@ __all__ = [
 
 _NET_CAP = 100_000
 _MAX_DIM = 4
+# Bytes of one gap block, a quarter of a 2 MB L2: 520 rows against the 126
+# directions of the 2-d net, 10 against the 6400 of the 3-d net. So a block
+# stays in cache whatever the net, and each block is one GEMM small enough
+# for OpenBLAS to run on one thread.
+_BLOCK_BYTES = 512 * 1024
 
 
-@dataclass(frozen=True)
-class DirectionNet:
-    """Finite set of unit directions with mesh parameter delta."""
-
-    dimension: int
-    delta: float
-    directions: np.ndarray  # shape (K, dimension), unit rows
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-
-def build_direction_net(dimension: int, delta: float) -> DirectionNet:
-    """Unit-sphere net: exact {+1,-1} in 1-d, uniform angles in 2-d, a
-    Fibonacci spiral in 3-d and the Hopf image of Halton points in 4-d.
-    Dimension capped at 4 and size at 100 000 directions, so below delta
-    about 0.07 the 4-d mesh exceeds delta (4 000 random probes found 0.067
-    at delta 0.05) and a containment block is one 800 KB row.
+def build_direction_net(dimension: int, delta: float) -> np.ndarray:
+    """Unit directions as the rows of a (K, dimension) array: exact {+1,-1}
+    in 1-d, uniform angles in 2-d, a Fibonacci spiral in 3-d and the Hopf
+    image of Halton points in 4-d. Dimension capped at 4 and size at
+    100 000 directions, so below delta about 0.07 the 4-d mesh exceeds
+    delta (4 000 random probes found 0.067 at delta 0.05) and a gap block
+    is one 800 KB row.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -57,15 +53,13 @@ def build_direction_net(dimension: int, delta: float) -> DirectionNet:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
     if dimension == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif dimension == 2:
+        return np.array([[1.0], [-1.0]])
+    if dimension == 2:
         count = int(math.ceil(2.0 * math.pi / delta))
         angles = 2.0 * math.pi * np.arange(count) / count
-        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    else:
-        count = min(int(math.ceil((4.0 / delta) ** (dimension - 1))), _NET_CAP)
-        dirs = _sphere_points(dimension, count)
-    return DirectionNet(dimension=dimension, delta=delta, directions=dirs)
+        return np.column_stack([np.cos(angles), np.sin(angles)])
+    count = min(int(math.ceil((4.0 / delta) ** (dimension - 1))), _NET_CAP)
+    return _sphere_points(dimension, count)
 
 
 def _sphere_points(dimension: int, count: int) -> np.ndarray:
@@ -106,8 +100,8 @@ def _halton(count: int) -> np.ndarray:
 class MeanSet:
     """Support-value representation of the attainable-mean set."""
 
-    net: DirectionNet
-    support_values: np.ndarray  # g(p) per net direction
+    directions: np.ndarray  # (K, d) unit rows of the direction net
+    support_values: np.ndarray  # g(p) per direction
 
 
 def support_function(amb: AmbiguitySet, p) -> float:
@@ -125,22 +119,56 @@ def support_function(amb: AmbiguitySet, p) -> float:
 
 def build_mean_set(amb: AmbiguitySet, delta: float = 0.05) -> MeanSet:
     """Support values of the mean set on a fresh direction net."""
-    net = build_direction_net(amb.dim, delta)
+    directions = build_direction_net(amb.dim, delta)
     means = np.atleast_2d(amb.member_means().reshape(len(amb.members), -1))
-    values = (net.directions @ means.T).max(axis=1)
-    return MeanSet(net=net, support_values=values)
+    return MeanSet(directions, (directions @ means.T).max(axis=1))
 
 
-def distance_to_mean_set(mean_set: MeanSet, y) -> float:
+def distance_to_mean_set(mean_set: MeanSet, y):
     """max(0, max over net directions of <p, y> - g(p)).
 
-    Equals dist(y, M) up to a one-sided net error of order
-    delta * (|y| + max|g|): the net value never exceeds the true distance.
+    y is one point of shape (d,), a float for d = 1, or a block of points of
+    shape (m, d), which gives an array of m distances. Equals dist(y, M) up
+    to a one-sided net error of order delta * (|y| + max|g|): the net value
+    never exceeds the true distance.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (mean_set.net.dimension,):
-        raise ValueError(f"point has shape {y.shape}, expected ({mean_set.net.dimension},)")
+    d = mean_set.directions.shape[1]
+    if y.ndim > 2 or y.shape[-1] != d:
+        raise ValueError(f"point has shape {y.shape}, expected ({d},) or (m, {d})")
     if not np.all(np.isfinite(y)):
         raise ValueError("point must be finite")
-    gaps = mean_set.net.directions @ y - mean_set.support_values
-    return max(0.0, float(gaps.max()))
+    points = y.reshape(-1) if d == 1 else y.reshape(-1, d)
+    blocks = fold_distances(mean_set, points, np.ones(len(points)), lambda b, x, _: [*b, x], [])
+    return float(blocks[0][0]) if y.ndim == 1 else np.concatenate([np.empty(0), *blocks])
+
+
+def fold_distances(mean_set: MeanSet, sums: np.ndarray, ns: np.ndarray, fold, acc):
+    """acc = fold(acc, dist, ns[rows]) for each row block of y = sums / ns in
+    turn; returns the last acc. Unvalidated: sums is (m,) against a 1-d net,
+    else (m, d). dist, the fold's to overwrite, holds max(0, max over
+    directions p of <p, y> - g(p)). A 1-d block is all m rows; in d >= 2, as
+    many as keep the gap matrix within _BLOCK_BYTES, in one buffer.
+    """
+    support = mean_set.support_values
+    if sums.ndim == 1:
+        # The 1-d net is exactly {+1, -1}, so max(y - s0, -y - s1, 0), in
+        # place on two buffers, gives the bits of the matrix product.
+        y = np.divide(sums, ns)
+        t = np.negative(y)
+        t -= support[1]
+        y -= support[0]
+        np.maximum(y, t, out=y)
+        del t  # freed before fold runs: two window-length arrays at most
+        np.maximum(y, 0.0, out=y)
+        return fold(acc, y, ns)
+    directions = mean_set.directions.T  # the (d, K) view each GEMM reads
+    rows = max(1, _BLOCK_BYTES // (8 * len(support)))  # float64 gaps
+    gaps = np.empty((min(rows, len(ns)), len(support)))
+    for i in range(0, len(ns), rows):
+        block = slice(i, i + rows)
+        g = gaps[: len(ns[block])]
+        np.matmul(sums[block] / ns[block, None], directions, out=g)
+        g -= support
+        acc = fold(acc, np.maximum(g.max(axis=1), 0.0), ns[block])
+    return acc

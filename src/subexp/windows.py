@@ -6,8 +6,9 @@ yields each strategy's window for the driver to fold into its statistics
 before the next one is drawn. The windows chain the running sums exactly
 (`_chain`), so no statistic depends on the window size, and peak memory is
 bounded by jobs windows and containment blocks, whatever the horizon and
-the number of paths. `_Containment` folds the windows of one path into its
-containment row. Row and ExperimentResult are what every driver returns.
+the number of paths. `_Containment` folds the windows of one path, through
+`meanset.fold_distances`, into its containment row. Row and ExperimentResult
+are what every driver returns.
 """
 
 from __future__ import annotations
@@ -20,19 +21,13 @@ import numpy as np
 
 from .distributions import AmbiguitySet
 from .errors import NonFiniteVerdict
-from .meanset import MeanSet
+from .meanset import MeanSet, build_mean_set, fold_distances
 from .parallel import parallel_map
 from .sampler import Stationary, extreme_members, hash_window, pure_weights, sample_path
 
 __all__ = ["ExperimentResult", "Row"]
 
 _BURN_IN_FRACTION = 100  # tail = n >= N / this
-# Bytes of one containment gap block, a quarter of a 2 MB L2. Each
-# _Containment takes as many rows as fit: 520 against the 126 directions of
-# the 2-d net, 10 against the 6400 of the 3-d net. So a block stays in cache
-# whatever the net, and each block is one GEMM small enough for OpenBLAS to
-# run on one thread.
-_CONTAINMENT_BYTES = 512 * 1024
 # Steps per sampled window. A task's window workspace (two uniforms, their
 # uint64 scratch, the step counts, one strategy's increments and member
 # indices) takes 336 KiB at d=1, so it stays in a 2 MB L2.
@@ -195,12 +190,9 @@ class _Containment:
     """Per-path reducer: worst tail excess of dist(S_n/n, M) over the CLT
     slack 4 sqrt(E|X|^2 / n), as one containment row.
 
-    The directions, support values, s2 and the block height are built once
-    per run. A 2-d or higher window is scanned in blocks of `rows` tail rows:
-    each block's (rows x K) gap matrix against the K net directions takes at
-    most _CONTAINMENT_BYTES. `fold` takes one window at a time, and the max
-    over windows and row blocks is exact, so the value depends neither on
-    the window nor on the block height. A NaN anywhere in the tail makes the
+    `fold` takes one window and `_excess` one row block of its tail at a
+    time; the max over them is exact, so the value depends neither on the
+    window nor on the block height. A NaN anywhere in the tail makes the
     value NaN, so the row raises NonFiniteVerdict. The net-based distance
     never exceeds the true one, so it errs towards a pass: a path that
     leaves M by less than the net resolves reads as contained.
@@ -208,39 +200,20 @@ class _Containment:
 
     def __init__(self, amb: AmbiguitySet, mean_set: MeanSet, tol_outer: float):
         self.s2 = max(m.second_moment() for m in amb.members)
-        self.directions = np.asarray(mean_set.net.directions).T
-        self.support = np.asarray(mean_set.support_values)
-        self.rows = max(1, _CONTAINMENT_BYTES // (8 * len(self.support)))  # float64 gaps
+        self.mean_set = mean_set
         self.tol_outer = tol_outer
 
     def fold(self, worst: float, ns: np.ndarray, sums: np.ndarray, tail: int) -> float:
         """worst, raised to the excess over this window's tail rows."""
-        if sums.ndim == 1:
-            # The 1-d net is exactly {+1, -1}: the products by +-1.0 are exact,
-            # so this closed form gives the bits of the matrix product.
-            # In place on two buffers, each operation the one of
-            # max(y - s0, -y - s1, 0) - 4 sqrt(s2 / n).
-            y = np.divide(sums[tail:], ns[tail:])
-            t = np.negative(y)
-            t -= self.support[1]
-            y -= self.support[0]
-            np.maximum(y, t, out=y)
-            np.maximum(y, 0.0, out=y)
-            np.divide(self.s2, ns[tail:], out=t)
-            np.sqrt(t, out=t)
-            t *= 4.0
-            y -= t
-            return _raise_worst(worst, y.max(initial=-math.inf))
-        # One gap buffer per window, refilled in place for every row block.
-        gaps = np.empty((min(self.rows, len(ns)), len(self.support)))
-        for i in range(tail, len(ns), self.rows):
-            rows = slice(i, i + self.rows)
-            block = gaps[: len(ns[rows])]
-            np.matmul(sums[rows] / ns[rows, None], self.directions, out=block)
-            block -= self.support
-            dist = np.maximum(block.max(axis=1), 0.0)
-            worst = _raise_worst(worst, (dist - 4.0 * np.sqrt(self.s2 / ns[rows])).max())
-        return worst
+        return fold_distances(self.mean_set, sums[tail:], ns[tail:], self._excess, worst)
+
+    def _excess(self, worst: float, dist: np.ndarray, ns: np.ndarray) -> float:
+        """worst, raised to max(dist - 4 sqrt(s2 / n)) over one block's rows."""
+        t = np.divide(self.s2, ns)
+        np.sqrt(t, out=t)
+        t *= 4.0
+        dist -= t
+        return _raise_worst(worst, dist.max(initial=-math.inf))
 
     def row(self, worst: float, strategy: str, seed: int, n: int) -> Row:
         return Row(
@@ -252,3 +225,11 @@ class _Containment:
             seed=seed,
             n=n,
         )
+
+
+def _containment(amb: AmbiguitySet, tol_outer: float, delta: float = 0.05) -> _Containment | None:
+    """A run's containment reducer, or None for a model with a Pareto member,
+    whose s2 is inf at alpha <= 2: every excess would read -inf and raise.
+    The mean set is built either way, so a bad delta is rejected either way."""
+    mean_set = build_mean_set(amb, delta=delta)
+    return _Containment(amb, mean_set, tol_outer) if amb.is_finite_support else None

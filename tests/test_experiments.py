@@ -29,8 +29,8 @@ from subexp import (
 from subexp import experiments, series, windows
 from subexp.errors import NonFiniteVerdict
 from subexp.expectation import _survival_curve
-from subexp.windows import _CONTAINMENT_BYTES, _WINDOW, _Containment, _chain, _windows
-from subexp.meanset import build_mean_set
+from subexp.windows import _WINDOW, _Containment, _chain, _windows
+from subexp.meanset import _BLOCK_BYTES, build_direction_net, build_mean_set, support_function
 from subexp.sampler import (
     BlockSchedule,
     Stationary,
@@ -95,23 +95,26 @@ def test_weak_lln_exact_rejects_vectors():
 
 
 def test_weak_lln_mc_mode(e1):
-    res = run_weak_lln(e1, ns=(32, 64), mode="mc", seeds=range(1, 41))
+    res = run_weak_lln(e1, ns=(32, 64), mode="mc", mc_replicas=40)
     freq = [r for r in res.rows if r.statistic == "escape_frequency"]
     assert freq
     # monte carlo rows carry a CI half-width in the tolerance column
     assert all(r.tolerance > 0 for r in freq)
 
 
-def test_weak_lln_mc_reads_every_n_of_the_grid(monkeypatch):
-    # A fair and a biased planar sign coin: S_n/n leaves their mean segment.
-    amb = AmbiguitySet((
+def make_sign_coins() -> AmbiguitySet:
+    """A fair and a biased planar sign coin: S_n/n leaves their mean segment."""
+    return AmbiguitySet((
         FiniteDiscrete.from_arrays([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]],
                                    [0.25] * 4),
         FiniteDiscrete.from_arrays([[-1.0, -1.0], [1.0, 1.0]], [0.25, 0.75]),
     ), label="coins")
-    seeds = range(1, 31)
-    both = run_weak_lln(amb, ns=(64, 16), mode="mc", seeds=seeds)
-    top = run_weak_lln(amb, ns=(64,), mode="mc", seeds=seeds)
+
+
+def test_weak_lln_mc_reads_every_n_of_the_grid(monkeypatch):
+    amb = make_sign_coins()
+    both = run_weak_lln(amb, ns=(64, 16), mode="mc", mc_replicas=30)
+    top = run_weak_lln(amb, ns=(64,), mode="mc", mc_replicas=30)
     assert both.n_grid == (16, 64)
     rows = [r for r in both.rows if r.statistic == "escape_frequency"]
     # One row per (strategy, n), in ascending n; the verdict only at the largest n.
@@ -121,14 +124,44 @@ def test_weak_lln_mc_reads_every_n_of_the_grid(monkeypatch):
     assert all((r.passed is None) == (r.n == 16) for r in rows)
     assert [r for r in rows if r.n == 64] == list(top.rows)
     # The n=16 rows read S_16 from the same walk: the values of a walk to 16.
-    low = run_weak_lln(amb, ns=(16,), mode="mc", seeds=seeds)
+    low = run_weak_lln(amb, ns=(16,), mode="mc", mc_replicas=30)
     assert [(r.value, r.tolerance) for r in rows if r.n == 16] == [
         (r.value, r.tolerance) for r in low.rows
     ]
     assert [r.value for r in low.rows] != [r.value for r in top.rows]
     # Read inside later windows, where the sums are chained.
     monkeypatch.setattr(windows, "_WINDOW", 10)
-    assert run_weak_lln(amb, ns=(16, 64), mode="mc", seeds=seeds).rows == both.rows
+    assert run_weak_lln(amb, ns=(16, 64), mode="mc", mc_replicas=30).rows == both.rows
+
+
+def test_weak_lln_mc_rows_equal_a_whole_path_referee():
+    # Each seed's whole path from sample_path, S_n/n read off one cumsum,
+    # and the distance from a net product built here: the 2-d net with
+    # support values from support_function, not from the driver's mean set.
+    amb, ns, replicas, epsilon, threshold = make_sign_coins(), (16, 64), 30, 0.1, 0.05
+    directions = build_direction_net(2, 0.05)
+    support = np.array([support_function(amb, p) for p in directions])
+    strategies = [Stationary((1.0, 0.0), label="pure_0"), Stationary((0.0, 1.0), label="pure_1"),
+                  Stationary((0.5, 0.5), label="uniform_mix")]
+    grid = np.asarray(ns)
+    expected = []
+    for strategy in strategies:
+        hits = []
+        for seed in range(1, replicas + 1):
+            sums = np.cumsum(sample_path(amb, strategy, ns[-1], seed).increments, axis=0)
+            points = sums[grid - 1] / grid[:, None]
+            dist = np.maximum((points @ directions.T - support).max(axis=1), 0.0)
+            hits.append([1.0 if d >= epsilon else 0.0 for d in dist])
+        for i, n in enumerate(ns):
+            freq = float(np.mean([h[i] for h in hits]))
+            ci = 1.96 * math.sqrt(max(freq * (1 - freq), 1e-12) / replicas)
+            verdict = (freq <= threshold + ci) if n == ns[-1] else None
+            expected.append(Row("escape_frequency", freq, threshold + ci, verdict,
+                                strategy.label, 0, n))
+    rows = run_weak_lln(amb, ns=ns, epsilon=epsilon, mode="mc", threshold=threshold,
+                        mc_replicas=replicas).rows
+    assert list(rows) == expected
+    assert len({r.value for r in expected}) > 2 and any(0.0 < r.value < 1.0 for r in expected)
 
 
 # ---------------------------------------------------------------- drivers
@@ -284,6 +317,17 @@ def test_cluster_set_loose_horizon():
     assert contain and all(r.passed for r in contain)
 
 
+def test_cluster_set_on_a_pareto_member_has_no_containment_row():
+    # The Pareto member's second moment is inf, so every containment excess
+    # would read -inf and its row would raise NonFiniteVerdict. As in slln,
+    # a model with a Pareto member gets no containment row.
+    amb = AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5), make_e1().members[0]))
+    res = run_cluster_set(amb, N=5000, seeds=(1,))
+    assert [r.statistic for r in res.rows] == ["visit_hausdorff"]
+    assert [r.statistic for r in run_slln(amb, N=5000, seeds=(1,)).rows
+            if r.statistic.startswith("containment")] == []
+
+
 def test_cluster_set_rejects_more_targets_than_block_ends_in_a_short_message():
     # Steps 1000..2500 hold 1501 block ends, so 2000 targets cannot each get one.
     with pytest.raises(ValueError, match="2000 targets.*1000..2500") as info:
@@ -292,18 +336,19 @@ def test_cluster_set_rejects_more_targets_than_block_ends_in_a_short_message():
 
 
 @pytest.mark.parametrize("driver, amb, horizon", [
-    pytest.param(run_slln, make_e1(), {"N": 3000}, id="slln"),
-    pytest.param(run_marcinkiewicz, make_e1(), {"N": 3000}, id="marcinkiewicz"),
+    pytest.param(run_slln, make_e1(), {"N": 3000, "seeds": ()}, id="slln"),
+    pytest.param(run_marcinkiewicz, make_e1(), {"N": 3000, "seeds": ()}, id="marcinkiewicz"),
     pytest.param(run_marcinkiewicz, AmbiguitySet((TwoSidedPareto(1.8, 1.0, 0.5),)),
-                 {"N": 3000}, id="marcinkiewicz-pareto"),
-    pytest.param(run_weak_lln, make_e1(), {"ns": (3000,), "mode": "mc"}, id="weak_lln-mc"),
-    pytest.param(run_three_series, make_e1(), {"N": 3000}, id="three_series"),
-    pytest.param(run_cluster_set, make_v2mix(), {"N": 3000}, id="cluster_set"),
+                 {"N": 3000, "seeds": ()}, id="marcinkiewicz-pareto"),
+    pytest.param(run_weak_lln, make_e1(), {"ns": (3000,), "mode": "mc", "mc_replicas": 0},
+                 id="weak_lln-mc"),
+    pytest.param(run_three_series, make_e1(), {"N": 3000, "seeds": ()}, id="three_series"),
+    pytest.param(run_cluster_set, make_v2mix(), {"N": 3000, "seeds": ()}, id="cluster_set"),
 ])
 def test_sampled_driver_without_seeds_raises(driver, amb, horizon):
     # No seed means no path: a verdict over none would pass vacuously.
     with pytest.raises(ValueError, match="a sampled experiment needs at least one seed"):
-        driver(amb, seeds=(), **horizon)
+        driver(amb, **horizon)
 
 
 # ------------------------------------------------------------ streaming
@@ -314,9 +359,14 @@ def _whole_gap_excess(amb, mean_set, ns, means) -> float:
     s2 = max(m.second_moment() for m in amb.members)
     if means.ndim == 1:
         means = means[:, None]
-    gaps = means @ np.asarray(mean_set.net.directions).T - np.asarray(mean_set.support_values)
+    gaps = means @ mean_set.directions.T - mean_set.support_values
     dist = np.maximum(gaps.max(axis=1), 0.0)
     return float((dist - 4.0 * np.sqrt(s2 / ns)).max())
+
+
+def _block_rows(mean_set) -> int:
+    """Rows of one gap block: as many as fit in _BLOCK_BYTES against the net."""
+    return max(1, _BLOCK_BYTES // (8 * len(mean_set.support_values)))
 
 
 def _unchunked_excess(amb, mean_set, path) -> float:
@@ -362,7 +412,7 @@ def test_containment_excess_does_not_depend_on_chunking(monkeypatch, model, n, w
     if n > window:
         # The tail starts off a multiple of the block height, and no window
         # (the first from the tail on, a full one, the last) is whole blocks.
-        k, tail = containment.rows, n // 100 - 1
+        k, tail = _block_rows(mean_set), n // 100 - 1
         assert tail % k and (window - tail) % k and window % k and (n % window) % k
     worst, carry = -math.inf, None
     for _, ns, sums, tail in _windows(amb, [strategy], n, 3):
@@ -382,7 +432,7 @@ def test_containment_fold_reads_every_row_of_every_block(model, edge):
     amb = make_v2mix() if model == "V2mix" else make_v3mix()
     mean_set = build_mean_set(amb, delta=0.05)
     containment = _Containment(amb, mean_set, 0.05)
-    k, tail = containment.rows, 7
+    k, tail = _block_rows(mean_set), 7
     ns = np.arange(1, tail + 3 * k + 5 + 1, dtype=float)
     at = {"first": tail, "block_last": tail + k - 1, "block_next": tail + k, "last": len(ns) - 1}
     sums = np.zeros((len(ns), amb.dim))
@@ -443,7 +493,7 @@ def test_rows_do_not_depend_on_window(monkeypatch, window):
         lambda: run_slln(make_e1(), N=n, seeds=(1, 2), jobs=1),
         lambda: run_cluster_set(make_v2mix(), N=n, seeds=(1,), jobs=1),
         lambda: run_marcinkiewicz(make_e1(), N=n, seeds=(1, 2), jobs=1),
-        lambda: run_weak_lln(make_v2mix(), ns=(n,), mode="mc", seeds=(1, 2, 3), jobs=1),
+        lambda: run_weak_lln(make_v2mix(), ns=(n,), mode="mc", mc_replicas=3, jobs=1),
         lambda: run_choquet_series(mixed, p=1.5, M=1.3, K=n),
         lambda: run_three_series(make_e1(), N=n, N0=1000, seeds=(1, 2)),
     ]
@@ -633,11 +683,11 @@ def test_cluster_set_peak_memory_is_a_few_blocks():
 
 def test_cluster_set_peak_memory_in_3d_is_a_budget():
     # The 3-d net has 6400 directions: a 4096-row block took 200 MiB, and a
-    # block sized by _CONTAINMENT_BYTES keeps the whole run under 1 MiB.
+    # block sized by _BLOCK_BYTES keeps the whole run under 1 MiB.
     v3 = make_v3mix()
     run_cluster_set(v3, N=5000, seeds=(1,), jobs=1)  # warm-up: imports and caches
     peak = _traced_peak(lambda: run_cluster_set(v3, N=5000, seeds=(1,), jobs=1))
-    assert peak <= 3 * _CONTAINMENT_BYTES
+    assert peak <= 3 * _BLOCK_BYTES
 
 
 def test_drivers_never_sample_a_whole_horizon():

@@ -36,34 +36,34 @@ def segment_distance(y):
 
 def test_net_dimension_one_is_exact():
     net = build_direction_net(1, 0.3)
-    assert sorted(net.directions.ravel().tolist()) == [-1.0, 1.0]
-    assert len(net) == 2
+    assert sorted(net.ravel().tolist()) == [-1.0, 1.0]
+    assert net.shape == (2, 1)
 
 
 def test_net_rows_are_unit_and_mesh_holds():
     net = build_direction_net(2, 0.1)
-    norms = np.linalg.norm(net.directions, axis=1)
+    norms = np.linalg.norm(net, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
     rng = np.random.default_rng(7)
     for _ in range(500):
         v = rng.normal(size=2)
         v /= np.linalg.norm(v)
-        gap = np.min(np.linalg.norm(net.directions - v, axis=1))
-        assert gap <= net.delta + 1e-12
+        gap = np.min(np.linalg.norm(net - v, axis=1))
+        assert gap <= 0.1 + 1e-12
 
 
 def test_net_mesh_three_and_four_dimensional():
     for dim, delta in ((3, 0.4), (4, 0.4), (3, 0.2), (4, 0.2)):
         net = build_direction_net(dim, delta)
-        norms = np.linalg.norm(net.directions, axis=1)
+        norms = np.linalg.norm(net, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
         rng = np.random.default_rng(dim)
         worst = 0.0
         for _ in range(300):
             v = rng.normal(size=dim)
             v /= np.linalg.norm(v)
-            worst = max(worst, float(np.min(np.linalg.norm(net.directions - v, axis=1))))
-        assert worst <= net.delta + 1e-12
+            worst = max(worst, float(np.min(np.linalg.norm(net - v, axis=1))))
+        assert worst <= delta + 1e-12
 
 
 def test_net_caps_and_validation():
@@ -154,6 +154,40 @@ def test_distance_input_validation(v2mix):
         distance_to_mean_set(ms, [math.nan, 0.0])
 
 
+@pytest.mark.parametrize("model", ["e1", "v2mix"])
+def test_distance_of_a_block_is_the_distance_of_each_point(model, request):
+    # 700 points span two 520-row gap blocks of the 2-d net. In 1-d the
+    # closed form gives the same bits; in 2-d a GEMM over many rows may
+    # round its last bit otherwise than a one-row product.
+    amb = request.getfixturevalue(model)
+    ms = build_mean_set(amb, delta=0.05)
+    ys = np.random.default_rng(3).uniform(-1.0, 2.0, size=(700, amb.dim))
+    gap = distance_to_mean_set(ms, ys) - [distance_to_mean_set(ms, y) for y in ys]
+    assert np.abs(gap).max() <= (0.0 if amb.dim == 1 else 1e-15)
+    assert distance_to_mean_set(ms, ys[:0]).shape == (0,)
+    with pytest.raises(ValueError):
+        distance_to_mean_set(ms, ys[None])
+
+
+def test_only_meanset_reads_the_net():
+    # Every distance to the mean set goes through meanset's one kernel, so an
+    # exact distance can replace the net inside this one module.
+    import ast
+    from pathlib import Path
+
+    import subexp
+
+    readers = {
+        path.name
+        for path in Path(subexp.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("directions", "support_values")
+        or isinstance(node, ast.Name) and node.id == "_BLOCK_BYTES"
+        or isinstance(node, ast.alias) and node.name == "_BLOCK_BYTES"
+    }
+    assert readers == {"meanset.py"}
+
+
 @pytest.mark.parametrize("delta", [1.0, 0.05])
 def test_four_d_net_equals_the_scipy_halton_net(delta):
     """The Hopf image of scipy's unscrambled 3-d Halton points, bit for bit."""
@@ -165,4 +199,4 @@ def test_four_d_net_equals_the_scipy_halton_net(delta):
     a, b = np.sqrt(1.0 - u1), np.sqrt(u1)
     t2, t3 = 2.0 * math.pi * u2, 2.0 * math.pi * u3
     hopf = np.column_stack([a * np.cos(t2), a * np.sin(t2), b * np.cos(t3), b * np.sin(t3)])
-    assert np.array_equal(net.directions, hopf)
+    assert np.array_equal(net, hopf)
