@@ -24,7 +24,6 @@ _EXPORTS = {
         ),
         "errors": (
             "DimensionTooLarge",
-            "MuNotAttainable",
             "NonFiniteVerdict",
             "NonLattice",
             "NotConvergent",
@@ -36,7 +35,6 @@ _EXPORTS = {
             "TooLargeForBruteForce",
         ),
         "expectation": (
-            "MomentReport",
             "choquet_integral",
             "event_upper_capacity",
             "lower_expectation",
@@ -72,11 +70,9 @@ _EXPORTS = {
         ),
         "inequalities": (
             "BoundReport",
-            "check_inequality",
             "exponential_bound",
             "kolmogorov_lower_capacity_bound",
             "kolmogorov_upper_bound",
-            "levy_bound_check",
             "run_inequality_grid",
         ),
         "axioms": ("random_ambiguity_set", "random_max_affine", "run_axioms"),

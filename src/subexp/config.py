@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from .distributions import AmbiguitySet, FiniteDiscrete, TwoSidedPareto
+from .distributions import AmbiguitySet, FiniteDiscrete, TwoSidedPareto, lattice_offsets
 from .errors import NonLattice, SchemaError
 
 if TYPE_CHECKING:
@@ -333,8 +333,6 @@ def parse_config(text: str) -> RunConfig:
 
 def _check_quantum(model: AmbiguitySet, q: float) -> None:
     """Every finite atom must sit on the declared lattice within 1e-9."""
-    from .lattice_dp import lattice_offsets
-
     for i, member in enumerate(model.members):
         if isinstance(member, FiniteDiscrete):
             try:

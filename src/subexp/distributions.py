@@ -16,16 +16,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotConvergent
+from .errors import NonLattice, NotConvergent
 
 __all__ = [
     "AmbiguitySet",
     "Event",
     "FiniteDiscrete",
     "TwoSidedPareto",
+    "lattice_offsets",
 ]
 
 _WEIGHT_TOL = 1e-12
+_LATTICE_TOL = 1e-9
 
 # Smallest uniform fed to inverse CDFs; bounds a Pareto draw by
 # scale * 2^(64/alpha), which is finite for alpha above about 1/16.
@@ -174,12 +176,6 @@ class FiniteDiscrete:
     @property
     def weights(self) -> np.ndarray:
         return self._weights
-
-    @property
-    def support_radius(self) -> float:
-        if self._values.ndim == 1:
-            return float(np.max(np.abs(self._values)))
-        return float(np.max(np.linalg.norm(self._values, axis=1)))
 
     # -- exact moments --------------------------------------------------------
 
@@ -431,16 +427,22 @@ class AmbiguitySet:
         alphas = [m.alpha for m in self.members if isinstance(m, TwoSidedPareto)]
         return min(alphas) if alphas else math.inf
 
-    def support_radius(self) -> float:
-        """Max |atom| over finite members, Pareto scale floor otherwise."""
-        radius = 0.0
-        for m in self.members:
-            radius = max(radius, m.support_radius if isinstance(m, FiniteDiscrete) else m.scale)
-        return radius
-
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"AmbiguitySet({len(self.members)} members, d={self.dim}{tag})"
+
+
+def lattice_offsets(values, pitch: float) -> tuple:
+    """Integer multiples of pitch matching each atom within 1e-9.
+
+    Raises NonLattice for the first atom that is off the lattice. Parsing
+    checks a config's lattice_quantum with it, and the lattice DP places
+    every member on its pitch.
+    """
+    offsets = []
+    for v in np.asarray(values, dtype=float).ravel():
+        a = int(round(v / pitch))
+        if abs(a * pitch - v) > _LATTICE_TOL:
+            raise NonLattice(f"atom {v!r} is off the pitch {pitch!r} lattice")
+        offsets.append(a)
+    return tuple(offsets)

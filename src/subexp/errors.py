@@ -21,10 +21,6 @@ class TargetOutOfRange(SubexpError):
     """Requested long-run mean lies outside the attainable mean interval."""
 
 
-class MuNotAttainable(SubexpError):
-    """A centering mean is not a mixture of member means."""
-
-
 class DimensionTooLarge(SubexpError):
     """Direction nets are capped at dimension 4."""
 

@@ -17,7 +17,6 @@ here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .distributions import AmbiguitySet, Event, FiniteDiscrete
 from .errors import QuadratureNotConverged
 
 __all__ = [
-    "MomentReport",
     "choquet_integral",
     "event_upper_capacity",
     "lower_expectation",
@@ -72,38 +70,18 @@ def truncated_expectation(amb: AmbiguitySet, c: float, sign: int = +1) -> float:
     return max(sign * m.truncated_mean(c) for m in amb.members)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Upper and lower means and the upper second moment of a 1-d model."""
-
-    upper_mean: float
-    lower_mean: float
-    upper_second: float
-
-    def __post_init__(self) -> None:
-        if self.lower_mean > self.upper_mean + 1e-9:
-            raise ValueError(
-                f"lower mean {self.lower_mean} exceeds upper mean {self.upper_mean}"
-            )
-
-
-def mean_interval(amb: AmbiguitySet) -> MomentReport:
-    """The largest and smallest member means and the largest second moment.
+def mean_interval(amb: AmbiguitySet) -> tuple[float, float]:
+    """(lower, upper): the smallest and largest member means.
 
     These are the truncation limits lim_c of truncated_expectation for the
     two signs: each member's clamp at c tends to its mean, and a finite
     family takes the max of the limits. A Pareto member with alpha <= 1 has
-    no mean and raises NotConvergent; one with alpha <= 2 gives an infinite
-    second moment.
+    no mean and raises NotConvergent.
     """
     if amb.dim != 1:
         raise ValueError("mean_interval is defined for dimension 1")
     means = amb.member_means()
-    return MomentReport(
-        upper_mean=float(means.max()),
-        lower_mean=float(means.min()),
-        upper_second=max(m.second_moment() for m in amb.members),
-    )
+    return float(means.min()), float(means.max())
 
 
 # ---------------------------------------------------------------------------

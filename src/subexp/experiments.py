@@ -63,8 +63,7 @@ def run_slln(
     """
     if amb.dim != 1:
         raise ValueError("the slln experiment is one-dimensional")
-    report = mean_interval(amb)  # raises NotConvergent for heavy-tailed models
-    upper, lower = report.upper_mean, report.lower_mean
+    lower, upper = mean_interval(amb)  # raises NotConvergent for heavy-tailed models
     s_max, s_min = _pure_extremes(amb)
     K = max(2, math.ceil(math.log(max(N / 16, 2)) / math.log(16.0)) + 1)
     osc = oscillation_schedule(amb, K)
@@ -166,7 +165,7 @@ def run_marcinkiewicz(
 
     # Centering target. A member without a mean raises NotConvergent here, as
     # it would when the pure strategies are picked by their means.
-    upper = mean_interval(amb).upper_mean
+    _, upper = mean_interval(amb)
 
     s_max, _ = _pure_extremes(amb)
     burn = _tail_slice(N)
@@ -294,8 +293,7 @@ def run_weak_lln(
     if mode == "exact":
         if amb.dim != 1:
             raise ValueError("exact mode requires d=1")
-        rep = mean_interval(amb)
-        lower, upper = rep.lower_mean, rep.upper_mean
+        lower, upper = mean_interval(amb)
         caps = []
         for n in ns:
             event = Event("outside_closed", n * (lower - epsilon), n * (upper + epsilon))

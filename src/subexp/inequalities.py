@@ -17,18 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import AmbiguitySet, Event
-from .errors import MuNotAttainable
 from .lattice_dp import RunningMax, TerminalSum, _levy_thresholds, dp_value, lattice_model
 from .parallel import parallel_map
 from .windows import ExperimentResult, Row
 
 __all__ = [
     "BoundReport",
-    "check_inequality",
     "exponential_bound",
     "kolmogorov_lower_capacity_bound",
     "kolmogorov_upper_bound",
-    "levy_bound_check",
     "run_inequality_grid",
 ]
 
@@ -86,34 +83,14 @@ def exponential_bound(B2: float, x: float, y: float) -> float:
     return math.exp(exponent)
 
 
-def kolmogorov_lower_capacity_bound(
-    second_moments: Sequence[float],
-    mus: Sequence[float],
-    x: float,
-    amb: AmbiguitySet | None = None,
-) -> float:
-    """2 x^{-2} sum_k (upper second moment_k - mu_k^2), in dimension 1.
-
-    mus must be attainable means; when the generating set is supplied each
-    mu is checked against its member-mean interval and an unattainable one
-    raises MuNotAttainable.
-    """
+def kolmogorov_lower_capacity_bound(B2: float, x: float) -> float:
+    """2 B2 / x^2, B2 = n (upper second moment - mu^2) for n i.i.d. summands
+    centered at an attainable mean mu, in dimension 1."""
     if x <= 0:
         raise ValueError("x must be positive")
-    if len(second_moments) != len(mus):
-        raise ValueError("one mu per summand required")
-    if amb is not None:
-        if amb.dim != 1:
-            raise ValueError("kolmogorov_lower_capacity_bound is defined for dimension 1")
-        means = amb.member_means()
-        lo, hi = float(means.min()), float(means.max())
-        for mu in mus:
-            if not (lo - 1e-12 <= float(mu) <= hi + 1e-12):
-                raise MuNotAttainable(f"mu={mu} outside [{lo}, {hi}]")
-    total = math.fsum(float(s2) - float(mu) * float(mu) for s2, mu in zip(second_moments, mus))
-    if total < -1e-9:
-        raise ValueError("second moments below mu^2; inputs inconsistent")
-    return 2.0 * max(total, 0.0) / (x * x)
+    if B2 < 0:
+        raise ValueError("B2 must be nonnegative")
+    return 2.0 * B2 / (x * x)
 
 
 def _max_increment_term(amb: AmbiguitySet, y: float, n: int) -> float:
@@ -126,22 +103,17 @@ def _max_increment_term(amb: AmbiguitySet, y: float, n: int) -> float:
     return 1.0 - (1.0 - p_star) ** n
 
 
-def check_inequality(amb: AmbiguitySet, which: str, n: int, x: float) -> BoundReport:
-    """Pit an exact DP capacity against the matching closed-form bound.
+def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: float) -> list:
+    """Pit exact DP capacities against the closed-form bounds of whichs at one (n, x).
 
     kolmogorov_upper / exponential center increments at the upper mean (so
     the centered upper mean is 0) and bound the upper capacity of
-    max_m sum Z >= x; the exponential bound takes y = x. kolmogorov_lower
-    bounds the lower capacity of max_m |sum (Z - mu)| >= x with mu the
-    midpoint of the mean interval. A set off the lattice, a Pareto member
-    included, raises NonLattice before any centering.
+    max_m sum Z >= x, which is solved once for both; the exponential bound
+    takes y = x. kolmogorov_lower bounds the lower capacity of
+    max_m |sum (Z - mu)| >= x with mu the midpoint of the mean interval. A
+    set off the lattice, a Pareto member included, raises NonLattice before
+    any centering.
     """
-    return _inequality_checks(amb, [which], n, x)[0]
-
-
-def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: float) -> list:
-    """check_inequality for each of whichs at one (n, x). kolmogorov_upper and
-    exponential bound the same capacity, which is solved once for both."""
     lattice_model(amb)
     reports, upper = [], None
     for which in whichs:
@@ -164,7 +136,9 @@ def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: floa
             means = amb.member_means()
             mu = 0.5 * (float(np.min(means)) + float(np.max(means)))
             s2 = max(m.second_moment() for m in amb.members)
-            rhs = kolmogorov_lower_capacity_bound([s2] * n, [mu] * n, x, amb=amb)
+            # One product rounds n (s2 - mu^2) as a sum of n equal terms would.
+            # Weights that sum to 1 only within 1e-12 can leave s2 just below mu^2.
+            rhs = kolmogorov_lower_capacity_bound(n * max(s2 - mu * mu, 0.0), x)
             shifted = AmbiguitySet(
                 tuple(m.shifted(-mu) for m in amb.members), label=f"{amb.label}-mu"
             )
@@ -176,20 +150,16 @@ def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: floa
     return reports
 
 
-def levy_bound_check(amb: AmbiguitySet, n: int, x: float, alpha: float) -> BoundReport:
-    """(1-alpha) V(max_k (|S_k| - b_{n,k}) > x) <= V(|S_n| > x), both exact.
+def _levy_checks(amb: AmbiguitySet, n: int, xs: Sequence[float], alpha: float) -> list:
+    """(1-alpha) V(max_k (|S_k| - b_{n,k}) > x) <= V(|S_n| > x), both exact,
+    at every x of xs (at least one).
 
     b_{n,k} is the smallest lattice value with V(|S_n - S_k| > b) <= alpha,
-    read for every k from one backward pass per lattice threshold;
-    b_{n,n} = 0. On the lattice the epsilon in the hypothesis vanishes:
-    strict comparisons already realize the limit epsilon -> 0.
+    read for every k from one backward threshold sweep, which depends on
+    (n, alpha) only; b_{n,n} = 0. On the lattice the epsilon in the
+    hypothesis vanishes: strict comparisons already realize the limit
+    epsilon -> 0.
     """
-    return _levy_checks(amb, n, [x], alpha)[0]
-
-
-def _levy_checks(amb: AmbiguitySet, n: int, xs: Sequence[float], alpha: float) -> list:
-    """levy_bound_check at every x of xs (at least one), from one threshold
-    sweep: b_{n,k} depends on (n, alpha) only."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     # dp_value rejects n < 1 and an oversized horizon before the sweep.

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import AmbiguitySet
+from .distributions import _LATTICE_TOL, AmbiguitySet, lattice_offsets
 from .errors import NonLattice, StateSpaceTooLarge, TooLargeForBruteForce
 
 __all__ = [
@@ -33,13 +33,11 @@ __all__ = [
     "brute_force_value",
     "dp_value",
     "lattice_model",
-    "lattice_offsets",
     "policy_enumeration_value",
 ]
 
 _MAX_WIDTH = 10_000_000
 _MAX_DENOMINATOR = 1_000_000
-_LATTICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,20 +81,6 @@ def lattice_model(amb: AmbiguitySet) -> LatticeModel:
     weights = tuple(tuple(float(w) for w in m.weights) for m in amb.members)
     flat = [a for offs in offsets for a in offs]
     return LatticeModel(h, offsets, weights, min(0, *flat), max(0, *flat))
-
-
-def lattice_offsets(values, pitch: float) -> tuple:
-    """Integer multiples of pitch matching each atom within 1e-9.
-
-    Raises NonLattice for the first atom that is off the lattice.
-    """
-    offsets = []
-    for v in np.asarray(values, dtype=float).ravel():
-        a = int(round(v / pitch))
-        if abs(a * pitch - v) > _LATTICE_TOL:
-            raise NonLattice(f"atom {v!r} is off the pitch {pitch!r} lattice")
-        offsets.append(a)
-    return tuple(offsets)
 
 
 @dataclass(frozen=True)

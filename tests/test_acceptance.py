@@ -27,7 +27,6 @@ from subexp import (
     TwoSidedPareto,
     brute_force_value,
     dp_value,
-    levy_bound_check,
     parse_config,
     run,
     run_axioms,
@@ -128,11 +127,12 @@ def test_criterion_03_inequality_grid_zero_violations(e1):
     assert not violations
 
     # n = 32, 64 and 128 are the sizes of the benchmark's exact_dp grid.
-    for alpha in (0.3, 0.5):
-        for n in (4, 8, 16, 32, 64, 128):
-            for x in (1.0, 2.0, 3.0):
-                rep = levy_bound_check(e1, n=n, x=x, alpha=alpha)
-                assert rep.satisfied, rep.context
+    levy = run_inequality_grid(
+        e1, whichs=[], ns=(4, 8, 16, 32, 64, 128), xs=(1.0, 2.0, 3.0), levy_alphas=(0.3, 0.5),
+        jobs=4,
+    ).rows
+    assert len(levy) == 36
+    assert [r.statistic for r in levy if not r.passed] == []
     elapsed = time.monotonic() - t0
     print(f"\n72 capacity-vs-bound rows + 36 maximal-vs-terminal rows clean, {elapsed:.1f}s")
     assert elapsed < 300.0

@@ -16,7 +16,6 @@ from subexp import (
     AmbiguitySet,
     Event,
     FiniteDiscrete,
-    MomentReport,
     TwoSidedPareto,
     choquet_integral,
     event_upper_capacity,
@@ -67,62 +66,51 @@ def test_truncated_expectation_levels(e1):
 
 
 def test_mean_interval_coin(e1):
-    report = mean_interval(e1)
-    assert report.upper_mean == 0.5
-    assert report.lower_mean == 0.0
-    assert report.upper_second == 1.0
+    assert mean_interval(e1) == (0.0, 0.5)
 
 
 def test_mean_interval_pareto_symmetric():
     amb = AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),), label="p15")
-    report = mean_interval(amb)
-    assert report.upper_mean == pytest.approx(0.0, abs=1e-9)
-    assert report.lower_mean == pytest.approx(0.0, abs=1e-9)
-    assert report.upper_second == math.inf
+    assert mean_interval(amb) == pytest.approx((0.0, 0.0), abs=1e-9)
 
 
 def test_mean_interval_is_the_closed_form_pareto_mean():
     # Doubling the truncation level until it settled stopped 0.0156 short here.
     alpha, scale, right = 1.05, 1.0, 0.9
-    report = mean_interval(AmbiguitySet((TwoSidedPareto(alpha, scale, right),)))
+    lower, upper = mean_interval(AmbiguitySet((TwoSidedPareto(alpha, scale, right),)))
     exact = (2.0 * right - 1.0) * (scale * alpha / (alpha - 1.0))
-    assert report.upper_mean == report.lower_mean == exact == pytest.approx(16.8)
+    assert upper == lower == exact == pytest.approx(16.8)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_mean_interval_is_the_truncation_limit_on_finite_sets(seed):
-    # Clipping at the support radius is the identity, so the referee is exact.
+    # Clipping at the largest |atom| is the identity, so the referee is exact.
     amb = random_ambiguity_set(np.random.default_rng(seed))
-    c = amb.support_radius()
-    report = mean_interval(amb)
-    assert report.upper_mean == truncated_expectation(amb, c, +1)
-    assert report.lower_mean == -truncated_expectation(amb, c, -1)
+    c = max(float(np.max(np.abs(m.values))) for m in amb.members)
+    lower, upper = mean_interval(amb)
+    assert upper == truncated_expectation(amb, c, +1)
+    assert lower == -truncated_expectation(amb, c, -1)
 
 
 @pytest.mark.parametrize("alpha, right", [(1.05, 0.9), (1.5, 0.75), (3.0, 0.2)])
 def test_mean_interval_is_the_truncation_limit_with_a_pareto_member(alpha, right):
     amb = AmbiguitySet((TwoSidedPareto(alpha, 2.0, right),
                         FiniteDiscrete.from_arrays([-1.0, 3.0], [0.5, 0.5])))
-    report = mean_interval(amb)
+    lower, upper = mean_interval(amb)
     for c in (1e2, 1e6, 1e12):
         # Clipping a Pareto member at c misses (2r - 1) E[(|X| - c)+] of its mean.
         # The max over members moves by at most the largest member's miss.
         gap = abs(2.0 * right - 1.0) * 2.0 ** alpha * c ** (1.0 - alpha) / (alpha - 1.0)
         bound = gap * (1.0 + 1e-9) + 1e-12
-        assert abs(truncated_expectation(amb, c, +1) - report.upper_mean) <= bound
-        assert abs(-truncated_expectation(amb, c, -1) - report.lower_mean) <= bound
+        assert abs(truncated_expectation(amb, c, +1) - upper) <= bound
+        assert abs(-truncated_expectation(amb, c, -1) - lower) <= bound
 
 
 def test_mean_interval_no_mean_raises():
     amb = AmbiguitySet((TwoSidedPareto(0.9, 1.0, 0.5),), label="p09")
     with pytest.raises(NotConvergent):
         mean_interval(amb)
-
-
-def test_moment_report_rejects_crossed_means():
-    with pytest.raises(ValueError):
-        MomentReport(upper_mean=0.0, lower_mean=1.0, upper_second=1.0)
 
 
 # ----------------------------------------------------------- capacities

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import subexp.inequalities
 from conftest import make_e1, random_lattice_instance
@@ -21,17 +23,16 @@ from subexp import (
     FiniteDiscrete,
     TerminalSum,
     TwoSidedPareto,
-    check_inequality,
     dp_value,
     exponential_bound,
     kolmogorov_lower_capacity_bound,
     kolmogorov_upper_bound,
     lattice_model,
-    levy_bound_check,
     run_choquet_series,
     run_inequality_grid,
 )
-from subexp.errors import MuNotAttainable, NonLattice
+from subexp.errors import NonLattice
+from subexp.inequalities import _inequality_checks, _levy_checks
 from subexp.lattice_dp import _levy_thresholds
 
 
@@ -62,32 +63,33 @@ def test_exponential_bound_y_equals_x_dominated_by_kolmogorov():
             assert exponential_bound(b2, x, x) <= kolmogorov_upper_bound(b2, x) + 1e-12
 
 
-def test_kolmogorov_lower_bound_arithmetic(e1):
+def test_kolmogorov_lower_bound_arithmetic():
     # 2 * (1/4) * 4 * (1 - 0.0625) = 1.875
-    got = kolmogorov_lower_capacity_bound([1.0] * 4, [0.25] * 4, 2.0, amb=e1)
-    assert got == pytest.approx(1.875, abs=1e-15)
+    assert kolmogorov_lower_capacity_bound(4 * (1.0 - 0.25 * 0.25), 2.0) == 1.875
     # boundary case: single summand with x^2 = 2*(E[Z^2] - mu^2)
-    assert kolmogorov_lower_capacity_bound([1.0], [0.0], math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-15)
-    big = kolmogorov_lower_capacity_bound([1.0] * 4, [0.0] * 4, 100.0)
-    assert big == pytest.approx(8.0 / 100.0 ** 2, rel=1e-12)
+    assert kolmogorov_lower_capacity_bound(1.0, math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-15)
+    assert kolmogorov_lower_capacity_bound(4.0, 100.0) == pytest.approx(8.0 / 100.0 ** 2, rel=1e-12)
 
 
-def test_kolmogorov_lower_bound_validation(e1, v2mix):
-    with pytest.raises(ValueError):
-        kolmogorov_lower_capacity_bound([1.0, 1.0], [0.0], 1.0)
-    with pytest.raises(ValueError):
-        kolmogorov_lower_capacity_bound([1.0], [0.0], 0.0)
-    with pytest.raises(ValueError, match="dimension 1"):
-        kolmogorov_lower_capacity_bound([1.0], [0.5], 1.0, amb=v2mix)
-    with pytest.raises(MuNotAttainable):
-        kolmogorov_lower_capacity_bound([1.0] * 2, [0.7] * 2, 1.0, amb=e1)
+@given(st.floats(0.0, 1e100), st.integers(1, 4096))
+def test_n_times_one_term_rounds_as_the_sum_of_n_equal_terms(t, n):
+    # The grid forms B2 = n (s2 - mu^2) by one product, which rounds as the
+    # sum of n equal terms does.
+    assert n * t == math.fsum([t] * n)
+
+
+def test_kolmogorov_lower_bound_validation():
+    with pytest.raises(ValueError, match="x must be positive"):
+        kolmogorov_lower_capacity_bound(1.0, 0.0)
+    with pytest.raises(ValueError, match="B2 must be nonnegative"):
+        kolmogorov_lower_capacity_bound(-1.0, 1.0)
 
 
 # ------------------------------------------------------- checker reports
 
 
 def test_check_kolmogorov_upper_frozen(e1):
-    rep = check_inequality(e1, "kolmogorov_upper", n=16, x=6.0)
+    rep = _inequality_checks(e1, ["kolmogorov_upper"], 16, 6.0)[0]
     assert rep.lhs == pytest.approx(0.07176673505455256, abs=1e-14)
     # centered at the upper mean 0.5 the square moment is 1.25, so B^2 = 20
     assert rep.rhs == pytest.approx((math.e + 1.0) * 20.0 / 36.0, rel=1e-12)
@@ -96,7 +98,7 @@ def test_check_kolmogorov_upper_frozen(e1):
 
 
 def test_check_exponential_frozen(e1):
-    rep = check_inequality(e1, "exponential", n=16, x=6.0)
+    rep = _inequality_checks(e1, ["exponential"], 16, 6.0)[0]
     assert rep.lhs == pytest.approx(0.07176673505455256, abs=1e-14)
     assert rep.rhs == pytest.approx(0.5479176897486613, rel=1e-10)
     assert rep.satisfied
@@ -104,7 +106,7 @@ def test_check_exponential_frozen(e1):
 
 
 def test_check_kolmogorov_lower_frozen(e1):
-    rep = check_inequality(e1, "kolmogorov_lower", n=8, x=3.0)
+    rep = _inequality_checks(e1, ["kolmogorov_lower"], 8, 3.0)[0]
     assert rep.lhs == pytest.approx(0.24560546875, abs=1e-15)
     assert rep.rhs == pytest.approx(5.0 / 3.0, rel=1e-12)
     assert rep.satisfied
@@ -113,11 +115,11 @@ def test_check_kolmogorov_lower_frozen(e1):
 
 def test_check_inequality_unknown_kind(e1):
     with pytest.raises(ValueError):
-        check_inequality(e1, "chebyshev", n=4, x=1.0)
+        _inequality_checks(e1, ["chebyshev"], 4, 1.0)
     # A Pareto member has no lattice, so no exact capacity to check.
     pareto = AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),))
     with pytest.raises(NonLattice):
-        check_inequality(pareto, "kolmogorov_upper", n=4, x=1.0)
+        _inequality_checks(pareto, ["kolmogorov_upper"], 4, 1.0)
 
 
 def test_bound_report_ci_slack(e1):
@@ -154,7 +156,7 @@ def test_grid_is_deterministic_and_parallel_safe(e1):
 
 def test_grid_solves_the_shared_upper_capacity_once_per_point(monkeypatch, e1):
     # kolmogorov_upper and exponential bound one capacity: with kolmogorov_lower,
-    # two DP solves per (n, x), not three, and the rows are check_inequality's.
+    # two DP solves per (n, x), not three, and the rows equal each check made alone.
     calls = []
     real = subexp.inequalities.dp_value
 
@@ -169,7 +171,7 @@ def test_grid_solves_the_shared_upper_capacity_once_per_point(monkeypatch, e1):
     assert sorted(calls) == sorted((n, side) for n in kw["ns"] for _ in kw["xs"]
                                    for side in ("lower", "upper"))
     monkeypatch.setattr(subexp.inequalities, "dp_value", real)
-    alone = [check_inequality(e1, w, n, x) for w in sorted(whichs) for n in kw["ns"]
+    alone = [_inequality_checks(e1, [w], n, x)[0] for w in sorted(whichs) for n in kw["ns"]
              for x in kw["xs"]]
     assert [(r.statistic, r.value, r.tolerance, r.passed, r.n) for r in rows] == [
         (rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, rep.n) for rep in alone]
@@ -177,17 +179,17 @@ def test_grid_solves_the_shared_upper_capacity_once_per_point(monkeypatch, e1):
 
 def test_levy_reflection(e1):
     for alpha in (0.3, 0.5):
-        rep = levy_bound_check(e1, n=8, x=2.0, alpha=alpha)
+        rep = _levy_checks(e1, 8, [2.0], alpha)[0]
         assert rep.satisfied
         assert f"alpha={alpha:g}" in rep.context
     with pytest.raises(ValueError):
-        levy_bound_check(e1, n=8, x=2.0, alpha=1.5)
+        _levy_checks(e1, 8, [2.0], 1.5)
 
 
 def test_levy_rejects_a_horizon_without_steps(e1):
     for n in (0, -2):
         with pytest.raises(ValueError, match="need at least one step"):
-            levy_bound_check(e1, n=n, x=1.0, alpha=0.3)
+            _levy_checks(e1, n, [1.0], 0.3)
 
 
 def test_levy_makes_exactly_two_dp_calls(monkeypatch, e1):
@@ -200,7 +202,7 @@ def test_levy_makes_exactly_two_dp_calls(monkeypatch, e1):
         return real(amb, functional, n, side)
 
     monkeypatch.setattr(subexp.inequalities, "dp_value", counted)
-    assert levy_bound_check(e1, n=32, x=2.0, alpha=0.3).satisfied
+    assert _levy_checks(e1, 32, [2.0], 0.3)[0].satisfied
     assert sorted(calls) == ["RunningMax", "TerminalSum"]
 
 
@@ -217,7 +219,7 @@ def test_grid_sweeps_levy_thresholds_once_per_horizon_and_alpha(monkeypatch, e1)
     kw = dict(ns=(32, 64, 128), xs=(1.0, 2.0, 4.0), levy_alphas=(0.3,))
     rows = run_inequality_grid(e1, whichs=(), **kw).rows
     assert sorted(calls) == [(32, 0.3), (64, 0.3), (128, 0.3)]
-    alone = [levy_bound_check(e1, n, x, a) for n in kw["ns"] for x in kw["xs"]
+    alone = [_levy_checks(e1, n, [x], a)[0] for n in kw["ns"] for x in kw["xs"]
              for a in kw["levy_alphas"]]
     assert [(r.statistic, r.value, r.tolerance, r.n) for r in rows] == [
         (rep.context, rep.lhs, rep.rhs, rep.n) for rep in alone]

@@ -20,12 +20,11 @@ from test_golden import _FILES, GOLDEN, V2MIX, _sha
 # Every public name of the package, by home module.
 EXPORTS = {
     "distributions": ("AmbiguitySet", "Event", "FiniteDiscrete", "TwoSidedPareto"),
-    "errors": ("DimensionTooLarge", "MuNotAttainable", "NonFiniteVerdict", "NonLattice",
-               "NotConvergent", "QuadratureNotConverged", "SchemaError", "StateSpaceTooLarge",
-               "SubexpError", "TargetOutOfRange", "TooLargeForBruteForce"),
-    "expectation": ("MomentReport", "choquet_integral", "event_upper_capacity",
-                    "lower_expectation", "mean_interval", "truncated_expectation",
-                    "upper_expectation"),
+    "errors": ("DimensionTooLarge", "NonFiniteVerdict", "NonLattice", "NotConvergent",
+               "QuadratureNotConverged", "SchemaError", "StateSpaceTooLarge", "SubexpError",
+               "TargetOutOfRange", "TooLargeForBruteForce"),
+    "expectation": ("choquet_integral", "event_upper_capacity", "lower_expectation",
+                    "mean_interval", "truncated_expectation", "upper_expectation"),
     "meanset": ("MeanSet", "build_direction_net", "build_mean_set", "distance_to_mean_set",
                 "support_function"),
     "sampler": ("BlockSchedule", "Path", "Stationary", "oscillation_schedule",
@@ -33,9 +32,8 @@ EXPORTS = {
     "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalSum",
                    "brute_force_value", "dp_value", "lattice_model",
                    "policy_enumeration_value"),
-    "inequalities": ("BoundReport", "check_inequality", "exponential_bound",
-                     "kolmogorov_lower_capacity_bound", "kolmogorov_upper_bound",
-                     "levy_bound_check", "run_inequality_grid"),
+    "inequalities": ("BoundReport", "exponential_bound", "kolmogorov_lower_capacity_bound",
+                     "kolmogorov_upper_bound", "run_inequality_grid"),
     "axioms": ("random_ambiguity_set", "random_max_affine", "run_axioms"),
     "windows": ("ExperimentResult", "Row"),
     "experiments": ("run_cluster_set", "run_marcinkiewicz", "run_slln", "run_weak_lln"),
@@ -65,8 +63,11 @@ _PARSE_ONLY = (
 
 
 def test_parsing_loads_only_the_schema_layer():
+    # Every experiment, then every golden config: weak_lln_exact sets
+    # lattice_quantum, which parsing checks against the atoms.
     docs = [{"model": PARETO if name == "choquet_series" else E1, "experiment": name}
-            for name in EXPERIMENTS]
+            for name in EXPERIMENTS] + [doc for doc, *_ in GOLDEN.values()]
+    assert any("lattice_quantum" in doc for doc in docs)
     src = str(Path(subexp.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", _PARSE_ONLY, src], input=json.dumps(docs),
                           capture_output=True, text=True, timeout=120, check=True)
@@ -226,7 +227,7 @@ def test_no_module_uses_numpy_linalg_but_norm():
 
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
-    assert len(NAMES) == 69
+    assert len(NAMES) == 65
     assert subexp.__version__ == "0.1.0"
 
 
@@ -294,9 +295,6 @@ def test_table_driver_is_the_named_function_and_takes_the_schema(name):
 # Public functions that no config or command-line path calls, and why each stays.
 UNREACHED = {
     "brute_force_value": "referee for dp_value over every adversary history",
-    "check_inequality": "one check alone; referee for the grid, which solves the capacity "
-                        "kolmogorov_upper and exponential share once for both",
-    "levy_bound_check": "one Lévy check alone; referee for the grid, which sweeps once for every x",
     "policy_enumeration_value": "referee for dp_value over every deterministic policy",
     "support_function": "exact support function that tests hold build_mean_set's net to",
     "truncated_expectation": "the paper's truncation definition that tests hold mean_interval to",
@@ -304,8 +302,26 @@ UNREACHED = {
 
 # Public classes that no config or command-line path instantiates, and why each stays.
 UNUSED_CLASSES = {
-    "AllBlocksHit": "the benchmark tracer imports it; the Borel-Cantelli experiment needs it",
+    "AllBlocksHit": "only the benchmark tracer's import keeps it; ROADMAP item 6 replaces it "
+                    "with the Borel-Cantelli lemma in closed form",
 }
+
+
+def _names_called_in(path):
+    """Names that the module at path calls, as f(...) or obj.f(...)."""
+    calls = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return calls
+
+
+def test_every_referee_is_called_by_a_test():
+    # The exemption holds only while a test uses the referee; one that loses
+    # its last caller is dead code.
+    called = set().union(*map(_names_called_in, Path(__file__).parent.glob("*.py")))
+    assert sorted(set(UNREACHED) - called) == []
 
 
 def test_every_public_function_is_reached_by_a_config_or_the_cli(tmp_path, monkeypatch, capsys):
