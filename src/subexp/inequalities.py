@@ -124,7 +124,7 @@ def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: floa
                     tuple(m.shifted(-m_up) for m in amb.members), label=f"{amb.label}-centered"
                 )
                 B2 = n * max(m.second_moment() for m in centered.members)
-                upper = dp_value(centered, RunningMax(x, mode="pos"), n, side="upper")
+                upper = dp_value(centered, RunningMax(Event("ge", x)), n, side="upper")
             if which == "kolmogorov_upper":
                 rhs = kolmogorov_upper_bound(B2, x)
                 ctx = f"kolmogorov_upper model={amb.label} n={n} x={x:g}"
@@ -142,7 +142,7 @@ def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: floa
             shifted = AmbiguitySet(
                 tuple(m.shifted(-mu) for m in amb.members), label=f"{amb.label}-mu"
             )
-            lhs = dp_value(shifted, RunningMax(x, mode="abs"), n, side="lower")
+            lhs = dp_value(shifted, RunningMax(Event("abs_ge", x)), n, side="lower")
             ctx = f"kolmogorov_lower model={amb.label} n={n} x={x:g} mu={mu:g}"
             reports.append(BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n))
         else:
@@ -167,7 +167,7 @@ def _levy_checks(amb: AmbiguitySet, n: int, xs: Sequence[float], alpha: float) -
     betas = _levy_thresholds(amb, n, alpha)
     reports = []
     for x, r in zip(xs, rhs):
-        running = RunningMax(tuple(x + b for b in betas), mode="abs", strict=True)
+        running = RunningMax(tuple(Event("abs_gt", x + b) for b in betas))
         lhs = (1.0 - alpha) * dp_value(amb, running, n, side="upper")
         ctx = f"levy model={amb.label} n={n} x={x:g} alpha={alpha:g}"
         reports.append(BoundReport(lhs=lhs, rhs=r, context=ctx, n=n))

@@ -6,7 +6,8 @@ computed by backward induction on the partial sum. Sums after k steps live on
 the integer window [k*amin, k*amax] of the lattice, so each level is a dense
 array and transitions are shifted slices, one per atom. A terminal payoff
 maps the whole array of sums to one value per sum, as every test function in
-the package maps its array.
+the package maps its array. A running event is 1 from the first step k whose
+Event holds at S_k. `LatticeModel.sums` maps every level's indices to sums.
 
 `brute_force_value` re-derives the same number by recursing over full outcome
 histories with no state compression; it is the oracle the DP is tested
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import _LATTICE_TOL, AmbiguitySet, lattice_offsets
+from .distributions import _LATTICE_TOL, AmbiguitySet, Event, lattice_offsets
 from .errors import NonLattice, StateSpaceTooLarge, TooLargeForBruteForce
 
 __all__ = [
@@ -53,6 +54,10 @@ class LatticeModel:
     @property
     def span(self) -> int:
         return self.amax - self.amin
+
+    def sums(self, k: int) -> np.ndarray:
+        """Values of S_k on the window [k*amin, k*amax], lowest first."""
+        return (k * self.amin + np.arange(k * self.span + 1)) * self.pitch
 
 
 def lattice_model(amb: AmbiguitySet) -> LatticeModel:
@@ -99,35 +104,22 @@ class TerminalSum:
 
 @dataclass(frozen=True)
 class RunningMax:
-    """Indicator that g(S_k) crosses a threshold at some step k = 1..n.
+    """Indicator that S_k lies in step k's event at some step k = 1..n.
 
-    mode "pos" uses g = identity (one-sided crossing), "abs" uses g = |.|.
-    thresholds is a scalar or a per-step sequence (index k-1 for step k);
-    strict picks > instead of >=. Per-step thresholds express events like
-    max_k (|S_k| - b_k) > x as |S_k| > x + b_k.
+    events is one Event for every step or a tuple of n Events, entry k-1 for
+    step k. Per-step events express max_k (|S_k| - b_k) > x as
+    Event("abs_gt", x + b_k), and the band exit of the strong law as
+    Event("outside", k*(lo - eps), k*(hi + eps)).
     """
 
-    thresholds: float | tuple
-    mode: str = "abs"
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("abs", "pos"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not np.isscalar(self.thresholds):
-            object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-
-    def _threshold_at(self, k: int, n: int) -> float:
-        if np.isscalar(self.thresholds):
-            return float(self.thresholds)
-        if len(self.thresholds) != n:
-            raise ValueError(f"{len(self.thresholds)} thresholds for horizon {n}")
-        return self.thresholds[k - 1]
+    events: Event | tuple
 
     def hit(self, k: int, n: int, sums: np.ndarray) -> np.ndarray:
-        g = np.abs(sums) if self.mode == "abs" else sums
-        t = self._threshold_at(k, n)
-        return g > t if self.strict else g >= t
+        if isinstance(self.events, Event):
+            return self.events.holds(sums)
+        if len(self.events) != n:
+            raise ValueError(f"{len(self.events)} events for horizon {n}")
+        return self.events[k - 1].holds(sums)
 
     def history_value(self, history: tuple) -> float:
         n = len(history)
@@ -187,8 +179,9 @@ def _backward_pass(
 ) -> np.ndarray:
     """Backward induction from terminal values on [n*amin, n*amax].
 
-    Entry k of the result is the value at S_k = 0 after n - k levels (index
-    -k*amin of level k); without a running event, the (n - k)-step value.
+    A running event sets level k to 1 wherever step k's Event holds. Entry k
+    of the result is the value at S_k = 0 after n - k levels (index -k*amin
+    of level k); without a running event, the (n - k)-step value.
     """
     opt = _check_side(side)
     v = terminal
@@ -205,8 +198,7 @@ def _backward_pass(
             acc = member_val if acc is None else opt(acc, member_val)
         v = acc
         if running is not None and k >= 1:
-            sums = (k * model.amin + np.arange(width)) * model.pitch
-            v = np.where(running.hit(k, n, sums), 1.0, v)
+            v = np.where(running.hit(k, n, model.sums(k)), 1.0, v)
         at_zero[k] = v[-k * model.amin]
     return at_zero
 
@@ -219,11 +211,12 @@ def _levy_thresholds(amb: AmbiguitySet, n: int, alpha: float) -> list:
     its first m at or below alpha. b_{n,n} = 0.
     """
     model = lattice_model(amb)
-    sums = np.abs(n * model.amin + np.arange(n * model.span + 1)) * model.pitch
+    sums = model.sums(n)
     betas = [None] * (n - 1) + [0.0]
     m = 0
     while None in betas:
-        at_zero = _backward_pass(model, n, (sums > m * model.pitch).astype(float), "upper")
+        terminal = Event("abs_gt", m * model.pitch).holds(sums).astype(float)
+        at_zero = _backward_pass(model, n, terminal, "upper")
         betas = [m * model.pitch if b is None and at_zero[k] <= alpha else b
                  for k, b in enumerate(betas, 1)]
         m += 1
@@ -233,18 +226,20 @@ def _levy_thresholds(amb: AmbiguitySet, n: int, alpha: float) -> list:
 def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upper") -> float:
     """Exact optimal value of the functional over adaptive member choice.
 
-    side "upper" maximizes at every step (upper expectation of the
-    functional), "lower" minimizes. Requires scalar finite-support members on
-    a common lattice and at most 1e7 terminal states.
+    The functional is a terminal payoff (TerminalSum), a running event
+    (RunningMax: one Event for every step or one per step) or a product of
+    block events (AllBlocksHit). side "upper" maximizes at every step (upper
+    expectation of the functional), "lower" minimizes. Requires scalar
+    finite-support members on a common lattice and at most 1e7 terminal
+    states.
     """
     if n < 1:
         raise ValueError("need at least one step")
     model = lattice_model(amb)
-    span = model.span
-    width_n = n * span + 1
+    width_n = n * model.span + 1
     if width_n > _MAX_WIDTH:
         raise StateSpaceTooLarge(f"{width_n} lattice states at the horizon")
-    sums_n = (n * model.amin + np.arange(width_n)) * model.pitch
+    sums_n = model.sums(n)
 
     if isinstance(functional, TerminalSum):
         return float(_backward_pass(model, n, functional.terminal(sums_n), side)[0])
@@ -263,9 +258,8 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
         prev = 0
         for end, event in zip(functional.ends, functional.events):
             length = end - prev
-            w = length * span + 1
-            sums = (length * model.amin + np.arange(w)) * model.pitch
-            value *= float(_backward_pass(model, length, event.holds(sums).astype(float), side)[0])
+            terminal = event.holds(model.sums(length)).astype(float)
+            value *= float(_backward_pass(model, length, terminal, side)[0])
             prev = end
         return value
 

@@ -99,8 +99,8 @@ def random_lattice_instance(rng: np.random.Generator):
         functional = TerminalSum(Event("ge", threshold).holds)
     elif kind == 2:
         threshold = float(rng.uniform(0.1, span))
-        mode = "abs" if rng.random() < 0.5 else "pos"
-        functional = RunningMax(threshold, mode=mode, strict=bool(rng.random() < 0.5))
+        prefix = "abs_" if rng.random() < 0.5 else ""
+        functional = RunningMax(Event(prefix + ("gt" if rng.random() < 0.5 else "ge"), threshold))
     else:
         split = max(1, n - 1)
         events = (Event("ge", float(rng.uniform(-2, 2))), Event("ge", float(rng.uniform(-2, 2))))

@@ -92,24 +92,35 @@ def test_affine_terminal_reduces_to_mean(e1):
 
 def test_running_max_absorption(e1):
     """Once hit, always hit: capacity is monotone in the horizon."""
-    caps = [dp_value(e1, RunningMax(2.0, mode="pos"), n, "upper") for n in (2, 3, 4, 6)]
+    caps = [dp_value(e1, RunningMax(Event("ge", 2.0)), n, "upper") for n in (2, 3, 4, 6)]
     assert all(b >= a - 1e-15 for a, b in zip(caps, caps[1:]))
     assert caps[0] == pytest.approx(0.5625, abs=1e-15)
 
 
 def test_running_max_strict_vs_weak(e1):
-    weak = dp_value(e1, RunningMax(2.0, mode="pos", strict=False), 2, "upper")
-    strict = dp_value(e1, RunningMax(2.0, mode="pos", strict=True), 2, "upper")
+    weak = dp_value(e1, RunningMax(Event("ge", 2.0)), 2, "upper")
+    strict = dp_value(e1, RunningMax(Event("gt", 2.0)), 2, "upper")
     assert strict <= weak
     assert strict == 0.0  # S_2 can equal 2 but never exceed it
 
 
 def test_running_max_abs_sees_both_sides(e1):
-    pos = dp_value(e1, RunningMax(2.0, mode="pos"), 2, "upper")
-    both = dp_value(e1, RunningMax(2.0, mode="abs"), 2, "upper")
+    pos = dp_value(e1, RunningMax(Event("ge", 2.0)), 2, "upper")
+    both = dp_value(e1, RunningMax(Event("abs_ge", 2.0)), 2, "upper")
     assert both >= pos
-    bf = brute_force_value(e1, RunningMax(2.0, mode="abs"), 2, "upper")
+    bf = brute_force_value(e1, RunningMax(Event("abs_ge", 2.0)), 2, "upper")
     assert both == pytest.approx(bf, abs=1e-15)
+
+
+def test_per_step_events_apply_in_step_order(e1):
+    """S_1 >= 1 at step 1, or S_2 >= 2 at step 2, which a miss at step 1
+    rules out: 0.75. Read in reverse order it would be 0.5625."""
+    running = RunningMax((Event("ge", 1.0), Event("ge", 2.0)))
+    for value in (dp_value, brute_force_value):
+        assert value(e1, running, 2, "upper") == 0.75
+        for n in (1, 3):
+            with pytest.raises(ValueError, match="2 events for horizon"):
+                value(e1, running, n, "upper")
 
 
 def test_all_blocks_hit_decouples(e1):
@@ -164,6 +175,58 @@ def test_dp_matches_policy_enumeration_small():
         checked += 1
 
 
+INTERVALS = ("between", "outside", "between_open", "outside_closed")
+KINDS = ("ge", "gt", "le", "lt", "abs_ge", "abs_gt", "abs_le", "abs_lt") + INTERVALS
+
+
+def random_running_instance(rng: np.random.Generator, kind: str, per_step: bool):
+    """(amb, RunningMax, n) with n <= 4 and at most 3 members of at most 3
+    atoms in {-2, ..., 2} times a random pitch. Event ends are lattice points
+    or midpoints of two, so strict and weak comparisons both meet ties. The
+    per-step form of an interval kind is a band
+    Event(kind, k*(lo - eps), k*(hi + eps)) for k = 1..n."""
+    n = int(rng.integers(1, 5))
+    pitch = float(rng.choice([0.25, 0.5, 1.0]))
+    members = []
+    for _ in range(int(rng.integers(1, 4))):
+        n_atoms = int(rng.integers(1, 4))
+        values = rng.choice(np.arange(-2, 3), size=n_atoms, replace=False) * pitch
+        weights = rng.dirichlet(np.ones(n_atoms))
+        members.append(FiniteDiscrete.from_arrays(values.tolist(), weights.tolist()))
+    amb = AmbiguitySet(tuple(members), label="running")
+
+    def end(k):  # within half a pitch of level k's window
+        return float(rng.integers(-4 * k - 1, 4 * k + 2)) * pitch / 2
+
+    if kind not in INTERVALS:
+        steps = range(1, n + 1) if per_step else [n]
+        events = tuple(Event(kind, end(k)) for k in steps)
+    elif per_step:
+        lo, hi = sorted((end(1), end(1)))
+        eps = float(rng.choice([0.0, 0.25])) * pitch
+        events = tuple(Event(kind, k * (lo - eps), k * (hi + eps)) for k in range(1, n + 1))
+    else:
+        events = (Event(kind, *sorted((end(n), end(n)))),)
+    return amb, RunningMax(events if per_step else events[0]), n
+
+
+@pytest.mark.parametrize("per_step", [False, True], ids=["one", "per_step"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_running_events_match_the_oracles(kind, per_step):
+    """Every Event kind as a running event, one for every step or one per
+    step, agrees with brute force at n <= 4 and with policy enumeration at
+    n <= 2, on both sides."""
+    rng = np.random.default_rng([KINDS.index(kind), per_step])
+    for _ in range(25):
+        amb, functional, n = random_running_instance(rng, kind, per_step)
+        for side in ("upper", "lower"):
+            got = dp_value(amb, functional, n, side)
+            assert got == pytest.approx(brute_force_value(amb, functional, n, side), abs=1e-12)
+            if n <= 2:
+                expected = policy_enumeration_value(amb, functional, n, side)
+                assert got == pytest.approx(expected, abs=1e-12)
+
+
 def test_upper_dominates_lower_randomized():
     rng = np.random.default_rng(9)
     for _ in range(40):
@@ -184,8 +247,7 @@ def test_backward_pass_holds_every_suffix_value_at_sum_zero():
             continue
         n = int(rng.integers(1, 31))
         model = lattice_model(amb)
-        sums = (n * model.amin + np.arange(n * model.span + 1)) * model.pitch
-        at_zero = _backward_pass(model, n, functional.terminal(sums), side)
+        at_zero = _backward_pass(model, n, functional.terminal(model.sums(n)), side)
         assert len(at_zero) == n + 1
         assert at_zero[n] == functional.terminal(np.zeros(1))[0]
         for k in range(n):

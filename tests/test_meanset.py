@@ -188,6 +188,26 @@ def test_only_meanset_reads_the_net():
     assert readers == {"meanset.py"}
 
 
+def test_only_lattice_model_sums_builds_level_values():
+    # Every level's sums come from LatticeModel.sums, so the lattice DP maps
+    # indices to values in one place.
+    import ast
+    from pathlib import Path
+
+    import subexp
+
+    tree = ast.parse((Path(subexp.__file__).parent / "lattice_dp.py").read_text())
+
+    def aranges(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "arange"
+                   or isinstance(n, ast.Name) and n.id == "arange"
+                   or isinstance(n, ast.alias) and n.name == "arange" for n in ast.walk(node))
+
+    model = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LatticeModel")
+    sums = next(n for n in model.body if isinstance(n, ast.FunctionDef) and n.name == "sums")
+    assert aranges(sums) == aranges(tree) == 1
+
+
 @pytest.mark.parametrize("delta", [1.0, 0.05])
 def test_four_d_net_equals_the_scipy_halton_net(delta):
     """The Hopf image of scipy's unscrambled 3-d Halton points, bit for bit."""
