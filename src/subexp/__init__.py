@@ -69,14 +69,12 @@ _EXPORTS = {
             "policy_enumeration_value",
         ),
         "inequalities": (
-            "BoundReport",
             "exponential_bound",
             "kolmogorov_lower_capacity_bound",
             "kolmogorov_upper_bound",
             "run_inequality_grid",
         ),
         "axioms": ("random_ambiguity_set", "random_max_affine", "run_axioms"),
-        "windows": ("ExperimentResult", "Row"),
         "experiments": ("run_cluster_set", "run_marcinkiewicz", "run_slln", "run_weak_lln"),
         "series": ("run_choquet_series", "run_three_series"),
         "config": (
@@ -88,7 +86,7 @@ _EXPORTS = {
             "parse_config",
         ),
         "parallel": ("parallel_map",),
-        "runner": ("run", "write_outputs"),
+        "runner": ("ExperimentResult", "Row", "run", "write_outputs"),
     }.items()
     for name in names
 }

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distributions import AmbiguitySet, Event, FiniteDiscrete, _distinct_rows
 from .expectation import choquet_integral, event_upper_capacity, lower_expectation, upper_expectation
-from .windows import ExperimentResult, Row, _raise_worst
+from .runner import ExperimentResult, Row, _raise_worst
 
 __all__ = ["random_ambiguity_set", "random_max_affine", "run_axioms"]
 

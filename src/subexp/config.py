@@ -36,7 +36,7 @@ from .distributions import AmbiguitySet, FiniteDiscrete, TwoSidedPareto, lattice
 from .errors import NonLattice, SchemaError
 
 if TYPE_CHECKING:
-    from .windows import ExperimentResult
+    from .runner import ExperimentResult
 
 __all__ = [
     "EXPERIMENTS",

@@ -21,6 +21,7 @@ from .distributions import AmbiguitySet, Event
 from .expectation import mean_interval
 from .lattice_dp import TerminalSum, dp_value
 from .meanset import build_mean_set, distance_to_mean_set
+from .runner import ExperimentResult, Row, _raise_worst
 from .sampler import (
     alternating_schedule,
     default_targets,
@@ -29,15 +30,12 @@ from .sampler import (
     target_chasing_schedule,
 )
 from .windows import (
-    ExperimentResult,
-    Row,
     _chain,
     _containment,
     _keep_at_steps,
     _per_seed,
     _pure_extremes,
     _pure_members,
-    _raise_worst,
     _tail_slice,
     _uniform_mix,
     _windows,
@@ -287,6 +285,8 @@ def run_weak_lln(
     ns = tuple(sorted(ns))
     if ns[0] < 1:
         raise ValueError(f"ns: every n must be at least 1, got {ns[0]}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     n_top = ns[-1]
     rows = []
 

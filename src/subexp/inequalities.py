@@ -4,14 +4,13 @@ The Kolmogorov, exponential and Lévy maximal inequalities, each as a closed
 form and as a checker that pits it against exact lattice DP capacities; the
 experiment driver run_inequality_grid sweeps the checkers over a grid. Each
 closed-form bound is a theorem for the exact optimal-value capacities, so a
-checker that reports satisfied=False on an exact comparison indicates an
-implementation bug, not a near-miss.
+checker row that fails on an exact comparison indicates an implementation
+bug, not a near-miss.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,10 +18,9 @@ import numpy as np
 from .distributions import AmbiguitySet, Event
 from .lattice_dp import RunningMax, TerminalSum, _levy_thresholds, dp_value, lattice_model
 from .parallel import parallel_map
-from .windows import ExperimentResult, Row
+from .runner import ExperimentResult, Row
 
 __all__ = [
-    "BoundReport",
     "exponential_bound",
     "kolmogorov_lower_capacity_bound",
     "kolmogorov_upper_bound",
@@ -32,28 +30,10 @@ __all__ = [
 _EXACT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Exact capacity vs closed-form bound.
-
-    rhs stores the raw bound even when it exceeds 1; displayed_rhs caps it at
-    1 since capacities live in [0, 1]. n is the number of steps the capacity
-    is taken over.
-    """
-
-    lhs: float
-    rhs: float
-    context: str
-    n: int = 0
-    satisfied: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        ok = self.lhs <= self.rhs + _EXACT_SLACK
-        object.__setattr__(self, "satisfied", bool(ok))
-
-    @property
-    def displayed_rhs(self) -> float:
-        return min(1.0, self.rhs)
+def _bound_row(context: str, n: int, lhs: float, rhs: float, tolerance: float) -> Row:
+    """The row of an exact capacity lhs over n steps against its bound rhs:
+    it passes when lhs <= rhs up to _EXACT_SLACK, and shows tolerance."""
+    return Row(context, lhs, tolerance, lhs <= rhs + _EXACT_SLACK, "exact_dp", 0, n)
 
 
 def kolmogorov_upper_bound(B2: float, x: float) -> float:
@@ -104,7 +84,9 @@ def _max_increment_term(amb: AmbiguitySet, y: float, n: int) -> float:
 
 
 def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: float) -> list:
-    """Pit exact DP capacities against the closed-form bounds of whichs at one (n, x).
+    """Pit exact DP capacities against the closed-form bounds of whichs at one (n, x),
+    one row each. A row shows its bound capped at 1, since capacities live
+    in [0, 1], and passes or fails on the raw bound.
 
     kolmogorov_upper / exponential center increments at the upper mean (so
     the centered upper mean is 0) and bound the upper capacity of
@@ -115,7 +97,7 @@ def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: floa
     any centering.
     """
     lattice_model(amb)
-    reports, upper = [], None
+    rows, upper = [], None
     for which in whichs:
         if which in ("kolmogorov_upper", "exponential"):
             if upper is None:
@@ -131,7 +113,7 @@ def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: floa
             else:
                 rhs = exponential_bound(B2, x, x) + _max_increment_term(centered, x, n)
                 ctx = f"exponential model={amb.label} n={n} x={x:g} y={x:g}"
-            reports.append(BoundReport(lhs=upper, rhs=rhs, context=ctx, n=n))
+            rows.append(_bound_row(ctx, n, upper, rhs, min(1.0, rhs)))
         elif which == "kolmogorov_lower":
             means = amb.member_means()
             mu = 0.5 * (float(np.min(means)) + float(np.max(means)))
@@ -144,15 +126,15 @@ def _inequality_checks(amb: AmbiguitySet, whichs: Sequence[str], n: int, x: floa
             )
             lhs = dp_value(shifted, RunningMax(Event("abs_ge", x)), n, side="lower")
             ctx = f"kolmogorov_lower model={amb.label} n={n} x={x:g} mu={mu:g}"
-            reports.append(BoundReport(lhs=lhs, rhs=rhs, context=ctx, n=n))
+            rows.append(_bound_row(ctx, n, lhs, rhs, min(1.0, rhs)))
         else:
             raise ValueError(f"unknown inequality {which!r}")
-    return reports
+    return rows
 
 
 def _levy_checks(amb: AmbiguitySet, n: int, xs: Sequence[float], alpha: float) -> list:
     """(1-alpha) V(max_k (|S_k| - b_{n,k}) > x) <= V(|S_n| > x), both exact,
-    at every x of xs (at least one).
+    at every x of xs (at least one), one row each that shows the right side.
 
     b_{n,k} is the smallest lattice value with V(|S_n - S_k| > b) <= alpha,
     read for every k from one backward threshold sweep, which depends on
@@ -165,13 +147,13 @@ def _levy_checks(amb: AmbiguitySet, n: int, xs: Sequence[float], alpha: float) -
     # dp_value rejects n < 1 and an oversized horizon before the sweep.
     rhs = [dp_value(amb, TerminalSum(Event("abs_gt", x).holds), n, side="upper") for x in xs]
     betas = _levy_thresholds(amb, n, alpha)
-    reports = []
+    rows = []
     for x, r in zip(xs, rhs):
         running = RunningMax(tuple(Event("abs_gt", x + b) for b in betas))
         lhs = (1.0 - alpha) * dp_value(amb, running, n, side="upper")
         ctx = f"levy model={amb.label} n={n} x={x:g} alpha={alpha:g}"
-        reports.append(BoundReport(lhs=lhs, rhs=r, context=ctx, n=n))
-    return reports
+        rows.append(_bound_row(ctx, n, lhs, r, r))
+    return rows
 
 
 def run_inequality_grid(
@@ -193,24 +175,18 @@ def run_inequality_grid(
     kinds = sorted(set(whichs))
     points = sorted({(n, x) for _, n, x in grid})
     checks = {}
-    for (n, x), reps in zip(points, parallel_map(
+    for (n, x), found in zip(points, parallel_map(
             lambda c: _inequality_checks(amb, kinds, *c), points, jobs)):
-        checks.update(((w, n, x), rep) for w, rep in zip(kinds, reps))
-    rows = [
-        Row(rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, "exact_dp", 0, rep.n)
-        for rep in (checks[c] for c in grid)
-    ]
+        checks.update(((w, n, x), row) for w, row in zip(kinds, found))
+    rows = [checks[c] for c in grid]
     # One threshold sweep per (n, alpha) serves every x.
     levy_xs = sorted(set(xs))
     sweeps = sorted({(n, a) for n in ns for a in levy_alphas}) if xs else []
     levy = {}
-    for (n, a), reps in zip(sweeps, parallel_map(
+    for (n, a), found in zip(sweeps, parallel_map(
             lambda c: _levy_checks(amb, c[0], levy_xs, c[1]), sweeps, jobs)):
-        levy.update(((n, x, a), rep) for x, rep in zip(levy_xs, reps))
-    rows.extend(
-        Row(rep.context, rep.lhs, rep.rhs, rep.satisfied, "exact_dp", 0, rep.n)
-        for rep in (levy[c] for c in sorted((n, x, a) for n in ns for x in xs for a in levy_alphas))
-    )
+        levy.update(((n, x, a), row) for x, row in zip(levy_xs, found))
+    rows.extend(levy[c] for c in sorted((n, x, a) for n in ns for x in xs for a in levy_alphas))
     return ExperimentResult(
         strategy_labels=("exact_dp",),
         n_grid=tuple(ns),

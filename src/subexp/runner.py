@@ -1,4 +1,6 @@
-"""Experiment dispatch and result persistence.
+"""Experiment dispatch, the result format and its persistence.
+
+Every driver returns an ExperimentResult of Rows, and this module writes it.
 
 Every run writes three files into the output directory: results.json (the
 full result), results.csv (flat rows keyed run_id, experiment, strategy,
@@ -28,17 +30,65 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .config import EXPERIMENT_TABLE, RunConfig, check_seed
-from .errors import SubexpError
+from .errors import NonFiniteVerdict, SubexpError
 
-if TYPE_CHECKING:
-    from .windows import ExperimentResult
-
-__all__ = ["run", "write_outputs"]
+__all__ = ["ExperimentResult", "Row", "run", "write_outputs"]
 
 _CSV_HEADER = "run_id,experiment,strategy,seed,n,statistic,value,tolerance,verdict"
+
+
+@dataclasses.dataclass(frozen=True)
+class Row:
+    """One scalar statistic; passed=None marks informational rows.
+
+    Only an informational row may hold an infinite or NaN value: a verdict
+    on one raises NonFiniteVerdict, which names the row.
+    """
+
+    statistic: str
+    value: float
+    tolerance: float
+    passed: bool | None
+    strategy: str = ""
+    seed: int = 0
+    n: int = 0
+
+    def __post_init__(self):
+        # Drivers hand in numpy scalars; keep rows JSON-clean.
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        if self.passed is not None:
+            object.__setattr__(self, "passed", bool(self.passed))
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n", int(self.n))
+        if self.passed is not None and not math.isfinite(self.value):
+            raise NonFiniteVerdict(
+                f"row {self.statistic!r} (strategy {self.strategy!r}, seed {self.seed}, "
+                f"n {self.n}) has a verdict on the non-finite value {self.value}"
+            )
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentResult:
+    """Rows of one run; the experiment name and model label live in its config."""
+
+    strategy_labels: tuple
+    n_grid: tuple
+    seeds: tuple
+    rows: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed is not False for r in self.rows)
+
+
+def _raise_worst(worst: float, x) -> float:
+    """max(worst, x) as a float, except that a NaN x is kept: Python's max
+    would drop it whenever worst came first."""
+    x = float(x)
+    return x if math.isnan(x) else max(worst, x)
 
 
 def _fmt(x: float) -> str:

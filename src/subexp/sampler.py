@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import AmbiguitySet
+from .distributions import _WEIGHT_TOL, AmbiguitySet
 from .errors import TargetOutOfRange
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "stationary_for_target",
     "target_chasing_schedule",
 ]
-
-_WEIGHT_TOL = 1e-12
 
 # splitmix64 finalizer constants.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)

@@ -18,17 +18,9 @@ import numpy as np
 
 from .distributions import AmbiguitySet
 from .expectation import _survival_curve, _survival_integral, choquet_integral
+from .runner import ExperimentResult, Row
 from .sampler import alternating_schedule
-from .windows import (
-    _WINDOW,
-    ExperimentResult,
-    Row,
-    _chain,
-    _per_seed,
-    _pure_extremes,
-    _uniform_mix,
-    _windows,
-)
+from .windows import _WINDOW, _chain, _per_seed, _pure_extremes, _uniform_mix, _windows
 
 __all__ = ["run_choquet_series", "run_three_series"]
 

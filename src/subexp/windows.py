@@ -7,76 +7,27 @@ before the next one is drawn. The windows chain the running sums exactly
 (`_chain`), so no statistic depends on the window size, and peak memory is
 bounded by jobs windows and containment blocks, whatever the horizon and
 the number of paths. `_Containment` folds the windows of one path, through
-`meanset.fold_distances`, into its containment row. Row and ExperimentResult
-are what every driver returns.
+`meanset.fold_distances`, into its containment row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import AmbiguitySet
-from .errors import NonFiniteVerdict
 from .meanset import MeanSet, build_mean_set, fold_distances
 from .parallel import parallel_map
+from .runner import Row, _raise_worst
 from .sampler import Stationary, extreme_members, hash_window, pure_weights, sample_path
-
-__all__ = ["ExperimentResult", "Row"]
 
 _BURN_IN_FRACTION = 100  # tail = n >= N / this
 # Steps per sampled window. A task's window workspace (two uniforms, their
 # uint64 scratch, the step counts, one strategy's increments and member
 # indices) takes 336 KiB at d=1, so it stays in a 2 MB L2.
 _WINDOW = 8_192
-
-
-@dataclass(frozen=True)
-class Row:
-    """One scalar statistic; passed=None marks informational rows.
-
-    Only an informational row may hold an infinite or NaN value: a verdict
-    on one raises NonFiniteVerdict, which names the row.
-    """
-
-    statistic: str
-    value: float
-    tolerance: float
-    passed: bool | None
-    strategy: str = ""
-    seed: int = 0
-    n: int = 0
-
-    def __post_init__(self):
-        # Drivers hand in numpy scalars; keep rows JSON-clean.
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        if self.passed is not None:
-            object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n", int(self.n))
-        if self.passed is not None and not math.isfinite(self.value):
-            raise NonFiniteVerdict(
-                f"row {self.statistic!r} (strategy {self.strategy!r}, seed {self.seed}, "
-                f"n {self.n}) has a verdict on the non-finite value {self.value}"
-            )
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Rows of one run; the experiment name and model label live in its config."""
-
-    strategy_labels: tuple
-    n_grid: tuple
-    seeds: tuple
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed is not False for r in self.rows)
 
 
 def _tail_slice(n: int) -> int:
@@ -177,13 +128,6 @@ def _per_seed(fold, seeds: Sequence[int], jobs: int) -> list[tuple]:
     if not seeds:
         raise ValueError("a sampled experiment needs at least one seed")
     return list(zip(*parallel_map(fold, seeds, jobs)))
-
-
-def _raise_worst(worst: float, x) -> float:
-    """max(worst, x) as a float, except that a NaN x is kept: Python's max
-    would drop it whenever worst came first."""
-    x = float(x)
-    return x if math.isnan(x) else max(worst, x)
 
 
 class _Containment:

@@ -89,28 +89,34 @@ def test_kolmogorov_lower_bound_validation():
 
 
 def test_check_kolmogorov_upper_frozen(e1):
-    rep = _inequality_checks(e1, ["kolmogorov_upper"], 16, 6.0)[0]
-    assert rep.lhs == pytest.approx(0.07176673505455256, abs=1e-14)
-    # centered at the upper mean 0.5 the square moment is 1.25, so B^2 = 20
-    assert rep.rhs == pytest.approx((math.e + 1.0) * 20.0 / 36.0, rel=1e-12)
-    assert rep.satisfied
-    assert rep.displayed_rhs == 1.0
+    row = _inequality_checks(e1, ["kolmogorov_upper"], 16, 6.0)[0]
+    assert row.value == pytest.approx(0.07176673505455256, abs=1e-14)
+    # centered at the upper mean 0.5 the square moment is 1.25, so B^2 = 20;
+    # the raw bound 2.07 is shown capped at 1
+    assert kolmogorov_upper_bound(20.0, 6.0) == pytest.approx((math.e + 1.0) * 20.0 / 36.0,
+                                                              rel=1e-12)
+    assert row.passed
+    assert row.tolerance == 1.0
+    assert (row.strategy, row.seed, row.n) == ("exact_dp", 0, 16)
 
 
 def test_check_exponential_frozen(e1):
-    rep = _inequality_checks(e1, ["exponential"], 16, 6.0)[0]
-    assert rep.lhs == pytest.approx(0.07176673505455256, abs=1e-14)
-    assert rep.rhs == pytest.approx(0.5479176897486613, rel=1e-10)
-    assert rep.satisfied
-    assert rep.context == "exponential model=E1 n=16 x=6 y=6"  # y is x
+    row = _inequality_checks(e1, ["exponential"], 16, 6.0)[0]
+    assert row.value == pytest.approx(0.07176673505455256, abs=1e-14)
+    # The bound is below 1, so the row shows it as it is.
+    assert row.tolerance == pytest.approx(0.5479176897486613, rel=1e-10)
+    assert row.passed
+    assert row.statistic == "exponential model=E1 n=16 x=6 y=6"  # y is x
 
 
 def test_check_kolmogorov_lower_frozen(e1):
-    rep = _inequality_checks(e1, ["kolmogorov_lower"], 8, 3.0)[0]
-    assert rep.lhs == pytest.approx(0.24560546875, abs=1e-15)
-    assert rep.rhs == pytest.approx(5.0 / 3.0, rel=1e-12)
-    assert rep.satisfied
-    assert rep.context == "kolmogorov_lower model=E1 n=8 x=3 mu=0.25"  # the midpoint
+    row = _inequality_checks(e1, ["kolmogorov_lower"], 8, 3.0)[0]
+    assert row.value == pytest.approx(0.24560546875, abs=1e-15)
+    # B2 = 8 (1 - 0.25^2) = 7.5 around the midpoint, so the raw bound is 5/3
+    assert kolmogorov_lower_capacity_bound(7.5, 3.0) == pytest.approx(5.0 / 3.0, rel=1e-12)
+    assert row.tolerance == 1.0
+    assert row.passed
+    assert row.statistic == "kolmogorov_lower model=E1 n=8 x=3 mu=0.25"  # the midpoint
 
 
 def test_check_inequality_unknown_kind(e1):
@@ -122,12 +128,23 @@ def test_check_inequality_unknown_kind(e1):
         _inequality_checks(pareto, ["kolmogorov_upper"], 4, 1.0)
 
 
-def test_bound_report_ci_slack(e1):
-    from subexp import BoundReport
+@pytest.mark.parametrize("below, passed", [(5e-13, True), (2e-12, False)])
+def test_bound_rows_pass_within_the_exact_slack(monkeypatch, e1, below, passed):
+    # A capacity may exceed its bound by 1e-12 of accumulation error, no more.
+    capacity = _inequality_checks(e1, ["kolmogorov_upper"], 8, 3.0)[0].value
+    monkeypatch.setattr(subexp.inequalities, "kolmogorov_upper_bound",
+                        lambda B2, x: capacity - below)
+    row = _inequality_checks(e1, ["kolmogorov_upper"], 8, 3.0)[0]
+    assert row.value == capacity
+    assert row.tolerance == capacity - below
+    assert row.passed is passed
 
-    tight = BoundReport(lhs=0.5, rhs=0.49, context="x")
-    assert not tight.satisfied
-    assert BoundReport(lhs=0.2, rhs=3.0, context="x").displayed_rhs == 1.0
+
+def test_a_closed_form_row_shows_its_bound_capped_at_one(monkeypatch, e1):
+    monkeypatch.setattr(subexp.inequalities, "kolmogorov_upper_bound", lambda B2, x: 3.0)
+    row = _inequality_checks(e1, ["kolmogorov_upper"], 8, 3.0)[0]
+    assert row.tolerance == 1.0
+    assert row.passed
 
 
 # ---------------------------------------------------------------- the grid
@@ -173,15 +190,17 @@ def test_grid_solves_the_shared_upper_capacity_once_per_point(monkeypatch, e1):
     monkeypatch.setattr(subexp.inequalities, "dp_value", real)
     alone = [_inequality_checks(e1, [w], n, x)[0] for w in sorted(whichs) for n in kw["ns"]
              for x in kw["xs"]]
-    assert [(r.statistic, r.value, r.tolerance, r.passed, r.n) for r in rows] == [
-        (rep.context, rep.lhs, rep.displayed_rhs, rep.satisfied, rep.n) for rep in alone]
+    assert list(rows) == alone
 
 
 def test_levy_reflection(e1):
+    # The right side V(|S_8| > 2) is shown raw as the tolerance.
+    rhs = dp_value(e1, TerminalSum(Event("abs_gt", 2.0).holds), 8)
     for alpha in (0.3, 0.5):
-        rep = _levy_checks(e1, 8, [2.0], alpha)[0]
-        assert rep.satisfied
-        assert f"alpha={alpha:g}" in rep.context
+        row = _levy_checks(e1, 8, [2.0], alpha)[0]
+        assert row.passed
+        assert row.tolerance == rhs
+        assert f"alpha={alpha:g}" in row.statistic
     with pytest.raises(ValueError):
         _levy_checks(e1, 8, [2.0], 1.5)
 
@@ -202,7 +221,7 @@ def test_levy_makes_exactly_two_dp_calls(monkeypatch, e1):
         return real(amb, functional, n, side)
 
     monkeypatch.setattr(subexp.inequalities, "dp_value", counted)
-    assert _levy_checks(e1, 32, [2.0], 0.3)[0].satisfied
+    assert _levy_checks(e1, 32, [2.0], 0.3)[0].passed
     assert sorted(calls) == ["RunningMax", "TerminalSum"]
 
 
@@ -221,8 +240,7 @@ def test_grid_sweeps_levy_thresholds_once_per_horizon_and_alpha(monkeypatch, e1)
     assert sorted(calls) == [(32, 0.3), (64, 0.3), (128, 0.3)]
     alone = [_levy_checks(e1, n, [x], a)[0] for n in kw["ns"] for x in kw["xs"]
              for a in kw["levy_alphas"]]
-    assert [(r.statistic, r.value, r.tolerance, r.n) for r in rows] == [
-        (rep.context, rep.lhs, rep.rhs, rep.n) for rep in alone]
+    assert list(rows) == alone
 
 
 def _bisected_thresholds(amb, n, alphas):

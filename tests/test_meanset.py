@@ -208,6 +208,24 @@ def test_only_lattice_model_sums_builds_level_values():
     assert aranges(sums) == aranges(tree) == 1
 
 
+def test_only_the_sampled_drivers_import_the_window_engine():
+    # The row types live beside their writer in runner, so a driver that
+    # samples nothing never loads the window engine or the sampler.
+    import ast
+    from pathlib import Path
+
+    import subexp
+
+    importers = {
+        path.name
+        for path in Path(subexp.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and "windows" in (node.module, *(alias.name for alias in node.names))
+    }
+    assert importers == {"experiments.py", "series.py"}
+
+
 @pytest.mark.parametrize("delta", [1.0, 0.05])
 def test_four_d_net_equals_the_scipy_halton_net(delta):
     """The Hopf image of scipy's unscrambled 3-d Halton points, bit for bit."""

@@ -32,16 +32,15 @@ EXPORTS = {
     "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalSum",
                    "brute_force_value", "dp_value", "lattice_model",
                    "policy_enumeration_value"),
-    "inequalities": ("BoundReport", "exponential_bound", "kolmogorov_lower_capacity_bound",
+    "inequalities": ("exponential_bound", "kolmogorov_lower_capacity_bound",
                      "kolmogorov_upper_bound", "run_inequality_grid"),
     "axioms": ("random_ambiguity_set", "random_max_affine", "run_axioms"),
-    "windows": ("ExperimentResult", "Row"),
     "experiments": ("run_cluster_set", "run_marcinkiewicz", "run_slln", "run_weak_lln"),
     "series": ("run_choquet_series", "run_three_series"),
     "config": ("EXPERIMENTS", "RunConfig", "member_to_spec", "model_from_spec",
                "model_to_spec", "parse_config"),
     "parallel": ("parallel_map",),
-    "runner": ("run", "write_outputs"),
+    "runner": ("ExperimentResult", "Row", "run", "write_outputs"),
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
@@ -134,11 +133,23 @@ def test_golden_runs_load_no_scipy(tmp_path):
     assert _modules_loaded_by_runs(docs, tmp_path) == []
 
 
+def _subexp_modules_loaded_by_run(name, tmp_path):
+    loaded = _modules_loaded_by_runs([GOLDEN[name][0]], tmp_path, ("subexp",))
+    return {m.removeprefix("subexp.") for m in loaded} - {"subexp"}
+
+
 def test_an_axioms_run_loads_only_the_modules_of_its_driver(tmp_path):
-    # The driver is found through the package's lazy exports, and the runner
-    # imports no engine, so the axiom suite never compiles the others.
-    roots = ("subexp.experiments", "subexp.series", "subexp.lattice_dp", "subexp.inequalities")
-    assert _modules_loaded_by_runs([GOLDEN["axioms"][0]], tmp_path, roots) == []
+    # The driver is found through the package's lazy exports, and the runner,
+    # which owns the row types, imports no engine, so the axiom suite never
+    # compiles the others.
+    assert _subexp_modules_loaded_by_run("axioms", tmp_path) == {
+        "axioms", "config", "distributions", "errors", "expectation", "runner"}
+
+
+def test_an_inequality_grid_run_loads_no_sampled_module(tmp_path):
+    # Nothing is sampled, so neither the window engine nor the sampler loads.
+    assert _subexp_modules_loaded_by_run("inequality_grid", tmp_path) == {
+        "config", "distributions", "errors", "inequalities", "lattice_dp", "parallel", "runner"}
 
 
 # Each process compiles every module it imports from source when no bytecode
@@ -227,7 +238,7 @@ def test_no_module_uses_numpy_linalg_but_norm():
 
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
-    assert len(NAMES) == 65
+    assert len(NAMES) == 64
     assert subexp.__version__ == "0.1.0"
 
 

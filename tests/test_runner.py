@@ -104,6 +104,20 @@ def test_weak_lln_n_below_one_exits_two(tmp_path, parameters, bad):
     assert f"got {bad}" in record["error"]["message"]
 
 
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+@pytest.mark.parametrize("epsilon", [0.0, -0.3, -1.0])
+def test_weak_lln_nonpositive_epsilon_exits_two(tmp_path, capsys, mode, epsilon):
+    # Every path escapes a nonpositive epsilon in mc mode, and exact mode
+    # cannot build its interval, so the driver rejects epsilon by name.
+    parameters = {"mode": mode, "ns": [8, 16], "epsilon": epsilon, "mc_replicas": 2}
+    assert run_doc(config_doc("weak_lln", parameters), tmp_path) == 2
+    message = f"epsilon must be positive, got {epsilon}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    record = json.loads((tmp_path / "results.json").read_text())
+    assert record["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("experiment, N", [("slln", 0), ("slln", -3), ("marcinkiewicz", 0)])
 def test_sampled_horizon_below_one_exits_two(tmp_path, capsys, experiment, N):
     assert run_doc(config_doc(experiment, {"N": N}, seeds=[1]), tmp_path) == 2
