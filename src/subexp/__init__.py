@@ -8,7 +8,9 @@ law-of-large-numbers experiment drivers.
 Importing the package loads no submodule. Each public name below is imported
 from its home module on first access (PEP 562), so parse_config loads only the
 schema layer, and a run loads only its driver's module and the engines that
-module imports. This table is also how a run finds its driver by name.
+module imports. This table is also how a run finds its driver by name. The
+schema layer is pure Python: parsing loads no numpy, and a run loads it when a
+driver first uses an array.
 """
 
 import importlib as _importlib

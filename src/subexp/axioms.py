@@ -13,11 +13,21 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .distributions import AmbiguitySet, Event, FiniteDiscrete, _distinct_rows
+from .distributions import AmbiguitySet, Event, FiniteDiscrete
 from .expectation import choquet_integral, event_upper_capacity, lower_expectation, upper_expectation
 from .runner import ExperimentResult, Row, _raise_worst
 
 __all__ = ["random_ambiguity_set", "random_max_affine", "run_axioms"]
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array in lexicographic order, as
+    np.unique(rows, axis=0) gives them, without the numpy.ma import that
+    every np.unique call makes."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    return rows[fresh]
 
 
 def random_ambiguity_set(rng: np.random.Generator, dim: int = 1) -> AmbiguitySet:

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import SchemaError, SubexpError
+from .errors import SubexpError
 from .runner import run
 
 
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
 
     try:
         config = _load(args.config)
-    except (SchemaError, ValueError, OSError) as exc:
+    except (SubexpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

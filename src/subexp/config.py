@@ -7,6 +7,9 @@ maps each experiment name to its driver's name and parameter schema; parsing,
 EXPERIMENTS and the runner all read it. The table holds names, not functions:
 each driver is resolved through the package's lazy exports when a run starts,
 so parsing never loads the engines, and a run loads only its driver's module.
+Parsing builds each model from plain floats and loads no numpy; a run loads it
+when a driver first uses a member's arrays. An error in a finite member names
+the member's path.
 
 Schema:
     {
@@ -231,7 +234,10 @@ def _member_from_spec(spec: Any, path: str):
                 value = _num(value, f"{path}.atoms[{i}].value")
             values.append(value)
             weights.append(_num(weight, f"{path}.atoms[{i}].weight"))
-        return FiniteDiscrete.from_arrays(values, weights)
+        try:
+            return FiniteDiscrete.from_arrays(values, weights)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
     if kind == "pareto":
         _reject_unknown(spec, {"kind", "alpha", "scale", "right_mass"}, path)
         return TwoSidedPareto(
@@ -336,6 +342,6 @@ def _check_quantum(model: AmbiguitySet, q: float) -> None:
     for i, member in enumerate(model.members):
         if isinstance(member, FiniteDiscrete):
             try:
-                lattice_offsets(member.values, q)
+                lattice_offsets(member, q)
             except NonLattice as exc:
                 raise NonLattice(f"model.members[{i}]: {exc}") from None

@@ -5,6 +5,11 @@ member kinds exist: finite discrete laws (exact arithmetic everywhere) and a
 two-sided Pareto law (closed-form tails and truncated moments, dimension 1
 only). Everything downstream -- upper expectations, capacities, samplers,
 dynamic programs -- consumes these objects and nothing else.
+
+Building a model loads no numpy: a finite law validates and sorts its atoms as
+plain floats, and creates its value, weight and cumulative-weight arrays on
+first use. numpy itself loads the first time any array is made, so parsing a
+config never loads it, and a run loads it when a driver first touches an array.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import NonLattice, NotConvergent
 
@@ -34,21 +37,48 @@ _LATTICE_TOL = 1e-9
 _U_FLOOR = 2.0 ** -64
 
 
-def _as_value_array(values: Sequence) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"atom values must be scalars or flat vectors, got shape {arr.shape}")
-    return arr
+class _LazyNumpy:
+    """numpy's stand-in until its first attribute read rebinds np to numpy."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d array in lexicographic order, as
-    np.unique(rows, axis=0) gives them, without the numpy.ma import that
-    every np.unique call makes."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    fresh = np.ones(len(rows), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
-    return rows[fresh]
+np = _LazyNumpy()
+
+
+def _points(values: Sequence) -> list:
+    """Atom values as floats, or as tuples of floats for flat vectors (float()
+    keeps every bit of a numpy scalar). Raises ValueError, naming the first
+    atom at fault, unless all are numbers or all nonempty vectors of one length.
+    """
+    points = []
+    for i, value in enumerate(values):
+        try:
+            point = tuple(map(float, value))
+        except TypeError:
+            try:
+                point = float(value)
+            except TypeError:
+                raise ValueError(f"atom {i}: {value!r} is neither a number nor a flat "
+                                 "vector of numbers") from None
+        if point == ():
+            raise ValueError(f"atom {i}: a vector value needs at least one number")
+        points.append(point)
+    shapes = [f"a vector of {len(p)} numbers" if isinstance(p, tuple) else "a number"
+              for p in points]
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise ValueError(f"atom values must be all numbers or all vectors of one "
+                             f"length: atom 0 is {shapes[0]}, atom {i} is {shape}")
+    return points
+
+
+def _key(point) -> tuple:
+    return point if isinstance(point, tuple) else (point,)
 
 
 @dataclass(frozen=True)
@@ -87,6 +117,8 @@ class Event:
         """Vectorized membership indicator."""
         x = np.asarray(x, dtype=float)
         k = self.kind
+        if k.startswith("abs_"):
+            x, k = np.abs(x), k[4:]
         if k == "ge":
             return x >= self.a
         if k == "gt":
@@ -95,14 +127,6 @@ class Event:
             return x <= self.a
         if k == "lt":
             return x < self.a
-        if k == "abs_ge":
-            return np.abs(x) >= self.a
-        if k == "abs_gt":
-            return np.abs(x) > self.a
-        if k == "abs_le":
-            return np.abs(x) <= self.a
-        if k == "abs_lt":
-            return np.abs(x) < self.a
         if k == "between":
             return (x >= self.a) & (x <= self.b)
         if k == "outside":
@@ -119,7 +143,8 @@ class FiniteDiscrete:
     Atom values must be pairwise distinct and weights strictly positive,
     summing to 1 within 1e-12. Values may be scalars (dimension 1) or flat
     vectors of a common dimension. Atoms are stored sorted (lexicographically
-    for vectors), which fixes the inverse-CDF order.
+    for vectors) as plain floats, which fixes the inverse-CDF order; the
+    value, weight and cumulative-weight arrays are made from them on first use.
     """
 
     kind = "finite"
@@ -127,55 +152,57 @@ class FiniteDiscrete:
     def __init__(self, atoms: Sequence[tuple]) -> None:
         if not atoms:
             raise ValueError("FiniteDiscrete needs at least one atom")
-        values = _as_value_array([a[0] for a in atoms])
-        weights = np.asarray([a[1] for a in atoms], dtype=float)
-        if np.any(weights <= 0):
+        points = _points([a[0] for a in atoms])
+        weights = [float(a[1]) for a in atoms]
+        if not all(w > 0 for w in weights):
             raise ValueError("atom weights must be strictly positive")
-        total = math.fsum(weights.tolist())
+        total = math.fsum(weights)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"atom weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
-        if not np.all(np.isfinite(values)):
+        keys = [_key(p) for p in points]
+        if not all(math.isfinite(x) for key in keys for x in key):
             raise ValueError("atom values must be finite")
 
-        vals2d = values.reshape(len(weights), -1)
-        order = np.lexsort(vals2d.T[::-1])
-        values, weights = values[order], weights[order]
-        vals2d = vals2d[order]
-        if any(tuple(vals2d[i]) == tuple(vals2d[i + 1]) for i in range(len(weights) - 1)):
+        # A stable sort of the value tuples: np.lexsort's order, -0.0 == 0.0 included.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
             raise ValueError("atom values must be pairwise distinct")
-
-        self._values = values
-        self._weights = weights
-        self._cumw = np.cumsum(weights)
-        self._cumw[-1] = 1.0  # exact top end for searchsorted
+        # A list: tuple() of a generator resizes what it builds, and over the axiom
+        # suite the resized tuples piled up on CPython's tuple free lists (0.2 MB).
+        self._atoms = [(points[i], weights[i]) for i in order]
+        self.dim = len(keys[0]) if isinstance(points[0], tuple) else 1
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def from_arrays(cls, values, weights) -> "FiniteDiscrete":
-        """Build from parallel arrays, merging exactly equal values."""
-        values = _as_value_array(values)
-        weights = np.asarray(weights, dtype=float)
+        """Build from parallel arrays, merging exactly equal values; a vector
+        value of width 1 becomes a number."""
+        points = _points(values)
+        weights = [float(w) for w in weights]
+        if len(points) != len(weights):
+            raise ValueError(f"got {len(points)} atom values but {len(weights)} weights")
         merged: dict = {}
-        for v, w in zip(values.reshape(len(weights), -1), weights):
-            key = tuple(v)
+        for p, w in zip(points, weights):
+            key = _key(p)
             merged[key] = merged.get(key, 0.0) + w
-        flat = [(k if len(k) > 1 else k[0], w) for k, w in merged.items()]
-        return cls(flat)
+        return cls([(k if len(k) > 1 else k[0], w) for k, w in merged.items()])
 
-    # -- basic shape ----------------------------------------------------------
+    # -- arrays, made on first use --------------------------------------------
 
-    @property
-    def dim(self) -> int:
-        return 1 if self._values.ndim == 1 else self._values.shape[1]
-
-    @property
+    @functools.cached_property
     def values(self) -> np.ndarray:
-        return self._values
+        return np.asarray([v for v, _ in self._atoms], dtype=float)
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        return self._weights
+        return np.asarray([w for _, w in self._atoms], dtype=float)
+
+    @functools.cached_property
+    def _cumw(self) -> np.ndarray:
+        cumw = np.cumsum(self.weights)
+        cumw[-1] = 1.0  # exact top end for searchsorted
+        return cumw
 
     # -- exact moments --------------------------------------------------------
 
@@ -185,16 +212,16 @@ class FiniteDiscrete:
         f maps the atom array (shape (k,), or (k, d) for vectors) to one value
         per atom; any other shape raises ValueError.
         """
-        fx = f(self._values)
-        if np.shape(fx) != self._weights.shape:
+        fx = f(self.values)
+        if np.shape(fx) != self.weights.shape:
             raise ValueError(
                 f"a test function must give one value per atom, shape "
-                f"{self._weights.shape}, got {np.shape(fx)}"
+                f"{self.weights.shape}, got {np.shape(fx)}"
             )
-        return math.fsum((self._weights * fx).tolist())
+        return math.fsum((self.weights * fx).tolist())
 
     def mean(self):
-        if self._values.ndim == 1:
+        if self.values.ndim == 1:
             return self.expectation(lambda x: x)
         return np.array([self.expectation(lambda x, j=j: x[:, j]) for j in range(self.dim)])
 
@@ -228,20 +255,20 @@ class FiniteDiscrete:
         `out` when given; a u past the last cumulative weight (rounding) takes
         the last atom."""
         idx = np.searchsorted(self._cumw, u, side="right")
-        return np.take(self._values, idx, axis=0, out=out, mode="clip")
+        return np.take(self.values, idx, axis=0, out=out, mode="clip")
 
     # -- derived laws ---------------------------------------------------------
 
     def shifted(self, b: float) -> "FiniteDiscrete":
         self._require_dim1()
-        return FiniteDiscrete.from_arrays(self._values + b, self._weights)
+        return FiniteDiscrete.from_arrays(self.values + b, self.weights)
 
     def _require_dim1(self) -> None:
-        if self._values.ndim != 1:
+        if self.values.ndim != 1:
             raise ValueError("operation defined for dimension 1 only")
 
     def __repr__(self) -> str:
-        pairs = ", ".join(f"{v}:{w:g}" for v, w in zip(self._values.tolist(), self._weights.tolist()))
+        pairs = ", ".join(f"{v}:{w:g}" for v, w in zip(self.values.tolist(), self.weights.tolist()))
         return f"FiniteDiscrete({pairs})"
 
 
@@ -432,17 +459,20 @@ class AmbiguitySet:
         return f"AmbiguitySet({len(self.members)} members, d={self.dim}{tag})"
 
 
-def lattice_offsets(values, pitch: float) -> tuple:
-    """Integer multiples of pitch matching each atom within 1e-9.
+def lattice_offsets(member: FiniteDiscrete, pitch: float) -> tuple:
+    """Integer multiples of pitch matching each coordinate of member's atoms,
+    in order, within 1e-9.
 
-    Raises NonLattice for the first atom that is off the lattice. Parsing
-    checks a config's lattice_quantum with it, and the lattice DP places
-    every member on its pitch.
+    Reads the atoms as plain floats, so it makes no array. Raises NonLattice
+    for the first coordinate that is off the lattice. Parsing checks a
+    config's lattice_quantum with it, and the lattice DP places every member
+    on its pitch.
     """
     offsets = []
-    for v in np.asarray(values, dtype=float).ravel():
-        a = int(round(v / pitch))
-        if abs(a * pitch - v) > _LATTICE_TOL:
-            raise NonLattice(f"atom {v!r} is off the pitch {pitch!r} lattice")
-        offsets.append(a)
+    for value, _ in member._atoms:
+        for v in _key(value):
+            a = int(round(v / pitch))
+            if abs(a * pitch - v) > _LATTICE_TOL:
+                raise NonLattice(f"atom {v!r} is off the pitch {pitch!r} lattice")
+            offsets.append(a)
     return tuple(offsets)

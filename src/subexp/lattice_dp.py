@@ -82,7 +82,7 @@ def lattice_model(amb: AmbiguitySet) -> LatticeModel:
     # gcd of the numerators over lcm of the denominators, 1 if every atom is 0
     h = float(Fraction(math.gcd(*(f.numerator for f in fractions)) or 1,
                        math.lcm(*(f.denominator for f in fractions))))
-    offsets = tuple(lattice_offsets(m.values, h) for m in amb.members)
+    offsets = tuple(lattice_offsets(m, h) for m in amb.members)
     weights = tuple(tuple(float(w) for w in m.weights) for m in amb.members)
     flat = [a for offs in offsets for a in offs]
     return LatticeModel(h, offsets, weights, min(0, *flat), max(0, *flat))

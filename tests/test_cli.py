@@ -2,10 +2,13 @@
 
 import argparse
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import subexp
 from subexp.cli import _build_parser, main
 
 E1_DOC = {
@@ -54,6 +57,41 @@ def test_run_schema_error_exits_two(tmp_path, capsys):
     code = main(["run", write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("atoms, message", [
+    pytest.param([[0.1, 0.5], [1.0, 0.5]], "atom 0.1 is off the pitch 0.25 lattice", id="pitch"),
+    pytest.param([[0.0, 0.5], [[1.0, 2.0], 0.5]],
+                 "atom values must be all numbers or all vectors of one length: "
+                 "atom 0 is a number, atom 1 is a vector of 2 numbers", id="shape"),
+])
+def test_run_atom_errors_exit_two_with_plain_numbers(tmp_path, capsys, atoms, message):
+    doc = dict(E1_DOC, lattice_quantum=0.25,
+               model={"members": [{"kind": "finite", "atoms": atoms}]})
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: model.members[0]: {message}\n"
+    assert not out.exists()
+
+
+# Runs `subexp run` on the config named in argv[2] in a fresh interpreter, then
+# prints the exit status and whether numpy was loaded.
+_RUN_CLI = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); from subexp.cli import main\n"
+    "code = main(['run', sys.argv[2], '--out', sys.argv[3]])\n"
+    "print(json.dumps([code, 'numpy' in sys.modules]))"
+)
+
+
+def test_a_config_error_exits_two_without_loading_numpy(tmp_path):
+    doc = dict(E1_DOC, model={"members": [
+        {"kind": "finite", "atoms": [[-1.0, 0.4], [1.0, 0.5]]}]})
+    src = str(Path(subexp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, src, write_cfg(tmp_path, doc), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [2, False]
+    assert "weights must sum to 1 within 1e-12, got 0.9" in proc.stderr
 
 
 @pytest.mark.parametrize("under", [False, True])

@@ -141,6 +141,22 @@ def test_lattice_quantum_validated_against_atoms():
         parse_config(json.dumps(doc))
 
 
+def test_atom_errors_name_the_member_with_plain_numbers():
+    doc = base_doc()
+    doc["model"]["members"][0]["atoms"] = [[0.1, 0.5], [1.0, 0.5]]
+    doc["lattice_quantum"] = 0.25
+    with pytest.raises(NonLattice) as exc:
+        parse_config(json.dumps(doc))
+    assert str(exc.value) == "model.members[0]: atom 0.1 is off the pitch 0.25 lattice"
+    doc = base_doc()
+    doc["model"]["members"][1]["atoms"] = [[-1.0, 0.5], [[1.0, 2.0], 0.5]]
+    with pytest.raises(SchemaError) as exc:
+        parse_config(json.dumps(doc))
+    assert str(exc.value) == (
+        "model.members[1]: atom values must be all numbers or all vectors of one length: "
+        "atom 0 is a number, atom 1 is a vector of 2 numbers")
+
+
 def test_resolved_document_is_self_contained():
     cfg = parse_config(json.dumps(base_doc()))
     resolved = cfg.resolved()

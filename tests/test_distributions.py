@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from subexp import AmbiguitySet, Event, FiniteDiscrete, TwoSidedPareto
-from subexp.axioms import random_ambiguity_set, random_max_affine
-from subexp.distributions import _distinct_rows
+from subexp.axioms import _distinct_rows, random_ambiguity_set, random_max_affine
 from subexp.errors import NotConvergent
 
 # ---------------------------------------------------------------- events
@@ -171,6 +170,87 @@ def test_expectation_rejects_a_test_function_of_the_wrong_shape():
     assert planar.expectation(lambda x: x[:, 0]) == 0.5
     with pytest.raises(ValueError, match="one value per atom"):
         planar.expectation(lambda x: x)
+
+
+def test_a_nan_weight_is_rejected():
+    with pytest.raises(ValueError, match="strictly positive"):
+        FiniteDiscrete([(0.0, math.nan), (1.0, 1.0)])
+
+
+def test_from_arrays_needs_one_weight_per_value():
+    with pytest.raises(ValueError, match="got 4 atom values but 2 weights"):
+        FiniteDiscrete.from_arrays([0.0, 1.0, 2.0, 3.0], [0.5, 0.5])
+
+
+def test_atom_shape_errors_name_the_atom_at_fault():
+    with pytest.raises(ValueError) as exc:
+        FiniteDiscrete([(0.0, 0.5), ((1.0, 2.0), 0.5)])
+    assert str(exc.value) == ("atom values must be all numbers or all vectors of one length: "
+                              "atom 0 is a number, atom 1 is a vector of 2 numbers")
+    # A width-1 vector is still a vector until from_arrays merges the values.
+    with pytest.raises(ValueError, match="atom 2 is a vector of 1 numbers"):
+        FiniteDiscrete.from_arrays([0.5, 0.5, [1.0]], [0.25, 0.25, 0.5])
+    with pytest.raises(ValueError, match=r"atom 1: \[\[1.0\]\] is neither a number"):
+        FiniteDiscrete.from_arrays([[0.0], [[1.0]]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="atom 0: a vector value needs at least one number"):
+        FiniteDiscrete([([], 1.0)])
+
+
+def _reference_arrays(atoms):
+    """values, weights and cumulative weights as they were made with numpy at
+    construction: asarray, lexsort of the value rows, cumsum with its last
+    entry set to 1."""
+    values = np.asarray([a[0] for a in atoms], dtype=float)
+    weights = np.asarray([a[1] for a in atoms], dtype=float)
+    rows = values.reshape(len(weights), -1)
+    order = np.lexsort(rows.T[::-1])
+    cumw = np.cumsum(weights[order])
+    cumw[-1] = 1.0
+    return values[order], weights[order], cumw
+
+
+def _reference_merge(values, weights):
+    """from_arrays' merge as it was done on numpy rows."""
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+    merged = {}
+    for v, w in zip(values.reshape(len(weights), -1), weights):
+        merged[tuple(v)] = merged.get(tuple(v), 0.0) + w
+    return [(k if len(k) > 1 else k[0], w) for k, w in merged.items()]
+
+
+_COORDS = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.1, 1.0, 3.0, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(0, 3), data=st.data())
+def test_lazy_arrays_equal_the_arrays_made_at_construction(width, data):
+    # width 0 means scalar atoms. Values repeat, -0.0 and 0.0 among them, so
+    # from_arrays merges; numpy scalars and ndarray rows come in as they are.
+    value = _COORDS if width == 0 else st.lists(_COORDS, min_size=width, max_size=width)
+    raw = data.draw(st.lists(value, min_size=1, max_size=7))
+    counts = data.draw(st.lists(st.integers(1, 9), min_size=len(raw), max_size=len(raw)))
+    weights = [c / sum(counts) for c in counts]
+    wrap = data.draw(st.sampled_from(["float", "numpy scalars", "ndarray"]))
+    if wrap == "numpy scalars":
+        values = [np.float64(v) if width == 0 else [np.float64(x) for x in v] for v in raw]
+        weights = [np.float64(w) for w in weights]
+    elif wrap == "ndarray":
+        values, weights = np.asarray(raw, dtype=float), np.asarray(weights)
+    else:
+        values = raw
+    merged = FiniteDiscrete.from_arrays(values, weights)
+    expected = _reference_arrays(_reference_merge(values, weights))
+    _assert_same_arrays(merged, expected)
+    # The atoms as given, width-1 vectors kept, when their values are distinct.
+    atoms = list(zip(values, weights))
+    if len({tuple(np.ravel(v)) for v, _ in atoms}) == len(atoms):
+        _assert_same_arrays(FiniteDiscrete(atoms), _reference_arrays(atoms))
+
+
+def _assert_same_arrays(law, expected):
+    for got, want in zip((law.values, law.weights, law._cumw), expected):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- two-sided pareto

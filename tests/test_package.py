@@ -53,17 +53,19 @@ PARETO = {"label": "p15", "members": [
 ]}
 
 # Parses the configs read from stdin in a fresh interpreter, then prints the
-# subexp and scipy modules loaded.
+# subexp, numpy and scipy modules loaded.
 _PARSE_ONLY = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import subexp\n"
     "for doc in json.load(sys.stdin): subexp.parse_config(json.dumps(doc))\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('subexp', 'scipy'))))"
+    "print(json.dumps(sorted(m for m in sys.modules\n"
+    "                        if m.split('.')[0] in ('subexp', 'numpy', 'scipy'))))"
 )
 
 
 def test_parsing_loads_only_the_schema_layer():
     # Every experiment, then every golden config: weak_lln_exact sets
-    # lattice_quantum, which parsing checks against the atoms.
+    # lattice_quantum, which parsing checks against the atoms. A model keeps
+    # its atoms as plain floats until a run reads an array, so numpy stays out.
     docs = [{"model": PARETO if name == "choquet_series" else E1, "experiment": name}
             for name in EXPERIMENTS] + [doc for doc, *_ in GOLDEN.values()]
     assert any("lattice_quantum" in doc for doc in docs)
