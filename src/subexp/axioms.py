@@ -20,16 +20,6 @@ from .runner import ExperimentResult, Row, _raise_worst
 __all__ = ["random_ambiguity_set", "random_max_affine", "run_axioms"]
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-d array in lexicographic order, as
-    np.unique(rows, axis=0) gives them, without the numpy.ma import that
-    every np.unique call makes."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    fresh = np.ones(len(rows), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
-    return rows[fresh]
-
-
 def random_ambiguity_set(rng: np.random.Generator, dim: int = 1) -> AmbiguitySet:
     """1 to 5 finite members of 2 to 6 distinct atoms each, in dimension dim."""
     members = []
@@ -40,7 +30,8 @@ def random_ambiguity_set(rng: np.random.Generator, dim: int = 1) -> AmbiguitySet
                 values = np.round(rng.normal(0.0, 2.0, size=k), 6)
             else:
                 values = np.round(rng.normal(0.0, 2.0, size=(k, dim)), 6)
-            if len(_distinct_rows(values.reshape(k, -1))) == k:
+            # Equal tuples hash alike, and -0.0 == 0.0, so a set merges equal atoms.
+            if len(set(map(tuple, values.reshape(k, -1).tolist()))) == k:
                 break
         weights = rng.dirichlet(np.ones(k))
         members.append(FiniteDiscrete.from_arrays(values, weights))
@@ -105,7 +96,7 @@ def _property_gaps(rng: np.random.Generator) -> Iterator[tuple[str, float]]:
     # shuffling members and atom lists changes nothing (atom order is
     # normalized at construction, so equality is exact)
     perm = rng.permutation(len(amb.members))
-    shuffled = AmbiguitySet(tuple(amb.members[i] for i in perm), label="shuffled")
+    shuffled = AmbiguitySet([amb.members[i] for i in perm], label="shuffled")
     t = float(rng.normal(0.0, 2.0))
     cap_a = event_upper_capacity(amb, Event("ge", t))
     cap_b = event_upper_capacity(shuffled, Event("ge", t))

@@ -12,6 +12,7 @@ limsup/liminf (burn-in discard, bias toward the finite-N side).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -23,23 +24,17 @@ from .lattice_dp import TerminalSum, dp_value
 from .meanset import build_mean_set, distance_to_mean_set
 from .runner import ExperimentResult, Row, _raise_worst
 from .sampler import (
+    _block_ends,
+    _pure_extremes,
+    _pure_members,
+    _uniform_mix,
     alternating_schedule,
     default_targets,
     oscillation_schedule,
     stationary_for_target,
     target_chasing_schedule,
 )
-from .windows import (
-    _chain,
-    _containment,
-    _keep_at_steps,
-    _per_seed,
-    _pure_extremes,
-    _pure_members,
-    _tail_slice,
-    _uniform_mix,
-    _windows,
-)
+from .windows import _chain, _containment, _keep_at_steps, _per_seed, _tail_slice, _windows
 
 __all__ = ["run_cluster_set", "run_marcinkiewicz", "run_slln", "run_weak_lln"]
 
@@ -62,11 +57,12 @@ def run_slln(
     if amb.dim != 1:
         raise ValueError("the slln experiment is one-dimensional")
     lower, upper = mean_interval(amb)  # raises NotConvergent for heavy-tailed models
-    s_max, s_min = _pure_extremes(amb)
     K = max(2, math.ceil(math.log(max(N / 16, 2)) / math.log(16.0)) + 1)
-    osc = oscillation_schedule(amb, K)
     targets = np.linspace(lower, upper, m_targets)
-    strategies = [s_max, s_min, osc] + [stationary_for_target(amb, float(b)) for b in targets]
+    # Outputs are found by position: the labels of nearby targets can collide.
+    strategies = [*_pure_extremes(amb), oscillation_schedule(amb, K)]
+    strategies += [stationary_for_target(amb, float(b)) for b in targets]
+    osc = 2  # the oscillation schedule's index
 
     containment = _containment(amb, tol_outer)
 
@@ -77,7 +73,7 @@ def run_slln(
         run_max, run_min = -math.inf, math.inf
         for j, ns, sums, tail in _windows(amb, strategies, N, seed):
             carry[j] = _chain(sums, carry[j])
-            if strategies[j] is osc:
+            if j == osc:
                 means = sums[tail:] / ns[tail:]
                 run_max = np.maximum(run_max, means.max(initial=-math.inf))
                 run_min = np.minimum(run_min, means.min(initial=math.inf))
@@ -86,34 +82,34 @@ def run_slln(
         return [
             (
                 carry[j],
-                (run_max, run_min) if strategy is osc else None,
+                (run_max, run_min) if j == osc else None,
                 None if containment is None else containment.row(worst[j], strategy.label, seed, N),
             )
             for j, strategy in enumerate(strategies)
         ]
 
     reduced = _per_seed(fold, seeds, jobs)
-    by_label = {s.label: outs for s, outs in zip(strategies, reduced)}
+    pure_max, pure_min, oscillation, *per_target = reduced
 
     rows = []
 
-    for seed, (last, _, _) in zip(seeds, by_label["pure_max"]):
+    for seed, (last, _, _) in zip(seeds, pure_max):
         v = abs(last / N - upper)
         rows.append(Row("endpoint_upper_gap", float(v), tol, v <= tol, "pure_max", seed, N))
-    for seed, (last, _, _) in zip(seeds, by_label["pure_min"]):
+    for seed, (last, _, _) in zip(seeds, pure_min):
         v = abs(last / N - lower)
         rows.append(Row("endpoint_lower_gap", float(v), tol, v <= tol, "pure_min", seed, N))
 
     # Dichotomy witness: distinct stationary extremes separate the limits.
     if upper > lower:
-        for seed, pmax, pmin in zip(seeds, by_label["pure_max"], by_label["pure_min"]):
+        for seed, pmax, pmin in zip(seeds, pure_max, pure_min):
             gap = float(pmax[0] / N - pmin[0] / N)
             need = 0.5 * (upper - lower)
             rows.append(Row("endpoint_separation", gap, need, gap >= need, "pure", seed, N))
 
     max_tol = upper - 0.05 if upper > lower else upper  # attainment bands
     min_tol = lower + 0.05 if upper > lower else lower
-    for seed, (_, (run_max, run_min), _) in zip(seeds, by_label["oscillation"]):
+    for seed, (_, (run_max, run_min), _) in zip(seeds, oscillation):
         rows.append(
             Row("osc_running_max", run_max, max_tol, run_max >= max_tol, "oscillation", seed, N)
         )
@@ -121,9 +117,9 @@ def run_slln(
             Row("osc_running_min", run_min, min_tol, run_min <= min_tol, "oscillation", seed, N)
         )
 
-    for b in targets:
+    for b, outs in zip(targets, per_target):
         label = f"target={float(b):g}"
-        for seed, (last, _, _) in zip(seeds, by_label[label]):
+        for seed, (last, _, _) in zip(seeds, outs):
             v = abs(last / N - float(b))
             rows.append(Row(f"target_gap_b={float(b):g}", float(v), tol, v <= tol, label, seed, N))
 
@@ -216,9 +212,12 @@ def run_marcinkiewicz(
     # scaled running sup approaches 0 from below, reported for inspection.
     if moment_ok and amb.is_finite_support:
         exponent = 2.0 * p / (2.0 - p)
-        ends = [1]  # block k ends at ceil(k^exponent), past block k-1
-        while ends[-1] < N:
-            ends.append(max(int(math.ceil((len(ends) + 1) ** exponent)), ends[-1] + 1))
+        # Block k ends at ceil(k^exponent), past block k-1. A k above
+        # N^(1/exponent) puts that end past N, so it is clipped to N
+        # without being computed: k^exponent can overflow a float.
+        root = N ** (1.0 / exponent)
+        ends = _block_ends((math.ceil(k ** exponent) if k <= root else N
+                            for k in itertools.count(1)), N)
         sched = alternating_schedule(amb, ends, "p_oscillation")
         rows.append(
             Row(
@@ -413,6 +412,7 @@ def run_cluster_set(
 
     strategies = list(_pure_extremes(amb)) if amb.dim == 1 else _pure_members(amb)
     strategies.append(chasing)
+    chase = len(strategies) - 1  # outputs are found by position, not label
     ends = np.asarray(chasing.ends)  # visit ends: the last is N
 
     def fold(seed):
@@ -423,18 +423,18 @@ def run_cluster_set(
             carry[j] = _chain(sums, carry[j])
             if containment is not None:
                 worst[j] = containment.fold(worst[j], ns, sums, tail)
-            if strategies[j] is chasing:
+            if j == chase:
                 _keep_at_steps(visits, sums, ns, ends)
         return [
             (None if containment is None else containment.row(worst[j], strategy.label, seed, N),
-             np.concatenate(visits) if strategy is chasing else None)
+             np.concatenate(visits) if j == chase else None)
             for j, strategy in enumerate(strategies)
         ]
 
     reduced = _per_seed(fold, seeds, jobs)
     rows = [row for outs in reduced for row, _ in outs if row is not None]
 
-    for seed, (_, sums) in zip(seeds, reduced[strategies.index(chasing)]):
+    for seed, (_, sums) in zip(seeds, reduced[chase]):
         if sums.ndim == 1:
             sums = sums[:, None]
         visits = sums / ends[:, None]

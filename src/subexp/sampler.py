@@ -14,11 +14,10 @@ all of it. No global or sequential RNG state exists anywhere in this module.
 from __future__ import annotations
 
 import bisect
-import collections.abc
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,23 +96,25 @@ def hash_window(
         np.multiply(tmp, 2.0 ** -53, out=out)
 
 
-def _check_weights(weights, k: int) -> tuple:
+def _mixture(weights) -> tuple:
+    """weights as a tuple of floats, checked to be a probability vector."""
     w = tuple(float(x) for x in weights)
-    if len(w) != k:
-        raise ValueError(f"mixture needs one weight per member ({k}), got {len(w)}")
-    if any(x < 0 for x in w):
-        raise ValueError("mixture weights must be nonnegative")
-    if abs(math.fsum(w) - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"mixture weights must sum to 1 within {_WEIGHT_TOL}")
+    if not all(x >= 0 for x in w):
+        raise ValueError(f"mixture weights must be nonnegative, got {w}")
+    if not abs(math.fsum(w) - 1.0) <= _WEIGHT_TOL:
+        raise ValueError(f"mixture weights must sum to 1 within {_WEIGHT_TOL}, got {w}")
     return w
 
 
 @dataclass(frozen=True)
 class Stationary:
-    """One member mixture applied at every step."""
+    """One member mixture applied at every step, checked when it is built."""
 
     weights: tuple
     label: str = "stationary"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", _mixture(self.weights))
 
     def blocks_for(self, n: int, start: int = 0) -> list[tuple[int, tuple]]:
         return [(n, self.weights)]
@@ -121,37 +122,35 @@ class Stationary:
 
 @dataclass(frozen=True)
 class BlockSchedule:
-    """Piecewise-stationary mixture: weights_per_block[j] applies on steps
-    (ends[j-1], ends[j]]. Steps beyond the last end reuse the final mixture.
-    ends may be a range, which holds evenly spaced ends in constant space,
-    and weights_per_block any sequence of mixtures.
+    """Piecewise-stationary play: block j covers steps (ends[j-1], ends[j]]
+    and plays mixtures[j % len(mixtures)], and steps past the last end keep
+    the last block's mixture. ends may be a range, which holds evenly spaced
+    ends in constant space; the mixtures are checked when it is built.
     """
 
-    ends: tuple
-    weights_per_block: tuple
+    ends: Sequence[int]
+    mixtures: tuple
     label: str = "blocks"
 
     def __post_init__(self) -> None:
-        if not self.ends:
-            raise ValueError("a block schedule needs at least one block")
-        if len(self.ends) != len(self.weights_per_block):
-            raise ValueError("one mixture per block required")
+        if not self.ends or not self.mixtures:
+            raise ValueError("a block schedule needs at least one block and one mixture")
         for a, b in zip(itertools.chain((0,), self.ends), self.ends):
             if b <= a:
                 raise ValueError(f"block ends must be strictly increasing, got {b} after {a}")
+        object.__setattr__(self, "mixtures", tuple(_mixture(w) for w in self.mixtures))
 
     def blocks_for(self, n: int, start: int = 0) -> list[tuple[int, tuple]]:
         """(end, mixture) of the blocks of steps 1..n that end after step
-        `start`, each end clipped to n; earlier blocks are skipped by bisection."""
+        `start` < n, each end clipped to n; earlier blocks are skipped by
+        bisection."""
+        ends, mixtures = self.ends, self.mixtures
         out = []
-        for j in range(bisect.bisect_right(self.ends, start), len(self.ends)):
-            end = self.ends[j]
-            out.append((min(end, n), self.weights_per_block[j]))
-            if end >= n:
-                break
-        if not out or out[-1][0] < n:
-            out.append((n, self.weights_per_block[-1]))
-        return [(e, w) for e, w in out if e > start]
+        for j in range(bisect.bisect_right(ends, start), len(ends)):
+            out.append((min(ends[j], n), mixtures[j % len(mixtures)]))
+            if ends[j] >= n:
+                return out
+        return out + [(n, mixtures[(len(ends) - 1) % len(mixtures)])]
 
 
 Strategy = Stationary | BlockSchedule
@@ -206,30 +205,48 @@ def stationary_for_target(amb: AmbiguitySet, b: float) -> Stationary:
     return Stationary(tuple(w), label=f"target={b:g}")
 
 
-class _Cycle(collections.abc.Sequence):
-    """The read-only sequence of `length` entries whose entry i is
-    items[i % len(items)], held in the space of the items alone."""
+def _pure_extremes(amb: AmbiguitySet) -> tuple[Stationary, Stationary]:
+    hi, lo = extreme_members(amb)
+    k = len(amb.members)
+    return (
+        Stationary(pure_weights(k, hi), label="pure_max"),
+        Stationary(pure_weights(k, lo), label="pure_min"),
+    )
 
-    def __init__(self, items: tuple, length: int) -> None:
-        self._items, self._length = items, length
 
-    def __len__(self) -> int:
-        return self._length
+def _pure_members(amb: AmbiguitySet) -> list[Stationary]:
+    k = len(amb.members)
+    return [Stationary(pure_weights(k, j), label=f"pure_{j}") for j in range(k)]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(self._length)[i])
-        i = range(self._length)[i]  # raises IndexError past either end
-        return self._items[i % len(self._items)]
+
+def _uniform_mix(amb: AmbiguitySet) -> Stationary:
+    k = len(amb.members)
+    return Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix")
+
+
+def _block_ends(candidates: Iterable[int], horizon: float = math.inf) -> tuple[int, ...]:
+    """Strictly increasing block ends from candidate ends, up to the horizon.
+
+    Each end is its candidate or one past the previous end (1 for the
+    first), whichever is larger. The first end to reach the horizon is
+    clipped to it and is the last; the candidates are read lazily, so none
+    after it is computed.
+    """
+    ends = []
+    for candidate in candidates:
+        ends.append(min(max(candidate, ends[-1] + 1 if ends else 1), horizon))
+        if ends[-1] == horizon:
+            break
+    return tuple(ends)
 
 
 def alternating_schedule(amb: AmbiguitySet, ends: Sequence[int], label: str) -> BlockSchedule:
     """Pure max-mean and min-mean blocks in turn over the given block ends,
-    the max-mean member first. A range of ends is kept as it is, and the
-    two mixtures are cycled, so a schedule holds nothing per block."""
+    the max-mean member first. A range of ends is kept as it is, so a
+    schedule holds nothing per block."""
     k = len(amb.members)
-    weights = _Cycle(tuple(pure_weights(k, j) for j in extreme_members(amb)), len(ends))
-    return BlockSchedule(ends if isinstance(ends, range) else tuple(ends), weights, label=label)
+    mixtures = tuple(pure_weights(k, j) for j in extreme_members(amb))
+    return BlockSchedule(ends if isinstance(ends, range) else tuple(ends), mixtures, label=label)
 
 
 def oscillation_schedule(amb: AmbiguitySet, K: int, factor: float = 16.0) -> BlockSchedule:
@@ -245,10 +262,7 @@ def oscillation_schedule(amb: AmbiguitySet, K: int, factor: float = 16.0) -> Blo
         raise ValueError("need at least 2 blocks")
     if factor <= 1.0:
         raise ValueError("factor must exceed 1")
-    ends = []
-    for j in range(K):
-        end = int(round(16 * factor ** j))
-        ends.append(max(end, (ends[-1] + 1) if ends else 1))
+    ends = _block_ends(int(round(16 * factor ** j)) for j in range(K))
     return alternating_schedule(amb, ends, "oscillation")
 
 
@@ -335,16 +349,9 @@ def target_chasing_schedule(mixtures, horizon: int, start: int = 1000) -> BlockS
             f"{horizon - start + 1}"
         )
 
-    ends = []
-    if m == 1:
-        ends = [horizon]
-    else:
-        ratio = (horizon / start) ** (1.0 / (m - 1))
-        for j in range(m):
-            end = int(round(start * ratio ** j))
-            ends.append(max(end, (ends[-1] + 1) if ends else 1))
-        ends[-1] = horizon
-    return BlockSchedule(tuple(ends), tuple(mixtures), label="target_chasing")
+    ratio = (horizon / start) ** (1.0 / max(m - 1, 1))
+    candidates = itertools.chain((int(round(start * ratio ** j)) for j in range(m - 1)), (horizon,))
+    return BlockSchedule(_block_ends(candidates, horizon), tuple(mixtures), label="target_chasing")
 
 
 def sample_path(
@@ -393,7 +400,8 @@ def sample_path(
 
     lo = start
     for end, weights in strategy.blocks_for(n, start):
-        weights = _check_weights(weights, k)
+        if len(weights) != k:
+            raise ValueError(f"mixture needs one weight per member ({k}), got {len(weights)}")
         rows = slice(lo - start, end - start)
         lo = end
         if weights.count(1.0) == 1 and weights.count(0.0) == k - 1:

@@ -19,8 +19,8 @@ import numpy as np
 from .distributions import AmbiguitySet
 from .expectation import _survival_curve, _survival_integral, choquet_integral
 from .runner import ExperimentResult, Row
-from .sampler import alternating_schedule
-from .windows import _WINDOW, _chain, _per_seed, _pure_extremes, _uniform_mix, _windows
+from .sampler import _pure_extremes, _uniform_mix, alternating_schedule
+from .windows import _WINDOW, _chain, _per_seed, _windows
 
 __all__ = ["run_choquet_series", "run_three_series"]
 

@@ -21,7 +21,7 @@ from .distributions import AmbiguitySet
 from .meanset import MeanSet, build_mean_set, fold_distances
 from .parallel import parallel_map
 from .runner import Row, _raise_worst
-from .sampler import Stationary, extreme_members, hash_window, pure_weights, sample_path
+from .sampler import hash_window, sample_path
 
 _BURN_IN_FRACTION = 100  # tail = n >= N / this
 # Steps per sampled window. A task's window workspace (two uniforms, their
@@ -32,25 +32,6 @@ _WINDOW = 8_192
 
 def _tail_slice(n: int) -> int:
     return max(1, n // _BURN_IN_FRACTION)
-
-
-def _pure_extremes(amb: AmbiguitySet) -> tuple[Stationary, Stationary]:
-    hi, lo = extreme_members(amb)
-    k = len(amb.members)
-    return (
-        Stationary(pure_weights(k, hi), label="pure_max"),
-        Stationary(pure_weights(k, lo), label="pure_min"),
-    )
-
-
-def _pure_members(amb: AmbiguitySet) -> list[Stationary]:
-    k = len(amb.members)
-    return [Stationary(pure_weights(k, j), label=f"pure_{j}") for j in range(k)]
-
-
-def _uniform_mix(amb: AmbiguitySet) -> Stationary:
-    k = len(amb.members)
-    return Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix")
 
 
 def _windows(amb: AmbiguitySet, strategies: Sequence, N: int, seed: int):

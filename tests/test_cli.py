@@ -94,6 +94,22 @@ def test_a_config_error_exits_two_without_loading_numpy(tmp_path):
     assert "weights must sum to 1 within 1e-12, got 0.9" in proc.stderr
 
 
+def test_marcinkiewicz_near_p_two_writes_its_results(tmp_path):
+    # At p = 1.999 the p-oscillation's second block end, 2^3998, would
+    # overflow a float; every end past N is clipped to N uncomputed.
+    doc = dict(E1_DOC, experiment="marcinkiewicz", parameters={"p": 1.999, "N": 5000},
+               seeds=[1])
+    out = tmp_path / "out"
+    src = str(Path(subexp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, src, write_cfg(tmp_path, doc), str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])[0] in (0, 1)
+    assert (out / "results.csv").is_file()
+    assert "osc_scaled_sup" in (out / "results.csv").read_text()
+
+
 @pytest.mark.parametrize("under", [False, True])
 def test_unusable_out_exits_two_before_the_experiment_runs(tmp_path, capsys, monkeypatch,
                                                             under):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from subexp import AmbiguitySet, Event, FiniteDiscrete, TwoSidedPareto
-from subexp.axioms import _distinct_rows, random_ambiguity_set, random_max_affine
+from subexp.axioms import random_ambiguity_set, random_max_affine
 from subexp.errors import NotConvergent
 
 # ---------------------------------------------------------------- events
@@ -394,10 +394,29 @@ def test_icdf_table_concatenates_the_finite_members():
     assert atoms.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
 
-@given(st.integers(1, 3).flatmap(lambda d: st.lists(
-    st.lists(st.integers(-2, 2).map(lambda i: i / 2), min_size=d, max_size=d),
-    min_size=1, max_size=40)))
-@settings(max_examples=200, deadline=None)
-def test_distinct_rows_equal_numpy_unique(rows):
-    rows = np.asarray(rows)
-    assert np.array_equal(_distinct_rows(rows), np.unique(rows, axis=0))
+class _ScriptedRng:
+    """One member of two atoms, whose atom draws are replayed from a list."""
+
+    def __init__(self, draws):
+        self.draws = [np.asarray(d, dtype=float) for d in draws]
+
+    def integers(self, low, high):
+        return {1: 1, 2: 2}[low]
+
+    def normal(self, loc, scale, size):
+        return self.draws.pop(0)
+
+    def dirichlet(self, alpha):
+        return np.full(len(alpha), 1.0 / len(alpha))
+
+
+def test_random_ambiguity_set_redraws_equal_atoms():
+    # Atoms equal as floats, -0.0 and 0.0 among them, are drawn again, as
+    # np.unique(values, axis=0) would count them.
+    for dim, draws in ((1, [[0.5, 0.5], [-0.0, 0.0], [0.5, -0.5]]),
+                       (2, [[[1.0, -0.0], [1.0, 0.0]], [[1.0, 2.0], [1.0, 2.0]],
+                            [[1.0, 2.0], [2.0, 1.0]]])):
+        rng = _ScriptedRng(draws)
+        (member,) = random_ambiguity_set(rng, dim=dim).members
+        assert rng.draws == []
+        assert sorted(np.atleast_1d(member.values).tolist()) == sorted(draws[-1])

@@ -178,6 +178,18 @@ def test_slln_structure_and_endpoints(e1):
     assert "containment_worst_excess" in stats
 
 
+def test_slln_reads_each_targets_own_path_when_their_labels_collide():
+    # The mean interval [1000, 1000.002] prints every target as 1000 under
+    # :g, so all five rows share one label; each must still read its own path.
+    amb = AmbiguitySet((FiniteDiscrete.from_arrays([1000.0], [1.0]),
+                        FiniteDiscrete.from_arrays([1000.0, 1000.004], [0.5, 0.5])))
+    res = run_slln(amb, N=20_000, seeds=(1,), tol=1e-4)
+    gaps = [r for r in res.rows if r.statistic.startswith("target_gap_b=")]
+    assert [r.strategy for r in gaps] == ["target=1000"] * 5
+    assert all(r.passed for r in gaps), [r.value for r in gaps]
+    assert res.passed
+
+
 def test_slln_rejects_vectors():
     with pytest.raises(ValueError):
         run_slln(make_v2mix(), N=1000)
@@ -707,6 +719,18 @@ def test_drivers_never_sample_a_whole_horizon():
     assert {name for name, _ in calls} == {"windows.py"}, "only the window engine samples"
     for name, call in calls:
         assert "start" in {kw.arg for kw in call.keywords}, f"{name}:{call.lineno}: no start="
+
+
+def test_the_window_engine_builds_no_strategy():
+    # The sampler builds every strategy; the engine only hashes and draws.
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(windows.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "sampler"
+                for alias in node.names}
+    assert imported == {"hash_window", "sample_path"}
 
 
 def test_marcinkiewicz_keeps_a_nan_window(monkeypatch, e1):

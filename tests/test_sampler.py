@@ -26,7 +26,7 @@ from subexp import (
 )
 from subexp import sampler, windows
 from subexp.sampler import (
-    _check_weights,
+    _block_ends,
     _uniforms,
     alternating_schedule,
     default_targets,
@@ -61,9 +61,11 @@ def test_different_seeds_differ(e1):
 
 
 def test_stationary_validation(e1):
-    with pytest.raises(ValueError):
-        sample_path(e1, Stationary((0.6, 0.6)), 10, seed=0)
-    with pytest.raises(ValueError):
+    for bad in ((0.6, 0.6), (1.5, -0.5), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="mixture weights"):
+            Stationary(bad)
+    assert Stationary(np.array([0.25, 0.75])).weights == (0.25, 0.75)
+    with pytest.raises(ValueError, match="one weight per member"):
         sample_path(e1, Stationary((1.0,)), 10, seed=0)
 
 
@@ -163,10 +165,19 @@ def test_block_schedule_extends_last_block(e1):
 def test_block_schedule_validation():
     with pytest.raises(ValueError):
         BlockSchedule((30, 10), ((1.0, 0.0), (0.0, 1.0)))
-    with pytest.raises(ValueError):
-        BlockSchedule((10, 30), ((1.0, 0.0),))
-    with pytest.raises(ValueError, match="at least one block"):
-        BlockSchedule((), ())
+    with pytest.raises(ValueError, match="mixture weights"):
+        BlockSchedule((10, 30), ((1.0, 0.0), (0.7, 0.7)))
+    for ends, mixtures in (((), ((1.0,),)), ((10,), ())):
+        with pytest.raises(ValueError, match="at least one block and one mixture"):
+            BlockSchedule(ends, mixtures)
+
+
+def test_block_schedule_cycles_its_mixtures(e1):
+    a, b, c = (1.0, 0.0), (0.0, 1.0), (0.5, 0.5)
+    sched = BlockSchedule((10, 20, 30, 40, 50), (a, b, c))
+    assert sched.blocks_for(60) == [(10, a), (20, b), (30, c), (40, a), (50, b), (60, b)]
+    one = BlockSchedule((10, 30), (a,))
+    assert set(sample_path(e1, one, 50, seed=1).member_indices.tolist()) == {0}
 
 
 def test_block_schedule_blocks_from_start_are_the_later_blocks():
@@ -177,34 +188,46 @@ def test_block_schedule_blocks_from_start_are_the_later_blocks():
             assert sched.blocks_for(n, start) == [(e, w) for e, w in whole if e > start]
 
 
-def test_sample_path_checks_only_the_blocks_it_draws(monkeypatch, e1):
+def test_sample_path_checks_only_the_blocks_it_draws(e1):
     # 10^4 blocks of 10 steps; the window of steps 50 006..51 005 meets the
     # blocks that end at 50 010, 50 020, ..., 51 010: 101 of them.
     sched = alternating_schedule(e1, range(10, 100_010, 10), "alternating_10")
-    calls = []
-
-    def counting_check(weights, k):
-        calls.append(weights)
-        return _check_weights(weights, k)
-
-    monkeypatch.setattr(sampler, "_check_weights", counting_check)
     start, end = 50_005, 51_005
+    assert len(sched.blocks_for(end, start)) == 101
     path = sample_path(e1, sched, end, seed=4, start=start)
-    assert len(calls) == len(sched.blocks_for(end, start)) == 101
-    monkeypatch.undo()
     assert np.array_equal(path.increments, sample_path(e1, sched, end, seed=4).increments[start:])
+    # A first block whose mixture has a weight too many is read, and
+    # rejected, only by a window that draws it.
+    odd = BlockSchedule((10, 100), ((0.2, 0.3, 0.5), (0.0, 1.0)))
+    assert sample_path(e1, odd, 100, seed=4, start=10).n == 90
+    with pytest.raises(ValueError, match="one weight per member"):
+        sample_path(e1, odd, 100, seed=4, start=9)
+
+
+def test_drawing_a_window_checks_no_mixture(monkeypatch, e1):
+    # Each mixture is checked once, when its strategy is built.
+    plans = [Stationary((0.5, 0.5)), _chasing(e1, 3, 20_000, 50),
+             alternating_schedule(e1, range(10, 20_010, 10), "alternating_10")]
+
+    def check(weights):
+        raise AssertionError("a mixture was checked while drawing")
+
+    monkeypatch.setattr(sampler, "_mixture", check)
+    walked = [(j, x.copy()) for j, _, x, _ in windows._windows(e1, plans, 20_000, seed=3)]
+    monkeypatch.undo()
+    for j, plan in enumerate(plans):
+        whole = sample_path(e1, plan, 20_000, seed=3).increments
+        assert np.array_equal(np.concatenate([x for i, x in walked if i == j]), whole)
 
 
 def test_alternating_schedule_shares_its_two_mixtures(e1):
     sched = alternating_schedule(e1, range(100, 10_100, 100), "alternating_100")
-    weights = sched.weights_per_block
-    for past in (100, -101):  # before iterating: iteration stops at IndexError
-        with pytest.raises(IndexError):
-            weights[past]
-    assert len(weights) == 100 and len({id(w) for w in weights}) == 2
-    assert weights[:3] == ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
-    assert weights[-1] == weights[99] == weights[-99] == (1.0, 0.0)
-    assert weights[97:] == ((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)) and weights[100:] == ()
+    assert sched.mixtures == ((0.0, 1.0), (1.0, 0.0))  # max-mean member first
+    assert [w for _, w in sched.blocks_for(300)] == [(0.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+    # The last block, the 100th, plays the min-mean member, and so do the
+    # steps past it.
+    assert sched.blocks_for(10_050, 9_850) == [
+        (9_900, (0.0, 1.0)), (10_000, (1.0, 0.0)), (10_050, (1.0, 0.0))]
 
 
 def test_alternating_schedule_keeps_a_range_and_its_path(e1):
@@ -222,14 +245,26 @@ def test_alternating_schedule_keeps_a_range_and_its_path(e1):
             alternating_schedule(e1, bad, "bad")
 
 
+def test_block_ends_rise_strictly_and_stop_at_the_horizon():
+    assert _block_ends([0, 0, 5, 3, 9], 100) == (1, 2, 5, 6, 9)
+    assert _block_ends([3, 50, 150, 200], 100) == (3, 50, 100)
+    assert _block_ends([4, 4, 4], 5) == (4, 5)
+
+    def candidates():
+        yield from (10, 20, 30)
+        raise AssertionError("a candidate past the horizon was read")
+
+    assert _block_ends(candidates(), 25) == (10, 20, 25)
+
+
 def test_oscillation_schedule_geometry(e1):
     sched = oscillation_schedule(e1, K=5)
     assert len(sched.ends) == 5
     ratios = [sched.ends[i + 1] / sched.ends[i] for i in range(4)]
     assert all(r == pytest.approx(16.0) for r in ratios)
     # alternates between the two pure extremes
-    assert sched.weights_per_block[0] != sched.weights_per_block[1]
-    assert sched.weights_per_block[0] == sched.weights_per_block[2]
+    assert sched.mixtures == ((0.0, 1.0), (1.0, 0.0))
+    assert [w for _, w in sched.blocks_for(sched.ends[2])] == [(0.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
 
 
 def test_target_chasing_visits_every_target(v2mix):
@@ -242,7 +277,7 @@ def test_target_chasing_visits_every_target(v2mix):
     assert chase.label == "target_chasing"
     # Block j chases target j, and its weights attain that target.
     means = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    weights = chase.weights_per_block
+    weights = chase.mixtures
     assert weights == tuple(mixtures)
     for j, w in enumerate(weights):
         assert np.abs(np.asarray(w) @ means - targets[j]).max() <= 1e-9
@@ -273,7 +308,7 @@ def test_target_chasing_interval_targets(e1):
     targets, mixtures = default_targets(e1, 5)
     assert np.array_equal(targets, np.linspace(0.0, 0.5, 5))
     chase = target_chasing_schedule(mixtures, horizon=50_000)
-    got = [float(np.dot(w, e1.member_means())) for w in chase.weights_per_block]
+    got = [float(np.dot(w, e1.member_means())) for w in chase.mixtures]
     assert got == pytest.approx(targets.tolist(), abs=1e-15)
     with pytest.raises(ValueError, match="too small"):
         target_chasing_schedule(mixtures, horizon=2000)
@@ -420,7 +455,7 @@ def _reference_path(amb, strategy, n, seed, start, uniforms=None):
             continue
         out = slice(lo - start, end - start)
         u_member, u_value = uniforms[0][out], uniforms[1][out]
-        cumw = np.cumsum(_check_weights(weights, k))
+        cumw = np.cumsum(weights)
         cumw[-1] = 1.0
         idx = np.minimum(np.searchsorted(cumw, u_member, side="right"), k - 1)
         member_idx[out] = idx
