@@ -54,7 +54,6 @@ _EXPORTS = {
         "sampler": (
             "BlockSchedule",
             "Path",
-            "Stationary",
             "oscillation_schedule",
             "sample_path",
             "stationary_for_target",

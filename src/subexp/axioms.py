@@ -34,7 +34,7 @@ def random_ambiguity_set(rng: np.random.Generator, dim: int = 1) -> AmbiguitySet
             if len(set(map(tuple, values.reshape(k, -1).tolist()))) == k:
                 break
         weights = rng.dirichlet(np.ones(k))
-        members.append(FiniteDiscrete.from_arrays(values, weights))
+        members.append(FiniteDiscrete(values, weights))
     return AmbiguitySet(tuple(members), label="random")
 
 

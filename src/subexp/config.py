@@ -235,7 +235,7 @@ def _member_from_spec(spec: Any, path: str):
             values.append(value)
             weights.append(_num(weight, f"{path}.atoms[{i}].weight"))
         try:
-            return FiniteDiscrete.from_arrays(values, weights)
+            return FiniteDiscrete(values, weights)
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}") from None
     if kind == "pareto":

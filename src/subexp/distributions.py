@@ -138,55 +138,42 @@ class Event:
 
 
 class FiniteDiscrete:
-    """Finitely supported law given by (value, weight) atoms.
+    """Finitely supported law given by parallel atom values and weights.
 
-    Atom values must be pairwise distinct and weights strictly positive,
-    summing to 1 within 1e-12. Values may be scalars (dimension 1) or flat
-    vectors of a common dimension. Atoms are stored sorted (lexicographically
+    Values may be scalars (dimension 1) or flat vectors of a common
+    dimension; a vector of width 1 becomes a number. Every given weight must
+    be strictly positive. Exactly equal values (-0.0 and 0.0 among them)
+    then merge, their weights summed left to right, and the merged weights
+    must sum to 1 within 1e-12. Atoms are stored sorted (lexicographically
     for vectors) as plain floats, which fixes the inverse-CDF order; the
     value, weight and cumulative-weight arrays are made from them on first use.
     """
 
     kind = "finite"
 
-    def __init__(self, atoms: Sequence[tuple]) -> None:
-        if not atoms:
-            raise ValueError("FiniteDiscrete needs at least one atom")
-        points = _points([a[0] for a in atoms])
-        weights = [float(a[1]) for a in atoms]
-        if not all(w > 0 for w in weights):
-            raise ValueError("atom weights must be strictly positive")
-        total = math.fsum(weights)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"atom weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
-        keys = [_key(p) for p in points]
-        if not all(math.isfinite(x) for key in keys for x in key):
-            raise ValueError("atom values must be finite")
-
-        # A stable sort of the value tuples: np.lexsort's order, -0.0 == 0.0 included.
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
-            raise ValueError("atom values must be pairwise distinct")
-        # A list: tuple() of a generator resizes what it builds, and over the axiom
-        # suite the resized tuples piled up on CPython's tuple free lists (0.2 MB).
-        self._atoms = [(points[i], weights[i]) for i in order]
-        self.dim = len(keys[0]) if isinstance(points[0], tuple) else 1
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_arrays(cls, values, weights) -> "FiniteDiscrete":
-        """Build from parallel arrays, merging exactly equal values; a vector
-        value of width 1 becomes a number."""
+    def __init__(self, values: Sequence, weights: Sequence) -> None:
         points = _points(values)
         weights = [float(w) for w in weights]
         if len(points) != len(weights):
             raise ValueError(f"got {len(points)} atom values but {len(weights)} weights")
+        if not points:
+            raise ValueError("FiniteDiscrete needs at least one atom")
+        if not all(w > 0 for w in weights):
+            raise ValueError("atom weights must be strictly positive")
         merged: dict = {}
         for p, w in zip(points, weights):
             key = _key(p)
             merged[key] = merged.get(key, 0.0) + w
-        return cls([(k if len(k) > 1 else k[0], w) for k, w in merged.items()])
+        total = math.fsum(merged.values())
+        if abs(total - 1.0) > _WEIGHT_TOL:
+            raise ValueError(f"atom weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
+        if not all(math.isfinite(x) for key in merged for x in key):
+            raise ValueError("atom values must be finite")
+        # The merged values are distinct, so sorting them is np.lexsort's order.
+        # A list: tuple() of a generator resizes what it builds, and over the axiom
+        # suite the resized tuples piled up on CPython's tuple free lists (0.2 MB).
+        self._atoms = [(key if len(key) > 1 else key[0], merged[key]) for key in sorted(merged)]
+        self.dim = len(next(iter(merged)))
 
     # -- arrays, made on first use --------------------------------------------
 
@@ -261,7 +248,7 @@ class FiniteDiscrete:
 
     def shifted(self, b: float) -> "FiniteDiscrete":
         self._require_dim1()
-        return FiniteDiscrete.from_arrays(self.values + b, self.weights)
+        return FiniteDiscrete(self.values + b, self.weights)
 
     def _require_dim1(self) -> None:
         if self.values.ndim != 1:

@@ -3,7 +3,7 @@
 run_slln, run_marcinkiewicz and run_cluster_set sample adversarial paths
 through the window engine (`windows._windows`); run_weak_lln computes exact
 escape capacities by the lattice DP, or estimates them from sampled paths in
-dimension 2 and up. Each reduces its output to named scalar statistics with
+any dimension. Each reduces its output to named scalar statistics with
 tolerances, and returns an ExperimentResult whose rows are reproducible from
 (model, strategy, seed) alone.
 Numeric policy: running extrema over n >= N/100 stand in for
@@ -148,6 +148,12 @@ def run_marcinkiewicz(
     sqrt(E[X^2]) n^{1/2 - 1/p}, documented so the envelope can be judged).
     Heavy-tailed models with C_V(|X|^p) = infinity run as controls: the
     envelope breach is logged as divergence evidence, never asserted passed.
+
+    The `osc_scaled_sup` row rides alternating blocks that end at
+    ceil(k^(2p/(2-p))), which grow so fast that the schedule stops
+    oscillating as p rises: at N = 10^6, p = 1.5 gives 10 blocks, 1.7 gives
+    4, 1.75 and 1.8 give 3, and from about 1.82 on the two ends are (1, N),
+    one max-mean step and then the min-mean member for the rest of the path.
     """
     if not (1.0 < p < 2.0):
         raise ValueError("p must lie in (1, 2)")
@@ -276,10 +282,10 @@ def run_weak_lln(
     threshold is the caller's choice, not a rate the law promises. The
     capacity of landing within epsilon of an interior target must be large,
     and the upper expectation of each bank function of S_n/n must approach
-    its supremum over M. MC mode (d >= 2) estimates the escape frequency
-    per strategy and per n with a binomial confidence interval, from one
-    walk to the largest n per seed 1..mc_replicas; only the largest n carries
-    a verdict.
+    its supremum over M. MC mode (any dimension) estimates the escape
+    frequency per strategy and per n with a binomial confidence interval,
+    from one walk to the largest n per seed 1..mc_replicas (at least 1); only
+    the largest n carries a verdict.
     """
     ns = tuple(sorted(ns))
     if ns[0] < 1:
@@ -351,6 +357,8 @@ def run_weak_lln(
             )
 
     elif mode == "mc":
+        if mc_replicas < 1:
+            raise ValueError(f"mc_replicas: need at least 1 replica, got {mc_replicas}")
         mean_set = build_mean_set(amb, delta=0.05)
         strategies = [*_pure_members(amb), _uniform_mix(amb)]
         seeds = tuple(range(1, mc_replicas + 1))

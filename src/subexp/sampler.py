@@ -27,7 +27,6 @@ from .errors import TargetOutOfRange
 __all__ = [
     "BlockSchedule",
     "Path",
-    "Stationary",
     "alternating_schedule",
     "extreme_members",
     "hash_window",
@@ -107,25 +106,12 @@ def _mixture(weights) -> tuple:
 
 
 @dataclass(frozen=True)
-class Stationary:
-    """One member mixture applied at every step, checked when it is built."""
-
-    weights: tuple
-    label: str = "stationary"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _mixture(self.weights))
-
-    def blocks_for(self, n: int, start: int = 0) -> list[tuple[int, tuple]]:
-        return [(n, self.weights)]
-
-
-@dataclass(frozen=True)
 class BlockSchedule:
     """Piecewise-stationary play: block j covers steps (ends[j-1], ends[j]]
     and plays mixtures[j % len(mixtures)], and steps past the last end keep
-    the last block's mixture. ends may be a range, which holds evenly spaced
-    ends in constant space; the mixtures are checked when it is built.
+    the last block's mixture. No ends and one mixture is stationary play.
+    ends may be a range, which holds evenly spaced ends in constant space;
+    the mixtures are checked when it is built.
     """
 
     ends: Sequence[int]
@@ -133,8 +119,10 @@ class BlockSchedule:
     label: str = "blocks"
 
     def __post_init__(self) -> None:
-        if not self.ends or not self.mixtures:
-            raise ValueError("a block schedule needs at least one block and one mixture")
+        if not self.mixtures:
+            raise ValueError("a block schedule needs at least one mixture")
+        if not self.ends and len(self.mixtures) > 1:
+            raise ValueError("a block schedule with no block ends plays one mixture")
         for a, b in zip(itertools.chain((0,), self.ends), self.ends):
             if b <= a:
                 raise ValueError(f"block ends must be strictly increasing, got {b} after {a}")
@@ -151,9 +139,6 @@ class BlockSchedule:
             if ends[j] >= n:
                 return out
         return out + [(n, mixtures[(len(ends) - 1) % len(mixtures)])]
-
-
-Strategy = Stationary | BlockSchedule
 
 
 @dataclass
@@ -181,7 +166,12 @@ def pure_weights(k: int, idx: int) -> tuple:
     return tuple(w)
 
 
-def stationary_for_target(amb: AmbiguitySet, b: float) -> Stationary:
+def _stationary(weights, label: str) -> BlockSchedule:
+    """One mixture at every step: a schedule with no block ends."""
+    return BlockSchedule((), (weights,), label=label)
+
+
+def stationary_for_target(amb: AmbiguitySet, b: float) -> BlockSchedule:
     """Mixture of the extreme-mean members whose long-run mean is b.
 
     alpha = (b - lower)/(upper - lower) weights the max-mean member against
@@ -197,31 +187,28 @@ def stationary_for_target(amb: AmbiguitySet, b: float) -> Stationary:
         raise TargetOutOfRange(f"target {b} outside mean interval [{lower}, {upper}]")
     k = len(amb.members)
     if upper == lower:
-        return Stationary(pure_weights(k, hi), label=f"target={b:g}")
+        return _stationary(pure_weights(k, hi), f"target={b:g}")
     alpha = min(1.0, max(0.0, (b - lower) / (upper - lower)))
     w = [0.0] * k
     w[hi] += alpha
     w[lo] += 1.0 - alpha
-    return Stationary(tuple(w), label=f"target={b:g}")
+    return _stationary(w, f"target={b:g}")
 
 
-def _pure_extremes(amb: AmbiguitySet) -> tuple[Stationary, Stationary]:
+def _pure_extremes(amb: AmbiguitySet) -> tuple[BlockSchedule, BlockSchedule]:
     hi, lo = extreme_members(amb)
     k = len(amb.members)
-    return (
-        Stationary(pure_weights(k, hi), label="pure_max"),
-        Stationary(pure_weights(k, lo), label="pure_min"),
-    )
+    return _stationary(pure_weights(k, hi), "pure_max"), _stationary(pure_weights(k, lo), "pure_min")
 
 
-def _pure_members(amb: AmbiguitySet) -> list[Stationary]:
+def _pure_members(amb: AmbiguitySet) -> list[BlockSchedule]:
     k = len(amb.members)
-    return [Stationary(pure_weights(k, j), label=f"pure_{j}") for j in range(k)]
+    return [_stationary(pure_weights(k, j), f"pure_{j}") for j in range(k)]
 
 
-def _uniform_mix(amb: AmbiguitySet) -> Stationary:
+def _uniform_mix(amb: AmbiguitySet) -> BlockSchedule:
     k = len(amb.members)
-    return Stationary(tuple(1.0 / k for _ in range(k)), label="uniform_mix")
+    return _stationary([1.0 / k] * k, "uniform_mix")
 
 
 def _block_ends(candidates: Iterable[int], horizon: float = math.inf) -> tuple[int, ...]:
@@ -249,20 +236,22 @@ def alternating_schedule(amb: AmbiguitySet, ends: Sequence[int], label: str) -> 
     return BlockSchedule(ends if isinstance(ends, range) else tuple(ends), mixtures, label=label)
 
 
-def oscillation_schedule(amb: AmbiguitySet, K: int, factor: float = 16.0) -> BlockSchedule:
+# Ratio of consecutive oscillation block ends.
+_OSCILLATION_FACTOR = 16.0
+
+
+def oscillation_schedule(amb: AmbiguitySet, K: int) -> BlockSchedule:
     """Alternating pure max-mean / min-mean blocks with geometric ends.
 
-    Block k covers (end_{k-1}, end_k] with end_k = 16 * factor^(k-1); the
-    first block plays the max-mean member. The ratio end_{k-1}/end_k = 1/factor
+    Block k covers (end_{k-1}, end_k] with end_k = 16 * 16^(k-1); the first
+    block plays the max-mean member. The ratio end_{k-1}/end_k = 1/16
     controls how close the running mean gets to the extreme means: the
-    oscillation reaches within roughly (upper-lower)/factor of each endpoint,
-    so a large factor is needed for endpoint attainment at finite n.
+    oscillation reaches within roughly (upper-lower)/16 of each endpoint, so
+    a large ratio is needed for endpoint attainment at finite n.
     """
     if K < 2:
         raise ValueError("need at least 2 blocks")
-    if factor <= 1.0:
-        raise ValueError("factor must exceed 1")
-    ends = _block_ends(int(round(16 * factor ** j)) for j in range(K))
+    ends = _block_ends(int(round(16 * _OSCILLATION_FACTOR ** j)) for j in range(K))
     return alternating_schedule(amb, ends, "oscillation")
 
 
@@ -284,7 +273,7 @@ def default_targets(amb: AmbiguitySet, m: int) -> tuple[np.ndarray, list[tuple]]
     if amb.dim == 1:
         lo, hi = float(means.min()), float(means.max())
         targets = np.linspace(lo, hi, m)
-        return targets, [stationary_for_target(amb, float(b)).weights for b in targets]
+        return targets, [stationary_for_target(amb, float(b)).mixtures[0] for b in targets]
 
     grid = _simplex_lattice(len(amb.members), resolution=max(8, m))
     # Lattice rows come in increasing lexicographic order, so the last row
@@ -329,17 +318,22 @@ def _farthest_point_subset(points: np.ndarray, m: int) -> np.ndarray:
     return points[sorted(chosen)]
 
 
-def target_chasing_schedule(mixtures, horizon: int, start: int = 1000) -> BlockSchedule:
+# First block end of a chasing schedule.
+_CHASE_START = 1000
+
+
+def target_chasing_schedule(mixtures, horizon: int) -> BlockSchedule:
     """Block schedule that plays the targets' mixtures (from `default_targets`)
     in order, one per block.
 
-    Block ends grow geometrically from `start` to `horizon`, so each visit's
+    Block ends grow geometrically from step 1000 to `horizon`, so each visit's
     error contracts to about (adjacent target spacing)/(growth factor - 1)
     plus CLT noise; the block ends are where the running mean should sit
     near each block's target. In the infinite extension the cycle continues
     with the same factor, so every target recurs infinitely often. Each
-    block ends at its own step in start..horizon.
+    block ends at its own step in 1000..horizon.
     """
+    start = _CHASE_START
     if horizon <= 2 * start:
         raise ValueError(f"horizon {horizon} too small for start {start}")
     m = len(mixtures)
@@ -356,7 +350,7 @@ def target_chasing_schedule(mixtures, horizon: int, start: int = 1000) -> BlockS
 
 def sample_path(
     amb: AmbiguitySet,
-    strategy: Strategy,
+    strategy: BlockSchedule,
     n: int,
     seed: int,
     start: int = 0,

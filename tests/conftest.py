@@ -21,8 +21,8 @@ from subexp import (
 def make_e1() -> AmbiguitySet:
     return AmbiguitySet(
         (
-            FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5]),
-            FiniteDiscrete.from_arrays([-1.0, 1.0], [0.25, 0.75]),
+            FiniteDiscrete([-1.0, 1.0], [0.5, 0.5]),
+            FiniteDiscrete([-1.0, 1.0], [0.25, 0.75]),
         ),
         label="E1",
     )
@@ -31,9 +31,9 @@ def make_e1() -> AmbiguitySet:
 def make_v2mix() -> AmbiguitySet:
     return AmbiguitySet(
         (
-            FiniteDiscrete.from_arrays([[1.0, 0.0]], [1.0]),
-            FiniteDiscrete.from_arrays([[0.0, 1.0]], [1.0]),
-            FiniteDiscrete.from_arrays([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
+            FiniteDiscrete([[1.0, 0.0]], [1.0]),
+            FiniteDiscrete([[0.0, 1.0]], [1.0]),
+            FiniteDiscrete([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),
         ),
         label="V2mix",
     )
@@ -44,8 +44,8 @@ def make_asym3() -> AmbiguitySet:
     not symmetric about 0; its partial sums are inexact in float64."""
     return AmbiguitySet(
         (
-            FiniteDiscrete.from_arrays([-0.7, 0.15, 1.3], [0.3, 0.5, 0.2]),
-            FiniteDiscrete.from_arrays([-0.4, 0.9], [0.6, 0.4]),
+            FiniteDiscrete([-0.7, 0.15, 1.3], [0.3, 0.5, 0.2]),
+            FiniteDiscrete([-0.4, 0.9], [0.6, 0.4]),
         ),
         label="asym3",
     )
@@ -56,7 +56,7 @@ def make_v3mix() -> AmbiguitySet:
     direction net has 6400 directions."""
     e = np.eye(3).tolist()
     return AmbiguitySet(
-        tuple(FiniteDiscrete.from_arrays([e[i], e[(i + 1) % 3]], [0.5, 0.5]) for i in range(3)),
+        tuple(FiniteDiscrete([e[i], e[(i + 1) % 3]], [0.5, 0.5]) for i in range(3)),
         label="V3mix",
     )
 
@@ -85,7 +85,7 @@ def random_lattice_instance(rng: np.random.Generator):
         n_atoms = int(rng.integers(1, 4))
         values = rng.choice(np.arange(-4, 5), size=n_atoms, replace=False) * pitch
         weights = rng.dirichlet(np.ones(n_atoms))
-        members.append(FiniteDiscrete.from_arrays(values.tolist(), weights.tolist()))
+        members.append(FiniteDiscrete(values.tolist(), weights.tolist()))
     amb = AmbiguitySet(tuple(members), label="rand")
 
     span = n * 4.0  # |values| <= 4*pitch <= 4

@@ -64,6 +64,12 @@ def test_run_schema_error_exits_two(tmp_path, capsys):
     pytest.param([[0.0, 0.5], [[1.0, 2.0], 0.5]],
                  "atom values must be all numbers or all vectors of one length: "
                  "atom 0 is a number, atom 1 is a vector of 2 numbers", id="shape"),
+    # Each weight is checked before equal values merge: these would merge to
+    # a point mass of weight 1.
+    pytest.param([[1.0, -0.5], [1.0, 1.5]], "atom weights must be strictly positive",
+                 id="repeated-negative"),
+    pytest.param([[1.0, 0.0], [1.0, 1.0]], "atom weights must be strictly positive",
+                 id="repeated-zero"),
 ])
 def test_run_atom_errors_exit_two_with_plain_numbers(tmp_path, capsys, atoms, message):
     doc = dict(E1_DOC, lattice_quantum=0.25,
@@ -144,6 +150,17 @@ def test_run_seed_override_outside_the_hash_range_exits_two(tmp_path, capsys, se
     assert code == 2
     assert f"error: --seed-override: seed {seed} outside [0, 2^64)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("replicas", [0, -3])
+def test_weak_lln_mc_with_fewer_than_one_replica_exits_two(tmp_path, capsys, replicas):
+    doc = dict(E1_DOC, experiment="weak_lln",
+               parameters={"mode": "mc", "ns": [16, 64], "mc_replicas": replicas})
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: mc_replicas: need at least 1 replica, got {replicas}\n")
+    assert not (out / "results.csv").exists()
 
 
 @pytest.mark.parametrize("parameter, value, message", [

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from subexp import AmbiguitySet, Event, FiniteDiscrete, TwoSidedPareto
+from subexp import AmbiguitySet, BlockSchedule, Event, FiniteDiscrete, TwoSidedPareto, sample_path
 from subexp.axioms import random_ambiguity_set, random_max_affine
 from subexp.errors import NotConvergent
 
@@ -63,21 +63,48 @@ def test_event_complement_partitions_the_line(kind, a, width, x):
 # ---------------------------------------------------- finite discrete laws
 
 
-def test_from_arrays_weights_must_sum_to_one():
+def test_finite_law_weights_must_sum_to_one():
     with pytest.raises(ValueError):
-        FiniteDiscrete.from_arrays([0.0, 1.0], [0.5, 0.49])
+        FiniteDiscrete([0.0, 1.0], [0.5, 0.49])
     with pytest.raises(ValueError):
-        FiniteDiscrete.from_arrays([0.0, 1.0], [-0.1, 1.1])
+        FiniteDiscrete([0.0, 1.0], [-0.1, 1.1])
+    with pytest.raises(ValueError, match="sum to 1 within 1e-12, got 0.9"):
+        FiniteDiscrete([1.0, 1.0], [0.5, 0.4])
+
+
+def test_each_weight_is_checked_before_equal_values_merge():
+    # Each pair would merge to a point mass of weight 1.
+    for values, weights in (([1.0, 1.0], [-0.5, 1.5]), ([1.0, 1.0], [0.0, 1.0]),
+                            ([1.0, 1.0], [1.5, -0.5]), ([0.0, -0.0], [0.0, 1.0]),
+                            ([[1.0, 2.0], [1.0, 2.0]], [-0.5, 1.5])):
+        with pytest.raises(ValueError, match="strictly positive"):
+            FiniteDiscrete(values, weights)
+    merged = FiniteDiscrete([1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+    assert merged.values.tolist() == [0.0, 1.0] and merged.weights.tolist() == [0.5, 0.5]
+
+
+def test_width_one_vectors_make_a_one_dimensional_law(e1):
+    # Vectors of one number are numbers: a law of dimension 1 has 1-d arrays,
+    # so its probabilities and paths are those of the scalar law.
+    scalar = FiniteDiscrete([-1.0, 1.0], [0.25, 0.75])
+    for law in (FiniteDiscrete([[-1.0], [1.0]], [0.25, 0.75]),
+                FiniteDiscrete(np.array([[1.0], [-1.0]]), [0.75, 0.25])):
+        assert law.dim == 1 and law.values.shape == law.weights.shape == (2,)
+        assert law._atoms == scalar._atoms
+        assert law.prob(Event("ge", 1.0)) == 0.75
+        plan = BlockSchedule((), ((0.5, 0.5),))
+        path = sample_path(AmbiguitySet((e1.members[0], law)), plan, 200, seed=3)
+        assert np.array_equal(path.increments, sample_path(e1, plan, 200, seed=3).increments)
 
 
 def test_atoms_sorted_at_construction():
-    d = FiniteDiscrete.from_arrays([1.0, -1.0, 0.0], [0.2, 0.3, 0.5])
+    d = FiniteDiscrete([1.0, -1.0, 0.0], [0.2, 0.3, 0.5])
     assert list(d.values) == [-1.0, 0.0, 1.0]
     assert list(d.weights) == [0.3, 0.5, 0.2]
 
 
 def test_finite_moments_exact():
-    d = FiniteDiscrete.from_arrays([-1.0, 1.0], [0.25, 0.75])
+    d = FiniteDiscrete([-1.0, 1.0], [0.25, 0.75])
     assert d.mean() == 0.5
     assert d.second_moment() == 1.0
     assert d.expectation(lambda x: x * x) == 1.0
@@ -88,26 +115,26 @@ def test_finite_moments_exact():
 
 
 def test_finite_truncations_and_excess():
-    d = FiniteDiscrete.from_arrays([-2.0, 0.0, 3.0], [0.25, 0.25, 0.5])
+    d = FiniteDiscrete([-2.0, 0.0, 3.0], [0.25, 0.25, 0.5])
     # truncation at c=1 clips atoms to [-1, 1]
     assert d.truncated_mean(1.0) == 0.25 * -1.0 + 0.25 * 0.0 + 0.5 * 1.0
     assert d.truncated_second(1.0) == 0.25 + 0.5
 
 
 def test_finite_icdf_staircase():
-    d = FiniteDiscrete.from_arrays([-1.0, 1.0], [0.25, 0.75])
+    d = FiniteDiscrete([-1.0, 1.0], [0.25, 0.75])
     u = np.array([0.0, 0.1, 0.24999, 0.25, 0.9, 0.999999])
     out = d.icdf(u)
     assert list(out) == [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0]
 
 
 def test_finite_shifted():
-    d = FiniteDiscrete.from_arrays([-1.0, 2.0], [0.5, 0.5])
+    d = FiniteDiscrete([-1.0, 2.0], [0.5, 0.5])
     assert list(d.shifted(1.0).values) == [0.0, 3.0]
 
 
 def test_point_mass_mean():
-    d = FiniteDiscrete.from_arrays([2.5], [1.0])
+    d = FiniteDiscrete([2.5], [1.0])
     assert d.mean() == 2.5
 
 
@@ -118,7 +145,7 @@ def test_finite_expectation_is_weighted_sum(values, data):
     )
     total = sum(weights)
     weights = [w / total for w in weights]
-    d = FiniteDiscrete.from_arrays(values, weights)
+    d = FiniteDiscrete(values, weights)
     expected = sum(w * v for v, w in zip(values, weights))
     assert abs(d.mean() - expected) < 1e-9
 
@@ -161,39 +188,42 @@ def test_array_expectation_equals_the_per_atom_sums(seed, c, kind, a):
 
 
 def test_expectation_rejects_a_test_function_of_the_wrong_shape():
-    d = FiniteDiscrete.from_arrays([-1.0, 0.0, 2.0], [0.25, 0.25, 0.5])
+    d = FiniteDiscrete([-1.0, 0.0, 2.0], [0.25, 0.25, 0.5])
     assert d.expectation(lambda x: np.full(len(x), 2.0)) == 2.0
     for f in (lambda x: 2.0, lambda x: x[:, None], lambda x: x[:2], np.sum):
         with pytest.raises(ValueError, match="one value per atom"):
             d.expectation(f)
-    planar = FiniteDiscrete.from_arrays([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+    planar = FiniteDiscrete([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
     assert planar.expectation(lambda x: x[:, 0]) == 0.5
     with pytest.raises(ValueError, match="one value per atom"):
         planar.expectation(lambda x: x)
 
 
 def test_a_nan_weight_is_rejected():
-    with pytest.raises(ValueError, match="strictly positive"):
-        FiniteDiscrete([(0.0, math.nan), (1.0, 1.0)])
+    for values in ([0.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly positive"):
+            FiniteDiscrete(values, [math.nan, 1.0])
 
 
-def test_from_arrays_needs_one_weight_per_value():
+def test_finite_law_needs_one_weight_per_value():
     with pytest.raises(ValueError, match="got 4 atom values but 2 weights"):
-        FiniteDiscrete.from_arrays([0.0, 1.0, 2.0, 3.0], [0.5, 0.5])
+        FiniteDiscrete([0.0, 1.0, 2.0, 3.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="at least one atom"):
+        FiniteDiscrete([], [])
 
 
 def test_atom_shape_errors_name_the_atom_at_fault():
     with pytest.raises(ValueError) as exc:
-        FiniteDiscrete([(0.0, 0.5), ((1.0, 2.0), 0.5)])
+        FiniteDiscrete([0.0, (1.0, 2.0)], [0.5, 0.5])
     assert str(exc.value) == ("atom values must be all numbers or all vectors of one length: "
                               "atom 0 is a number, atom 1 is a vector of 2 numbers")
-    # A width-1 vector is still a vector until from_arrays merges the values.
+    # A width-1 vector is still a vector until the values merge.
     with pytest.raises(ValueError, match="atom 2 is a vector of 1 numbers"):
-        FiniteDiscrete.from_arrays([0.5, 0.5, [1.0]], [0.25, 0.25, 0.5])
+        FiniteDiscrete([0.5, 0.5, [1.0]], [0.25, 0.25, 0.5])
     with pytest.raises(ValueError, match=r"atom 1: \[\[1.0\]\] is neither a number"):
-        FiniteDiscrete.from_arrays([[0.0], [[1.0]]], [0.5, 0.5])
+        FiniteDiscrete([[0.0], [[1.0]]], [0.5, 0.5])
     with pytest.raises(ValueError, match="atom 0: a vector value needs at least one number"):
-        FiniteDiscrete([([], 1.0)])
+        FiniteDiscrete([[]], [1.0])
 
 
 def _reference_arrays(atoms):
@@ -210,7 +240,7 @@ def _reference_arrays(atoms):
 
 
 def _reference_merge(values, weights):
-    """from_arrays' merge as it was done on numpy rows."""
+    """The merge of equal values as it was done on numpy rows."""
     values, weights = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
     merged = {}
     for v, w in zip(values.reshape(len(weights), -1), weights):
@@ -225,7 +255,7 @@ _COORDS = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.1, 1.0, 3.0, 1e-300])
 @given(width=st.integers(0, 3), data=st.data())
 def test_lazy_arrays_equal_the_arrays_made_at_construction(width, data):
     # width 0 means scalar atoms. Values repeat, -0.0 and 0.0 among them, so
-    # from_arrays merges; numpy scalars and ndarray rows come in as they are.
+    # they merge; numpy scalars and ndarray rows come in as they are.
     value = _COORDS if width == 0 else st.lists(_COORDS, min_size=width, max_size=width)
     raw = data.draw(st.lists(value, min_size=1, max_size=7))
     counts = data.draw(st.lists(st.integers(1, 9), min_size=len(raw), max_size=len(raw)))
@@ -238,13 +268,10 @@ def test_lazy_arrays_equal_the_arrays_made_at_construction(width, data):
         values, weights = np.asarray(raw, dtype=float), np.asarray(weights)
     else:
         values = raw
-    merged = FiniteDiscrete.from_arrays(values, weights)
+    merged = FiniteDiscrete(values, weights)
     expected = _reference_arrays(_reference_merge(values, weights))
     _assert_same_arrays(merged, expected)
-    # The atoms as given, width-1 vectors kept, when their values are distinct.
-    atoms = list(zip(values, weights))
-    if len({tuple(np.ravel(v)) for v, _ in atoms}) == len(atoms):
-        _assert_same_arrays(FiniteDiscrete(atoms), _reference_arrays(atoms))
+    assert merged.values.ndim == (1 if merged.dim == 1 else 2)
 
 
 def _assert_same_arrays(law, expected):
@@ -362,8 +389,8 @@ def test_ambiguity_set_rejects_mixed_dimension():
     with pytest.raises(ValueError):
         AmbiguitySet(
             (
-                FiniteDiscrete.from_arrays([0.0], [1.0]),
-                FiniteDiscrete.from_arrays([[0.0, 1.0]], [1.0]),
+                FiniteDiscrete([0.0], [1.0]),
+                FiniteDiscrete([[0.0, 1.0]], [1.0]),
             )
         )
 
@@ -377,8 +404,8 @@ def test_ambiguity_set_heaviest_alpha_with_pareto():
 
 
 def test_icdf_table_concatenates_the_finite_members():
-    three = FiniteDiscrete.from_arrays([-0.7, 0.15, 1.3], [0.3, 0.5, 0.2])
-    two = FiniteDiscrete.from_arrays([-0.4, 0.9], [0.6, 0.4])
+    three = FiniteDiscrete([-0.7, 0.15, 1.3], [0.3, 0.5, 0.2])
+    two = FiniteDiscrete([-0.4, 0.9], [0.6, 0.4])
     amb = AmbiguitySet((three, TwoSidedPareto(1.5, 1.0, 0.5), two))
     thresholds, offsets, atoms = amb.icdf_table
     assert amb.icdf_table is amb.icdf_table  # built once per model
@@ -386,8 +413,8 @@ def test_icdf_table_concatenates_the_finite_members():
     assert offsets.tolist() == [0, 5, 3]
     assert atoms[:5].tolist() == [-0.7, 0.15, 1.3, -0.4, 0.9] and math.isnan(atoms[5])
     e = np.eye(2)
-    planar = AmbiguitySet((FiniteDiscrete.from_arrays([e[0]], [1.0]),
-                           FiniteDiscrete.from_arrays(e, [0.5, 0.5])))
+    planar = AmbiguitySet((FiniteDiscrete([e[0]], [1.0]),
+                           FiniteDiscrete(e, [0.5, 0.5])))
     thresholds, offsets, atoms = planar.icdf_table
     assert thresholds.tolist() == [[math.inf, 0.5]]
     assert offsets.tolist() == [0, 1]

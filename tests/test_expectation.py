@@ -96,7 +96,7 @@ def test_mean_interval_is_the_truncation_limit_on_finite_sets(seed):
 @pytest.mark.parametrize("alpha, right", [(1.05, 0.9), (1.5, 0.75), (3.0, 0.2)])
 def test_mean_interval_is_the_truncation_limit_with_a_pareto_member(alpha, right):
     amb = AmbiguitySet((TwoSidedPareto(alpha, 2.0, right),
-                        FiniteDiscrete.from_arrays([-1.0, 3.0], [0.5, 0.5])))
+                        FiniteDiscrete([-1.0, 3.0], [0.5, 0.5])))
     lower, upper = mean_interval(amb)
     for c in (1e2, 1e6, 1e12):
         # Clipping a Pareto member at c misses (2r - 1) E[(|X| - c)+] of its mean.
@@ -192,7 +192,7 @@ def survival_cases(draw):
         values = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4, unique=True))
         raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(values),
                                      max_size=len(values))))
-        members.append(FiniteDiscrete.from_arrays(values, raw / raw.sum()))
+        members.append(FiniteDiscrete(values, raw / raw.sum()))
     p = draw(st.floats(1.0, 2.0, exclude_max=True))
     a = draw(st.floats(0.0, 40.0))
     return AmbiguitySet(tuple(members)), p, a, a + draw(st.floats(1e-3, 60.0))

@@ -33,9 +33,8 @@ from subexp.windows import _WINDOW, _Containment, _chain, _windows
 from subexp.meanset import _BLOCK_BYTES, build_direction_net, build_mean_set, support_function
 from subexp.sampler import (
     BlockSchedule,
-    Stationary,
+    alternating_schedule,
     default_targets,
-    oscillation_schedule,
     sample_path,
     target_chasing_schedule,
 )
@@ -105,9 +104,8 @@ def test_weak_lln_mc_mode(e1):
 def make_sign_coins() -> AmbiguitySet:
     """A fair and a biased planar sign coin: S_n/n leaves their mean segment."""
     return AmbiguitySet((
-        FiniteDiscrete.from_arrays([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]],
-                                   [0.25] * 4),
-        FiniteDiscrete.from_arrays([[-1.0, -1.0], [1.0, 1.0]], [0.25, 0.75]),
+        FiniteDiscrete([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]], [0.25] * 4),
+        FiniteDiscrete([[-1.0, -1.0], [1.0, 1.0]], [0.25, 0.75]),
     ), label="coins")
 
 
@@ -141,8 +139,9 @@ def test_weak_lln_mc_rows_equal_a_whole_path_referee():
     amb, ns, replicas, epsilon, threshold = make_sign_coins(), (16, 64), 30, 0.1, 0.05
     directions = build_direction_net(2, 0.05)
     support = np.array([support_function(amb, p) for p in directions])
-    strategies = [Stationary((1.0, 0.0), label="pure_0"), Stationary((0.0, 1.0), label="pure_1"),
-                  Stationary((0.5, 0.5), label="uniform_mix")]
+    strategies = [BlockSchedule((), ((1.0, 0.0),), label="pure_0"),
+                  BlockSchedule((), ((0.0, 1.0),), label="pure_1"),
+                  BlockSchedule((), ((0.5, 0.5),), label="uniform_mix")]
     grid = np.asarray(ns)
     expected = []
     for strategy in strategies:
@@ -181,8 +180,8 @@ def test_slln_structure_and_endpoints(e1):
 def test_slln_reads_each_targets_own_path_when_their_labels_collide():
     # The mean interval [1000, 1000.002] prints every target as 1000 under
     # :g, so all five rows share one label; each must still read its own path.
-    amb = AmbiguitySet((FiniteDiscrete.from_arrays([1000.0], [1.0]),
-                        FiniteDiscrete.from_arrays([1000.0, 1000.004], [0.5, 0.5])))
+    amb = AmbiguitySet((FiniteDiscrete([1000.0], [1.0]),
+                        FiniteDiscrete([1000.0, 1000.004], [0.5, 0.5])))
     res = run_slln(amb, N=20_000, seeds=(1,), tol=1e-4)
     gaps = [r for r in res.rows if r.statistic.startswith("target_gap_b=")]
     assert [r.strategy for r in gaps] == ["target=1000"] * 5
@@ -229,7 +228,7 @@ def _scaled_series_terms(amb, a_n, c):
     def scaled(m, a):
         if isinstance(m, TwoSidedPareto):
             return TwoSidedPareto(m.alpha, a * m.scale, m.right_mass)
-        return FiniteDiscrete.from_arrays(m.values * a, m.weights)
+        return FiniteDiscrete(m.values * a, m.weights)
 
     terms = []
     for a in a_n.tolist():
@@ -244,11 +243,11 @@ def _scaled_series_terms(amb, a_n, c):
     return tuple(np.array(column) for column in zip(*terms))
 
 
-_COIN = FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5])
+_COIN = FiniteDiscrete([-1.0, 1.0], [0.5, 0.5])
 SERIES_MODELS = {
     "E1": make_e1(),
     "asym3": make_asym3(),
-    "point_mass": AmbiguitySet((FiniteDiscrete([(2.5, 1.0)]),)),
+    "point_mass": AmbiguitySet((FiniteDiscrete([2.5], [1.0]),)),
     **{
         f"coin+pareto{alpha}-r{r}": AmbiguitySet((_COIN, TwoSidedPareto(alpha, 1.0, r)))
         for alpha in (1.05, 1.5, 2.0, 3.0) for r in (0.25, 0.5, 0.75)
@@ -282,7 +281,7 @@ def test_series_terms_match_the_explicitly_scaled_laws(model, q):
     # verdict rows of run_three_series read as beta > 1 from these exponents.
     amb = make_e1() if model == "E1" else AmbiguitySet((
         TwoSidedPareto(1.5, 1.0, 0.75),
-        FiniteDiscrete.from_arrays([-1.0, 0.5, 2.0], [0.3, 0.4, 0.3]),
+        FiniteDiscrete([-1.0, 0.5, 2.0], [0.3, 0.4, 0.3]),
     ))
     _assert_exponents_match_the_oracle(amb, q)
     res = run_three_series(amb, scale_exponent=q, N=2000, N0=200)
@@ -347,19 +346,26 @@ def test_cluster_set_rejects_more_targets_than_block_ends_in_a_short_message():
     assert len(str(info.value)) < 200
 
 
-@pytest.mark.parametrize("driver, amb, horizon", [
-    pytest.param(run_slln, make_e1(), {"N": 3000, "seeds": ()}, id="slln"),
-    pytest.param(run_marcinkiewicz, make_e1(), {"N": 3000, "seeds": ()}, id="marcinkiewicz"),
+_NO_SEED = "a sampled experiment needs at least one seed"
+
+
+@pytest.mark.parametrize("driver, amb, horizon, message", [
+    pytest.param(run_slln, make_e1(), {"N": 3000, "seeds": ()}, _NO_SEED, id="slln"),
+    pytest.param(run_marcinkiewicz, make_e1(), {"N": 3000, "seeds": ()}, _NO_SEED,
+                 id="marcinkiewicz"),
     pytest.param(run_marcinkiewicz, AmbiguitySet((TwoSidedPareto(1.8, 1.0, 0.5),)),
-                 {"N": 3000, "seeds": ()}, id="marcinkiewicz-pareto"),
+                 {"N": 3000, "seeds": ()}, _NO_SEED, id="marcinkiewicz-pareto"),
+    # The seeds of an mc run are 1..mc_replicas, so the parameter is named.
     pytest.param(run_weak_lln, make_e1(), {"ns": (3000,), "mode": "mc", "mc_replicas": 0},
-                 id="weak_lln-mc"),
-    pytest.param(run_three_series, make_e1(), {"N": 3000, "seeds": ()}, id="three_series"),
-    pytest.param(run_cluster_set, make_v2mix(), {"N": 3000, "seeds": ()}, id="cluster_set"),
+                 "mc_replicas: need at least 1 replica, got 0", id="weak_lln-mc"),
+    pytest.param(run_three_series, make_e1(), {"N": 3000, "seeds": ()}, _NO_SEED,
+                 id="three_series"),
+    pytest.param(run_cluster_set, make_v2mix(), {"N": 3000, "seeds": ()}, _NO_SEED,
+                 id="cluster_set"),
 ])
-def test_sampled_driver_without_seeds_raises(driver, amb, horizon):
+def test_sampled_driver_without_seeds_raises(driver, amb, horizon, message):
     # No seed means no path: a verdict over none would pass vacuously.
-    with pytest.raises(ValueError, match="a sampled experiment needs at least one seed"):
+    with pytest.raises(ValueError, match=message):
         driver(amb, **horizon)
 
 
@@ -393,7 +399,9 @@ def _chunking_case(model: str, n: int):
     """(model, mean set, strategy) whose worst excess falls late or first in the tail."""
     if model == "E1":
         e1 = make_e1()
-        return e1, build_mean_set(e1, delta=0.05), oscillation_schedule(e1, 4, factor=4.0)
+        # Four oscillation blocks, each 4 times longer than the last.
+        plan = alternating_schedule(e1, (16, 64, 256, 1024), "oscillation")
+        return e1, build_mean_set(e1, delta=0.05), plan
     # Against the mean set of the second member alone: the path draws from
     # the first member until the tail starts and then from the second, so
     # the worst excess falls early in the tail.
@@ -478,11 +486,11 @@ def test_containment_closed_form_matches_net_product(monkeypatch, model):
     if model == "E1":
         amb = make_e1()
         mean_set = build_mean_set(AmbiguitySet(amb.members[1:]), delta=0.05)
-        strategy = Stationary((1.0, 0.0))
+        strategy = BlockSchedule((), ((1.0, 0.0),))
     else:
         amb = make_asym3()
         mean_set = build_mean_set(amb, delta=0.05)
-        strategy = oscillation_schedule(amb, 4, factor=4.0)
+        strategy = alternating_schedule(amb, (16, 64, 256, 1024), "oscillation")
     monkeypatch.setattr(windows, "_WINDOW", 5000)
     n = 3 * 5000 + 77
     containment = _Containment(amb, mean_set, 0.05)
@@ -590,8 +598,8 @@ def test_windows_yield_views_of_one_workspace(monkeypatch, amb):
     # No window allocates: every array yielded for a seed views one buffer.
     monkeypatch.setattr(windows, "_WINDOW", 64)
     k = len(amb.members)
-    plans = [Stationary(tuple(1.0 / k for _ in range(k))),
-             Stationary(tuple(float(j == 0) for j in range(k)))]
+    plans = [BlockSchedule((), (tuple(1.0 / k for _ in range(k)),)),
+             BlockSchedule((), (tuple(float(j == 0) for j in range(k)),))]
     arrays = [a for _, ns, x, _ in _windows(amb, plans, 300, seed=3) for a in (ns, x)]
     assert len(arrays) == 2 * 2 * 5
     base = arrays[0].base
@@ -628,7 +636,7 @@ def test_peak_memory_does_not_grow_with_horizon(case):
 
 def _choquet_cases():
     coin = make_e1().members[0]
-    atoms = FiniteDiscrete.from_arrays([-50.0, 0.0, 3.0], [0.2, 0.5, 0.3])
+    atoms = FiniteDiscrete([-50.0, 0.0, 3.0], [0.2, 0.5, 0.3])
     return {
         "finite": AmbiguitySet((coin, atoms)),
         "pareto": AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),)),
@@ -751,7 +759,7 @@ def test_slln_oscillation_extremes_keep_a_nan_window(monkeypatch):
     # NaN in the oscillation strategy's later windows only, on a model with
     # no containment row: its running max and min must both turn NaN.
     amb = AmbiguitySet(
-        (TwoSidedPareto(3.0, 1.0, 0.5), FiniteDiscrete.from_arrays([-1.0, 1.0], [0.25, 0.75]))
+        (TwoSidedPareto(3.0, 1.0, 0.5), FiniteDiscrete([-1.0, 1.0], [0.25, 0.75]))
     )
 
     def poisoned(amb, strategies, N, seed):

@@ -306,14 +306,14 @@ def test_choquet_series_window_scales_with_m_and_jumps_at_atoms():
     rows = series_rows((TwoSidedPareto(1.9, 1.0, 0.5),), p=1.2, M=2.0, K=20_000)
     assert rows["series_ratio_matched"].passed
     # Atoms at +-300 drop the survival from 1 to 0 inside the window [100, 1000].
-    coin = FiniteDiscrete.from_arrays([-300.0, 300.0], [0.5, 0.5])
+    coin = FiniteDiscrete([-300.0, 300.0], [0.5, 0.5])
     rows = series_rows((coin,), p=1.0, K=1_000)
     assert rows["series_partial_sum"].value == 300.0
     assert rows["series_ratio_matched"].passed
 
 
 def test_choquet_series_bounded_support_trivial():
-    d = FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5])
+    d = FiniteDiscrete([-1.0, 1.0], [0.5, 0.5])
     rows = series_rows((d,), p=1.5, K=1_000)
     assert rows["series_convergent"].value == 1.0
     assert rows["equivalence_consistent"].passed

@@ -39,7 +39,7 @@ def test_lattice_model_unit_pitch(e1):
 
 def test_lattice_model_fractional_pitch():
     amb = AmbiguitySet(
-        (FiniteDiscrete.from_arrays([0.25, 0.75], [0.5, 0.5]),), label="q"
+        (FiniteDiscrete([0.25, 0.75], [0.5, 0.5]),), label="q"
     )
     assert lattice_model(amb).pitch == 0.25
 
@@ -48,7 +48,7 @@ def test_lattice_model_rejects_off_lattice_atom():
     # 0.5 + 2.5e-7 has no rational approximation with denominator <= 1e6
     # inside the 1e-9 gate (pi does: 103993/33102 errs by only 5.8e-10)
     amb = AmbiguitySet(
-        (FiniteDiscrete.from_arrays([1.0, 0.50000025], [0.5, 0.5]),), label="bad"
+        (FiniteDiscrete([1.0, 0.50000025], [0.5, 0.5]),), label="bad"
     )
     with pytest.raises(NonLattice):
         lattice_model(amb)
@@ -64,7 +64,7 @@ def test_lattice_model_rejects_continuous_member():
 
 def test_state_space_guard():
     amb = AmbiguitySet(
-        (FiniteDiscrete.from_arrays([1e-6, 1.0], [0.5, 0.5]),), label="wide"
+        (FiniteDiscrete([1e-6, 1.0], [0.5, 0.5]),), label="wide"
     )
     with pytest.raises(StateSpaceTooLarge):
         dp_value(amb, TerminalSum(Event("ge", 0.5).holds), 20, "upper")
@@ -192,7 +192,7 @@ def random_running_instance(rng: np.random.Generator, kind: str, per_step: bool)
         n_atoms = int(rng.integers(1, 4))
         values = rng.choice(np.arange(-2, 3), size=n_atoms, replace=False) * pitch
         weights = rng.dirichlet(np.ones(n_atoms))
-        members.append(FiniteDiscrete.from_arrays(values.tolist(), weights.tolist()))
+        members.append(FiniteDiscrete(values.tolist(), weights.tolist()))
     amb = AmbiguitySet(tuple(members), label="running")
 
     def end(k):  # within half a pitch of level k's window

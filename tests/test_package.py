@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ EXPORTS = {
                     "mean_interval", "truncated_expectation", "upper_expectation"),
     "meanset": ("MeanSet", "build_direction_net", "build_mean_set", "distance_to_mean_set",
                 "support_function"),
-    "sampler": ("BlockSchedule", "Path", "Stationary", "oscillation_schedule",
+    "sampler": ("BlockSchedule", "Path", "oscillation_schedule",
                 "sample_path", "stationary_for_target", "target_chasing_schedule"),
     "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalSum",
                    "brute_force_value", "dp_value", "lattice_model",
@@ -240,7 +241,7 @@ def test_no_module_uses_numpy_linalg_but_norm():
 
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
-    assert len(NAMES) == 64
+    assert len(NAMES) == 63
     assert subexp.__version__ == "0.1.0"
 
 
@@ -381,3 +382,34 @@ def test_every_public_function_is_reached_by_a_config_or_the_cli(tmp_path, monke
     unused = [name for name, cls in sorted(classes.items())
               if cls not in instances and name not in UNUSED_CLASSES]
     assert unused == []
+
+
+def _readme_quick_start() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_gives_the_values_its_comments_name():
+    # Every statement runs; each expression's comment opens with the value it
+    # gives: a literal exactly, "same" as the expression above, "~x" within
+    # 0.05 of x (a sampled mean).
+    block = _readme_quick_start()
+    lines = block.splitlines()
+    namespace, previous, exact = {}, None, []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        comment = lines[stmt.end_lineno - 1].split("# ", 1)[1]
+        near, named = re.match(r"(~?)(same|\([^)]*\)|[-\d.]+)", comment).groups()
+        if named == "same":
+            assert value == previous, comment
+        elif near:
+            assert abs(value - float(named)) <= 0.05, (comment, value)
+        else:
+            assert value == ast.literal_eval(named), (comment, value)
+            exact.append(value)
+        previous = value
+    assert exact == [0.5, 0.0, (0.0, 0.5), 0.75, 0.5625, 0.5625]

@@ -17,7 +17,6 @@ from subexp import (
     AmbiguitySet,
     BlockSchedule,
     FiniteDiscrete,
-    Stationary,
     TwoSidedPareto,
     oscillation_schedule,
     sample_path,
@@ -38,7 +37,7 @@ from conftest import make_asym3, make_e1, make_v2mix
 
 
 def test_same_args_same_path(e1):
-    s = Stationary((0.5, 0.5))
+    s = BlockSchedule((), ((0.5, 0.5),))
     p1 = sample_path(e1, s, 500, seed=42)
     p2 = sample_path(e1, s, 500, seed=42)
     assert np.array_equal(p1.increments, p2.increments)
@@ -47,30 +46,33 @@ def test_same_args_same_path(e1):
 
 def test_prefix_stability(e1):
     """Extending the horizon must not rewrite the earlier steps."""
-    s = Stationary((0.3, 0.7))
+    s = BlockSchedule((), ((0.3, 0.7),))
     short = sample_path(e1, s, 200, seed=9)
     long = sample_path(e1, s, 1000, seed=9)
     assert np.array_equal(long.increments[:200], short.increments)
 
 
 def test_different_seeds_differ(e1):
-    s = Stationary((0.5, 0.5))
+    s = BlockSchedule((), ((0.5, 0.5),))
     p1 = sample_path(e1, s, 200, seed=1)
     p2 = sample_path(e1, s, 200, seed=2)
     assert not np.array_equal(p1.increments, p2.increments)
 
 
 def test_stationary_validation(e1):
+    # A schedule with no block ends plays its one mixture at every step.
     for bad in ((0.6, 0.6), (1.5, -0.5), (float("nan"), 1.0)):
         with pytest.raises(ValueError, match="mixture weights"):
-            Stationary(bad)
-    assert Stationary(np.array([0.25, 0.75])).weights == (0.25, 0.75)
+            BlockSchedule((), (bad,))
+    assert BlockSchedule((), (np.array([0.25, 0.75]),)).mixtures == ((0.25, 0.75),)
     with pytest.raises(ValueError, match="one weight per member"):
-        sample_path(e1, Stationary((1.0,)), 10, seed=0)
+        sample_path(e1, BlockSchedule((), ((1.0,),)), 10, seed=0)
+    with pytest.raises(ValueError, match="no block ends plays one mixture"):
+        BlockSchedule((), ((1.0, 0.0), (0.0, 1.0)))
 
 
 def test_pure_strategy_uses_one_member(e1):
-    p = sample_path(e1, Stationary((0.0, 1.0)), 300, seed=5)
+    p = sample_path(e1, BlockSchedule((), ((0.0, 1.0),)), 300, seed=5)
     assert set(p.member_indices.tolist()) == {1}
 
 
@@ -80,10 +82,11 @@ def test_pure_strategy_uses_one_member(e1):
 def test_stationary_for_target_mean_is_exact(e1):
     for b in (0.0, 0.125, 0.25, 0.5):
         s = stationary_for_target(e1, b)
+        assert s.ends == () and len(s.mixtures) == 1 and s.label == f"target={b:g}"
         means = e1.member_means()
-        assert float(np.dot(s.weights, means)) == pytest.approx(b, abs=1e-15)
-    assert stationary_for_target(e1, 0.0).weights == (1.0, 0.0)
-    assert stationary_for_target(e1, 0.5).weights == (0.0, 1.0)
+        assert float(np.dot(s.mixtures[0], means)) == pytest.approx(b, abs=1e-15)
+    assert stationary_for_target(e1, 0.0).mixtures == ((1.0, 0.0),)
+    assert stationary_for_target(e1, 0.5).mixtures == ((0.0, 1.0),)
 
 
 def test_stationary_for_target_out_of_range(e1):
@@ -101,7 +104,7 @@ def test_target_attained_empirically(e1):
 
 
 def _dirac_set(means) -> AmbiguitySet:
-    return AmbiguitySet([FiniteDiscrete.from_arrays([m], [1.0]) for m in means])
+    return AmbiguitySet([FiniteDiscrete([m], [1.0]) for m in means])
 
 
 def _random_means(rng, d: int) -> np.ndarray:
@@ -167,9 +170,9 @@ def test_block_schedule_validation():
         BlockSchedule((30, 10), ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="mixture weights"):
         BlockSchedule((10, 30), ((1.0, 0.0), (0.7, 0.7)))
-    for ends, mixtures in (((), ((1.0,),)), ((10,), ())):
-        with pytest.raises(ValueError, match="at least one block and one mixture"):
-            BlockSchedule(ends, mixtures)
+    for ends in ((), (10,)):
+        with pytest.raises(ValueError, match="at least one mixture"):
+            BlockSchedule(ends, ())
 
 
 def test_block_schedule_cycles_its_mixtures(e1):
@@ -206,7 +209,7 @@ def test_sample_path_checks_only_the_blocks_it_draws(e1):
 
 def test_drawing_a_window_checks_no_mixture(monkeypatch, e1):
     # Each mixture is checked once, when its strategy is built.
-    plans = [Stationary((0.5, 0.5)), _chasing(e1, 3, 20_000, 50),
+    plans = [BlockSchedule((), ((0.5, 0.5),)), _chasing(e1, 3, 20_000),
              alternating_schedule(e1, range(10, 20_010, 10), "alternating_10")]
 
     def check(weights):
@@ -338,7 +341,7 @@ def test_block_schedule_names_only_the_first_bad_pair_of_ends():
 
 def test_pareto_member_sampling_matches_tail():
     amb = AmbiguitySet((TwoSidedPareto(1.5, 1.0, 0.5),), label="p15")
-    p = sample_path(amb, Stationary((1.0,)), 200_000, seed=17)
+    p = sample_path(amb, BlockSchedule((), ((1.0,),)), 200_000, seed=17)
     frac = float(np.mean(np.abs(p.increments) >= 2.0))
     expect = 2.0 ** -1.5
     assert abs(frac - expect) < 0.01
@@ -349,7 +352,7 @@ def test_pareto_member_sampling_matches_tail():
 @settings(max_examples=40, deadline=None)
 def test_sampled_values_are_legal_atoms(seed, n):
     amb = make_e1()
-    p = sample_path(amb, Stationary((0.5, 0.5)), n, seed=seed)
+    p = sample_path(amb, BlockSchedule((), ((0.5, 0.5),)), n, seed=seed)
     assert set(np.unique(p.increments).tolist()) <= {-1.0, 1.0}
     assert p.n == n and len(p.increments) == n
 
@@ -362,8 +365,8 @@ _WINDOW_MODELS = {
     "1d": make_asym3(),
     "2d": AmbiguitySet(
         (
-            FiniteDiscrete.from_arrays([[0.1, -0.3], [0.7, 0.2]], [0.5, 0.5]),
-            FiniteDiscrete.from_arrays([[-0.45, 0.35]], [1.0]),
+            FiniteDiscrete([[0.1, -0.3], [0.7, 0.2]], [0.5, 0.5]),
+            FiniteDiscrete([[-0.45, 0.35]], [1.0]),
         ),
         label="planar",
     ),
@@ -389,7 +392,7 @@ def test_window_equals_slice_of_whole_path(model):
 def test_chained_window_sums_equal_whole_cumsum(monkeypatch, model):
     amb = _WINDOW_MODELS[model]
     k = len(amb.members)
-    plans = [_PLAN, Stationary(pure_weights(k, 1)), Stationary((0.5, 0.5))]
+    plans = [_PLAN, BlockSchedule((), (pure_weights(k, 1),)), BlockSchedule((), ((0.5, 0.5),))]
     monkeypatch.setattr(windows, "_WINDOW", _W)
     # The yielded arrays are views valid until the next yield: copy each one.
     walked = [(j, ns.copy(), x.copy(), tail)
@@ -409,7 +412,7 @@ def test_chained_window_sums_equal_whole_cumsum(monkeypatch, model):
 
 
 def test_window_start_validation(e1):
-    s = Stationary((0.5, 0.5))
+    s = BlockSchedule((), ((0.5, 0.5),))
     for start in (-1, 10, 11):
         with pytest.raises(ValueError):
             sample_path(e1, s, 10, seed=0, start=start)
@@ -464,32 +467,34 @@ def _reference_path(amb, strategy, n, seed, start, uniforms=None):
     return increments, member_idx
 
 
-def _chasing(amb, m: int, horizon: int, start: int):
-    return target_chasing_schedule(default_targets(amb, m)[1], horizon, start=start)
+def _chasing(amb, m: int, horizon: int):
+    return target_chasing_schedule(default_targets(amb, m)[1], horizon)
 
 
 def _uniform_cases(alpha: float):
     """(model, strategy) per case; the Pareto cases mix a Pareto(alpha) member
     with a fair coin."""
     heavy = AmbiguitySet(
-        (TwoSidedPareto(alpha, 1.0, 0.5), FiniteDiscrete.from_arrays([-1.0, 1.0], [0.5, 0.5])),
+        (TwoSidedPareto(alpha, 1.0, 0.5), FiniteDiscrete([-1.0, 1.0], [0.5, 0.5])),
         label=f"pareto{alpha:g}",
     )
     v2 = make_v2mix()
     three = BlockSchedule((90, 170, 400), ((0.0, 1.0, 0.0), (0.2, 0.3, 0.5), (1.0, 0.0, 0.0)))
     return {
-        "1d-stationary": (make_asym3(), Stationary((0.3, 0.7))),
+        "1d-stationary": (make_asym3(), BlockSchedule((), ((0.3, 0.7),))),
         "1d-blocks": (make_asym3(), _PLAN),
-        "1d-chasing": (make_e1(), _chasing(make_e1(), 3, 400, 50)),
-        "2d-stationary": (v2, Stationary((0.2, 0.3, 0.5))),
+        "1d-chasing": (make_e1(), _chasing(make_e1(), 3, _N)),
+        "2d-stationary": (v2, BlockSchedule((), ((0.2, 0.3, 0.5),))),
         "2d-blocks": (v2, three),
-        "2d-chasing": (v2, _chasing(v2, 3, 400, 50)),
-        "pareto-pure": (heavy, Stationary((1.0, 0.0))),
+        "2d-chasing": (v2, _chasing(v2, 3, _N)),
+        "pareto-pure": (heavy, BlockSchedule((), ((1.0, 0.0),))),
         "pareto-mixed": (heavy, BlockSchedule((60, 400), ((0.5, 0.5), (1.0, 0.0)))),
     }
 
 
-_N = 400
+# A chasing schedule's first block ends at step 1000, so its horizon is more
+# than twice that: three targets put its ends at 1000, 1549 and 2400.
+_N = 2400
 _WINDOWS = st.integers(0, _N - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, _N)))
 
 
@@ -500,9 +505,10 @@ _WINDOWS = st.integers(0, _N - 1).flatmap(lambda s: st.tuples(st.just(s), st.int
 def test_shared_uniforms_give_the_same_path(case, seed, alpha, window):
     amb, strategy = _uniform_cases(alpha)[case]
     # The drawn window, the whole path, windows on and across block ends, and
-    # windows whose first block starts inside them (every plan has an end at
-    # 60, 90 or 100).
-    for start, end in [window, (0, _N), (0, 64), (40, 104), (55, 170), (64, 128), (399, 400)]:
+    # windows whose first block starts inside them (every plan with ends has
+    # one at 60, 90, 100 or 1000).
+    fixed = [(0, 64), (40, 104), (55, 170), (64, 128), (950, 1100), (1500, 1600)]
+    for start, end in [window, (0, _N), *fixed, (_N - 1, _N)]:
         u = np.empty(end - start), np.empty(end - start)
         hash_window(seed, start, *u)
         shared = sample_path(amb, strategy, end, seed, start=start, uniforms=u)
@@ -520,7 +526,7 @@ def test_shared_uniforms_give_the_same_path(case, seed, alpha, window):
 def test_uniforms_must_cover_the_window(e1):
     u = np.empty(10), np.empty(10)
     with pytest.raises(ValueError):
-        sample_path(e1, Stationary((0.5, 0.5)), 20, seed=1, start=5, uniforms=u)
+        sample_path(e1, BlockSchedule((), ((0.5, 0.5),)), 20, seed=1, start=5, uniforms=u)
 
 
 def _normalized(weights):
@@ -533,7 +539,7 @@ def _finite_members(dim: int):
     point = st.integers(-6, 6).map(lambda i: i / 4)
     value = point if dim == 1 else st.lists(point, min_size=dim, max_size=dim)
     atoms = st.lists(st.tuples(value, st.floats(0.01, 1.0)), min_size=1, max_size=6)
-    return atoms.map(lambda a: FiniteDiscrete.from_arrays(
+    return atoms.map(lambda a: FiniteDiscrete(
         [v for v, _ in a], _normalized([w for _, w in a])))
 
 
@@ -560,7 +566,7 @@ def test_table_draw_equals_each_members_own_icdf(amb, data):
     uniform = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges))
     n = data.draw(st.integers(1, 40))
     u = tuple(np.array(data.draw(st.lists(uniform, min_size=n, max_size=n))) for _ in range(2))
-    strategy = Stationary(tuple(weights))
+    strategy = BlockSchedule((), (tuple(weights),))
     path = sample_path(amb, strategy, n, seed=0, uniforms=u)
     ref_x, ref_idx = _reference_path(amb, strategy, n, 0, 0, uniforms=u)
     assert np.array_equal(path.increments, ref_x)
@@ -573,7 +579,7 @@ def test_sums_chain_across_the_engine_window(model, n):
     # The engine's own window: a horizon that fills it, and one that spills
     # a single step into a second window.
     amb = _WINDOW_MODELS[model]
-    plans = [_PLAN, Stationary((0.5, 0.5))]
+    plans = [_PLAN, BlockSchedule((), ((0.5, 0.5),))]
     walked = [(ns.copy(), x.copy()) for _, ns, x, _ in windows._windows(amb, plans, n, seed=7)]
     sizes = [windows._WINDOW] + [1] * (n - windows._WINDOW)
     assert [len(ns) for ns, _ in walked] == [size for size in sizes for _ in plans]
