@@ -16,7 +16,6 @@ import sys
 
 from .config import parse_config
 from .errors import SubexpError
-from .runner import run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,6 +52,9 @@ def main(argv=None) -> int:
     except (SubexpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    # Only a config that parses loads the runner and the modules it imports.
+    from .runner import run
 
     try:
         return run(config, out=args.out, seed_override=args.seed_override, jobs=args.jobs)

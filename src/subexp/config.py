@@ -5,11 +5,12 @@ the offending path, and parsing materializes every default so the resolved
 config written next to the results is complete on its own. EXPERIMENT_TABLE
 maps each experiment name to its driver's name and parameter schema; parsing,
 EXPERIMENTS and the runner all read it. The table holds names, not functions:
-each driver is resolved through the package's lazy exports when a run starts,
-so parsing never loads the engines, and a run loads only its driver's module.
-Parsing builds each model from plain floats and loads no numpy; a run loads it
-when a driver first uses a member's arrays. An error in a finite member names
-the member's path.
+the runner resolves each driver through the package's lazy exports and calls
+it when a run starts, so parsing never loads the engines, and a run loads only
+its driver's module. Parsing builds each model from plain floats, and the
+schema's records are named tuples, so it loads neither numpy nor dataclasses;
+a run loads numpy when a driver first uses a member's arrays. An error in a
+finite member names the member's path.
 
 Schema:
     {
@@ -28,18 +29,12 @@ member (pareto):  {"kind": "pareto", "alpha": a, "scale": s, "right_mass": r}
 
 from __future__ import annotations
 
-import importlib
-import inspect
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .distributions import AmbiguitySet, FiniteDiscrete, TwoSidedPareto, lattice_offsets
 from .errors import NonLattice, SchemaError
-
-if TYPE_CHECKING:
-    from .runner import ExperimentResult
 
 __all__ = [
     "EXPERIMENTS",
@@ -102,25 +97,16 @@ def _mode(x: Any, path: str) -> str:
     return x
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     """A driver, named by its public name in the subexp package, and its
     parameter schema, name -> (default, validator).
 
-    Parameters reach the driver as keywords of the same name, plus the run's
-    seeds and worker count where the driver's signature takes them.
+    The runner calls the driver with the parameters as keywords of the same
+    name, plus the run's seeds and worker count where its signature takes them.
     """
 
     driver: str
     schema: dict
-
-    def execute(self, config: RunConfig, jobs: int) -> ExperimentResult:
-        fn = getattr(importlib.import_module(__package__), self.driver)
-        kwargs = dict(config.parameters)
-        takes = inspect.signature(fn).parameters
-        run_args = {"seeds": config.seeds, "jobs": jobs}
-        kwargs.update({k: v for k, v in run_args.items() if k in takes})
-        return fn(config.model, **kwargs)
 
 
 EXPERIMENT_TABLE: dict[str, Experiment] = {
@@ -177,8 +163,7 @@ EXPERIMENT_TABLE: dict[str, Experiment] = {
 EXPERIMENTS = tuple(EXPERIMENT_TABLE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     model: AmbiguitySet
     experiment: str
     parameters: dict

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 from typing import Callable, Sequence
 
 from .errors import NonLattice, NotConvergent
@@ -35,6 +35,14 @@ _LATTICE_TOL = 1e-9
 # Smallest uniform fed to inverse CDFs; bounds a Pareto draw by
 # scale * 2^(64/alpha), which is finite for alpha above about 1/16.
 _U_FLOOR = 2.0 ** -64
+
+# An event tests x against a; an interval event also tests x against b and
+# joins the two tests. An "abs_" kind makes the same test of |x|.
+_COMPARE = {"ge": operator.ge, "gt": operator.gt, "le": operator.le, "lt": operator.lt}
+_INTERVALS = {
+    "between": ("ge", "le", operator.and_), "between_open": ("gt", "lt", operator.and_),
+    "outside": ("lt", "gt", operator.or_), "outside_closed": ("le", "ge", operator.or_),
+}
 
 
 class _LazyNumpy:
@@ -81,20 +89,17 @@ def _key(point) -> tuple:
     return point if isinstance(point, tuple) else (point,)
 
 
-@dataclass(frozen=True)
 class Event:
     """One-dimensional marginal event with exact complement semantics.
 
     Kinds: half-lines ("ge", "gt", "le", "lt"), absolute-value half-lines
     ("abs_ge", "abs_gt", "abs_le", "abs_lt"), and intervals ("between" for
     a <= X <= b, "between_open" for a < X < b) with their complements
-    ("outside", "outside_closed").
+    ("outside", "outside_closed"). Immutable; equal and hashed by (kind, a, b).
     """
 
-    kind: str
-    a: float
-    b: float = math.nan
-
+    __slots__ = ("kind", "a", "b")
+    _fields = property(operator.attrgetter(*__slots__))
     _COMPLEMENTS = {
         "ge": "lt", "lt": "ge", "gt": "le", "le": "gt",
         "abs_ge": "abs_lt", "abs_lt": "abs_ge",
@@ -103,12 +108,30 @@ class Event:
         "between_open": "outside_closed", "outside_closed": "between_open",
     }
 
-    def __post_init__(self) -> None:
-        if self.kind not in self._COMPLEMENTS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind in ("between", "outside", "between_open", "outside_closed"):
-            if not (self.a <= self.b):
-                raise ValueError(f"interval event needs a <= b, got [{self.a}, {self.b}]")
+    def __init__(self, kind: str, a: float, b: float = math.nan) -> None:
+        if kind not in self._COMPLEMENTS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if kind in _INTERVALS and not a <= b:
+            raise ValueError(f"interval event needs a <= b, got [{a}, {b}]")
+        for name, value in zip(self.__slots__, (kind, a, b)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._fields == other._fields if type(other) is Event else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        return "Event(kind={!r}, a={!r}, b={!r})".format(*self._fields)
+
+    def __reduce__(self):
+        return Event, self._fields
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def complement(self) -> "Event":
         return Event(self._COMPLEMENTS[self.kind], self.a, self.b)
@@ -119,22 +142,10 @@ class Event:
         k = self.kind
         if k.startswith("abs_"):
             x, k = np.abs(x), k[4:]
-        if k == "ge":
-            return x >= self.a
-        if k == "gt":
-            return x > self.a
-        if k == "le":
-            return x <= self.a
-        if k == "lt":
-            return x < self.a
-        if k == "between":
-            return (x >= self.a) & (x <= self.b)
-        if k == "outside":
-            return (x < self.a) | (x > self.b)
-        if k == "between_open":
-            return (x > self.a) & (x < self.b)
-        # outside_closed
-        return (x <= self.a) | (x >= self.b)
+        if k not in _INTERVALS:
+            return _COMPARE[k](x, self.a)
+        at_a, at_b, join = _INTERVALS[k]
+        return join(_COMPARE[at_a](x, self.a), _COMPARE[at_b](x, self.b))
 
 
 class FiniteDiscrete:
@@ -379,13 +390,10 @@ class TwoSidedPareto:
         return f"TwoSidedPareto(alpha={self.alpha}, scale={self.scale}, right_mass={self.right_mass})"
 
 
-Distribution = FiniteDiscrete | TwoSidedPareto
-
-
 class AmbiguitySet:
     """Nonempty finite family of distributions sharing one dimension."""
 
-    def __init__(self, members: Sequence[Distribution], label: str = "") -> None:
+    def __init__(self, members: Sequence[FiniteDiscrete | TwoSidedPareto], label: str = "") -> None:
         members = tuple(members)
         if not members:
             raise ValueError("AmbiguitySet needs at least one member")

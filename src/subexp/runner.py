@@ -1,6 +1,8 @@
 """Experiment dispatch, the result format and its persistence.
 
-Every driver returns an ExperimentResult of Rows, and this module writes it.
+A run resolves its experiment's driver by name through the package's lazy
+exports and calls it. Every driver returns an ExperimentResult of Rows, and
+this module writes it.
 
 Every run writes three files into the output directory: results.json (the
 full result), results.csv (flat rows keyed run_id, experiment, strategy,
@@ -25,6 +27,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import math
@@ -174,6 +178,18 @@ def _write_failure(exc: Exception, resolved: dict, out_dir: str) -> None:
     _dump_json(record, os.path.join(out_dir, "results.json"))
 
 
+def _execute(config: RunConfig, jobs: int) -> ExperimentResult:
+    """Call the configured driver with its parameters, and with the run's seeds
+    and worker count where its signature takes them."""
+    driver = EXPERIMENT_TABLE[config.experiment].driver
+    fn = getattr(importlib.import_module(__package__), driver)
+    kwargs = dict(config.parameters)
+    takes = inspect.signature(fn).parameters
+    run_args = {"seeds": config.seeds, "jobs": jobs}
+    kwargs.update({k: v for k, v in run_args.items() if k in takes})
+    return fn(config.model, **kwargs)
+
+
 def run(
     config: RunConfig,
     out: str | None = None,
@@ -183,13 +199,13 @@ def run(
     """Execute the configured experiment; exit 0 iff every verdict passed."""
     if seed_override is not None:
         check_seed(seed_override, "--seed-override")
-        config = dataclasses.replace(config, seeds=(seed_override,))
+        config = config._replace(seeds=(seed_override,))
     out_dir = out if out is not None else config.output_dir
     resolved = config.resolved()
     resolved["output_dir"] = out_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
-        result = EXPERIMENT_TABLE[config.experiment].execute(config, jobs)
+        result = _execute(config, jobs)
         run_id = write_outputs(result, resolved, out_dir)
     except OSError as exc:  # the output directory cannot be created or written
         print(f"error: {exc}", file=sys.stderr)

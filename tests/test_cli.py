@@ -81,11 +81,11 @@ def test_run_atom_errors_exit_two_with_plain_numbers(tmp_path, capsys, atoms, me
 
 
 # Runs `subexp run` on the config named in argv[2] in a fresh interpreter, then
-# prints the exit status and whether numpy was loaded.
+# prints the exit status and whether numpy and the runner were loaded.
 _RUN_CLI = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); from subexp.cli import main\n"
     "code = main(['run', sys.argv[2], '--out', sys.argv[3]])\n"
-    "print(json.dumps([code, 'numpy' in sys.modules]))"
+    "print(json.dumps([code, 'numpy' in sys.modules, 'subexp.runner' in sys.modules]))"
 )
 
 
@@ -96,7 +96,9 @@ def test_a_config_error_exits_two_without_loading_numpy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CLI, src, write_cfg(tmp_path, doc), str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [2, False]
+    # Only a config that parses loads the runner, and with it csv, hashlib and
+    # dataclasses.
+    assert json.loads(proc.stdout.splitlines()[-1]) == [2, False, False]
     assert "weights must sum to 1 within 1e-12, got 0.9" in proc.stderr
 
 

@@ -5,6 +5,7 @@ load-bearing part: everything downstream integrates against them, so they
 are checked here against direct quadrature oracles.
 """
 
+import copy
 import math
 import warnings
 
@@ -47,6 +48,41 @@ def test_event_holds_matches_description():
     assert list(Event("abs_gt", 1.0).holds(xs)) == [True, False, False, False, False, False, True]
     assert list(Event("between_open", -1.0, 1.0).holds(xs)) == [False, False, True, True, True, False, False]
     assert list(Event("outside_closed", -1.0, 1.0).holds(xs)) == [True, True, False, False, False, True, True]
+
+
+def test_event_holds_every_kind_as_its_comparisons_written_out():
+    # The boundary points and a NaN, which no comparison holds for.
+    x = np.array([-2.0, -1.0, -0.5, 0.0, 1.0, 2.0, np.nan])
+    a, b = -1.0, 1.0
+    written_out = {
+        "ge": x >= a, "gt": x > a, "le": x <= a, "lt": x < a,
+        "abs_ge": abs(x) >= b, "abs_gt": abs(x) > b, "abs_le": abs(x) <= b, "abs_lt": abs(x) < b,
+        "between": (x >= a) & (x <= b), "outside": (x < a) | (x > b),
+        "between_open": (x > a) & (x < b), "outside_closed": (x <= a) | (x >= b),
+    }
+    assert set(written_out) == set(Event._COMPLEMENTS)
+    for kind, expected in written_out.items():
+        event = Event(kind, b) if kind.startswith("abs_") else Event(kind, a, b)
+        assert event.holds(x).tolist() == expected.tolist(), kind
+
+
+def test_event_is_a_frozen_record_of_its_three_fields():
+    # Sets and dicts of events keep their order: an event hashes as its fields.
+    nan = math.nan
+    for kind, a, b in [("ge", 0.5, nan), ("between", -1.0, 2.0), ("abs_lt", 0, nan)]:
+        event = Event(kind, a, b)
+        assert hash(event) == hash((kind, a, b))
+        assert event == Event(kind, a, b) and event != Event(kind, a, 3.0)
+    assert Event("ge", 0.5) != ("ge", 0.5, nan)
+    assert not isinstance(Event("ge", 0), tuple)
+    assert repr(Event("ge", 0.5)) == "Event(kind='ge', a=0.5, b=nan)"
+    assert repr(Event("between", -1, 2.5)) == "Event(kind='between', a=-1, b=2.5)"
+    event = Event("ge", 0.5)
+    for field in ("kind", "a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(event, field, 1.0)
+    assert event == Event("ge", 0.5)
+    assert copy.copy(event) == event and copy.deepcopy(event) == event
 
 
 @given(

@@ -54,19 +54,21 @@ PARETO = {"label": "p15", "members": [
 ]}
 
 # Parses the configs read from stdin in a fresh interpreter, then prints the
-# subexp, numpy and scipy modules loaded.
+# subexp, numpy, scipy, dataclasses and inspect modules loaded.
 _PARSE_ONLY = (
     "import json, sys; sys.path.insert(0, sys.argv[1]); import subexp\n"
     "for doc in json.load(sys.stdin): subexp.parse_config(json.dumps(doc))\n"
-    "print(json.dumps(sorted(m for m in sys.modules\n"
-    "                        if m.split('.')[0] in ('subexp', 'numpy', 'scipy'))))"
+    "roots = ('subexp', 'numpy', 'scipy', 'dataclasses', 'inspect')\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))"
 )
 
 
 def test_parsing_loads_only_the_schema_layer():
     # Every experiment, then every golden config: weak_lln_exact sets
     # lattice_quantum, which parsing checks against the atoms. A model keeps
-    # its atoms as plain floats until a run reads an array, so numpy stays out.
+    # its atoms as plain floats until a run reads an array, so numpy stays out,
+    # and the schema's records are named tuples and its events slotted
+    # classes, so dataclasses and inspect stay out.
     docs = [{"model": PARETO if name == "choquet_series" else E1, "experiment": name}
             for name in EXPERIMENTS] + [doc for doc, *_ in GOLDEN.values()]
     assert any("lattice_quantum" in doc for doc in docs)
@@ -289,7 +291,7 @@ def test_unknown_name_raises_attribute_error():
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_table_driver_is_the_named_function_and_takes_the_schema(name):
-    # Resolved as Experiment.execute resolves it: through the package's exports.
+    # Resolved as the runner resolves it: through the package's exports.
     entry = EXPERIMENT_TABLE[name]
     driver = getattr(subexp, entry.driver)
     assert inspect.isfunction(driver) and driver.__name__ == entry.driver

@@ -179,6 +179,15 @@ def test_seed_override_rewrites_seed_column(tmp_path):
     assert resolved["seeds"] == [77]
 
 
+def test_seed_override_leaves_the_callers_config_alone(tmp_path):
+    cfg = parse_config(json.dumps(config_doc("three_series", {"N": 2000, "N0": 200})))
+    run(cfg, out=str(tmp_path), seed_override=77)
+    assert cfg.seeds == (1, 2, 3)
+    with pytest.raises(AttributeError):
+        cfg.seeds = (77,)
+    assert cfg.seeds == (1, 2, 3)
+
+
 def test_csv_byte_identical_across_parallelism(tmp_path):
     doc = config_doc(
         "inequality_grid",
