@@ -17,8 +17,6 @@ from .distributions import AmbiguitySet, Event, FiniteDiscrete
 from .expectation import choquet_integral, event_upper_capacity, lower_expectation, upper_expectation
 from .runner import ExperimentResult, Row, _raise_worst
 
-__all__ = ["random_ambiguity_set", "random_max_affine", "run_axioms"]
-
 
 def random_ambiguity_set(rng: np.random.Generator, dim: int = 1) -> AmbiguitySet:
     """1 to 5 finite members of 2 to 6 distinct atoms each, in dimension dim."""

@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
 
 
@@ -55,6 +55,10 @@ def main(argv=None) -> int:
 
     # Only a config that parses loads the runner and the modules it imports.
     from .runner import run
+
+    # The summary names the model, whose label the locale may not encode.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
 
     try:
         return run(config, out=args.out, seed_override=args.seed_override, jobs=args.jobs)

@@ -36,18 +36,6 @@ from typing import Any, Callable, NamedTuple
 from .distributions import AmbiguitySet, FiniteDiscrete, TwoSidedPareto, lattice_offsets
 from .errors import NonLattice, SchemaError
 
-__all__ = [
-    "EXPERIMENTS",
-    "EXPERIMENT_TABLE",
-    "Experiment",
-    "RunConfig",
-    "check_seed",
-    "member_to_spec",
-    "model_from_spec",
-    "model_to_spec",
-    "parse_config",
-]
-
 
 def _num(x: Any, path: str) -> float:
     if not (isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)):

@@ -21,14 +21,6 @@ from typing import Callable, Sequence
 
 from .errors import NonLattice, NotConvergent
 
-__all__ = [
-    "AmbiguitySet",
-    "Event",
-    "FiniteDiscrete",
-    "TwoSidedPareto",
-    "lattice_offsets",
-]
-
 _WEIGHT_TOL = 1e-12
 _LATTICE_TOL = 1e-9
 
@@ -113,8 +105,10 @@ class Event:
             raise ValueError(f"unknown event kind {kind!r}")
         if kind in _INTERVALS and not a <= b:
             raise ValueError(f"interval event needs a <= b, got [{a}, {b}]")
+        # Tuples compare and hash a NaN by identity, so every NaN is stored as
+        # the one math.nan object: equal events then compare and hash alike.
         for name, value in zip(self.__slots__, (kind, a, b)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, math.nan if value != value else value)
 
     def __eq__(self, other):
         return self._fields == other._fields if type(other) is Event else NotImplemented

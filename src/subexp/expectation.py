@@ -23,15 +23,6 @@ import numpy as np
 from .distributions import AmbiguitySet, Event, FiniteDiscrete
 from .errors import QuadratureNotConverged
 
-__all__ = [
-    "choquet_integral",
-    "event_upper_capacity",
-    "lower_expectation",
-    "mean_interval",
-    "upper_expectation",
-    "truncated_expectation",
-]
-
 _DIVERGENCE_CAP = 1e12
 _MAX_DOUBLINGS = 200
 _TAIL_RTOL = 1e-8

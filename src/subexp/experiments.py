@@ -36,8 +36,6 @@ from .sampler import (
 )
 from .windows import _chain, _containment, _keep_at_steps, _per_seed, _tail_slice, _windows
 
-__all__ = ["run_cluster_set", "run_marcinkiewicz", "run_slln", "run_weak_lln"]
-
 
 def run_slln(
     amb: AmbiguitySet,

@@ -20,13 +20,6 @@ from .lattice_dp import RunningMax, TerminalSum, _levy_thresholds, dp_value, lat
 from .parallel import parallel_map
 from .runner import ExperimentResult, Row
 
-__all__ = [
-    "exponential_bound",
-    "kolmogorov_lower_capacity_bound",
-    "kolmogorov_upper_bound",
-    "run_inequality_grid",
-]
-
 _EXACT_SLACK = 1e-12
 
 

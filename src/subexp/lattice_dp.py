@@ -26,17 +26,6 @@ import numpy as np
 from .distributions import _LATTICE_TOL, AmbiguitySet, Event, lattice_offsets
 from .errors import NonLattice, StateSpaceTooLarge, TooLargeForBruteForce
 
-__all__ = [
-    "AllBlocksHit",
-    "LatticeModel",
-    "RunningMax",
-    "TerminalSum",
-    "brute_force_value",
-    "dp_value",
-    "lattice_model",
-    "policy_enumeration_value",
-]
-
 _MAX_WIDTH = 10_000_000
 _MAX_DENOMINATOR = 1_000_000
 

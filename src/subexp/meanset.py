@@ -20,14 +20,6 @@ import numpy as np
 from .distributions import AmbiguitySet
 from .errors import DimensionTooLarge
 
-__all__ = [
-    "MeanSet",
-    "build_direction_net",
-    "build_mean_set",
-    "distance_to_mean_set",
-    "support_function",
-]
-
 _NET_CAP = 100_000
 _MAX_DIM = 4
 # Bytes of one gap block, a quarter of a 2 MB L2: 520 rows against the 126

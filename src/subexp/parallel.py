@@ -14,8 +14,6 @@ import itertools
 import threading
 from typing import Callable, Iterable
 
-__all__ = ["parallel_map"]
-
 
 def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
     """[fn(x) for x in items] on up to jobs threads.

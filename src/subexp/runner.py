@@ -38,8 +38,6 @@ import sys
 from .config import EXPERIMENT_TABLE, RunConfig, check_seed
 from .errors import NonFiniteVerdict, SubexpError
 
-__all__ = ["ExperimentResult", "Row", "run", "write_outputs"]
-
 _CSV_HEADER = "run_id,experiment,strategy,seed,n,statistic,value,tolerance,verdict"
 
 
@@ -115,7 +113,7 @@ def _replace_file(path: str, text: str) -> None:
     """Write text beside path under a temporary name, then move it into place."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:

@@ -24,19 +24,6 @@ import numpy as np
 from .distributions import _WEIGHT_TOL, AmbiguitySet
 from .errors import TargetOutOfRange
 
-__all__ = [
-    "BlockSchedule",
-    "Path",
-    "alternating_schedule",
-    "extreme_members",
-    "hash_window",
-    "oscillation_schedule",
-    "pure_weights",
-    "sample_path",
-    "stationary_for_target",
-    "target_chasing_schedule",
-]
-
 # splitmix64 finalizer constants.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -22,8 +22,6 @@ from .runner import ExperimentResult, Row
 from .sampler import _pure_extremes, _uniform_mix, alternating_schedule
 from .windows import _WINDOW, _chain, _per_seed, _windows
 
-__all__ = ["run_choquet_series", "run_three_series"]
-
 
 def _series_exponents(amb: AmbiguitySet, q: float) -> dict[str, float]:
     """Decay exponent beta of each three-series term for X_n = n^{-q} X, inf

@@ -1,7 +1,10 @@
 """Command line entry points: argument handling, output, exit statuses."""
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +39,13 @@ def test_run_prints_summary_and_exits_zero(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "axioms" in out and "run_id=" in out and "PASS" in out
+
+
+def test_run_prints_its_summary_to_a_stdout_that_cannot_be_reconfigured(tmp_path):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["run", write_cfg(tmp_path, E1_DOC), "--out", str(tmp_path / "out")]) == 0
+    assert text.getvalue().startswith("axioms E1 run_id=")
 
 
 def test_run_missing_config_exits_two(tmp_path, capsys):
@@ -116,6 +126,39 @@ def test_marcinkiewicz_near_p_two_writes_its_results(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1])[0] in (0, 1)
     assert (out / "results.csv").is_file()
     assert "osc_scaled_sup" in (out / "results.csv").read_text()
+
+
+# The C locale with UTF-8 mode and locale coercion off: the preferred
+# encoding, stdout's included, is ASCII.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("experiment, parameters, ensure_ascii", [
+    # The grid's rows carry the label, so results.csv holds it; the config
+    # file is UTF-8 in one case and escapes the label in the other.
+    ("inequality_grid", {"ns": [4, 12], "xs": [2.0, 1.0], "levy_alphas": [0.3]}, False),
+    ("inequality_grid", {"ns": [4, 12], "xs": [2.0, 1.0], "levy_alphas": [0.3]}, True),
+    # Only the summary line names the label.
+    ("axioms", {"trials": 40}, True),
+])
+def test_a_non_ascii_label_runs_alike_under_an_ascii_locale(tmp_path, experiment, parameters,
+                                                              ensure_ascii):
+    doc = dict(E1_DOC, model=dict(E1_DOC["model"], label="\u01161"), experiment=experiment,
+               parameters=parameters)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc, ensure_ascii=ensure_ascii), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "utf8")]) == 0
+    src = str(Path(subexp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_CLI, src, str(cfg), str(tmp_path / "ascii")],
+        env=dict(os.environ, **_ASCII_LOCALE), capture_output=True, timeout=120)
+    assert b"Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout.startswith(experiment.encode() + b" \\u01161 run_id=")
+    assert json.loads(proc.stdout.splitlines()[-1])[0] == 0
+    # resolved_config.json records the output directory, so only it differs.
+    assert (tmp_path / "ascii" / "resolved_config.json").is_file()
+    for name in ("results.csv", "results.json"):
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
 
 
 @pytest.mark.parametrize("under", [False, True])

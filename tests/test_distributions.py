@@ -7,6 +7,7 @@ are checked here against direct quadrature oracles.
 
 import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -83,6 +84,20 @@ def test_event_is_a_frozen_record_of_its_three_fields():
             setattr(event, field, 1.0)
     assert event == Event("ge", 0.5)
     assert copy.copy(event) == event and copy.deepcopy(event) == event
+
+
+def test_an_event_is_one_event_whichever_nan_it_holds():
+    # A tuple compares and hashes a NaN by identity, so an event stores every
+    # NaN as math.nan: a half-line equals, hashes as and pickles to itself
+    # whichever NaN object it was given.
+    given = float("nan")
+    assert given is not math.nan
+    event = Event("ge", 0.5)
+    for same in (Event("ge", 0.5, given), Event("ge", 0.5, np.float64("nan")),
+                 pickle.loads(pickle.dumps(event))):
+        assert same == event and hash(same) == hash(event)
+    assert len({event, Event("ge", 0.5, float("nan"))}) == 1
+    assert Event("abs_lt", float("nan")) == Event("abs_lt", math.nan)
 
 
 @given(

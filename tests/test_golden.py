@@ -31,6 +31,15 @@ V2MIX = {
         {"kind": "finite", "atoms": [[[1.0, 0.0], 0.5], [[0.0, 1.0], 0.5]]},
     ],
 }
+# A fair coin and a Pareto member of positive mean: the Pareto member is the
+# pure-max strategy, and the mixed ones draw it over the table gather's NaN atom.
+COIN_PARETO = {
+    "label": "coin+pareto1.5-r0.75",
+    "members": [
+        {"kind": "finite", "atoms": [[-1.0, 0.5], [1.0, 0.5]]},
+        {"kind": "pareto", "alpha": 1.5, "scale": 1.0, "right_mass": 0.75},
+    ],
+}
 PARETO = {
     "label": "Pareto1.5",
     "members": [{"kind": "pareto", "alpha": 1.5, "scale": 1.0, "right_mass": 0.5}],
@@ -72,6 +81,13 @@ GOLDEN = {
         "72d04f0dd0abb63b622c856a60da1c3832b959d2b4fa6715f0da103f366d5365",
         "8695c6a54f43be26b824b883e8eddaf379f1b61a7acff2731b82de718cacbf53",
         "6419ca2fe319787978b045ff76bfd57662164286690946848c6849108066d3f0",
+    ),
+    "three_series_pareto": (
+        {"model": COIN_PARETO, "experiment": "three_series",
+         "parameters": {"N": 2000, "N0": 200}, "seeds": [1]},
+        "f0768cbc79d73c57f3722302aec6d41c8c4ee1c1d2256070155830f072282d36",
+        "881bfe23efe4afd1056643709da3fd60ba4ff5ffdf16ac4b0a1f49e0297f66e1",
+        "7dd770659d668cbddc821006f543a798ddc8111782a5a7aae23cbdfaea710cd5",
     ),
     "cluster_set": (
         {"model": V2MIX, "experiment": "cluster_set", "parameters": {"N": 3000}, "seeds": [1]},

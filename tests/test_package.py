@@ -247,6 +247,15 @@ def test_all_lists_exactly_the_exported_names():
     assert subexp.__version__ == "0.1.0"
 
 
+def test_no_submodule_keeps_its_own_list_of_public_names():
+    # _EXPORTS is the one list of public names. A submodule __all__ would be a
+    # second list that nothing reads, free to drift from it.
+    modules = [p.stem for p in Path(subexp.__file__).parent.glob("*.py") if p.stem != "__init__"]
+    assert "sampler" in modules
+    listing = [m for m in modules if hasattr(importlib.import_module(f"subexp.{m}"), "__all__")]
+    assert listing == []
+
+
 def _unused_imports(path):
     """Names that the module at path imports and never reads."""
     tree = ast.parse(path.read_text())
