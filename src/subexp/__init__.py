@@ -64,7 +64,6 @@ _EXPORTS = {
             "AllBlocksHit",
             "LatticeModel",
             "RunningMax",
-            "TerminalSum",
             "brute_force_value",
             "dp_value",
             "lattice_model",

@@ -56,10 +56,6 @@ def main(argv=None) -> int:
     # Only a config that parses loads the runner and the modules it imports.
     from .runner import run
 
-    # The summary names the model, whose label the locale may not encode.
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(errors="backslashreplace")
-
     try:
         return run(config, out=args.out, seed_override=args.seed_override, jobs=args.jobs)
     except SubexpError as exc:

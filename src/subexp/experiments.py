@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import AmbiguitySet, Event
 from .expectation import mean_interval
-from .lattice_dp import TerminalSum, dp_value
+from .lattice_dp import dp_value
 from .meanset import build_mean_set, distance_to_mean_set
 from .runner import ExperimentResult, Row, _raise_worst
 from .sampler import (
@@ -300,7 +300,7 @@ def run_weak_lln(
         caps = []
         for n in ns:
             event = Event("outside_closed", n * (lower - epsilon), n * (upper + epsilon))
-            caps.append(dp_value(amb, TerminalSum(event.holds), n, side="upper"))
+            caps.append(dp_value(amb, event.holds, n, side="upper"))
         for n, cap in zip(ns, caps):
             is_top = n == n_top
             rows.append(
@@ -331,7 +331,7 @@ def run_weak_lln(
 
         b = 0.5 * (lower + upper) if interior_b is None else float(interior_b)
         event_in = Event("between_open", n_top * (b - epsilon), n_top * (b + epsilon))
-        cap_in = dp_value(amb, TerminalSum(event_in.holds), n_top, side="upper")
+        cap_in = dp_value(amb, event_in.holds, n_top, side="upper")
         rows.append(
             Row(
                 f"interior_capacity_b={b:g}",
@@ -345,9 +345,7 @@ def run_weak_lln(
         )
 
         for name, phi, sup_m in _phi_bank(lower, upper):
-            val = dp_value(
-                amb, TerminalSum(lambda s, f=phi, n=n_top: f(s / n)), n_top, side="upper"
-            )
+            val = dp_value(amb, lambda s, f=phi, n=n_top: f(s / n), n_top, side="upper")
             gap = abs(val - sup_m)
             rows.append(
                 Row(name + "_gap", float(gap), _PHI_BANK_THRESHOLD,

@@ -4,10 +4,12 @@ For finite-support scalar members whose atoms share a common lattice, the
 upper (or lower) value of a path functional over all adaptive strategies is
 computed by backward induction on the partial sum. Sums after k steps live on
 the integer window [k*amin, k*amax] of the lattice, so each level is a dense
-array and transitions are shifted slices, one per atom. A terminal payoff
-maps the whole array of sums to one value per sum, as every test function in
-the package maps its array. A running event is 1 from the first step k whose
-Event holds at S_k. `LatticeModel.sums` maps every level's indices to sums.
+array and transitions are shifted slices, one per atom. A functional is one
+of three kinds: a terminal payoff, a plain function that maps the whole array
+of sums S_n to one value per sum (an event on S_n is `event.holds`); a
+`RunningMax`, 1 from the first step k whose Event holds at S_k; or an
+`AllBlocksHit`, a product of block events. `LatticeModel.sums` maps every
+level's indices to sums.
 
 `brute_force_value` re-derives the same number by recursing over full outcome
 histories with no state compression; it is the oracle the DP is tested
@@ -78,20 +80,6 @@ def lattice_model(amb: AmbiguitySet) -> LatticeModel:
 
 
 @dataclass(frozen=True)
-class TerminalSum:
-    """Value f(S_n); f maps an ndarray of sums to one value per sum. An event
-    on S_n is TerminalSum(event.holds)."""
-
-    f: Callable
-
-    def terminal(self, sums: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(sums), dtype=float)
-
-    def history_value(self, history: tuple) -> float:
-        return float(self.terminal(np.asarray([math.fsum(history)]))[0])
-
-
-@dataclass(frozen=True)
 class RunningMax:
     """Indicator that S_k lies in step k's event at some step k = 1..n.
 
@@ -148,7 +136,7 @@ class AllBlocksHit:
         return 1.0
 
 
-Functional = TerminalSum | RunningMax | AllBlocksHit
+Functional = Callable | RunningMax | AllBlocksHit
 
 
 def _check_side(side: str) -> Callable:
@@ -215,7 +203,8 @@ def _levy_thresholds(amb: AmbiguitySet, n: int, alpha: float) -> list:
 def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upper") -> float:
     """Exact optimal value of the functional over adaptive member choice.
 
-    The functional is a terminal payoff (TerminalSum), a running event
+    The functional is a terminal payoff (a function mapping the array of
+    sums S_n to one value per sum, such as event.holds), a running event
     (RunningMax: one Event for every step or one per step) or a product of
     block events (AllBlocksHit). side "upper" maximizes at every step (upper
     expectation of the functional), "lower" minimizes. Requires scalar
@@ -229,9 +218,6 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
     if width_n > _MAX_WIDTH:
         raise StateSpaceTooLarge(f"{width_n} lattice states at the horizon")
     sums_n = model.sums(n)
-
-    if isinstance(functional, TerminalSum):
-        return float(_backward_pass(model, n, functional.terminal(sums_n), side)[0])
 
     if isinstance(functional, RunningMax):
         terminal = functional.hit(n, n, sums_n).astype(float)
@@ -252,6 +238,10 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
             prev = end
         return value
 
+    if callable(functional):
+        terminal = np.asarray(functional(sums_n), dtype=float)
+        return float(_backward_pass(model, n, terminal, side)[0])
+
     raise TypeError(f"unsupported functional {type(functional).__name__}")
 
 
@@ -261,6 +251,13 @@ def _atoms(amb: AmbiguitySet) -> list[tuple]:
         (tuple(float(v) for v in np.asarray(m.values).ravel()), tuple(m.weights))
         for m in amb.members
     ]
+
+
+def _history_value(functional: Functional, history: tuple) -> float:
+    """The functional on one full outcome history; a terminal payoff reads S_n."""
+    if callable(functional):
+        return float(functional(np.asarray([math.fsum(history)]))[0])
+    return functional.history_value(history)
 
 
 _BF_MAX_STEPS = 4
@@ -293,7 +290,7 @@ def brute_force_value(
 
     def rec(history: tuple) -> float:
         if len(history) == n:
-            return functional.history_value(history)
+            return _history_value(functional, history)
         candidates = []
         for values, weights in atoms:
             candidates.append(
@@ -333,7 +330,7 @@ def policy_enumeration_value(
 
     def walk(table: dict, history: tuple, prob: float) -> float:
         if len(history) == n:
-            return prob * functional.history_value(history)
+            return prob * _history_value(functional, history)
         values, weights = atoms[table[history]]
         return math.fsum(walk(table, history + (v,), prob * w) for v, w in zip(values, weights))
 

@@ -25,7 +25,8 @@ _MAX_DIM = 4
 # Bytes of one gap block, a quarter of a 2 MB L2: 520 rows against the 126
 # directions of the 2-d net, 10 against the 6400 of the 3-d net. So a block
 # stays in cache whatever the net, and each block is one GEMM small enough
-# for OpenBLAS to run on one thread.
+# for OpenBLAS to run on one thread. A block holds two rows at least (1.6 MB
+# against the 100 000 directions of the largest 4-d net).
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -35,7 +36,7 @@ def build_direction_net(dimension: int, delta: float) -> np.ndarray:
     image of Halton points in 4-d. Dimension capped at 4 and size at
     100 000 directions, so below delta about 0.07 the 4-d mesh exceeds
     delta (4 000 random probes found 0.067 at delta 0.05) and a gap block
-    is one 800 KB row.
+    is two rows, 1.6 MB.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -122,10 +123,8 @@ def distance_to_mean_set(mean_set: MeanSet, y):
     y is one point of shape (d,), a float for d = 1, or a block of points of
     shape (m, d), which gives an array of m distances. Equals dist(y, M) up
     to a one-sided net error of order delta * (|y| + max|g|): the net value
-    never exceeds the true distance. In d >= 2 a one-row block is a
-    matrix-vector product, whose last bit can differ from the same point's
-    row in a block of two or more (126 of 700 random V2mix points, by
-    2.2e-16), so a point alone and inside a block can read one ulp apart.
+    never exceeds the true distance. A point's distance does not depend on
+    the block it comes in.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     d = mean_set.directions.shape[1]
@@ -143,7 +142,8 @@ def fold_distances(mean_set: MeanSet, sums: np.ndarray, ns: np.ndarray, fold, ac
     turn; returns the last acc. Unvalidated: sums is (m,) against a 1-d net,
     else (m, d). dist, the fold's to overwrite, holds max(0, max over
     directions p of <p, y> - g(p)). A 1-d block is all m rows; in d >= 2, as
-    many as keep the gap matrix within _BLOCK_BYTES, in one buffer.
+    many as keep the gap matrix within _BLOCK_BYTES, in one buffer, and two
+    at least.
     """
     support = mean_set.support_values
     if sums.ndim == 1:
@@ -158,12 +158,15 @@ def fold_distances(mean_set: MeanSet, sums: np.ndarray, ns: np.ndarray, fold, ac
         np.maximum(y, 0.0, out=y)
         return fold(acc, y, ns)
     directions = mean_set.directions.T  # the (d, K) view each GEMM reads
-    rows = max(1, _BLOCK_BYTES // (8 * len(support)))  # float64 gaps
-    gaps = np.empty((min(rows, len(ns)), len(support)))
+    rows = max(2, _BLOCK_BYTES // (8 * len(support)))  # float64 gaps
+    gaps = np.empty((max(2, min(rows, len(ns))), len(support)))
     for i in range(0, len(ns), rows):
         block = slice(i, i + rows)
-        g = gaps[: len(ns[block])]
-        np.matmul(sums[block] / ns[block, None], directions, out=g)
+        y = sums[block] / ns[block, None]
+        # A one-row product can round its last bit otherwise than the same
+        # row inside a block, so a lone last row is multiplied as two.
+        g = gaps[: max(2, len(y))]
+        np.matmul(y if len(y) > 1 else np.vstack([y, y]), directions, out=g)
         g -= support
-        acc = fold(acc, np.maximum(g.max(axis=1), 0.0), ns[block])
+        acc = fold(acc, np.maximum(g[: len(y)].max(axis=1), 0.0), ns[block])
     return acc

@@ -217,8 +217,9 @@ def run(
         _write_failure(exc, resolved, out_dir)
         raise
     verdict = "PASS" if result.passed else "FAIL"
-    print(
-        f"{config.experiment} {config.model.label} run_id={run_id} "
-        f"rows={len(result.rows)} {verdict} -> {out_dir}"
-    )
+    summary = (f"{config.experiment} {config.model.label} run_id={run_id} "
+               f"rows={len(result.rows)} {verdict} -> {out_dir}")
+    # The summary names the model, whose label the stream may not encode.
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(summary.encode(encoding, "backslashreplace").decode(encoding))
     return 0 if result.passed else 1

@@ -23,7 +23,6 @@ from subexp import (
     AmbiguitySet,
     Event,
     TargetOutOfRange,
-    TerminalSum,
     TwoSidedPareto,
     brute_force_value,
     dp_value,
@@ -87,7 +86,7 @@ def test_criterion_01_randomized_axiom_suite(e1):
 
 def test_criterion_02_dp_matches_brute_force_oracle(e1):
     t0 = time.monotonic()
-    hit2 = TerminalSum(Event("ge", 2.0).holds)
+    hit2 = Event("ge", 2.0).holds
     anchors = {
         "upper": dp_value(e1, hit2, 2, "upper"),
         "lower": dp_value(e1, hit2, 2, "lower"),

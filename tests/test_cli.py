@@ -161,6 +161,27 @@ def test_a_non_ascii_label_runs_alike_under_an_ascii_locale(tmp_path, experiment
         assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
 
 
+# Runs a config through subexp.run, not the command line, and prints its code.
+_RUN_PY = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); import subexp\n"
+    "with open(sys.argv[2], encoding='utf-8') as fh: config = subexp.parse_config(fh.read())\n"
+    "print(json.dumps(subexp.run(config, out=sys.argv[3])))"
+)
+
+
+def test_python_callers_get_the_escaped_summary_under_an_ascii_locale(tmp_path):
+    # The runner, not the command line, escapes what the stream cannot encode.
+    doc = dict(E1_DOC, model=dict(E1_DOC["model"], label="\u01161"), experiment="axioms",
+               parameters={"trials": 40})
+    src = str(Path(subexp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PY, src, write_cfg(tmp_path, doc), str(tmp_path / "out")],
+        env=dict(os.environ, **_ASCII_LOCALE), capture_output=True, timeout=120)
+    assert b"Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout.startswith(b"axioms \\u01161 run_id=")
+    assert proc.stdout.splitlines()[-1] == b"0"
+
+
 @pytest.mark.parametrize("under", [False, True])
 def test_unusable_out_exits_two_before_the_experiment_runs(tmp_path, capsys, monkeypatch,
                                                             under):

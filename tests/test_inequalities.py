@@ -21,7 +21,6 @@ from subexp import (
     AmbiguitySet,
     Event,
     FiniteDiscrete,
-    TerminalSum,
     TwoSidedPareto,
     dp_value,
     exponential_bound,
@@ -195,7 +194,7 @@ def test_grid_solves_the_shared_upper_capacity_once_per_point(monkeypatch, e1):
 
 def test_levy_reflection(e1):
     # The right side V(|S_8| > 2) is shown raw as the tolerance.
-    rhs = dp_value(e1, TerminalSum(Event("abs_gt", 2.0).holds), 8)
+    rhs = dp_value(e1, Event("abs_gt", 2.0).holds, 8)
     for alpha in (0.3, 0.5):
         row = _levy_checks(e1, 8, [2.0], alpha)[0]
         assert row.passed
@@ -222,7 +221,7 @@ def test_levy_makes_exactly_two_dp_calls(monkeypatch, e1):
 
     monkeypatch.setattr(subexp.inequalities, "dp_value", counted)
     assert _levy_checks(e1, 32, [2.0], 0.3)[0].passed
-    assert sorted(calls) == ["RunningMax", "TerminalSum"]
+    assert sorted(calls) == ["RunningMax", "method"]  # a RunningMax and Event.holds
 
 
 def test_grid_sweeps_levy_thresholds_once_per_horizon_and_alpha(monkeypatch, e1):
@@ -250,7 +249,7 @@ def _bisected_thresholds(amb, n, alphas):
 
     @functools.cache
     def capacity(length, m):
-        return dp_value(amb, TerminalSum(Event("abs_gt", m * model.pitch).holds), length)
+        return dp_value(amb, Event("abs_gt", m * model.pitch).holds, length)
 
     def least(alpha, length):
         lo, hi = 0, length * reach + 1  # no length-step sum exceeds hi lattice steps

@@ -17,7 +17,6 @@ from subexp import (
     Event,
     FiniteDiscrete,
     RunningMax,
-    TerminalSum,
     brute_force_value,
     dp_value,
     lattice_model,
@@ -67,7 +66,7 @@ def test_state_space_guard():
         (FiniteDiscrete([1e-6, 1.0], [0.5, 0.5]),), label="wide"
     )
     with pytest.raises(StateSpaceTooLarge):
-        dp_value(amb, TerminalSum(Event("ge", 0.5).holds), 20, "upper")
+        dp_value(amb, Event("ge", 0.5).holds, 20, "upper")
 
 
 # ------------------------------------------------------------ fixed anchors
@@ -75,7 +74,7 @@ def test_state_space_guard():
 
 def test_two_step_threshold_anchors(e1):
     """Reaching S_2 >= 2 needs two up-steps; the best member gives 0.75^2."""
-    f = TerminalSum(Event("ge", 2.0).holds)
+    f = Event("ge", 2.0).holds
     assert dp_value(e1, f, 2, "upper") == pytest.approx(0.5625, abs=1e-15)
     assert dp_value(e1, f, 2, "lower") == pytest.approx(0.25, abs=1e-15)
     assert brute_force_value(e1, f, 2, "upper") == pytest.approx(0.5625, abs=1e-15)
@@ -85,7 +84,7 @@ def test_two_step_threshold_anchors(e1):
 
 
 def test_affine_terminal_reduces_to_mean(e1):
-    f = TerminalSum(lambda s: s)
+    f = lambda s: s
     assert dp_value(e1, f, 3, "upper") == pytest.approx(1.5, abs=1e-12)
     assert dp_value(e1, f, 3, "lower") == pytest.approx(0.0, abs=1e-12)
 
@@ -125,7 +124,7 @@ def test_per_step_events_apply_in_step_order(e1):
 
 def test_all_blocks_hit_decouples(e1):
     """Block reaching is a product: the second block restarts from zero."""
-    per_block = dp_value(e1, TerminalSum(Event("ge", 2.0).holds), 2, "upper")
+    per_block = dp_value(e1, Event("ge", 2.0).holds, 2, "upper")
     f = AllBlocksHit((2, 4), (Event("ge", 2.0), Event("ge", 2.0)))
     got = dp_value(e1, f, 4, "upper")
     assert got == pytest.approx(per_block ** 2, abs=1e-15)
@@ -133,16 +132,22 @@ def test_all_blocks_hit_decouples(e1):
     assert brute_force_value(e1, f, 4, "upper") == pytest.approx(got, abs=1e-12)
 
 
+def test_an_event_is_not_a_payoff(e1):
+    # A terminal event reaches the DP as its indicator, event.holds.
+    with pytest.raises(TypeError, match="unsupported functional Event"):
+        dp_value(e1, Event("ge", 2.0), 2, "upper")
+
+
 def test_side_validation(e1):
     with pytest.raises(ValueError):
-        dp_value(e1, TerminalSum(Event("ge", 0.0).holds), 2, "sideways")
+        dp_value(e1, Event("ge", 0.0).holds, 2, "sideways")
 
 
 def test_brute_force_caps(e1):
     with pytest.raises(TooLargeForBruteForce):
-        brute_force_value(e1, TerminalSum(Event("ge", 0.0).holds), 12, "upper")
+        brute_force_value(e1, Event("ge", 0.0).holds, 12, "upper")
     with pytest.raises(TooLargeForBruteForce):
-        policy_enumeration_value(e1, TerminalSum(Event("ge", 0.0).holds), 3, "upper")
+        policy_enumeration_value(e1, Event("ge", 0.0).holds, 3, "upper")
 
 
 # ------------------------------------------------- randomized oracle sweep
@@ -243,13 +248,14 @@ def test_backward_pass_holds_every_suffix_value_at_sum_zero():
     compared = 0
     while compared < 3000:
         amb, functional, _, side = random_lattice_instance(rng)
-        if not isinstance(functional, TerminalSum):
+        if not callable(functional):
             continue
         n = int(rng.integers(1, 31))
         model = lattice_model(amb)
-        at_zero = _backward_pass(model, n, functional.terminal(model.sums(n)), side)
+        terminal = np.asarray(functional(model.sums(n)), dtype=float)
+        at_zero = _backward_pass(model, n, terminal, side)
         assert len(at_zero) == n + 1
-        assert at_zero[n] == functional.terminal(np.zeros(1))[0]
+        assert at_zero[n] == float(functional(np.zeros(1))[0])
         for k in range(n):
             assert at_zero[k] == dp_value(amb, functional, n - k, side), (k, n, side)
         compared += n + 1

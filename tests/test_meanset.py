@@ -22,6 +22,7 @@ from subexp import (
 )
 from subexp.errors import DimensionTooLarge, NotConvergent
 from subexp.meanset import _NET_CAP
+from conftest import make_e1, make_v2mix, make_v3mix
 
 
 def segment_distance(y):
@@ -154,16 +155,16 @@ def test_distance_input_validation(v2mix):
         distance_to_mean_set(ms, [math.nan, 0.0])
 
 
-@pytest.mark.parametrize("model", ["e1", "v2mix"])
-def test_distance_of_a_block_is_the_distance_of_each_point(model, request):
-    # 700 points span two 520-row gap blocks of the 2-d net. In 1-d the
-    # closed form gives the same bits; in 2-d a GEMM over many rows may
-    # round its last bit otherwise than a one-row product.
-    amb = request.getfixturevalue(model)
+@pytest.mark.parametrize("make", [make_e1, make_v2mix, make_v3mix], ids=["e1", "v2mix", "v3mix"])
+def test_distance_of_a_block_is_the_distance_of_each_point(make):
+    # 700 points span two 520-row gap blocks of the 2-d net and 70 ten-row
+    # blocks of the 3-d one. In 1-d the closed form gives the same bits; in
+    # d >= 2 a lone point is multiplied as a two-row block, since a one-row
+    # product may round its last bit otherwise than a block's rows.
+    amb = make()
     ms = build_mean_set(amb, delta=0.05)
     ys = np.random.default_rng(3).uniform(-1.0, 2.0, size=(700, amb.dim))
-    gap = distance_to_mean_set(ms, ys) - [distance_to_mean_set(ms, y) for y in ys]
-    assert np.abs(gap).max() <= (0.0 if amb.dim == 1 else 1e-15)
+    assert distance_to_mean_set(ms, ys).tolist() == [distance_to_mean_set(ms, y) for y in ys]
     assert distance_to_mean_set(ms, ys[:0]).shape == (0,)
     with pytest.raises(ValueError):
         distance_to_mean_set(ms, ys[None])

@@ -30,9 +30,8 @@ EXPORTS = {
                 "support_function"),
     "sampler": ("BlockSchedule", "Path", "oscillation_schedule",
                 "sample_path", "stationary_for_target", "target_chasing_schedule"),
-    "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "TerminalSum",
-                   "brute_force_value", "dp_value", "lattice_model",
-                   "policy_enumeration_value"),
+    "lattice_dp": ("AllBlocksHit", "LatticeModel", "RunningMax", "brute_force_value",
+                   "dp_value", "lattice_model", "policy_enumeration_value"),
     "inequalities": ("exponential_bound", "kolmogorov_lower_capacity_bound",
                      "kolmogorov_upper_bound", "run_inequality_grid"),
     "axioms": ("random_ambiguity_set", "random_max_affine", "run_axioms"),
@@ -243,7 +242,7 @@ def test_no_module_uses_numpy_linalg_but_norm():
 
 def test_all_lists_exactly_the_exported_names():
     assert subexp.__all__ == NAMES
-    assert len(NAMES) == 63
+    assert len(NAMES) == 62
     assert subexp.__version__ == "0.1.0"
 
 
@@ -393,6 +392,40 @@ def test_every_public_function_is_reached_by_a_config_or_the_cli(tmp_path, monke
     unused = [name for name, cls in sorted(classes.items())
               if cls not in instances and name not in UNUSED_CLASSES]
     assert unused == []
+
+
+def test_the_benchmark_tracer_finds_every_name_it_binds():
+    # perfbench/tracing.py imports lattice_dp names, wraps public functions
+    # that one subexp module imports from another, and re-binds dp_value's
+    # signature. Read, not imported: a change here that breaks every
+    # benchmark run fails this test.
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    bound = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module.startswith("subexp")
+             for alias in node.names]
+    bound += [(call.args[0].args[0].value, call.args[1].value) for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_wrap_attr"
+              and isinstance(call.args[1], ast.Constant)]
+    assert {name for _, name in bound} >= {"AllBlocksHit", "lattice_model", "write_outputs"}
+    for module, name in bound:
+        assert hasattr(importlib.import_module(module), name), (module, name)
+
+    counted = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_COUNTED")
+    modules = [importlib.import_module(f"subexp.{path.stem}")
+               for path in Path(subexp.__file__).parent.glob("*.py")]
+    importers = {name: [m.__name__ for m in modules if inspect.isfunction(vars(m).get(name))
+                        and vars(m)[name].__module__ != m.__name__]
+                 for name in counted}
+    assert counted and all(importers.values()), importers
+
+    dp_args = next(node.args for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_dp_args")
+    params = inspect.signature(subexp.dp_value).parameters.values()
+    assert [arg.arg for arg in dp_args.args] == [p.name for p in params]
+    assert ([ast.literal_eval(d) for d in dp_args.defaults]
+            == [p.default for p in params if p.default is not p.empty])
 
 
 def _readme_quick_start() -> str:
