@@ -98,14 +98,6 @@ class RunningMax:
             raise ValueError(f"{len(self.events)} events for horizon {n}")
         return self.events[k - 1].holds(sums)
 
-    def history_value(self, history: tuple) -> float:
-        n = len(history)
-        for k in range(1, n + 1):
-            running = math.fsum(history[:k])
-            if bool(self.hit(k, n, np.asarray([running]))[0]):
-                return 1.0
-        return 0.0
-
 
 @dataclass(frozen=True)
 class AllBlocksHit:
@@ -124,19 +116,18 @@ class AllBlocksHit:
         if any(b <= a for a, b in zip((0,) + tuple(self.ends[:-1]), self.ends)):
             raise ValueError("block ends must be strictly increasing")
 
-    def history_value(self, history: tuple) -> float:
-        if self.ends[-1] != len(history):
-            raise ValueError("last block end must equal the horizon")
-        prev = 0
-        for end, event in zip(self.ends, self.events):
-            inc = math.fsum(history[prev:end])
-            if not bool(event.holds(inc)):
-                return 0.0
-            prev = end
-        return 1.0
-
 
 Functional = Callable | RunningMax | AllBlocksHit
+
+
+def _check_functional(functional: Functional, n: int) -> None:
+    """Reject what is not one of the three kinds of functional, and block
+    ends that miss the horizon, before any value is computed."""
+    if isinstance(functional, AllBlocksHit):
+        if functional.ends[-1] != n:
+            raise ValueError("last block end must equal the horizon")
+    elif not isinstance(functional, RunningMax) and not callable(functional):
+        raise TypeError(f"unsupported functional {type(functional).__name__}")
 
 
 def _check_side(side: str) -> Callable:
@@ -213,6 +204,7 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
     """
     if n < 1:
         raise ValueError("need at least one step")
+    _check_functional(functional, n)
     model = lattice_model(amb)
     width_n = n * model.span + 1
     if width_n > _MAX_WIDTH:
@@ -224,8 +216,6 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
         return float(_backward_pass(model, n, terminal, side, running=functional)[0])
 
     if isinstance(functional, AllBlocksHit):
-        if functional.ends[-1] != n:
-            raise ValueError("last block end must equal the horizon")
         # Block events depend only on the block's own increment, so the value
         # at a block boundary is a constant and the blocks decouple into a
         # product of independent one-block problems.
@@ -238,11 +228,8 @@ def dp_value(amb: AmbiguitySet, functional: Functional, n: int, side: str = "upp
             prev = end
         return value
 
-    if callable(functional):
-        terminal = np.asarray(functional(sums_n), dtype=float)
-        return float(_backward_pass(model, n, terminal, side)[0])
-
-    raise TypeError(f"unsupported functional {type(functional).__name__}")
+    terminal = np.asarray(functional(sums_n), dtype=float)
+    return float(_backward_pass(model, n, terminal, side)[0])
 
 
 def _atoms(amb: AmbiguitySet) -> list[tuple]:
@@ -254,10 +241,18 @@ def _atoms(amb: AmbiguitySet) -> list[tuple]:
 
 
 def _history_value(functional: Functional, history: tuple) -> float:
-    """The functional on one full outcome history; a terminal payoff reads S_n."""
-    if callable(functional):
-        return float(functional(np.asarray([math.fsum(history)]))[0])
-    return functional.history_value(history)
+    """The functional on one full outcome history, read from its partial
+    sums by math.fsum: S_1..S_n for a RunningMax, each block's increment for
+    an AllBlocksHit, S_n for a terminal payoff."""
+    n = len(history)
+    if isinstance(functional, RunningMax):
+        return float(any(functional.hit(k, n, np.asarray([math.fsum(history[:k])]))[0]
+                         for k in range(1, n + 1)))
+    if isinstance(functional, AllBlocksHit):
+        starts = (0, *functional.ends[:-1])
+        return float(all(event.holds(math.fsum(history[a:b]))
+                         for a, b, event in zip(starts, functional.ends, functional.events)))
+    return float(functional(np.asarray([math.fsum(history)]))[0])
 
 
 _BF_MAX_STEPS = 4
@@ -276,6 +271,7 @@ def brute_force_value(
     (atoms)^n leaves.
     """
     _check_side(side)
+    _check_functional(functional, n)
     if amb.dim != 1 or not amb.is_finite_support:
         raise ValueError("brute force needs scalar finite-support members")
     if n > _BF_MAX_STEPS:
@@ -312,6 +308,7 @@ def policy_enumeration_value(
     n <= 2, where it cross-checks brute_force_value's max-commutes recursion.
     """
     _check_side(side)
+    _check_functional(functional, n)
     if n > 2:
         raise TooLargeForBruteForce("policy tables explode beyond 2 steps")
     if amb.dim != 1 or not amb.is_finite_support:

@@ -6,8 +6,9 @@ simply the max of <p, member mean>. The set is represented purely by support
 values on a direction net; distance queries follow from support-function
 duality, with a documented O(delta) net error for points outside the set.
 No other module reads the net: every distance, `distance_to_mean_set`'s and
-the window engine's containment scan, goes through the one kernel
-`fold_distances`, whose memory depends on neither the points nor the net.
+the window engine's containment scan, comes from the one kernel
+`row_distances`, which returns one distance per row and whose scratch
+memory depends on neither the points nor the net.
 """
 
 from __future__ import annotations
@@ -133,17 +134,15 @@ def distance_to_mean_set(mean_set: MeanSet, y):
     if not np.all(np.isfinite(y)):
         raise ValueError("point must be finite")
     points = y.reshape(-1) if d == 1 else y.reshape(-1, d)
-    blocks = fold_distances(mean_set, points, np.ones(len(points)), lambda b, x, _: [*b, x], [])
-    return float(blocks[0][0]) if y.ndim == 1 else np.concatenate([np.empty(0), *blocks])
+    dist = row_distances(mean_set, points, np.ones(len(points)))
+    return float(dist[0]) if y.ndim == 1 else dist
 
 
-def fold_distances(mean_set: MeanSet, sums: np.ndarray, ns: np.ndarray, fold, acc):
-    """acc = fold(acc, dist, ns[rows]) for each row block of y = sums / ns in
-    turn; returns the last acc. Unvalidated: sums is (m,) against a 1-d net,
-    else (m, d). dist, the fold's to overwrite, holds max(0, max over
-    directions p of <p, y> - g(p)). A 1-d block is all m rows; in d >= 2, as
-    many as keep the gap matrix within _BLOCK_BYTES, in one buffer, and two
-    at least.
+def row_distances(mean_set: MeanSet, sums: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """max(0, max over directions p of <p, y> - g(p)) for each row of
+    y = sums / ns, as a new array. Unvalidated: sums is (m,) against a 1-d
+    net, else (m, d). In d >= 2 the gap matrix is built in row blocks of as
+    many rows as keep it within _BLOCK_BYTES, in one buffer, and two at least.
     """
     support = mean_set.support_values
     if sums.ndim == 1:
@@ -154,12 +153,11 @@ def fold_distances(mean_set: MeanSet, sums: np.ndarray, ns: np.ndarray, fold, ac
         t -= support[1]
         y -= support[0]
         np.maximum(y, t, out=y)
-        del t  # freed before fold runs: two window-length arrays at most
-        np.maximum(y, 0.0, out=y)
-        return fold(acc, y, ns)
+        return np.maximum(y, 0.0, out=y)
     directions = mean_set.directions.T  # the (d, K) view each GEMM reads
     rows = max(2, _BLOCK_BYTES // (8 * len(support)))  # float64 gaps
     gaps = np.empty((max(2, min(rows, len(ns))), len(support)))
+    dist = np.empty(len(ns))
     for i in range(0, len(ns), rows):
         block = slice(i, i + rows)
         y = sums[block] / ns[block, None]
@@ -168,5 +166,5 @@ def fold_distances(mean_set: MeanSet, sums: np.ndarray, ns: np.ndarray, fold, ac
         g = gaps[: max(2, len(y))]
         np.matmul(y if len(y) > 1 else np.vstack([y, y]), directions, out=g)
         g -= support
-        acc = fold(acc, np.maximum(g[: len(y)].max(axis=1), 0.0), ns[block])
-    return acc
+        np.maximum(g[: len(y)].max(axis=1), 0.0, out=dist[block])
+    return dist

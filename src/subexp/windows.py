@@ -6,8 +6,8 @@ yields each strategy's window for the driver to fold into its statistics
 before the next one is drawn. The windows chain the running sums exactly
 (`_chain`), so no statistic depends on the window size, and peak memory is
 bounded by jobs windows and containment blocks, whatever the horizon and
-the number of paths. `_Containment` folds the windows of one path, through
-`meanset.fold_distances`, into its containment row.
+the number of paths. `_Containment` folds the windows of one path into its
+containment row, taking each window's distances from `meanset.row_distances`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import AmbiguitySet
-from .meanset import MeanSet, build_mean_set, fold_distances
+from .meanset import MeanSet, build_mean_set, row_distances
 from .parallel import parallel_map
 from .runner import Row, _raise_worst
 from .sampler import hash_window, sample_path
@@ -115,10 +115,10 @@ class _Containment:
     """Per-path reducer: worst tail excess of dist(S_n/n, M) over the CLT
     slack 4 sqrt(E|X|^2 / n), as one containment row.
 
-    `fold` takes one window and `_excess` one row block of its tail at a
-    time; the max over them is exact, so the value depends neither on the
-    window nor on the block height. A NaN anywhere in the tail makes the
-    value NaN, so the row raises NonFiniteVerdict. The net-based distance
+    `fold` takes one window at a time; the max over windows is exact, so the
+    value depends neither on the window nor on the mean-set kernel's block
+    height. A NaN anywhere in the tail makes the value NaN, so the row
+    raises NonFiniteVerdict. The net-based distance
     never exceeds the true one, so it errs towards a pass: a path that
     leaves M by less than the net resolves reads as contained.
     """
@@ -129,12 +129,9 @@ class _Containment:
         self.tol_outer = tol_outer
 
     def fold(self, worst: float, ns: np.ndarray, sums: np.ndarray, tail: int) -> float:
-        """worst, raised to the excess over this window's tail rows."""
-        return fold_distances(self.mean_set, sums[tail:], ns[tail:], self._excess, worst)
-
-    def _excess(self, worst: float, dist: np.ndarray, ns: np.ndarray) -> float:
-        """worst, raised to max(dist - 4 sqrt(s2 / n)) over one block's rows."""
-        t = np.divide(self.s2, ns)
+        """worst, raised to max(dist - 4 sqrt(s2 / n)) over this window's tail rows."""
+        dist = row_distances(self.mean_set, sums[tail:], ns[tail:])
+        t = np.divide(self.s2, ns[tail:])
         np.sqrt(t, out=t)
         t *= 4.0
         dist -= t

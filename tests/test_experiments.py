@@ -692,7 +692,8 @@ def test_slln_peak_memory_is_a_few_windows():
 
 
 def test_cluster_set_peak_memory_is_a_few_blocks():
-    # 0.97-1.01 MiB measured with 520-row gap blocks and 8 192-step windows;
+    # 0.97-1.01 MiB measured with 520-row gap blocks and 8 192-step windows
+    # (1.05 MiB once each containment fold held a window of distances);
     # 1.37-1.38 MiB with 16 384-step windows and 4.92 MiB when a block held
     # 4096 rows (4 MB), so the bound sits between the first two.
     v2 = make_v2mix()
@@ -703,11 +704,13 @@ def test_cluster_set_peak_memory_is_a_few_blocks():
 
 def test_cluster_set_peak_memory_in_3d_is_a_budget():
     # The 3-d net has 6400 directions: a 4096-row block took 200 MiB, and a
-    # block sized by _BLOCK_BYTES keeps the whole run under 1 MiB.
+    # block sized by _BLOCK_BYTES keeps the whole run near 1 MiB (1.01 MiB
+    # measured). The bound is a fixed figure, three 512 KiB blocks, so
+    # raising _BLOCK_BYTES cannot loosen it.
     v3 = make_v3mix()
     run_cluster_set(v3, N=5000, seeds=(1,), jobs=1)  # warm-up: imports and caches
     peak = _traced_peak(lambda: run_cluster_set(v3, N=5000, seeds=(1,), jobs=1))
-    assert peak <= 3 * _BLOCK_BYTES
+    assert peak <= 1.5 * 2**20
 
 
 def test_drivers_never_sample_a_whole_horizon():

@@ -133,9 +133,14 @@ def test_all_blocks_hit_decouples(e1):
 
 
 def test_an_event_is_not_a_payoff(e1):
-    # A terminal event reaches the DP as its indicator, event.holds.
-    with pytest.raises(TypeError, match="unsupported functional Event"):
-        dp_value(e1, Event("ge", 2.0), 2, "upper")
+    # A terminal event reaches the DP as its indicator, event.holds. The DP
+    # and both referees share one check at entry, so each raises the same
+    # TypeError, not an error from deep in a referee's recursion.
+    for value in (dp_value, brute_force_value, policy_enumeration_value):
+        for functional in (Event("ge", 1.0), None):
+            name = type(functional).__name__
+            with pytest.raises(TypeError, match=f"unsupported functional {name}"):
+                value(e1, functional, 2, "upper")
 
 
 def test_side_validation(e1):
